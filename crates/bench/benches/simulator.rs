@@ -4,14 +4,8 @@
 //! Self-contained `harness = false` benchmark (no external benchmarking
 //! crates): each micro-benchmark is timed in calibrated batches and the
 //! best batch is reported, which is the usual way to suppress scheduler
-//! noise on a shared machine. Run with `cargo bench`.
-//!
-//! The `engine/` group is the one the execution-engine work cares
-//! about: it measures simulated-cycles-per-wall-second on a
-//! stall-heavy workload (naive MMU, single memory channel — warps
-//! spend most cycles waiting on serialized page walks) under both the
-//! idle-cycle-skipping engine and the legacy tick-every-cycle loop,
-//! and checks they agree on the simulated cycle count.
+//! noise on a shared machine. Run with `cargo bench`. Drive-loop
+//! throughput is measured by the `hotpath` binary.
 
 use gmmu::prelude::*;
 use gmmu_core::mmu::{Mmu, PageReq, TranslateBuf};
@@ -128,71 +122,7 @@ fn bench_full_runs() {
     }
 }
 
-/// Simulated-cycles-per-second of the global loop itself, on a
-/// stall-heavy workload where idle-cycle skipping has the most to
-/// skip. Reports both engines and the resulting speedup.
-fn bench_engine_throughput() {
-    let w = build(Bench::Memcached, Scale::Tiny, 7);
-    let mut cfg = GpuConfig::experiment_scale(MmuModel::naive());
-    cfg.n_cores = 2;
-    cfg.mem.channels = 1;
-    let mut results = Vec::new();
-    for (label, legacy) in [("event_skip", false), ("tick_every_cycle", true)] {
-        let mut best = f64::INFINITY;
-        let mut cycles = 0u64;
-        for _ in 0..3 {
-            let mut c = cfg.clone();
-            c.tick_every_cycle = legacy;
-            let t = Instant::now();
-            cycles = black_box(run_kernel(c, w.kernel.as_ref(), &w.space).cycles);
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        println!(
-            "engine/{label:<18} {:>8.2} Mcycles/s  ({cycles} cycles in {:.3} s)",
-            cycles as f64 / best / 1e6,
-            best
-        );
-        results.push((cycles, best));
-    }
-    assert_eq!(
-        results[0].0, results[1].0,
-        "engines disagree on simulated cycles"
-    );
-    println!(
-        "engine/speedup             {:>8.2}x (event_skip over tick_every_cycle)",
-        results[1].1 / results[0].1
-    );
-
-    // Same point once more with the span tracer attached: the off path
-    // must stay free, and this reports what turning tracing *on* costs.
-    let mut best = f64::INFINITY;
-    let mut cycles = 0u64;
-    let mut events = 0usize;
-    for _ in 0..3 {
-        let c = cfg.clone();
-        let mut obs = gmmu_simt::Observer::tracing();
-        let t = Instant::now();
-        cycles = black_box(
-            gmmu_simt::Gpu::new(c)
-                .run_observed(w.kernel.as_ref(), &w.space, &mut obs)
-                .cycles,
-        );
-        best = best.min(t.elapsed().as_secs_f64());
-        events = obs.tracer.buffer().map_or(0, |b| b.len());
-    }
-    assert_eq!(cycles, results[0].0, "tracing changed simulated cycles");
-    println!(
-        "engine/traced              {:>8.2} Mcycles/s  ({events} events)",
-        cycles as f64 / best / 1e6
-    );
-    println!(
-        "engine/trace_overhead      {:>8.2}x wall time vs event_skip",
-        best / results[0].1
-    );
-}
-
 fn main() {
     bench_components();
     bench_full_runs();
-    bench_engine_throughput();
 }

@@ -114,16 +114,6 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"scale\": \"{:?}\",", opts.scale);
     let _ = writeln!(json, "  \"jobs\": {},", opts.jobs);
-    let _ = writeln!(
-        json,
-        "  \"engine\": \"{}\",",
-        match opts.engine {
-            gmmu::prelude::EngineKind::Parallel => "parallel",
-            gmmu::prelude::EngineKind::Event => "event",
-            _ => "serial",
-        }
-    );
-    let _ = writeln!(json, "  \"run_threads\": {},", opts.run_threads);
     let _ = writeln!(json, "  \"total_sims\": {},", runner.runs);
     let _ = writeln!(json, "  \"journal_hits\": {},", runner.journal_hits);
     let _ = writeln!(json, "  \"batch_wall_s\": {:.3},", batch_wall.as_secs_f64());

@@ -13,20 +13,15 @@
 //! * the coalescer's linear-scan dedup inner loop, coalesced and
 //!   divergent warps;
 //! * `ShaderCore::next_event_at` — cached vs. recomputed every query
-//!   (the idle-skip engine queries every core on every skip attempt);
-//! * the event calendar — `peek`/`take_due`/`schedule` steps vs. the
-//!   linear all-cores min-scan the skip engine performs per skip;
-//! * the engines end-to-end — serial vs. event-calendar
-//!   `sim_cycles_per_sec` on a real workload (same cycles, by
-//!   construction; the ratio is the sweep-wall-time win);
+//!   (the idle-skip loop queries every core on every skip attempt);
+//! * the drive loop end-to-end — `sim_cycles_per_sec` on a real
+//!   workload;
 //! * the arena page table vs. a boxed-per-node reference (the shape the
 //!   code had before the slab arena), on the translate path;
-//! * the time-wheel calendar vs. a lazy min-heap reference (its
-//!   pre-wheel shape) and vs. the linear min-scan;
 //! * allocation discipline — the binary installs a counting global
 //!   allocator and reports whole-run allocations per simulated
-//!   kilocycle for each engine (the machine-independent regression
-//!   signal CI gates on);
+//!   kilocycle (the machine-independent regression signal CI gates
+//!   on);
 //! * a standard multi-tenant point — 4 co-running tenants under the
 //!   default ASID-tagged policy, `sim_cycles_per_sec` end to end.
 
@@ -50,7 +45,7 @@ use std::time::{Duration, Instant};
 /// Counts every heap acquisition (alloc/realloc/alloc_zeroed; frees are
 /// uninteresting — a steady-state free implies a later matching alloc).
 /// Mirrors `tests/alloc_discipline.rs`, which asserts the zero-alloc
-/// window; this binary *reports* the whole-run rate per engine.
+/// window; this binary *reports* the whole-run rate.
 struct CountingAlloc;
 
 static ALLOCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -380,52 +375,6 @@ fn next_event_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
     results.push(("next_event_at_recomputed".into(), ns));
 }
 
-// ------------------------------------------------------------ Calendar
-
-/// One engine scheduling step over 32 cores, repeated 256 times per
-/// iteration: jump to the next wake cycle, collect the due keys, and
-/// reschedule each — against the linear min-scan over every core's
-/// `next_event_at` the idle-skip engine performs instead.
-fn calendar_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
-    use gmmu_sim::calendar::Calendar;
-    const KEYS: u32 = 32;
-
-    let mut cal = Calendar::new(KEYS as usize);
-    let mut x = 0x2545f4914f6cdd1du64;
-    for k in 0..KEYS {
-        cal.schedule(k, 1 + lcg(&mut x) % 64);
-    }
-    let mut due: Vec<u32> = Vec::with_capacity(KEYS as usize);
-    let ns = bench_ns(budget, || {
-        for _ in 0..256 {
-            let now = cal.peek_cycle().expect("calendar never drains");
-            cal.take_due(now, &mut due);
-            for &k in &due {
-                cal.schedule(k, now + 1 + lcg(&mut x) % 64);
-            }
-            black_box(due.len());
-        }
-    });
-    results.push(("calendar_step_x256".into(), ns));
-
-    let mut x = 0x2545f4914f6cdd1du64;
-    let mut wake: Vec<u64> = (0..KEYS).map(|_| 1 + lcg(&mut x) % 64).collect();
-    let ns = bench_ns(budget, || {
-        for _ in 0..256 {
-            let now = wake.iter().copied().min().expect("non-empty");
-            let mut taken = 0usize;
-            for w in wake.iter_mut() {
-                if *w <= now {
-                    *w = now + 1 + lcg(&mut x) % 64;
-                    taken += 1;
-                }
-            }
-            black_box(taken);
-        }
-    });
-    results.push(("calendar_linear_scan_x256".into(), ns));
-}
-
 // ----------------------------------------------------- Page-table arena
 
 /// Boxed-per-node radix page table: the pre-arena shape, where each
@@ -593,78 +542,6 @@ fn page_table_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
     results.push(("page_table_node_ref_translate_x256".into(), ns));
 }
 
-// ------------------------------------------------- Calendar (vs. heap)
-
-/// Lazy min-heap calendar reference — the shape [`Calendar`] had before
-/// the time-wheel front: every (re)schedule pushes, stale tops are
-/// discarded on pop.
-struct HeapCalendar {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
-    scheduled_at: Vec<u64>,
-}
-
-impl HeapCalendar {
-    fn new(keys: usize) -> Self {
-        Self {
-            heap: std::collections::BinaryHeap::new(),
-            scheduled_at: vec![u64::MAX; keys],
-        }
-    }
-
-    fn schedule(&mut self, key: u32, cycle: u64) {
-        self.scheduled_at[key as usize] = cycle;
-        self.heap.push(std::cmp::Reverse((cycle, key)));
-    }
-
-    fn peek_cycle(&mut self) -> Option<u64> {
-        while let Some(&std::cmp::Reverse((cycle, key))) = self.heap.peek() {
-            if self.scheduled_at[key as usize] == cycle {
-                return Some(cycle);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    fn take_due(&mut self, now: u64, due: &mut Vec<u32>) {
-        due.clear();
-        while let Some(&std::cmp::Reverse((cycle, key))) = self.heap.peek() {
-            if cycle > now {
-                break;
-            }
-            self.heap.pop();
-            if self.scheduled_at[key as usize] == cycle {
-                self.scheduled_at[key as usize] = u64::MAX;
-                due.push(key);
-            }
-        }
-        due.sort_unstable();
-    }
-}
-
-/// The same 256-step scheduling loop as `calendar_benches`, against the
-/// lazy-heap reference the wheel replaced.
-fn calendar_heap_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
-    const KEYS: u32 = 32;
-    let mut cal = HeapCalendar::new(KEYS as usize);
-    let mut x = 0x2545f4914f6cdd1du64;
-    for k in 0..KEYS {
-        cal.schedule(k, 1 + lcg(&mut x) % 64);
-    }
-    let mut due: Vec<u32> = Vec::with_capacity(KEYS as usize);
-    let ns = bench_ns(budget, || {
-        for _ in 0..256 {
-            let now = cal.peek_cycle().expect("calendar never drains");
-            cal.take_due(now, &mut due);
-            for &k in &due {
-                cal.schedule(k, now + 1 + lcg(&mut x) % 64);
-            }
-            black_box(due.len());
-        }
-    });
-    results.push(("calendar_heap_ref_step_x256".into(), ns));
-}
-
 /// Heap allocations performed building each 16384-page table once —
 /// the deterministic half of the build comparison above.
 fn page_table_alloc_counts() -> (u64, u64) {
@@ -697,38 +574,27 @@ fn page_table_alloc_counts() -> (u64, u64) {
 
 // --------------------------------------------------------- Allocations
 
-/// Whole-run heap allocations per simulated kilocycle, per engine, on
-/// one tiny workload (construction and teardown included — the
+/// Whole-run heap allocations per simulated kilocycle on one tiny
+/// workload (construction and teardown included — the
 /// steady-state *window* is asserted to be zero-alloc by
 /// `tests/alloc_discipline.rs`; this is the end-to-end rate). The
 /// counts are near machine-independent, which makes them the robust
 /// CI regression signal alongside the wall-clock rates.
-fn alloc_benches() -> Vec<(String, f64)> {
+fn alloc_bench() -> f64 {
     use gmmu::prelude::*;
     let w = build(Bench::Bfs, Scale::Tiny, 7);
-    let mut out = Vec::new();
-    for (name, engine, threads) in [
-        ("serial", EngineKind::Serial, 1usize),
-        ("event", EngineKind::Event, 1),
-        ("parallel", EngineKind::Parallel, 2),
-    ] {
-        let mut cfg = gmmu::ExperimentOpts::quick().gpu(MmuModel::augmented());
-        cfg.engine = engine;
-        cfg.run_threads = threads;
-        let before = allocs();
-        let stats = gmmu_simt::gpu::run_kernel(cfg, w.kernel.as_ref(), &w.space);
-        let after = allocs();
-        let per_kcycle = (after - before) as f64 / (stats.cycles as f64 / 1000.0);
-        out.push((name.to_string(), per_kcycle));
-    }
-    out
+    let cfg = gmmu::ExperimentOpts::quick().gpu(MmuModel::augmented());
+    let before = allocs();
+    let stats = gmmu_simt::gpu::run_kernel(cfg, w.kernel.as_ref(), &w.space);
+    let after = allocs();
+    (after - before) as f64 / (stats.cycles as f64 / 1000.0)
 }
 
 // --------------------------------------------------------- Multi-tenant
 
 /// The standard multi-tenant throughput point: 4 co-running tenants
 /// (Zipf mix with a thrasher) under the default ASID-tagged policy,
-/// best-of-3 `sim_cycles_per_sec` on the serial engine.
+/// best-of-3 `sim_cycles_per_sec`.
 fn multitenant_bench() -> f64 {
     use gmmu::prelude::*;
     use gmmu_simt::{Observer, TenantJob, TenantPolicy};
@@ -755,33 +621,20 @@ fn multitenant_bench() -> f64 {
     rate
 }
 
-// ------------------------------------------------------------- Engines
+// ----------------------------------------------------------- Drive loop
 
-/// End-to-end engine throughput on one real workload: best-of-3
-/// `sim_cycles_per_sec` for the serial and event-calendar engines.
-/// The runs are bit-identical (asserted); only the wall time differs.
-fn engine_benches() -> (f64, f64) {
+/// End-to-end drive-loop throughput on one real workload: best-of-3
+/// `sim_cycles_per_sec`.
+fn serial_bench() -> f64 {
     use gmmu::prelude::*;
     let w = build(Bench::Bfs, Scale::Tiny, 7);
-    let best = |engine: EngineKind| -> (f64, u64) {
-        let mut cfg = gmmu::ExperimentOpts::quick().gpu(MmuModel::augmented());
-        cfg.engine = engine;
-        let mut cycles = 0u64;
-        let mut rate = 0f64;
-        for _ in 0..3 {
-            let stats = gmmu_simt::gpu::run_kernel(cfg.clone(), w.kernel.as_ref(), &w.space);
-            cycles = stats.cycles;
-            rate = rate.max(stats.cycles_per_sec());
-        }
-        (rate, cycles)
-    };
-    let (serial, serial_cycles) = best(EngineKind::Serial);
-    let (event, event_cycles) = best(EngineKind::Event);
-    assert_eq!(
-        serial_cycles, event_cycles,
-        "the engines must simulate the same run"
-    );
-    (serial, event)
+    let cfg = gmmu::ExperimentOpts::quick().gpu(MmuModel::augmented());
+    let mut rate = 0f64;
+    for _ in 0..3 {
+        let stats = gmmu_simt::gpu::run_kernel(cfg.clone(), w.kernel.as_ref(), &w.space);
+        rate = rate.max(stats.cycles_per_sec());
+    }
+    rate
 }
 
 // ------------------------------------------------------------- Metrics
@@ -832,13 +685,11 @@ fn main() {
     mshr_benches(&mut results, budget);
     coalesce_benches(&mut results, budget);
     next_event_benches(&mut results, budget);
-    calendar_benches(&mut results, budget);
-    calendar_heap_benches(&mut results, budget);
     page_table_benches(&mut results, budget);
-    let (serial_rate, event_rate) = engine_benches();
+    let serial_rate = serial_bench();
     let multitenant_rate = multitenant_bench();
     let (metrics_unobs_rate, metrics_off_rate, metrics_on_rate) = metrics_benches();
-    let alloc_rates = alloc_benches();
+    let serial_allocs = alloc_bench();
     let (pt_arena_allocs, pt_node_allocs) = page_table_alloc_counts();
 
     for (name, ns) in &results {
@@ -854,8 +705,6 @@ fn main() {
     let tlb_speedup = ratio("tlb_lookup_set_indexed_x256", "tlb_lookup_linear_ref_x256");
     let mshr_speedup = ratio("mshr_heap_cycle_x256", "mshr_linear_ref_cycle_x256");
     let cache_speedup = ratio("next_event_at_cached", "next_event_at_recomputed");
-    let calendar_speedup = ratio("calendar_step_x256", "calendar_linear_scan_x256");
-    let calendar_vs_heap = ratio("calendar_step_x256", "calendar_heap_ref_step_x256");
     let pt_build_speedup = ratio(
         "page_table_arena_build_16k",
         "page_table_node_ref_build_16k",
@@ -868,23 +717,13 @@ fn main() {
         "page_table_arena_translate_x256",
         "page_table_node_ref_translate_x256",
     );
-    let engine_speedup = if serial_rate > 0.0 {
-        event_rate / serial_rate
-    } else {
-        0.0
-    };
     println!("tlb set-indexed vs linear:      {tlb_speedup:.2}x");
     println!("mshr heap vs map-scan:          {mshr_speedup:.2}x");
     println!("next-event cached vs recompute: {cache_speedup:.2}x");
-    println!("calendar vs linear min-scan:    {calendar_speedup:.2}x");
-    println!("calendar vs lazy min-heap:      {calendar_vs_heap:.2}x");
     println!("page table build, arena vs ref: {pt_build_speedup:.2}x");
     println!("page table clone, arena vs ref: {pt_clone_speedup:.2}x");
     println!("page table xlate, arena vs ref: {pt_translate_ratio:.2}x");
-    println!(
-        "event engine vs serial:         {engine_speedup:.2}x \
-         ({event_rate:.0} vs {serial_rate:.0} sim cycles/s)"
-    );
+    println!("drive loop (bfs tiny):          {serial_rate:.0} sim cycles/s");
     let metrics_off_vs_unobserved = if metrics_unobs_rate > 0.0 {
         metrics_off_rate / metrics_unobs_rate
     } else {
@@ -904,9 +743,7 @@ fn main() {
          ({metrics_on_rate:.0} vs {metrics_off_rate:.0} sim cycles/s)"
     );
     println!("multi-tenant (4 tenants):       {multitenant_rate:.0} sim cycles/s");
-    for (name, per_kcycle) in &alloc_rates {
-        println!("allocs/kcycle ({name:<8}):       {per_kcycle:>8.1}");
-    }
+    println!("allocs/kcycle:                  {serial_allocs:>8.1}");
     println!("page table build allocs:        arena {pt_arena_allocs}, node ref {pt_node_allocs}");
 
     let mut json = String::new();
@@ -929,11 +766,6 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"calendar_vs_linear_scan\": {calendar_speedup:.3},"
-    );
-    let _ = writeln!(json, "    \"calendar_vs_heap\": {calendar_vs_heap:.3},");
-    let _ = writeln!(
-        json,
         "    \"page_table_build_arena_vs_node\": {pt_build_speedup:.3},"
     );
     let _ = writeln!(
@@ -946,9 +778,10 @@ fn main() {
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"alloc\": {{");
-    for (name, per_kcycle) in alloc_rates.iter() {
-        let _ = writeln!(json, "    \"{name}_allocs_per_kcycle\": {per_kcycle:.1},");
-    }
+    let _ = writeln!(
+        json,
+        "    \"serial_allocs_per_kcycle\": {serial_allocs:.1},"
+    );
     let _ = writeln!(
         json,
         "    \"page_table_build_arena_allocs\": {pt_arena_allocs},"
@@ -970,10 +803,8 @@ fn main() {
     );
     let _ = writeln!(json, "    \"on_vs_off\": {metrics_on_vs_off:.3}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"engine\": {{");
+    let _ = writeln!(json, "  \"throughput\": {{");
     let _ = writeln!(json, "    \"serial_sim_cycles_per_sec\": {serial_rate:.0},");
-    let _ = writeln!(json, "    \"event_sim_cycles_per_sec\": {event_rate:.0},");
-    let _ = writeln!(json, "    \"event_vs_serial\": {engine_speedup:.3},");
     let _ = writeln!(
         json,
         "    \"multitenant_sim_cycles_per_sec\": {multitenant_rate:.0}"

@@ -1,11 +1,12 @@
-//! Cross-engine trace conformance harness.
+//! Trace conformance harness.
 //!
 //! For every benchmark, captures a GMTR trace of one run and replays it
-//! on all three execution engines (serial, parallel, event), with and
-//! without deterministic fault injection. Every replay must reproduce
-//! the captured run's statistics bit-identically (wall time excluded),
-//! and every replay runs with the metrics channel on: the versioned
-//! metrics snapshots of the three engines must be byte-identical too.
+//! under both drive loops (the idle-skipping loop and the per-cycle
+//! referee), with and without deterministic fault injection. Every
+//! replay must reproduce the captured run's statistics bit-identically
+//! (wall time excluded), and every replay runs with the metrics channel
+//! on: the versioned metrics snapshots of the two loops must be
+//! byte-identical too.
 //! Any difference is listed and fails the harness. Results are printed
 //! as a table and written to `BENCH_validate.json`.
 //!
@@ -40,12 +41,12 @@ fn capture(bench: Bench, scale: Scale, seed: u64, cfg: &GpuConfig, source: &str)
 struct Row {
     bench: &'static str,
     variant: &'static str,
-    engine: &'static str,
+    drive_loop: &'static str,
     cycles: u64,
     wall_s: f64,
     diff: Vec<&'static str>,
     /// FNV-1a 64 of the replay's metrics snapshot JSON; equal across
-    /// engines when the snapshot is engine-invariant.
+    /// the two loops when the snapshot is loop-invariant.
     metrics_fnv: u64,
 }
 
@@ -62,14 +63,10 @@ fn main() {
     );
     println!(
         "{:<14} {:<7} {:<10} {:>12} {:>8}  status",
-        "bench", "run", "engine", "cycles", "wall_s"
+        "bench", "run", "loop", "cycles", "wall_s"
     );
 
-    let engines = [
-        ("serial", EngineKind::Serial, 0usize),
-        ("parallel", EngineKind::Parallel, 2),
-        ("event", EngineKind::Event, 0),
-    ];
+    let loops = [("skip", false), ("per-cycle", true)];
     let mut rows: Vec<Row> = Vec::new();
     let mut failures = 0u32;
     let mut metrics_failures = 0u32;
@@ -82,11 +79,10 @@ fn main() {
             let source = format!("{bench} {:?} seed={} ({variant})", opts.scale, opts.seed);
             let bytes = capture(bench, opts.scale, opts.seed, &cfg, &source);
             let trace = Trace::decode(&bytes).expect("a just-captured trace must decode");
-            let mut snapshots: Vec<String> = Vec::with_capacity(engines.len());
-            for (engine_name, engine, threads) in engines {
+            let mut snapshots: Vec<String> = Vec::with_capacity(loops.len());
+            for (loop_name, tick_every_cycle) in loops {
                 let mut replay_cfg = trace.launch.config.clone();
-                replay_cfg.engine = engine;
-                replay_cfg.run_threads = threads;
+                replay_cfg.tick_every_cycle = tick_every_cycle;
                 let mut obs = Observer::off();
                 obs.metrics = Metrics::recording();
                 let started = Instant::now();
@@ -105,14 +101,14 @@ fn main() {
                     "{:<14} {:<7} {:<10} {:>12} {:>8.2}  {status}",
                     bench.name(),
                     variant,
-                    engine_name,
+                    loop_name,
                     stats.cycles,
                     wall_s
                 );
                 rows.push(Row {
                     bench: bench.name(),
                     variant,
-                    engine: engine_name,
+                    drive_loop: loop_name,
                     cycles: stats.cycles,
                     wall_s,
                     diff,
@@ -121,11 +117,11 @@ fn main() {
                 snapshots.push(snapshot);
             }
             // The snapshot is a pure fold of the run's metric events, so
-            // the three engines must render byte-identical JSON.
+            // both loops must render byte-identical JSON.
             if snapshots.iter().any(|s| s != &snapshots[0]) {
                 metrics_failures += 1;
                 eprintln!(
-                    "validate: metrics snapshots diverged across engines \
+                    "validate: metrics snapshots diverged across loops \
                      for {} ({variant})",
                     bench.name()
                 );
@@ -143,13 +139,13 @@ fn main() {
             eprintln!("validate: {failures} replay(s) diverged from their capture");
         }
         if metrics_failures > 0 {
-            eprintln!("validate: {metrics_failures} capture(s) with engine-variant metrics");
+            eprintln!("validate: {metrics_failures} capture(s) with loop-variant metrics");
         }
         std::process::exit(1)
     }
     println!(
         "validate: {} replays, all statistics bit-identical to capture, \
-         all metrics snapshots engine-invariant",
+         all metrics snapshots loop-invariant",
         rows.len()
     );
 }
@@ -166,12 +162,12 @@ fn to_json(opts: &ExperimentOpts, rows: &[Row], failures: u32, metrics_failures:
         let diff: Vec<String> = r.diff.iter().map(|d| format!("\"{d}\"")).collect();
         let _ = writeln!(
             s,
-            "    {{\"bench\": \"{}\", \"variant\": \"{}\", \"engine\": \"{}\", \
+            "    {{\"bench\": \"{}\", \"variant\": \"{}\", \"loop\": \"{}\", \
              \"cycles\": {}, \"wall_s\": {:.4}, \"ok\": {}, \"diff\": [{}], \
              \"metrics_snapshot_fnv\": \"{:016x}\"}}{}",
             r.bench,
             r.variant,
-            r.engine,
+            r.drive_loop,
             r.cycles,
             r.wall_s,
             r.diff.is_empty(),

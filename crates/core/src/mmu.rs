@@ -20,7 +20,7 @@
 use crate::tlb::{Tlb, TlbConfig};
 use crate::walker::{WalkDone, Walker, WalkerConfig};
 use gmmu_mem::mshr::{MshrFile, MshrOutcome};
-use gmmu_mem::MemPort;
+use gmmu_mem::MemorySystem;
 use gmmu_sim::fault::{FaultInjectConfig, FaultInjector};
 use gmmu_sim::metrics::{MetricEvent, Metrics, MetricsRegistry};
 use gmmu_sim::stats::{Counter, Summary};
@@ -496,7 +496,7 @@ impl Mmu {
 
     /// Services the walker and applies due TLB fills. Call once per core
     /// cycle before translating.
-    pub fn advance(&mut self, now: Cycle, mem: &mut dyn MemPort, space: &AddressSpace) {
+    pub fn advance(&mut self, now: Cycle, mem: &mut MemorySystem, space: &AddressSpace) {
         self.advance_tenants(now, mem, &[space], &mut Tracer::Off, 0);
     }
 
@@ -506,7 +506,7 @@ impl Mmu {
     pub fn advance_traced(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         space: &AddressSpace,
         tracer: &mut Tracer,
         pid: u32,
@@ -520,7 +520,7 @@ impl Mmu {
     pub fn advance_tenants(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         spaces: &[&AddressSpace],
         tracer: &mut Tracer,
         pid: u32,

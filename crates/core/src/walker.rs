@@ -17,7 +17,7 @@
 //!   we model its function and timing.
 
 use gmmu_mem::cache::{Cache, CacheConfig};
-use gmmu_mem::{AccessKind, MemPort, LINE_SHIFT};
+use gmmu_mem::{AccessKind, MemorySystem, LINE_SHIFT};
 use gmmu_sim::metrics::{MetricEvent, Metrics};
 use gmmu_sim::stats::{Counter, Summary};
 use gmmu_sim::trace::{TraceEvent, Tracer, TID_WALKER};
@@ -413,7 +413,7 @@ impl Walker {
         at: Cycle,
         level: u32,
         pte_paddr: u64,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
     ) -> Cycle {
         if level > 1 {
             if let Some(pwc) = pwc.as_mut() {
@@ -547,7 +547,7 @@ impl Walker {
     pub fn advance(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         space: &AddressSpace,
         done: &mut Vec<WalkDone>,
     ) {
@@ -570,7 +570,7 @@ impl Walker {
     pub fn advance_traced(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         space: &AddressSpace,
         done: &mut Vec<WalkDone>,
         tracer: &mut Tracer,
@@ -591,7 +591,7 @@ impl Walker {
     pub fn advance_tenants(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         spaces: &[&AddressSpace],
         done: &mut Vec<WalkDone>,
         tracer: &mut Tracer,
@@ -615,7 +615,7 @@ impl Walker {
     fn advance_serial(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         spaces: &[&AddressSpace],
         done: &mut Vec<WalkDone>,
         trap_cycles: u64,
@@ -690,7 +690,7 @@ impl Walker {
     fn advance_coalesced(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         spaces: &[&AddressSpace],
         done: &mut Vec<WalkDone>,
         tracer: &mut Tracer,

@@ -30,7 +30,7 @@ pub mod system;
 
 pub use cache::{Cache, CacheAccess, CacheConfig, Victim};
 pub use mshr::MshrFile;
-pub use system::{AccessKind, MemConfig, MemPort, MemResult, MemorySystem};
+pub use system::{AccessKind, MemConfig, MemResult, MemorySystem};
 
 /// log2 of the 128-byte line size used throughout the hierarchy.
 pub const LINE_SHIFT: u32 = 7;

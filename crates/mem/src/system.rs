@@ -98,28 +98,6 @@ impl MemConfig {
     }
 }
 
-/// The requester-side interface to the shared memory system.
-///
-/// Cores, walkers, and TBC units issue every L2/DRAM request through
-/// this trait rather than a concrete [`MemorySystem`], so an execution
-/// engine can interpose on the path — the parallel intra-run engine
-/// wraps the shared system in an ordering gate that serializes
-/// cross-core accesses into core-index order without the callers
-/// noticing. [`MemorySystem`] itself is the identity implementation.
-pub trait MemPort {
-    /// Issues one request at cycle `now` for physical line index
-    /// `line`; returns when it completes and where it hit. Semantics
-    /// are exactly [`MemorySystem::access`].
-    fn access(&mut self, now: Cycle, line: u64, kind: AccessKind) -> MemResult;
-}
-
-impl MemPort for MemorySystem {
-    #[inline]
-    fn access(&mut self, now: Cycle, line: u64, kind: AccessKind) -> MemResult {
-        MemorySystem::access(self, now, line, kind)
-    }
-}
-
 /// The shared L2 + DRAM system used by all cores and walkers.
 ///
 /// # Examples

@@ -6,8 +6,6 @@
 //! cycle-level architecture simulator needs to be *deterministic and
 //! reproducible* lives here.
 //!
-//! * [`calendar`] — the calendar queue of per-component wake times
-//!   behind the event-calendar execution engine.
 //! * [`ckpt`] — the hand-rolled checkpoint codec (versioned compact
 //!   binary snapshots of simulation state).
 //! * [`rng`] — counter-based and xoshiro PRNGs plus distributions
@@ -38,7 +36,6 @@
 //! assert!(hist.mean() > 10.0 && hist.mean() < 21.0);
 //! ```
 
-pub mod calendar;
 pub mod ckpt;
 pub mod fault;
 pub mod metrics;

@@ -8,8 +8,7 @@
 //! the closure is never evaluated and the instrumented code is
 //! bit-identical to an unobserved run. When metrics are on, every
 //! event is commutative over the sink (histogram increments and
-//! hot-page counter bumps), so the order buffers are drained in —
-//! which differs between the serial, parallel, and event engines —
+//! hot-page counter bumps), so the order buffers are drained in
 //! cannot change the final snapshot.
 //!
 //! # Lifecycle stages
@@ -354,9 +353,8 @@ impl Ckpt for MetricsSink {
 /// `Off` is the default and costs one enum-tag branch per call site —
 /// the event closure is never evaluated, which is what makes metrics-off
 /// runs bit-identical to unobserved runs. `On` folds events straight
-/// into a sink. `Buffer` stages raw events core-locally (the parallel
-/// engine's workers cannot share a sink); the engine drains buffers
-/// into the observer's sink once per cycle.
+/// into a sink. `Buffer` stages raw events core-locally; the drive
+/// loop drains buffers into the observer's sink once per cycle.
 #[derive(Debug, Default)]
 pub enum Metrics {
     /// Metrics disabled; record calls are no-ops.
@@ -422,7 +420,7 @@ impl Ckpt for Metrics {
                 w.u64(1);
                 sink.save(w);
             }
-            // Staging buffers are engine-internal and provably empty at
+            // Staging buffers are loop-internal and provably empty at
             // checkpoint boundaries; only Off/On channels are persisted.
             Metrics::Buffer(_) => unreachable!("staging metrics buffers are never checkpointed"),
         }

@@ -161,15 +161,6 @@ impl TraceBuffer {
     pub fn write_chrome_json(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.to_chrome_json())
     }
-
-    /// Moves every event out of `other` onto the end of this buffer,
-    /// preserving order and leaving `other` empty (capacity retained).
-    /// The parallel engine records each core's spans into a staging
-    /// buffer and appends them in core-index order every cycle, which
-    /// reproduces the serial engine's emission order exactly.
-    pub fn append(&mut self, other: &mut TraceBuffer) {
-        self.events.append(&mut other.events);
-    }
 }
 
 /// Enum-dispatched tracer handed through the simulator. [`Tracer::Off`]

@@ -133,31 +133,6 @@ impl Default for FaultConfig {
     }
 }
 
-/// Which engine drives the per-cycle core loop inside a run.
-///
-/// Both engines produce bit-identical [`crate::gpu::RunStats`], traces,
-/// and fault schedules; the determinism suite enforces this. See
-/// DESIGN.md ("Execution engine") for the ordering protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// One thread ticks every core in index order (the reference).
-    #[default]
-    Serial,
-    /// Cores tick concurrently on a worker pool within each cycle;
-    /// shared-memory accesses are serialized into exact core-index
-    /// order, so the result is bit-identical to [`EngineKind::Serial`].
-    Parallel,
-    /// The event-calendar engine: per-component wake times live in a
-    /// [`gmmu_sim::calendar::Calendar`] and the clock jumps straight
-    /// between event cycles, ticking only the cores whose events fire.
-    /// Bit-identical to [`EngineKind::Serial`]; additionally supports
-    /// deterministic checkpoint/restore
-    /// ([`crate::gpu::Gpu::run_event_checkpointed`]). Ignored (falls
-    /// back to the standard loop) when `tick_every_cycle` or
-    /// `GMMU_TICK_EVERY_CYCLE` forces per-cycle ticking.
-    Event,
-}
-
 /// Full GPU configuration.
 #[derive(Debug, Clone)]
 pub struct GpuConfig {
@@ -187,21 +162,13 @@ pub struct GpuConfig {
     /// large pages (Section 9). With a 2 MiB granule every region the
     /// kernel touches must be backed by 2 MiB mappings.
     pub granule: PageSize,
-    /// Force the legacy tick-every-cycle global loop instead of the
-    /// idle-cycle-skipping engine. Both produce bit-identical
-    /// [`crate::gpu::RunStats`]; this exists as an escape hatch and for
-    /// the equivalence tests. The `GMMU_TICK_EVERY_CYCLE` environment
-    /// variable forces it on regardless of this field.
+    /// Visit every cycle instead of jumping over idle spans: the
+    /// per-cycle referee the idle-skipping loop is checked against.
+    /// Both produce bit-identical [`crate::gpu::RunStats`], so results
+    /// never depend on this value and traces do not record it. The
+    /// experiment harnesses set it from the `GMMU_TICK_EVERY_CYCLE`
+    /// environment variable (`ExperimentOpts::gpu`).
     pub tick_every_cycle: bool,
-    /// Intra-run execution engine (orthogonal to `tick_every_cycle`:
-    /// the parallel engine supports both the idle-skipping and legacy
-    /// global loops).
-    pub engine: EngineKind,
-    /// Threads the parallel engine may use for one run, *including* the
-    /// calling thread (so `1` degenerates to serial even when `engine`
-    /// is [`EngineKind::Parallel`]). Has no effect under
-    /// [`EngineKind::Serial`]. Results never depend on this value.
-    pub run_threads: usize,
     /// Safety valve: abort a run after this many cycles.
     pub max_cycles: u64,
     /// Seed folded into workload construction (kept here so a whole
@@ -231,8 +198,6 @@ impl Default for GpuConfig {
             timings: CoreTimings::default(),
             granule: PageSize::Base4K,
             tick_every_cycle: false,
-            engine: EngineKind::Serial,
-            run_threads: 1,
             max_cycles: 200_000_000,
             seed: 0x5eed,
             fault: FaultConfig::off(),
@@ -326,30 +291,13 @@ impl Ckpt for FaultConfig {
     }
 }
 
-impl Ckpt for EngineKind {
-    fn save(&self, w: &mut Saver) {
-        w.u8(match self {
-            EngineKind::Serial => 0,
-            EngineKind::Parallel => 1,
-            EngineKind::Event => 2,
-        });
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        *self = match r.u8()? {
-            0 => EngineKind::Serial,
-            1 => EngineKind::Parallel,
-            2 => EngineKind::Event,
-            _ => return Err(CkptError::Corrupt("unknown engine kind")),
-        };
-        Ok(())
-    }
-}
-
 impl Ckpt for GpuConfig {
-    /// Serializes *every* field, so a trace or image carrying a
-    /// `GpuConfig` can rebuild the exact machine in another process —
-    /// unlike checkpoint payloads, which pin the shape by fingerprint
-    /// and never serialize configuration.
+    /// Serializes every field results depend on — all but
+    /// `tick_every_cycle` — so a trace carrying a `GpuConfig` can
+    /// rebuild the exact machine in another process (checkpoint
+    /// payloads instead pin the shape by fingerprint and never
+    /// serialize configuration). Loading leaves `tick_every_cycle`
+    /// as it was.
     fn save(&self, w: &mut Saver) {
         w.usize(self.n_cores);
         w.usize(self.warps_per_core);
@@ -369,9 +317,6 @@ impl Ckpt for GpuConfig {
         w.usize(self.l1_mshrs);
         self.timings.save(w);
         self.granule.save(w);
-        w.bool(self.tick_every_cycle);
-        self.engine.save(w);
-        w.usize(self.run_threads);
         w.u64(self.max_cycles);
         w.u64(self.seed);
         self.fault.save(w);
@@ -396,9 +341,6 @@ impl Ckpt for GpuConfig {
         self.l1_mshrs = r.usize()?;
         self.timings.load(r)?;
         self.granule.load(r)?;
-        self.tick_every_cycle = r.bool()?;
-        self.engine.load(r)?;
-        self.run_threads = r.usize()?;
         self.max_cycles = r.u64()?;
         self.seed = r.u64()?;
         self.fault.load(r)?;

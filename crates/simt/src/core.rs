@@ -19,7 +19,7 @@ use gmmu_core::ccws::LocalityPolicy;
 use gmmu_core::cpm::CommonPageMatrix;
 use gmmu_core::mmu::{Mmu, MmuEvent, TranslateBuf, TranslateOutcome};
 use gmmu_mem::mshr::{MshrFile, MshrOutcome};
-use gmmu_mem::{AccessKind, Cache, CacheAccess, MemPort};
+use gmmu_mem::{AccessKind, Cache, CacheAccess, MemorySystem};
 use gmmu_sim::metrics::{Metrics, MetricsRegistry};
 use gmmu_sim::stats::{Counter, Histogram, Summary};
 use gmmu_sim::trace::{TraceEvent, Tracer, TID_DISPATCH};
@@ -258,7 +258,7 @@ impl MemPath {
         phys_line: u64,
         warp: u16,
         tlb_missed: bool,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
     ) -> (Cycle, bool) {
         // A line already being fetched merges into the outstanding miss.
         if let Some(done) = self.l1_mshrs.lookup(phys_line) {
@@ -296,7 +296,7 @@ impl MemPath {
         pending: &mut Pending,
         vpn: gmmu_vm::Vpn,
         ppn: Ppn,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
     ) -> Cycle {
         let mut done = now;
         let granule = self.granule;
@@ -346,7 +346,7 @@ impl MemPath {
         requester: u16,
         asid: u16,
         pending: &mut Pending,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         space: &AddressSpace,
     ) -> MemIssue {
         debug_assert!(!pending.accesses.is_empty());
@@ -434,7 +434,7 @@ impl MemPath {
         cbuf: &CoalesceBuf,
         tbuf: &TranslateBuf,
         pending: &mut Pending,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         only: Option<&[gmmu_core::mmu::Translation]>,
     ) -> Cycle {
         let translations = only.unwrap_or(&tbuf.hits);
@@ -525,7 +525,7 @@ pub struct ShaderCore {
     /// `Some(inner)` = the last computed answer). [`ShaderCore::tick`]
     /// keeps it across *quiet* ticks — cycles that provably changed no
     /// state the computation reads — and drops it otherwise, so the
-    /// idle-skip engine stops rescanning every warp of every core per
+    /// idle-skip loop stops rescanning every warp of every core per
     /// jump. External timer sources ([`ShaderCore::push_block`],
     /// [`ShaderCore::resolve_fault`], [`ShaderCore::shootdown`]) drop it
     /// too.
@@ -645,9 +645,9 @@ impl ShaderCore {
 
     /// Arms (or disarms) this core's metric staging buffer. Enabled
     /// cores record lifecycle events into a per-core buffer that the
-    /// engine drains in core-index order each cycle — see
+    /// drive loop drains in core-index order each cycle — see
     /// [`gmmu_sim::metrics::Metrics`] for why that keeps snapshots
-    /// engine-invariant.
+    /// independent of which cycles the loop visits.
     pub fn set_metrics_staging(&mut self, enabled: bool) {
         self.path.mmu.set_metrics(enabled);
     }
@@ -1117,7 +1117,7 @@ impl ShaderCore {
     pub fn tick(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         space: &AddressSpace,
         kernel: &dyn Kernel,
         iters: &mut [u32],
@@ -1141,7 +1141,7 @@ impl ShaderCore {
     pub fn tick_tenants(
         &mut self,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         ctx: &mut RunCtx<'_, '_>,
         tracer: &mut Tracer,
     ) -> u64 {
@@ -1415,7 +1415,7 @@ fn baseline_issue(
     warps: &mut [Warp],
     rr_ptr: &mut usize,
     now: Cycle,
-    mem: &mut dyn MemPort,
+    mem: &mut MemorySystem,
     ctx: &mut RunCtx<'_, '_>,
 ) -> IssueScan {
     let n = warps.len();
@@ -1477,7 +1477,7 @@ fn exec_one(
     warps: &mut [Warp],
     w: usize,
     now: Cycle,
-    mem: &mut dyn MemPort,
+    mem: &mut MemorySystem,
     ctx: &mut RunCtx<'_, '_>,
 ) {
     let asid = warps[w].asid;

@@ -8,19 +8,16 @@
 //! metric is [`RunStats::speedup_vs`] against the ideal-MMU run of the
 //! same configuration.
 
-use crate::config::{EngineKind, GpuConfig};
+use crate::config::GpuConfig;
 use crate::core::{RunCtx, ShaderCore};
 use crate::observe::{CounterSnapshot, Observer};
-use crate::parallel::{worker_loop, ParallelPool};
 use crate::program::Kernel;
 use crate::stall::StallBreakdown;
 use gmmu_mem::MemorySystem;
-use gmmu_sim::calendar::Calendar;
 use gmmu_sim::ckpt::{fnv1a64, Ckpt, CkptError, Loader, Saver};
 use gmmu_sim::fault::{major_fault, FaultInjector};
 use gmmu_sim::metrics::{Metrics, MetricsRegistry};
 use gmmu_sim::stats::{Histogram, Summary};
-use gmmu_sim::trace::Tracer;
 use gmmu_sim::Cycle;
 use gmmu_vm::{AddressSpace, Vpn};
 
@@ -38,7 +35,7 @@ pub struct RunStats {
     /// Sum over cores of cycles with live warps but no issue.
     pub idle_cycles: u64,
     /// `idle_cycles` split by dominant stall cause; its total equals
-    /// `idle_cycles` exactly, on every run and both engines.
+    /// `idle_cycles` exactly, on every run and under both loops.
     pub stall_breakdown: StallBreakdown,
     /// Sum over cores of cycles with live warps.
     pub live_cycles: u64,
@@ -89,7 +86,8 @@ pub struct RunStats {
     pub tenants: Vec<TenantStats>,
     /// Wall-clock seconds the run took on the host. The only
     /// nondeterministic field: every other field is bit-identical
-    /// across engines, thread counts, and repeat runs.
+    /// across the skip and per-cycle loops, sweep thread counts, and
+    /// repeat runs.
     pub wall_s: f64,
 }
 
@@ -202,9 +200,9 @@ impl RunStats {
         }
     }
 
-    /// Simulated cycles per wall-clock second — the throughput metric
-    /// the engine comparison tracks (0 when the run was too fast for
-    /// the clock to resolve).
+    /// Simulated cycles per wall-clock second — the simulator's
+    /// throughput metric (0 when the run was too fast for the clock to
+    /// resolve).
     pub fn cycles_per_sec(&self) -> f64 {
         if self.wall_s > 0.0 {
             self.cycles as f64 / self.wall_s
@@ -352,13 +350,15 @@ pub const CKPT_MAGIC: [u8; 4] = *b"GMCK";
 /// columns to interval snapshots, and the observer's metrics channel.
 /// Version 3 added multi-tenant state: ASID tags throughout the fault
 /// queue, per-tenant shootdown epochs, progress clocks, and finish
-/// times, plus one address-space image per tenant.
-pub const CKPT_VERSION: u32 = 3;
+/// times, plus one address-space image per tenant. Version 4 moved
+/// snapshots into the one drive loop and dropped the event calendar
+/// and the per-core idle-accounting cursors from the payload.
+pub const CKPT_VERSION: u32 = 4;
 
 /// The configuration fingerprint stored in a checkpoint header: a
 /// stable hash of the GPU configuration and every tenant's kernel name
 /// and thread count (plus the tenant policy for multi-tenant runs).
-/// [`Gpu::run_event_checkpointed`] refuses to resume a checkpoint whose
+/// [`Gpu::run_checkpointed`] refuses to resume a checkpoint whose
 /// fingerprint differs — state can only be loaded into an identically
 /// shaped machine.
 fn ckpt_fingerprint(
@@ -377,7 +377,7 @@ fn ckpt_fingerprint(
 }
 
 /// Checkpoint emission and resume controls for one
-/// [`Gpu::run_event_checkpointed`] run.
+/// [`Gpu::run_checkpointed`] run.
 pub struct CheckpointOpts<'a> {
     /// Emit a checkpoint at the first visited cycle at or after every
     /// multiple of this many cycles (0 = never emit).
@@ -412,7 +412,7 @@ impl SpaceAccess<'_> {
     }
 }
 
-/// One tenant as the engines see it: a kernel bound to an address
+/// One tenant as the drive loop sees it: a kernel bound to an address
 /// space, with whatever mutability the caller granted. Single-tenant
 /// runs are a one-element slice of these, which is exactly the legacy
 /// code path.
@@ -427,7 +427,7 @@ const UNFINISHED: Cycle = Cycle::MAX;
 
 /// Recycles a `Vec` of shared references across borrow regions: clears
 /// it and re-types the (now empty) allocation with a fresh lifetime.
-/// The drive loops rebuild their tenant `spaces` slice every cycle —
+/// The drive loop rebuilds its tenant `spaces` slice every cycle —
 /// fault handling takes `&mut` access to the spaces in between, so the
 /// references themselves cannot be kept — and this lets the rebuild
 /// reuse one allocation instead of heap-allocating per cycle.
@@ -538,8 +538,8 @@ impl Gpu {
     /// pages mid-run. The result's [`RunStats::tenants`] carries each
     /// tenant's slice of the run.
     ///
-    /// Deterministic like every single-tenant run: bit-identical across
-    /// the serial, parallel, and event engines.
+    /// Deterministic like every single-tenant run: bit-identical under
+    /// the skip and per-cycle loops.
     ///
     /// # Panics
     ///
@@ -559,18 +559,19 @@ impl Gpu {
                 space: SpaceAccess::Owned(&mut *j.space),
             })
             .collect();
-        self.run_prepared(&mut tenants, &policy, obs)
+        self.run_prepared(&mut tenants, &policy, obs, None)
+            .expect("a run without a resume image cannot fail")
     }
 
-    /// [`Gpu::run_tenants`] on the event-calendar engine with
-    /// checkpoint/restore, the multi-tenant analogue of
-    /// [`Gpu::run_event_checkpointed`]: every tenant's address space and
-    /// all ASID-tagged translation state travel in the image, and a
-    /// resumed storm finishes bit-identical to an uninterrupted one.
+    /// [`Gpu::run_tenants`] with checkpoint/restore, the multi-tenant
+    /// analogue of [`Gpu::run_checkpointed`]: every tenant's address
+    /// space and all ASID-tagged translation state travel in the image,
+    /// and a resumed storm finishes bit-identical to an uninterrupted
+    /// one.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Gpu::run_event_checkpointed`].
+    /// Same conditions as [`Gpu::run_checkpointed`].
     ///
     /// # Panics
     ///
@@ -580,7 +581,7 @@ impl Gpu {
         jobs: &mut [TenantJob<'_>],
         policy: TenantPolicy,
         obs: &mut Observer,
-        opts: CheckpointOpts<'_>,
+        mut opts: CheckpointOpts<'_>,
     ) -> Result<RunStats, CkptError> {
         let mut tenants: Vec<TenantCtx<'_, '_>> = jobs
             .iter_mut()
@@ -589,7 +590,7 @@ impl Gpu {
                 space: SpaceAccess::Owned(&mut *j.space),
             })
             .collect();
-        self.run_ckpt_prepared(&mut tenants, &policy, obs, opts)
+        self.run_prepared(&mut tenants, &policy, obs, Some(&mut opts))
     }
 
     /// Shared run preamble: validates every kernel against its space,
@@ -663,9 +664,8 @@ impl Gpu {
                 ctx.kernel.num_threads() as usize * ctx.kernel.program().num_sites().max(1);
         }
         // Arm (or disarm) each core's metric staging buffer: cores
-        // record lifecycle events locally and the engines drain them in
-        // core-index order each cycle, keeping the aggregation path off
-        // the parallel workers.
+        // record lifecycle events locally and the drive loop drains
+        // them in core-index order each cycle.
         let metrics_on = obs.metrics.enabled();
         for core in &mut self.cores {
             core.set_metrics_staging(metrics_on);
@@ -685,13 +685,14 @@ impl Gpu {
         (vec![0u32; total_slots], iters_base, blocks_total)
     }
 
-    /// Runs `kernel` on the event-calendar engine with deterministic
-    /// checkpoint/restore: a versioned snapshot of the *entire*
-    /// simulation state (cores, TLBs, MSHRs, page tables, calendar,
-    /// statistics, observer buffers) is handed to `opts.sink` every
-    /// `opts.every` cycles, and a run resumed from such a snapshot
-    /// (`opts.resume`) finishes bit-identical to an uninterrupted one —
-    /// same stats, traces, and interval series.
+    /// Runs `kernel` with deterministic checkpoint/restore: a
+    /// versioned snapshot of the *entire* simulation state (cores, TLBs,
+    /// MSHRs, page tables, statistics, observer buffers) is handed to
+    /// `opts.sink` every `opts.every` cycles, and a run resumed from
+    /// such a snapshot (`opts.resume`) finishes bit-identical to an
+    /// uninterrupted one — same stats, traces, and interval series.
+    /// Snapshots are taken inside the one drive loop, so this works
+    /// under the skip and per-cycle loops alike.
     ///
     /// The space is always owned (the `run_faulted` contract): demand
     /// paging and shootdown storms mutate it, so its state is part of
@@ -706,40 +707,18 @@ impl Gpu {
     /// # Panics
     ///
     /// Same conditions as [`Gpu::run`].
-    pub fn run_event_checkpointed(
+    pub fn run_checkpointed(
         &mut self,
         kernel: &dyn Kernel,
         space: &mut AddressSpace,
         obs: &mut Observer,
-        opts: CheckpointOpts<'_>,
+        mut opts: CheckpointOpts<'_>,
     ) -> Result<RunStats, CkptError> {
         let mut tenants = [TenantCtx {
             kernel,
             space: SpaceAccess::Owned(space),
         }];
-        self.run_ckpt_prepared(&mut tenants, &TenantPolicy::default(), obs, opts)
-    }
-
-    fn run_ckpt_prepared(
-        &mut self,
-        tenants: &mut [TenantCtx<'_, '_>],
-        policy: &TenantPolicy,
-        obs: &mut Observer,
-        mut opts: CheckpointOpts<'_>,
-    ) -> Result<RunStats, CkptError> {
-        let wall_start = std::time::Instant::now();
-        let (mut iters, iters_base, blocks_total) = self.prepare_run_tenants(tenants, policy, obs);
-        let mut stats = self.drive_event_ckpt(
-            tenants,
-            policy,
-            obs,
-            &mut iters,
-            &iters_base,
-            &blocks_total,
-            Some(&mut opts),
-        )?;
-        stats.wall_s = wall_start.elapsed().as_secs_f64();
-        Ok(stats)
+        self.run_prepared(&mut tenants, &TenantPolicy::default(), obs, Some(&mut opts))
     }
 
     fn run_inner(
@@ -749,102 +728,58 @@ impl Gpu {
         obs: &mut Observer,
     ) -> RunStats {
         let mut tenants = [TenantCtx { kernel, space }];
-        self.run_prepared(&mut tenants, &TenantPolicy::default(), obs)
+        self.run_prepared(&mut tenants, &TenantPolicy::default(), obs, None)
+            .expect("a run without a resume image cannot fail")
     }
 
-    fn run_prepared<'k>(
+    fn run_prepared(
         &mut self,
-        tenants: &mut [TenantCtx<'k, '_>],
+        tenants: &mut [TenantCtx<'_, '_>],
         policy: &TenantPolicy,
         obs: &mut Observer,
-    ) -> RunStats {
+        ckpt: Option<&mut CheckpointOpts<'_>>,
+    ) -> Result<RunStats, CkptError> {
         let wall_start = std::time::Instant::now();
         let (mut iters, iters_base, blocks_total) = self.prepare_run_tenants(tenants, policy, obs);
-
-        // The parallel engine ticks cores concurrently within each
-        // cycle behind a lock-step barrier; an ordered memory gate and
-        // a core-index-ordered result merge make it bit-identical to
-        // serial (see crate::parallel). The worker count excludes the
-        // calling thread, which participates in every cycle — so
-        // `run_threads: 1` (and a 1-core GPU) degenerate to serial.
-        let run_threads = self.config.run_threads;
-        let legacy =
-            self.config.tick_every_cycle || std::env::var_os("GMMU_TICK_EVERY_CYCLE").is_some();
-        let mut stats = if self.config.engine == EngineKind::Parallel
-            && run_threads > 1
-            && self.cores.len() > 1
-        {
-            let n_workers = (run_threads - 1).min(self.cores.len() - 1);
-            let pool = ParallelPool::new(self.cores.len());
-            std::thread::scope(|s| {
-                for _ in 0..n_workers {
-                    s.spawn(|| worker_loop(&pool));
-                }
-                let stats = self.drive(
-                    tenants,
-                    policy,
-                    obs,
-                    &mut iters,
-                    &iters_base,
-                    &blocks_total,
-                    Some(&pool),
-                );
-                pool.shutdown();
-                stats
-            })
-        } else if self.config.engine == EngineKind::Event && !legacy {
-            self.drive_event(tenants, policy, obs, &mut iters, &iters_base, &blocks_total)
-        } else {
-            self.drive(
-                tenants,
-                policy,
-                obs,
-                &mut iters,
-                &iters_base,
-                &blocks_total,
-                None,
-            )
-        };
+        let mut stats = self.drive(
+            tenants,
+            policy,
+            obs,
+            &mut iters,
+            &iters_base,
+            &blocks_total,
+            ckpt,
+        )?;
         stats.wall_s = wall_start.elapsed().as_secs_f64();
-        stats
+        Ok(stats)
     }
 
-    /// The global cycle loop, shared by every engine: `pool` selects
-    /// how the per-cycle core ticks execute; all cross-core phases run
-    /// on the calling thread either way. Handles any tenant count — a
-    /// one-element slice is the legacy single-tenant path, bit-for-bit.
+    /// The global cycle loop. Handles any tenant count — a one-element
+    /// slice is the legacy single-tenant path, bit-for-bit — and, with
+    /// `ckpt`, emits snapshots at the top of visited cycles and resumes
+    /// from one.
     #[allow(clippy::too_many_arguments)]
-    fn drive<'k>(
+    fn drive(
         &mut self,
-        tenants: &mut [TenantCtx<'k, '_>],
+        tenants: &mut [TenantCtx<'_, '_>],
         policy: &TenantPolicy,
         obs: &mut Observer,
         iters: &mut [u32],
         iters_base: &[usize],
         blocks_total: &[u64],
-        pool: Option<&ParallelPool<'k>>,
-    ) -> RunStats {
+        mut ckpt: Option<&mut CheckpointOpts<'_>>,
+    ) -> Result<RunStats, CkptError> {
         let n_t = tenants.len();
         let track_tenants = n_t > 1;
-        let kernels: Vec<&'k dyn Kernel> = tenants.iter().map(|t| t.kernel).collect();
+        let kernels: Vec<&dyn Kernel> = tenants.iter().map(|t| t.kernel).collect();
         let owned = tenants.iter_mut().any(|t| t.space.get_mut().is_some());
-        // Per-core staging tracers for the parallel engine, merged into
-        // the observer's buffer in core-index order after every cycle.
-        let mut staging: Vec<Tracer> = match pool {
-            Some(_) if obs.tracer.enabled() => {
-                (0..self.cores.len()).map(|_| Tracer::recording()).collect()
-            }
-            Some(_) => (0..self.cores.len()).map(|_| Tracer::Off).collect(),
-            None => Vec::new(),
-        };
-        // The idle-cycle-skipping engine is observably equivalent to
+        // The idle-cycle-skipping loop is observably equivalent to
         // ticking every cycle: whenever no core issues, core state can
         // only change at a future completion / wake / epoch boundary,
         // so the loop jumps `now` straight to the earliest such event
         // and credits the skipped cycles to the same idle/live
         // counters the per-cycle loop would have bumped.
-        let legacy =
-            self.config.tick_every_cycle || std::env::var_os("GMMU_TICK_EVERY_CYCLE").is_some();
+        let legacy = self.config.tick_every_cycle;
         let fault_cfg = self.config.fault;
         let injector = self
             .config
@@ -868,11 +803,95 @@ impl Gpu {
         let mut watchdog_fired = false;
         let mut now: Cycle = 0;
         let mut completed = true;
+        // A snapshot is due at the first visited cycle at least `every`
+        // cycles after the start (or the previous snapshot or resume
+        // point); `Cycle::MAX` when emission is off.
+        let every = ckpt.as_ref().map_or(0, |c| c.every);
+        let emit_after = |now: Cycle| {
+            if every > 0 {
+                now.saturating_add(every)
+            } else {
+                Cycle::MAX
+            }
+        };
+        let mut next_emit = emit_after(0);
+        if let Some(bytes) = ckpt.as_ref().and_then(|c| c.resume) {
+            // The image holds the loop-top state `save_checkpoint`
+            // wrote, in the same order.
+            let mut r = Loader::new(bytes);
+            let found = r.header(&CKPT_MAGIC, CKPT_VERSION)?;
+            let expected = ckpt_fingerprint(&self.config, tenants, policy);
+            if found != expected {
+                return Err(CkptError::ConfigMismatch { expected, found });
+            }
+            now = r.u64()?;
+            last_progress = r.u64()?;
+            next_storm = r.u32()?;
+            for e in last_epoch.iter_mut() {
+                *e = r.u64()?;
+            }
+            for p in progress_t.iter_mut() {
+                *p = r.u64()?;
+            }
+            for f in finished_at.iter_mut() {
+                *f = r.u64()?;
+            }
+            for f in faults_t.iter_mut() {
+                *f = r.u64()?;
+            }
+            fault_q.load(&mut r)?;
+            for it in iters.iter_mut() {
+                *it = r.u32()?;
+            }
+            for ctx in tenants.iter_mut() {
+                match ctx.space.get_mut() {
+                    Some(sp) => sp.load(&mut r)?,
+                    None => {
+                        return Err(CkptError::Corrupt("resume requires an owned address space"))
+                    }
+                }
+            }
+            self.mem.load(&mut r)?;
+            for core in &mut self.cores {
+                core.load(&mut r)?;
+            }
+            obs.tracer.load(&mut r)?;
+            if let Some(rec) = obs.intervals.as_mut() {
+                rec.load(&mut r)?;
+            }
+            obs.metrics.load(&mut r)?;
+            if r.remaining() != 0 {
+                return Err(CkptError::Corrupt("trailing bytes after checkpoint"));
+            }
+            next_emit = emit_after(now);
+        }
         loop {
+            // Snapshot at the top of a visited cycle, before any phase
+            // of the cycle runs: the loop state here is exactly the
+            // clocks, the fault queue, the iteration counters, the
+            // spaces, memory, cores, and observer, and a resumed run
+            // re-enters the loop in that state.
+            if now >= next_emit {
+                if let Some(opts) = ckpt.as_mut() {
+                    let clocks = DriveClocks {
+                        now,
+                        last_progress,
+                        next_storm,
+                        last_epoch: &last_epoch,
+                        progress_t: &progress_t,
+                        finished_at: &finished_at,
+                        faults_t: &faults_t,
+                    };
+                    let image =
+                        self.save_checkpoint(tenants, policy, obs, iters, &clocks, &fault_q);
+                    (opts.sink)(&image);
+                }
+                next_emit = emit_after(now);
+            }
             // Injected shootdown storms: remap a deterministically-chosen
             // region of a deterministically-chosen victim tenant, bumping
             // the epoch the check below observes. Storm cycles are folded
-            // into the skip target, so both engines land on them exactly.
+            // into the skip target, so both loops land on them exactly.
             if let Some(inj) = &injector {
                 while inj.storm_at(next_storm).is_some_and(|c| c <= now) {
                     let k = next_storm;
@@ -944,49 +963,23 @@ impl Gpu {
             }
             let mut spaces = recycle_refs(std::mem::take(&mut spaces_pool));
             spaces.extend(tenants.iter().map(|t| t.space.get()));
-            let (issued, live) = match pool {
-                None => {
-                    let mut ctx = RunCtx {
-                        spaces: &spaces,
-                        kernels: &kernels,
-                        iters: &mut *iters,
-                        iters_base,
-                    };
-                    let mut live = false;
-                    let mut issued = 0u64;
-                    for core in &mut self.cores {
-                        issued |= core.tick_tenants(now, &mut self.mem, &mut ctx, &mut obs.tracer);
-                        live |= core.has_work();
-                    }
-                    (issued, live)
-                }
-                Some(pool) => {
-                    let issued = pool.run_cycle(
-                        &mut self.cores,
-                        &mut self.mem,
-                        &spaces,
-                        &kernels,
-                        iters,
-                        iters_base,
-                        &mut staging,
-                        now,
-                    );
-                    if let Tracer::Buffer(dst) = &mut obs.tracer {
-                        for t in &mut staging {
-                            if let Tracer::Buffer(src) = t {
-                                dst.append(src);
-                            }
-                        }
-                    }
-                    let live = self.cores.iter().any(|c| c.has_work());
-                    (issued, live)
-                }
+            let mut ctx = RunCtx {
+                spaces: &spaces,
+                kernels: &kernels,
+                iters: &mut *iters,
+                iters_base,
             };
+            let mut live = false;
+            let mut issued = 0u64;
+            for core in &mut self.cores {
+                issued |= core.tick_tenants(now, &mut self.mem, &mut ctx, &mut obs.tracer);
+                live |= core.has_work();
+            }
             spaces_pool = recycle_refs(spaces);
             // Metric staging buffers drain into the observer's sink in
             // core-index order every cycle; sink folds are commutative,
-            // so the snapshot is independent of which engine produced
-            // the events.
+            // so the snapshot is independent of which loop visited
+            // which cycles.
             if obs.metrics.enabled() {
                 for core in &mut self.cores {
                     core.drain_metrics(&mut obs.metrics);
@@ -1013,8 +1006,8 @@ impl Gpu {
                 fault_q.push(((asid, vpn), now + latency.max(1)));
             }
             // A tenant finishes on the first visited cycle all its
-            // blocks are reaped; reaps happen inside ticks, so every
-            // engine observes the same finish cycle.
+            // blocks are reaped; reaps happen inside ticks, so both
+            // loops observe the same finish cycle.
             if track_tenants {
                 for t in 0..n_t {
                     if finished_at[t] == UNFINISHED {
@@ -1107,7 +1100,7 @@ impl Gpu {
             }
             // Fault-handler completions, the storm schedule, and the
             // watchdog deadlines are global timers the cores know nothing
-            // about; folding them in keeps both engines on identical
+            // about; folding them in keeps both loops on identical
             // cycles.
             for &(_, at) in &fault_q {
                 target = target.min(at);
@@ -1142,7 +1135,7 @@ impl Gpu {
                 if let Some(rec) = obs.intervals.as_mut() {
                     // No observed counter moves inside an idle span, so
                     // boundaries crossed by the jump record zero activity
-                    // — exactly what the per-cycle engine records.
+                    // — exactly what the per-cycle loop records.
                     while rec.due(now) {
                         let totals = Self::totals(&self.cores, &self.mem, &obs.metrics);
                         rec.sample(totals);
@@ -1162,7 +1155,7 @@ impl Gpu {
         if track_tenants {
             stats.tenants = self.tenant_stats(&finished_at, &faults_t, now);
         }
-        stats
+        Ok(stats)
     }
 
     /// Watchdog helper: the pages currently in CPU fault service.
@@ -1219,488 +1212,14 @@ impl Gpu {
             .collect()
     }
 
-    /// The event-calendar engine: every timer source — each core, the
-    /// CPU fault-handler queue, the shootdown-storm schedule, the
-    /// watchdog deadline, and the interval sampler — owns a key in one
-    /// [`Calendar`], and the clock jumps straight between event cycles,
-    /// ticking only the cores whose keys fire.
-    ///
-    /// Bit-identity with [`Gpu::drive`] rests on three facts the
-    /// determinism suite enforces end-to-end:
-    ///
-    /// 1. A core that is not due would have had a *quiet* tick (see
-    ///    [`ShaderCore::tick`]): no dispatch, no MMU activity, no
-    ///    events, no issuable unit. Quiet ticks touch only catch-up
-    ///    state (MSHR expiry, policy/CPM decay epochs) that replays
-    ///    identically when the next real tick arrives, so eliding them
-    ///    is unobservable — and since elided cores make no memory
-    ///    accesses, ticking the due subset in core-index order
-    ///    reproduces the serial engine's shared-memory access order
-    ///    exactly.
-    /// 2. Idle/live accounting for elided cycles is deferred and
-    ///    flushed before anything at the current cycle can mutate core
-    ///    state: a deferred span's stall classification is constant
-    ///    (any state change would have made the core due), so charging
-    ///    it at flush time equals per-cycle charging.
-    /// 3. Global timers fire on exactly the cycles the serial loop
-    ///    folds into its skip target, and ties are broken identically
-    ///    (phases in the same order, cores in index order).
-    fn drive_event(
-        &mut self,
-        tenants: &mut [TenantCtx<'_, '_>],
-        policy: &TenantPolicy,
-        obs: &mut Observer,
-        iters: &mut [u32],
-        iters_base: &[usize],
-        blocks_total: &[u64],
-    ) -> RunStats {
-        self.drive_event_ckpt(tenants, policy, obs, iters, iters_base, blocks_total, None)
-            .expect("an event run without a resume image cannot fail")
-    }
-
-    /// [`Gpu::drive_event`] with optional checkpoint emission/resume.
-    /// Snapshots are taken at the top of a visited cycle, before any
-    /// phase of that cycle runs, so a resumed run re-enters the loop in
-    /// exactly the captured state and replays the remainder
-    /// bit-identically.
-    #[allow(clippy::too_many_arguments)]
-    fn drive_event_ckpt(
-        &mut self,
-        tenants: &mut [TenantCtx<'_, '_>],
-        policy: &TenantPolicy,
-        obs: &mut Observer,
-        iters: &mut [u32],
-        iters_base: &[usize],
-        blocks_total: &[u64],
-        mut ckpt: Option<&mut CheckpointOpts<'_>>,
-    ) -> Result<RunStats, CkptError> {
-        let n = self.cores.len();
-        let n_t = tenants.len();
-        let track_tenants = n_t > 1;
-        let kernels: Vec<&dyn Kernel> = tenants.iter().map(|t| t.kernel).collect();
-        let owned = tenants.iter_mut().any(|t| t.space.get_mut().is_some());
-        let key_fault = n as u32;
-        let key_storm = key_fault + 1;
-        let key_watchdog = key_storm + 1;
-        let key_sampler = key_watchdog + 1;
-        let fault_cfg = self.config.fault;
-        let injector = self
-            .config
-            .inject
-            .filter(|i| i.enabled())
-            .map(FaultInjector::new);
-        let mut cal = Calendar::new(n + 4);
-        let mut due: Vec<u32> = Vec::with_capacity(n + 4);
-        let mut fault_q: Vec<((u16, Vpn), Cycle)> = Vec::new();
-        let mut fault_scratch: Vec<(u16, Vpn)> = Vec::new();
-        let mut resolved_scratch: Vec<(u16, Vpn)> = Vec::new();
-        let mut spaces_pool: Vec<&AddressSpace> = Vec::with_capacity(n_t);
-        // Per core: the last cycle whose live/idle accounting has been
-        // recorded (by a tick or a flushed idle span).
-        let mut accounted: Vec<Cycle> = vec![0; n];
-        let mut live_mask: Vec<bool> = self.cores.iter().map(|c| c.has_work()).collect();
-        let mut last_epoch: Vec<u64> = tenants
-            .iter()
-            .map(|t| t.space.get().shootdown_epoch())
-            .collect();
-        let mut next_storm: u32 = 1;
-        let mut last_progress: Cycle = 0;
-        let mut progress_t: Vec<Cycle> = vec![0; n_t];
-        let mut finished_at: Vec<Cycle> = vec![UNFINISHED; n_t];
-        let mut faults_t: Vec<u64> = vec![0; n_t];
-        let mut watchdog_fired = false;
-        let mut now: Cycle = 0;
-        let mut completed = true;
-        for i in 0..n as u32 {
-            cal.schedule(i, 0);
-        }
-        if fault_cfg.watchdog > 0 {
-            cal.schedule(key_watchdog, fault_cfg.watchdog);
-        }
-        if policy.watchdog > 0 && track_tenants {
-            // The tenant deadline shares the watchdog key; at start every
-            // progress clock is 0, so the first deadline is the smaller
-            // of the two windows.
-            let dl = if fault_cfg.watchdog > 0 {
-                fault_cfg.watchdog.min(policy.watchdog)
-            } else {
-                policy.watchdog
-            };
-            cal.schedule(key_watchdog, dl);
-        }
-        if let Some(inj) = &injector {
-            if owned {
-                if let Some(c) = inj.storm_at(next_storm) {
-                    cal.schedule(key_storm, c);
-                }
-            }
-        }
-        if let Some(rec) = obs.intervals.as_ref() {
-            cal.schedule(key_sampler, rec.next_boundary());
-        }
-        let mut next_emit: Cycle = ckpt.as_ref().map_or(0, |c| c.every.max(1));
-        if let Some(opts) = ckpt.as_mut() {
-            if let Some(bytes) = opts.resume {
-                let mut r = Loader::new(bytes);
-                let found = r.header(&CKPT_MAGIC, CKPT_VERSION)?;
-                let expected = ckpt_fingerprint(&self.config, tenants, policy);
-                if found != expected {
-                    return Err(CkptError::ConfigMismatch { expected, found });
-                }
-                now = r.u64()?;
-                last_progress = r.u64()?;
-                next_storm = r.u32()?;
-                for e in last_epoch.iter_mut() {
-                    *e = r.u64()?;
-                }
-                for p in progress_t.iter_mut() {
-                    *p = r.u64()?;
-                }
-                for f in finished_at.iter_mut() {
-                    *f = r.u64()?;
-                }
-                for f in faults_t.iter_mut() {
-                    *f = r.u64()?;
-                }
-                fault_q.load(&mut r)?;
-                for a in accounted.iter_mut() {
-                    *a = r.u64()?;
-                }
-                cal.load(&mut r)?;
-                for it in iters.iter_mut() {
-                    *it = r.u32()?;
-                }
-                for ctx in tenants.iter_mut() {
-                    match ctx.space.get_mut() {
-                        Some(sp) => sp.load(&mut r)?,
-                        None => {
-                            return Err(CkptError::Corrupt(
-                                "resume requires an owned address space",
-                            ))
-                        }
-                    }
-                }
-                self.mem.load(&mut r)?;
-                for core in &mut self.cores {
-                    core.load(&mut r)?;
-                }
-                obs.tracer.load(&mut r)?;
-                if let Some(rec) = obs.intervals.as_mut() {
-                    rec.load(&mut r)?;
-                }
-                obs.metrics.load(&mut r)?;
-                if r.remaining() != 0 {
-                    return Err(CkptError::Corrupt("trailing bytes after checkpoint"));
-                }
-                for (i, core) in self.cores.iter().enumerate() {
-                    live_mask[i] = core.has_work();
-                }
-                next_emit = now + opts.every.max(1);
-            }
-        }
-        loop {
-            // Snapshot at the top of a visited cycle, before any phase
-            // of the cycle runs: the resume path re-enters the loop
-            // here with identical state.
-            if let Some(opts) = ckpt.as_mut() {
-                if opts.every > 0 && now > 0 && now >= next_emit {
-                    let clocks = DriveClocks {
-                        now,
-                        last_progress,
-                        next_storm,
-                        last_epoch: &last_epoch,
-                        progress_t: &progress_t,
-                        finished_at: &finished_at,
-                        faults_t: &faults_t,
-                    };
-                    let image = self.save_checkpoint(
-                        tenants, policy, obs, iters, &clocks, &fault_q, &accounted, &cal,
-                    );
-                    (opts.sink)(&image);
-                    next_emit = now + opts.every;
-                }
-            }
-            // Deferred idle spans flush before anything at `now` can
-            // change a core's stall classification.
-            if now > 0 {
-                let upto = now - 1;
-                for (core, acc) in self.cores.iter_mut().zip(accounted.iter_mut()) {
-                    if *acc < upto {
-                        core.note_idle_skip(*acc + 1, upto - *acc);
-                        *acc = upto;
-                    }
-                }
-            }
-            // Storm catch-up, exactly as the serial loop: the counter
-            // advances through every storm at or before `now`; the
-            // remap itself needs an owned space.
-            if let Some(inj) = &injector {
-                while inj.storm_at(next_storm).is_some_and(|c| c <= now) {
-                    let k = next_storm;
-                    next_storm += 1;
-                    let victim = inj.storm_victim(k, n_t) as usize;
-                    if let Some(sp) = tenants[victim].space.get_mut() {
-                        if !sp.regions().is_empty() {
-                            let idx = inj.storm_region(k, sp.regions().len());
-                            let name = sp.regions()[idx].name.clone();
-                            let _ = sp.remap_region(&name);
-                        }
-                    }
-                }
-                if owned {
-                    match inj.storm_at(next_storm) {
-                        Some(c) => cal.schedule(key_storm, c),
-                        None => cal.cancel(key_storm),
-                    }
-                }
-            }
-            for (t, ctx) in tenants.iter().enumerate() {
-                let epoch = ctx.space.get().shootdown_epoch();
-                if epoch != last_epoch[t] {
-                    last_epoch[t] = epoch;
-                    for (i, core) in self.cores.iter_mut().enumerate() {
-                        if track_tenants {
-                            core.shootdown_asid(now, t as u16);
-                        } else {
-                            core.shootdown(now);
-                        }
-                        cal.schedule(i as u32, now);
-                    }
-                }
-            }
-            if !fault_q.is_empty() {
-                resolved_scratch.clear();
-                fault_q.retain(|&(key, at)| {
-                    if at <= now {
-                        resolved_scratch.push(key);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                for &(asid, vpn) in &resolved_scratch {
-                    let mapped = match tenants[asid as usize].space.get_mut() {
-                        Some(sp) => sp.map_page(vpn).is_ok(),
-                        None => false,
-                    };
-                    if mapped {
-                        faults_t[asid as usize] += 1;
-                        for (i, core) in self.cores.iter_mut().enumerate() {
-                            core.resolve_fault(asid, vpn, now);
-                            cal.schedule(i as u32, now);
-                        }
-                    } else {
-                        fault_q.push(((asid, vpn), now + fault_cfg.minor_latency.max(1)));
-                    }
-                }
-            }
-            cal.take_due(now, &mut due);
-            let mut issued = 0u64;
-            fault_scratch.clear();
-            {
-                let mut spaces = recycle_refs(std::mem::take(&mut spaces_pool));
-                spaces.extend(tenants.iter().map(|t| t.space.get()));
-                let mut ctx = RunCtx {
-                    spaces: &spaces,
-                    kernels: &kernels,
-                    iters: &mut *iters,
-                    iters_base,
-                };
-                for &key in &due {
-                    if key >= n as u32 {
-                        continue; // global timers: their phases already ran
-                    }
-                    let i = key as usize;
-                    let core = &mut self.cores[i];
-                    let fired = core.tick_tenants(now, &mut self.mem, &mut ctx, &mut obs.tracer);
-                    issued |= fired;
-                    accounted[i] = now;
-                    live_mask[i] = core.has_work();
-                    core.drain_faults(&mut fault_scratch);
-                    if fired != 0 {
-                        // After an issue the very next cycle may issue
-                        // again (round-robin arbitration carries no timer).
-                        cal.schedule(key, now + 1);
-                    } else {
-                        match core.next_event_at(now) {
-                            Some(c) => cal.schedule(key, c),
-                            None => cal.cancel(key),
-                        }
-                    }
-                }
-                spaces_pool = recycle_refs(spaces);
-            }
-            // Same drain as the serial loop; cores not due this cycle
-            // ran no MMU work and so staged nothing.
-            if obs.metrics.enabled() {
-                for core in &mut self.cores {
-                    core.drain_metrics(&mut obs.metrics);
-                }
-            }
-            for &(asid, vpn) in &fault_scratch {
-                if fault_q.iter().any(|&(k, _)| k == (asid, vpn)) {
-                    continue;
-                }
-                let salted = gmmu_mem::mshr::tenant_key(asid, vpn.raw());
-                let latency = if major_fault(self.config.seed, salted, fault_cfg.major_fraction) {
-                    fault_cfg.major_latency
-                } else {
-                    fault_cfg.minor_latency
-                };
-                fault_q.push(((asid, vpn), now + latency.max(1)));
-            }
-            match fault_q.iter().map(|&(_, at)| at).min() {
-                Some(at) => cal.schedule(key_fault, at),
-                None => cal.cancel(key_fault),
-            }
-            // Same finish tracking as the serial loop: blocks reap only
-            // inside ticks, and a core that reaped was due, so the first
-            // cycle the count is complete is a visited cycle on every
-            // engine.
-            if track_tenants {
-                for t in 0..n_t {
-                    if finished_at[t] == UNFINISHED {
-                        let done: u64 = self
-                            .cores
-                            .iter()
-                            .map(|c| {
-                                c.stats()
-                                    .tenant_blocks_done
-                                    .get(t)
-                                    .map_or(0, |ctr| ctr.get())
-                            })
-                            .sum();
-                        if done >= blocks_total[t] {
-                            finished_at[t] = now;
-                        }
-                    }
-                }
-            }
-            if !live_mask.iter().any(|&l| l) {
-                break;
-            }
-            if issued != 0 {
-                last_progress = now;
-                if fault_cfg.watchdog > 0 {
-                    cal.schedule(key_watchdog, now + fault_cfg.watchdog);
-                }
-            } else if fault_cfg.watchdog > 0 && now - last_progress >= fault_cfg.watchdog {
-                eprintln!(
-                    "gmmu watchdog: no instruction issued for {} cycles \
-                     (last progress at cycle {last_progress}, now {now})",
-                    now - last_progress
-                );
-                Self::fault_q_diagnostics(&fault_q);
-                if track_tenants {
-                    Self::tenant_diagnostics(&progress_t, &finished_at, &faults_t);
-                }
-                for core in &self.cores {
-                    eprint!("{}", core.stall_diagnostics(now));
-                }
-                watchdog_fired = true;
-                completed = false;
-                // The serial loop ticked every live core on the kill
-                // cycle; account it for the cores that were not due.
-                for (core, acc) in self.cores.iter_mut().zip(accounted.iter_mut()) {
-                    if *acc < now {
-                        core.note_idle_skip(*acc + 1, now - *acc);
-                        *acc = now;
-                    }
-                }
-                break;
-            }
-            // Per-tenant starvation watchdog, mirroring the serial loop;
-            // the shared watchdog key is rescheduled to the earliest of
-            // the global and per-tenant deadlines so the kill cycle is
-            // always visited.
-            if policy.watchdog > 0 && track_tenants {
-                for (t, p) in progress_t.iter_mut().enumerate() {
-                    if issued & (1u64 << (t as u32 & 63)) != 0 {
-                        *p = now;
-                    }
-                }
-                if let Some(starved) = (0..n_t).find(|&t| {
-                    finished_at[t] == UNFINISHED && now - progress_t[t] >= policy.watchdog
-                }) {
-                    eprintln!(
-                        "gmmu tenant watchdog: tenant {starved} issued nothing for {} cycles \
-                         (last progress at cycle {}, now {now})",
-                        now - progress_t[starved],
-                        progress_t[starved]
-                    );
-                    Self::fault_q_diagnostics(&fault_q);
-                    Self::tenant_diagnostics(&progress_t, &finished_at, &faults_t);
-                    for core in &self.cores {
-                        eprint!("{}", core.stall_diagnostics(now));
-                    }
-                    watchdog_fired = true;
-                    completed = false;
-                    for (core, acc) in self.cores.iter_mut().zip(accounted.iter_mut()) {
-                        if *acc < now {
-                            core.note_idle_skip(*acc + 1, now - *acc);
-                            *acc = now;
-                        }
-                    }
-                    break;
-                }
-                let mut dl = Cycle::MAX;
-                if fault_cfg.watchdog > 0 {
-                    dl = dl.min(last_progress + fault_cfg.watchdog);
-                }
-                for t in 0..n_t {
-                    if finished_at[t] == UNFINISHED {
-                        dl = dl.min(progress_t[t] + policy.watchdog);
-                    }
-                }
-                if dl != Cycle::MAX {
-                    cal.schedule(key_watchdog, dl);
-                }
-            }
-            let next = cal
-                .peek_cycle()
-                .expect("a live machine must have a scheduled event");
-            debug_assert!(next > now, "calendar must advance the clock");
-            now = next.min(self.config.max_cycles);
-            if let Some(rec) = obs.intervals.as_mut() {
-                while rec.due(now) {
-                    let totals = Self::totals(&self.cores, &self.mem, &obs.metrics);
-                    rec.sample(totals);
-                }
-                cal.schedule(key_sampler, rec.next_boundary());
-            }
-            if now >= self.config.max_cycles {
-                completed = false;
-                let upto = now - 1;
-                for (core, acc) in self.cores.iter_mut().zip(accounted.iter_mut()) {
-                    if *acc < upto {
-                        core.note_idle_skip(*acc + 1, upto - *acc);
-                        *acc = upto;
-                    }
-                }
-                break;
-            }
-        }
-        if let Some(rec) = obs.intervals.as_mut() {
-            rec.finish(now, Self::totals(&self.cores, &self.mem, &obs.metrics));
-        }
-        let mut stats = self.collect(now, completed);
-        stats.watchdog_fired = watchdog_fired;
-        if track_tenants {
-            stats.tenants = self.tenant_stats(&finished_at, &faults_t, now);
-        }
-        Ok(stats)
-    }
-
     /// Serializes the full simulation state at the top of cycle
     /// `clocks.now`. Layout (after the header) is fixed by
-    /// [`CKPT_VERSION`]: engine clocks (including the per-tenant epoch,
-    /// progress, finish, and fault arrays), fault queue, per-core idle
-    /// accounting, calendar, iteration counters, every tenant's address
-    /// space in ASID order, memory system, cores, then observer buffers.
-    /// Geometry-length sequences (per-tenant arrays, accounted, iters,
-    /// cores) are written per element without a length — the machine
-    /// shape is pinned by the fingerprint.
-    #[allow(clippy::too_many_arguments)]
+    /// [`CKPT_VERSION`]: loop clocks (including the per-tenant epoch,
+    /// progress, finish, and fault arrays), fault queue, iteration
+    /// counters, every tenant's address space in ASID order, memory
+    /// system, cores, then observer buffers. Geometry-length sequences
+    /// (per-tenant arrays, iters, cores) are written per element without
+    /// a length — the machine shape is pinned by the fingerprint.
     fn save_checkpoint(
         &self,
         tenants: &[TenantCtx<'_, '_>],
@@ -1709,8 +1228,6 @@ impl Gpu {
         iters: &[u32],
         clocks: &DriveClocks<'_>,
         fault_q: &[((u16, Vpn), Cycle)],
-        accounted: &[Cycle],
-        cal: &Calendar,
     ) -> Vec<u8> {
         let mut w = Saver::new();
         w.header(
@@ -1738,10 +1255,6 @@ impl Gpu {
         for entry in fault_q {
             entry.save(&mut w);
         }
-        for &a in accounted {
-            w.u64(a);
-        }
-        cal.save(&mut w);
         for &it in iters {
             w.u32(it);
         }
@@ -1847,9 +1360,9 @@ impl Gpu {
     /// run: the full instrument registry — every core in index order,
     /// then the memory system — plus the observer sink's lifecycle
     /// histograms and hot-page table. Returns `None` when the metrics
-    /// channel is off. The output contains no wall-clock or engine
-    /// fields, so identical simulations produce identical snapshots on
-    /// every engine.
+    /// channel is off. The output contains no wall-clock or loop
+    /// fields, so identical simulations produce identical snapshots
+    /// under the skip and per-cycle loops.
     pub fn metrics_snapshot(&self, obs: &Observer) -> Option<String> {
         let sink = obs.metrics.sink()?;
         let mut reg = MetricsRegistry::new();
@@ -2121,42 +1634,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_is_bit_identical_to_serial() {
-        let serial = run(cfg(MmuModel::augmented()), 512);
-        for threads in [2, 4] {
-            let mut c = cfg(MmuModel::augmented());
-            c.engine = crate::config::EngineKind::Parallel;
-            c.run_threads = threads;
-            let par = run(c, 512);
-            assert_eq!(serial.cycles, par.cycles, "{threads} threads");
-            assert_eq!(serial.instructions, par.instructions, "{threads} threads");
-            assert_eq!(serial.idle_cycles, par.idle_cycles, "{threads} threads");
-            assert_eq!(serial.tlb_accesses, par.tlb_accesses, "{threads} threads");
-            assert_eq!(serial.tlb_hits, par.tlb_hits, "{threads} threads");
-            assert_eq!(serial.l1_accesses, par.l1_accesses, "{threads} threads");
-            assert_eq!(serial.dram_requests, par.dram_requests, "{threads} threads");
-            assert_eq!(serial.walks, par.walks, "{threads} threads");
-            assert_eq!(serial.replays, par.replays, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn event_engine_is_bit_identical_to_serial() {
-        let serial = run(cfg(MmuModel::augmented()), 512);
+    fn per_cycle_loop_is_bit_identical_to_skip_loop() {
+        let skip = run(cfg(MmuModel::augmented()), 512);
         let mut c = cfg(MmuModel::augmented());
-        c.engine = crate::config::EngineKind::Event;
-        let event = run(c, 512);
-        assert_eq!(serial.cycles, event.cycles);
-        assert_eq!(serial.instructions, event.instructions);
-        assert_eq!(serial.idle_cycles, event.idle_cycles);
-        assert_eq!(serial.stall_breakdown, event.stall_breakdown);
-        assert_eq!(serial.live_cycles, event.live_cycles);
-        assert_eq!(serial.tlb_accesses, event.tlb_accesses);
-        assert_eq!(serial.tlb_hits, event.tlb_hits);
-        assert_eq!(serial.l1_accesses, event.l1_accesses);
-        assert_eq!(serial.dram_requests, event.dram_requests);
-        assert_eq!(serial.walks, event.walks);
-        assert_eq!(serial.replays, event.replays);
+        c.tick_every_cycle = true;
+        let per_cycle = run(c, 512);
+        assert!(
+            skip.diff(&per_cycle).is_empty(),
+            "{:?}",
+            skip.diff(&per_cycle)
+        );
     }
 
     #[test]

@@ -27,10 +27,6 @@
 //!   TLB-aware variant driven by the Common Page Matrix.
 //! * [`gpu`] — the whole GPU: block dispatch, the global cycle loop,
 //!   aggregate statistics ([`gpu::RunStats`]).
-//! * `parallel` (internal) — the deterministic intra-run parallel
-//!   engine: cores tick concurrently within a cycle behind lock-step
-//!   barriers with an ordered memory gate, bit-identical to serial
-//!   (select with [`config::EngineKind`] and `GpuConfig::run_threads`).
 //! * [`stall`] — idle-cycle attribution by dominant stall cause.
 //! * [`observe`] — per-run observation: span tracing and interval
 //!   time-series, both strictly zero-cost when off.
@@ -40,13 +36,12 @@ pub mod config;
 pub mod core;
 pub mod gpu;
 pub mod observe;
-mod parallel;
 pub mod program;
 pub mod stack;
 pub mod stall;
 pub mod tbc;
 
-pub use config::{CoreTimings, EngineKind, FaultConfig, GpuConfig};
+pub use config::{CoreTimings, FaultConfig, GpuConfig};
 pub use gpu::{Gpu, RunStats, TenantJob, TenantPolicy, TenantStats};
 pub use observe::{IntervalRecorder, IntervalSample, Observer};
 pub use program::{Kernel, MemKind, Op, Program};

@@ -162,14 +162,6 @@ impl IntervalRecorder {
         now >= self.next
     }
 
-    /// The next sample boundary — the cycle at which [`IntervalRecorder::due`]
-    /// first becomes true. The event-calendar engine schedules its
-    /// sampler key here.
-    #[inline]
-    pub fn next_boundary(&self) -> Cycle {
-        self.next
-    }
-
     /// Closes the interval ending at the pending boundary using the
     /// current counter snapshot. Call while [`IntervalRecorder::due`];
     /// when the clock jumps several boundaries at once, call repeatedly

@@ -142,9 +142,9 @@ impl Program {
 /// paper's six benchmarks. All methods must be *deterministic pure
 /// functions* — the simulator may call them more than once for the same
 /// arguments (TLB-miss replay, dynamic warp formation). `Sync` is a
-/// supertrait because the parallel execution engine shares one `&dyn
-/// Kernel` across its worker threads; purity makes this trivially true
-/// for every workload.
+/// supertrait because parallel sweeps share one workload's kernel
+/// across their worker threads; purity makes this trivially true for
+/// every workload.
 pub trait Kernel: Sync {
     /// Short benchmark name (e.g. `"bfs"`).
     fn name(&self) -> &str;

@@ -79,7 +79,7 @@ impl StallCause {
 }
 
 /// Idle cycles split by [`StallCause`]. The sum of all entries equals the
-/// `idle_cycles` counter it refines, on every run and both engines.
+/// `idle_cycles` counter it refines, on every run and under both loops.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallBreakdown([u64; StallCause::COUNT]);
 

@@ -18,7 +18,7 @@ use crate::config::{GpuConfig, TbcConfig};
 use crate::core::{BlockWork, MemIssue, MemPath, Pending, WaitKind};
 use crate::program::{Kernel, Op, ThreadId};
 use crate::stall::StallCause;
-use gmmu_mem::MemPort;
+use gmmu_mem::MemorySystem;
 use gmmu_sim::trace::{TraceEvent, Tracer, TID_DISPATCH};
 use gmmu_sim::Cycle;
 use gmmu_vm::AddressSpace;
@@ -294,7 +294,7 @@ impl TbcState {
         ppn: gmmu_vm::Ppn,
         path: &mut MemPath,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         tracer: &mut Tracer,
         pid: u32,
     ) {
@@ -458,7 +458,7 @@ impl TbcState {
         &mut self,
         path: &mut MemPath,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         space: &AddressSpace,
         kernel: &dyn Kernel,
         iters: &mut [u32],
@@ -830,7 +830,7 @@ impl TbcState {
         u: u16,
         path: &mut MemPath,
         now: Cycle,
-        mem: &mut dyn MemPort,
+        mem: &mut MemorySystem,
         space: &AddressSpace,
         kernel: &dyn Kernel,
         iters: &mut [u32],

@@ -3,14 +3,14 @@
 //!
 //! Kernels are pure functions of `(thread, site, iteration)`, so a
 //! complete recording of their answers *is* the workload: replaying the
-//! recorded tables through any engine reproduces the captured run
+//! recorded tables through either drive loop reproduces the captured run
 //! bit-identically. The [`Recorder`] intercepts [`Kernel::mem_addr`] and
 //! [`Kernel::branch_taken`], appends first-time answers to dense
 //! per-(site, thread) tables, and verifies that replays of the same
 //! coordinates (TLB-miss wakeups, dynamic-warp reissues) return the same
 //! value. Tables — not an event log — make the emitted byte stream a
-//! pure function of the kernel, independent of which engine (or how many
-//! worker threads) drove the capture.
+//! pure function of the kernel, independent of which drive loop (skip
+//! or per-cycle) drove the capture.
 
 use crate::format::{Trace, TraceLaunch, TraceRecord, WARP_LANES};
 use crate::replay::snapshot_space;

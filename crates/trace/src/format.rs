@@ -1,4 +1,4 @@
-//! The GMTR v1 binary trace format.
+//! The GMTR v2 binary trace format.
 //!
 //! A trace is a fully self-contained replay input: one file carries the
 //! machine configuration, the kernel's instruction stream, the address
@@ -36,10 +36,13 @@ use gmmu_vm::{Region, SpaceConfig};
 
 /// Magic bytes opening every trace file.
 pub const TRACE_MAGIC: [u8; 4] = *b"GMTR";
-/// Trace format version. Bumped whenever the layout changes; old
-/// readers refuse newer files rather than misread them (same policy as
-/// `CKPT_VERSION`, see DESIGN.md §11).
-pub const TRACE_VERSION: u32 = 1;
+/// Trace format version. Bumped whenever the layout changes; readers
+/// refuse any other version rather than misread it (same policy as
+/// `CKPT_VERSION`, see DESIGN.md §11). Version 2 dropped the
+/// execution-engine fields (`tick_every_cycle`, engine kind, run
+/// threads) from the launch's machine configuration: results never
+/// depended on them.
+pub const TRACE_VERSION: u32 = 2;
 
 /// Warp width, which fixes the lane-mask geometry of trace records.
 pub const WARP_LANES: u32 = 32;
@@ -78,7 +81,7 @@ pub struct TraceLaunch {
 ///
 /// Records are emitted warp-major, then site-ascending, then
 /// iteration-ascending, so the byte stream is identical no matter which
-/// engine (or how many worker threads) produced the capture.
+/// drive loop produced the capture.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceRecord {
     /// The access footprint of one warp's execution of a memory site:
@@ -448,10 +451,10 @@ mod tests {
     #[test]
     fn future_version_is_refused() {
         let mut bytes = tiny_trace().encode();
-        // Version 1 encodes as the single varint byte at offset 4.
-        assert_eq!(bytes[4], 1);
-        bytes[4] = 2;
-        assert_eq!(Trace::decode(&bytes).unwrap_err(), CkptError::BadVersion(2));
+        // The version encodes as the single varint byte at offset 4.
+        assert_eq!(bytes[4], TRACE_VERSION as u8);
+        bytes[4] = 3;
+        assert_eq!(Trace::decode(&bytes).unwrap_err(), CkptError::BadVersion(3));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! sufficient: record every answer a kernel gives during one run
 //! ([`capture::Recorder`]), and a kernel reconstructed from those
 //! answers ([`replay::TraceKernel`]) is indistinguishable to the
-//! simulator — any engine replays the captured run bit-identically,
+//! simulator — either drive loop replays the captured run bit-identically,
 //! which the `validate` bench harness and `tests/trace.rs` enforce.
 //!
-//! The on-disk format (`GMTR` v1, [`format`]) is self-contained: one
+//! The on-disk format (`GMTR` v2, [`format`]) is self-contained: one
 //! file carries the machine configuration, program, address-space
 //! layout, record stream, and the captured run's statistics, and the
 //! reader refuses foreign, truncated, corrupt, or future-versioned

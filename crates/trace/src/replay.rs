@@ -4,7 +4,7 @@
 //! A [`TraceKernel`] implements [`Kernel`] by answering every
 //! `(thread, site, iteration)` query from the trace's record stream —
 //! the same pure-function contract the synthetic workloads satisfy, so
-//! all three execution engines run it unchanged and produce statistics
+//! the skip and per-cycle loops run it unchanged and produce statistics
 //! bit-identical to the captured run. [`rebuild_space`] reconstructs the
 //! address space by replaying the recorded region mappings in order
 //! (the frame allocator is deterministic, so identical mapping order
@@ -247,8 +247,8 @@ impl Kernel for TraceKernel {
 }
 
 /// Replays a trace on the machine described by `config` (normally
-/// [`Trace::launch`]'s config, possibly with the engine or worker-count
-/// overridden — both are stats-invariant) and returns the run's
+/// [`Trace::launch`]'s config, possibly with `tick_every_cycle`
+/// overridden — it is stats-invariant) and returns the run's
 /// statistics. Compare against [`Trace::stats`] with
 /// [`RunStats::diff`]: an empty diff is the conformance contract.
 ///
@@ -266,8 +266,9 @@ pub fn replay_run(trace: &Trace, config: &GpuConfig) -> Result<RunStats, CkptErr
 /// observer's metrics channel is on, the returned `Option<String>` is
 /// the run's versioned metrics snapshot (see `Gpu::metrics_snapshot`),
 /// rendered while the replayed machine is still alive; it is `None`
-/// when metrics are off. Snapshots are engine-invariant, so replaying
-/// the same trace on any engine yields byte-identical snapshot JSON.
+/// when metrics are off. Snapshots do not depend on the drive loop, so
+/// replaying the same trace under either loop yields byte-identical
+/// snapshot JSON.
 ///
 /// # Errors
 ///

@@ -1,4 +1,4 @@
-//! Multi-tenant trace capture and replay (`GMTM` v1).
+//! Multi-tenant trace capture and replay (`GMTM` v2).
 //!
 //! A multi-tenant run is N kernels in N address spaces sharing one GPU
 //! under a [`TenantPolicy`]. Its trace is a container around N
@@ -40,8 +40,10 @@ use gmmu_vm::AddressSpace;
 
 /// Magic bytes opening every multi-tenant trace file.
 pub const MT_TRACE_MAGIC: [u8; 4] = *b"GMTM";
-/// Multi-tenant trace format version.
-pub const MT_TRACE_VERSION: u32 = 1;
+/// Multi-tenant trace format version. Version 2 embeds GMTR v2 launch
+/// blocks, whose machine configuration no longer carries the
+/// execution-engine fields.
+pub const MT_TRACE_VERSION: u32 = 2;
 
 /// One tenant's slice of a multi-tenant trace: the same launch state
 /// and record stream a single-tenant GMTR file carries.
@@ -264,8 +266,8 @@ pub fn capture_tenants(
 }
 
 /// Replays a multi-tenant trace on the machine described by `config`
-/// (normally tenant 0's captured config, possibly with the engine or
-/// worker count overridden — both are stats-invariant). Returns the
+/// (normally tenant 0's captured config, possibly with
+/// `tick_every_cycle` overridden — it is stats-invariant). Returns the
 /// run's statistics and, when the observer's metrics channel is on, the
 /// versioned metrics snapshot. Compare against [`MultiTrace::stats`]
 /// with [`RunStats::diff`]: an empty diff is the conformance contract.
@@ -391,7 +393,7 @@ mod tests {
     #[test]
     fn future_version_is_refused() {
         let mut bytes = tiny_multi().encode();
-        assert_eq!(bytes[4], 1);
+        assert_eq!(bytes[4], MT_TRACE_VERSION as u8);
         bytes[4] = 9;
         assert_eq!(
             MultiTrace::decode(&bytes).unwrap_err(),

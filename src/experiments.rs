@@ -32,7 +32,6 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 const USAGE: &str = "usage: harness [--quick | --full] [--csv] [--jobs N]
-               [--engine serial|parallel|event] [--run-threads N]
                [--trace PATH] [--intervals PATH] [--interval-stride N]
                [--metrics PATH]
                [--fault-inject] [--fault-seed N]
@@ -44,17 +43,6 @@ const USAGE: &str = "usage: harness [--quick | --full] [--csv] [--jobs N]
   --csv      also print each table as CSV
   --jobs N   worker threads for design-point sweeps
              (default: GMMU_JOBS or the machine's available parallelism)
-  --engine serial|parallel|event
-             intra-run execution engine (default serial); parallel
-             ticks cores concurrently within each cycle, event jumps
-             the calendar straight between scheduled wake cycles;
-             both are bit-identical to serial
-  --run-threads N
-             threads per simulation under --engine parallel, including
-             the calling thread (default 2 when --engine parallel is
-             given, else 1). Composes with --jobs under one shared
-             thread budget: jobs is clamped so jobs x run-threads
-             never exceeds the machine's available parallelism
   --trace PATH
              write a Chrome/Perfetto trace.json of the first design
              point simulated (load at ui.perfetto.dev)
@@ -66,8 +54,8 @@ const USAGE: &str = "usage: harness [--quick | --full] [--csv] [--jobs N]
   --metrics PATH
              write the first design point's versioned metrics snapshot
              (instrument registry, per-stage walk latency histograms,
-             hot-page table) to PATH as JSON; snapshots are
-             engine-invariant. Under --replay: diff the replayed
+             hot-page table) to PATH as JSON; snapshots do not
+             depend on the drive loop. Under --replay: diff the replayed
              snapshot against PATH when the file exists (exit non-zero
              on any difference), write it otherwise
   --fault-inject
@@ -109,10 +97,13 @@ const USAGE: &str = "usage: harness [--quick | --full] [--csv] [--jobs N]
              only exercises the tail of the kernel)
   --replay PATH
              replay a GMTR trace instead of running the figure: rebuild
-             the captured machine, drive it from the recorded behaviour
-             on --engine/--run-threads, and diff the result against the
-             stats embedded in the trace; exits non-zero on any
-             difference";
+             the captured machine, drive it from the recorded behaviour,
+             and diff the result against the stats embedded in the
+             trace; exits non-zero on any difference
+environment:
+  GMMU_TICK_EVERY_CYCLE
+             when set, visit every cycle instead of skipping idle
+             spans (the per-cycle referee; results are identical)";
 
 /// Default sweep parallelism: the `GMMU_JOBS` environment variable when
 /// set, otherwise the machine's available parallelism.
@@ -161,11 +152,6 @@ pub struct ExperimentOpts {
     pub fault_inject: bool,
     /// Seed for the deterministic fault schedules (`--fault-seed`).
     pub fault_seed: u64,
-    /// Intra-run execution engine (`--engine`).
-    pub engine: EngineKind,
-    /// Threads per simulation under the parallel engine, including the
-    /// calling thread (`--run-threads`).
-    pub run_threads: usize,
     /// Journal completed design points to this path and replay it on
     /// start (`--journal`): the restartable-sweep mechanism.
     pub journal: Option<&'static str>,
@@ -204,8 +190,6 @@ impl Default for ExperimentOpts {
             metrics: None,
             fault_inject: false,
             fault_seed: 0xfa57,
-            engine: EngineKind::Serial,
-            run_threads: 1,
             journal: None,
             shard: None,
             kill_after: None,
@@ -264,14 +248,6 @@ impl ExperimentOpts {
                 "--jobs" => match args.next() {
                     Some(v) => opts.jobs = parse_jobs(&v),
                     None => bad_usage("--jobs needs a value"),
-                },
-                "--engine" => match args.next() {
-                    Some(v) => opts.engine = parse_engine(&v),
-                    None => bad_usage("--engine needs serial or parallel"),
-                },
-                "--run-threads" => match args.next() {
-                    Some(v) => opts.run_threads = parse_run_threads(&v),
-                    None => bad_usage("--run-threads needs a value"),
                 },
                 "--trace" => match args.next() {
                     Some(v) => opts.trace = Some(leak_path(v)),
@@ -333,10 +309,6 @@ impl ExperimentOpts {
                 other => {
                     if let Some(v) = other.strip_prefix("--jobs=") {
                         opts.jobs = parse_jobs(v)
-                    } else if let Some(v) = other.strip_prefix("--engine=") {
-                        opts.engine = parse_engine(v)
-                    } else if let Some(v) = other.strip_prefix("--run-threads=") {
-                        opts.run_threads = parse_run_threads(v)
                     } else if let Some(v) = other.strip_prefix("--trace=") {
                         opts.trace = Some(leak_path(v.to_string()))
                     } else if let Some(v) = other.strip_prefix("--intervals=") {
@@ -369,17 +341,6 @@ impl ExperimentOpts {
                 }
             }
         }
-        if opts.engine == EngineKind::Parallel && opts.run_threads < 2 {
-            // `--engine parallel` without `--run-threads` should
-            // actually parallelize.
-            opts.run_threads = 2;
-        }
-        if opts.run_threads > 1 {
-            // One shared thread budget: an N-thread engine under an
-            // M-way sweep would run N*M threads, so shrink the sweep
-            // pool to keep the product within the machine.
-            opts.jobs = opts.jobs.min((default_jobs() / opts.run_threads).max(1));
-        }
         if opts.capture_trace.is_some() && opts.resume.is_some() {
             // A resumed run only exercises the kernel's tail, so the
             // recorded behaviour tables would be incomplete.
@@ -399,15 +360,16 @@ impl ExperimentOpts {
     }
 
     /// The GPU configuration for this scope with the given MMU, before
-    /// figure-specific adjustments.
+    /// figure-specific adjustments. The `GMMU_TICK_EVERY_CYCLE`
+    /// environment variable is read here and nowhere else: when set,
+    /// every configuration the harnesses build runs the per-cycle loop.
     pub fn gpu(&self, mmu: MmuModel) -> GpuConfig {
         let mut cfg = GpuConfig::experiment_scale(mmu);
         cfg.n_cores = self.n_cores;
         // Keep the paper's 30-core : 8-channel balance at any size.
         cfg.mem.channels = ((self.n_cores * 8 + 15) / 30).max(1);
         cfg.seed = self.seed;
-        cfg.engine = self.engine;
-        cfg.run_threads = self.run_threads;
+        cfg.tick_every_cycle = std::env::var_os("GMMU_TICK_EVERY_CYCLE").is_some();
         cfg
     }
 
@@ -436,17 +398,6 @@ fn parse_jobs(v: &str) -> usize {
     }
 }
 
-fn parse_engine(v: &str) -> EngineKind {
-    match v {
-        "serial" => EngineKind::Serial,
-        "parallel" => EngineKind::Parallel,
-        "event" => EngineKind::Event,
-        _ => bad_usage(&format!(
-            "--engine needs serial, parallel, or event, got `{v}`"
-        )),
-    }
-}
-
 fn parse_shard(v: &str) -> (usize, usize) {
     let parsed = v.split_once('/').and_then(|(i, n)| {
         let i = i.parse::<usize>().ok()?;
@@ -471,15 +422,6 @@ fn parse_every(v: &str) -> u64 {
         Ok(n) if n >= 1 => n,
         _ => bad_usage(&format!(
             "--checkpoint-every needs a positive cycle count, got `{v}`"
-        )),
-    }
-}
-
-fn parse_run_threads(v: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => bad_usage(&format!(
-            "--run-threads needs a positive integer, got `{v}`"
         )),
     }
 }
@@ -541,41 +483,33 @@ pub struct PointRun {
     /// FNV-1a 64 hash of the full memo key (bench + complete
     /// `GpuConfig`): a stable fingerprint of the configuration.
     pub fingerprint: u64,
-    /// Engine that executed the point: `event_skip`,
-    /// `tick_every_cycle` (config flag or `GMMU_TICK_EVERY_CYCLE`), or
-    /// `parallel` (either global loop under the intra-run worker pool).
+    /// Drive loop that executed the point: `event_skip` or
+    /// `tick_every_cycle`.
     pub engine: &'static str,
     /// Wall-clock seconds the simulation took.
     pub wall_s: f64,
     /// Simulated cycles of the run.
     pub cycles: u64,
     /// Simulated cycles per wall-clock second
-    /// ([`RunStats::cycles_per_sec`]), the engine-comparison metric.
+    /// ([`RunStats::cycles_per_sec`]), the throughput metric.
     pub sim_cycles_per_sec: f64,
     /// Whether this was the observed run (`--trace` / `--intervals`).
     pub observed: bool,
 }
 
-/// Engine label for run metadata; mirrors the engine selection in the
-/// GPU run loop.
+/// Drive-loop label for run metadata.
 fn engine_label(cfg: &GpuConfig) -> &'static str {
-    if cfg.engine == EngineKind::Parallel && cfg.run_threads > 1 && cfg.n_cores > 1 {
-        "parallel"
-    } else if cfg.engine == EngineKind::Event {
-        "event"
-    } else if cfg.tick_every_cycle || std::env::var_os("GMMU_TICK_EVERY_CYCLE").is_some() {
+    if cfg.tick_every_cycle {
         "tick_every_cycle"
     } else {
         "event_skip"
     }
 }
 
-/// Maps a journaled engine label back to the static string the live
-/// label function would have produced.
+/// Maps a journaled loop label back to the static string
+/// [`engine_label`] would have produced.
 fn intern_engine_label(v: &str) -> &'static str {
     match v {
-        "parallel" => "parallel",
-        "event" => "event",
         "tick_every_cycle" => "tick_every_cycle",
         "event_skip" => "event_skip",
         _ => "journal",
@@ -719,7 +653,7 @@ fn metrics_counter_rows(obs: &Observer) -> Vec<String> {
         .collect()
 }
 
-/// Runs one design point on the checkpointed event engine: the run is
+/// Runs one design point with checkpointing: the run is
 /// snapshotted every `--checkpoint-every` cycles to `--checkpoint-path`
 /// (written atomically, latest image wins) and optionally resumed from
 /// a `--resume` image. Checkpointed runs own a clone of the shared
@@ -749,7 +683,7 @@ fn checkpointed_run(
     };
     let mut space = w.space.clone();
     let mut gpu = Gpu::new(spec.cfg.clone());
-    let run = gpu.run_event_checkpointed(
+    let run = gpu.run_checkpointed(
         kernel,
         &mut space,
         obs,
@@ -1293,7 +1227,7 @@ pub fn run_fault_injection(opts: ExperimentOpts) -> ! {
 
 /// Replays a GMTR trace captured with `--capture-trace`: rebuilds the
 /// captured machine and address space, drives the cores from the
-/// recorded kernel behaviour on the requested engine, and diffs every
+/// recorded kernel behaviour, and diffs every
 /// statistic (except wall time) against the stats embedded in the
 /// trace. Exits 0 on an exact match, 1 on any difference or on a
 /// refused file.
@@ -1312,9 +1246,7 @@ pub fn run_replay(opts: ExperimentOpts, path: &str) -> ! {
             std::process::exit(1)
         }
     };
-    let mut cfg = trace.launch.config.clone();
-    cfg.engine = opts.engine;
-    cfg.run_threads = opts.run_threads;
+    let cfg = trace.launch.config.clone();
     println!(
         "replay: {path}: kernel `{}` ({} threads), captured from `{}`, {} record(s)",
         trace.launch.kernel_name,
@@ -1335,16 +1267,15 @@ pub fn run_replay(opts: ExperimentOpts, path: &str) -> ! {
         }
     };
     println!(
-        "replay: {:?} engine finished in {:.2}s: {} cycles, {} instructions, {} faults",
-        opts.engine,
+        "replay: finished in {:.2}s: {} cycles, {} instructions, {} faults",
         started.elapsed().as_secs_f64(),
         stats.cycles,
         stats.instructions,
         stats.faults
     );
     // `--metrics` on a replay is a conformance check of its own: the
-    // snapshot is engine-invariant, so a file written by one engine (or
-    // the capturing run) must match any replay byte-for-byte.
+    // snapshot does not depend on the drive loop, so a file written by
+    // the capturing run must match any replay byte-for-byte.
     if let (Some(metrics_path), Some(body)) = (opts.metrics, snapshot.as_deref()) {
         match std::fs::read_to_string(metrics_path) {
             Ok(golden) if golden == body => {

@@ -839,7 +839,7 @@ pub fn fig_multitenant(opts: &crate::ExperimentOpts) -> Vec<Table> {
 /// demand faults, delayed walks, rejections, and cross-tenant storms on
 /// the augmented MMU, with the per-ASID walk-stage histograms and
 /// per-ASID hot-page keys the snapshot's `tenants` section carries
-/// (DESIGN.md §13). Deterministic and engine-invariant like every
+/// (DESIGN.md §13). Deterministic and loop-invariant like every
 /// snapshot; backs `fig_multitenant --metrics PATH`.
 pub fn multitenant_metrics_snapshot(opts: &crate::ExperimentOpts) -> String {
     use gmmu_sim::metrics::Metrics;

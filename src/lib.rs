@@ -50,7 +50,7 @@ pub mod prelude {
     pub use gmmu_sim::table::Table;
     pub use gmmu_simt::config::TbcConfig;
     pub use gmmu_simt::{
-        EngineKind, FaultConfig, Gpu, GpuConfig, Observer, RunStats, StallBreakdown, StallCause,
+        FaultConfig, Gpu, GpuConfig, Observer, RunStats, StallBreakdown, StallCause,
     };
     pub use gmmu_vm::PageSize;
     pub use gmmu_workloads::{build, build_demand_paged, build_paged, Bench, Scale, Workload};

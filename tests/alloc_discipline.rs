@@ -11,7 +11,6 @@
 //!   `Mmu` waiter lists, the per-cycle tenant `spaces` slice);
 //! * hash maps (MSHR files, fill waiters) growing to their peak
 //!   occupancy — `HashMap` keeps its capacity after `remove`;
-//! * the event calendar's wheel buckets and overflow heap;
 //! * page-table *growth* (mapping fresh pages allocates arena slabs) —
 //!   demand paging is therefore outside the steady-state window, which
 //!   is the paper's TLB-hit/walk regime, not the cold-fault regime;
@@ -141,9 +140,9 @@ fn stream_setup(trips: u32) -> (AddressSpace, StreamKernel, GpuConfig) {
     (space, kernel, cfg)
 }
 
-/// The serial engine's steady-state loop body — `ShaderCore::tick`
-/// against the memory system — performs zero heap allocations once
-/// every scratch buffer has reached its high-water mark.
+/// The per-cycle loop's steady-state body — `ShaderCore::tick` against
+/// the memory system — performs zero heap allocations once every
+/// scratch buffer has reached its high-water mark.
 fn serial_tick_loop_is_allocation_free() {
     let (space, kernel, cfg) = stream_setup(u32::MAX);
     let mut core = ShaderCore::new(0, &cfg);
@@ -183,95 +182,62 @@ fn serial_tick_loop_is_allocation_free() {
     );
 }
 
-/// The event-calendar engine's steady-state loop body — `take_due`,
-/// per-core ticks, `next_event_at`, and rescheduling — is also
-/// allocation-free after warm-up.
+/// The idle-skipping loop's steady-state body — a tick, then on a
+/// cycle without issue `next_event_at` and `note_idle_skip` to jump
+/// straight to the core's next wake — is also allocation-free after
+/// warm-up.
 fn event_loop_is_allocation_free() {
-    use gmmu_sim::calendar::Calendar;
     let (space, kernel, cfg) = stream_setup(u32::MAX);
     let mut core = ShaderCore::new(0, &cfg);
     core.push_block(0, 128);
     let mut mem = MemorySystem::new(MemConfig::default());
     let mut iters = vec![0u32; 128 * kernel.program.num_sites()];
     let mut tracer = Tracer::Off;
-    let mut cal = Calendar::new(1);
-    let mut due: Vec<u32> = Vec::with_capacity(1);
-    cal.schedule(0, 0);
 
-    let mut steps = 0u64;
-    let step = |cal: &mut Calendar,
-                due: &mut Vec<u32>,
-                core: &mut ShaderCore,
-                mem: &mut MemorySystem,
-                iters: &mut [u32],
-                tracer: &mut Tracer| {
-        let now = cal.peek_cycle().expect("calendar drained");
-        cal.take_due(now, due);
-        if due.is_empty() {
-            return now;
+    let mut step = |now: u64| -> u64 {
+        let next = now + 1;
+        if core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut tracer) {
+            return next;
         }
-        let issued = core.tick(now, mem, &space, &kernel, iters, tracer);
-        if issued {
-            cal.schedule(0, now + 1);
-        } else {
-            match core.next_event_at(now) {
-                Some(c) => cal.schedule(0, c),
-                None => cal.schedule(0, now + 1),
+        match core.next_event_at(now) {
+            Some(wake) if wake > next => {
+                core.note_idle_skip(next, wake - next);
+                wake
             }
+            _ => next,
         }
-        now
     };
-    while steps < 15_000 {
-        step(
-            &mut cal,
-            &mut due,
-            &mut core,
-            &mut mem,
-            &mut iters,
-            &mut tracer,
-        );
-        steps += 1;
+    let mut now = 0u64;
+    for _ in 0..15_000 {
+        now = step(now);
     }
-    assert!(core.has_work(), "kernel drained during warm-up");
 
     let before = allocs();
     for _ in 0..15_000 {
-        step(
-            &mut cal,
-            &mut due,
-            &mut core,
-            &mut mem,
-            &mut iters,
-            &mut tracer,
-        );
+        now = step(now);
     }
     let after = allocs();
-    assert!(core.has_work(), "kernel drained inside the window");
     assert_eq!(
         after - before,
         0,
-        "event steady state allocated {} times over 15000 steps",
+        "skip-loop steady state allocated {} times over 15000 steps",
         after - before
     );
+    assert!(core.has_work(), "kernel drained inside the window");
 }
 
-/// Whole-run allocation budget per engine: one tiny workload end to
-/// end, counting *everything* (construction, warm-up, teardown). The
-/// budget is deliberately loose — it documents the order of magnitude
-/// and catches a reintroduced per-cycle allocation, which would blow
-/// through it by 100x. The parallel engine's budget includes its
-/// per-run worker threads and staging buffers.
+/// Whole-run allocation budget under each drive loop: one tiny
+/// workload end to end, counting *everything* (construction, warm-up,
+/// teardown). The budget is deliberately loose — it documents the order
+/// of magnitude and catches a reintroduced per-cycle allocation, which
+/// would blow through it by 100x.
 fn whole_run_allocation_budget_per_engine() {
     use gmmu::prelude::*;
     let w = build(Bench::Bfs, Scale::Tiny, 7);
-    for (engine, threads, budget) in [
-        (EngineKind::Serial, 1usize, 60u64),
-        (EngineKind::Event, 1, 60),
-        (EngineKind::Parallel, 2, 60),
-    ] {
+    let budget = 60u64;
+    for (label, tick_every_cycle) in [("skip", false), ("per-cycle", true)] {
         let mut cfg = gmmu::ExperimentOpts::quick().gpu(MmuModel::augmented());
-        cfg.engine = engine;
-        cfg.run_threads = threads;
+        cfg.tick_every_cycle = tick_every_cycle;
         // First run warms nothing across runs (each run builds a fresh
         // GPU), so measure a single complete run.
         let before = allocs();
@@ -280,7 +246,7 @@ fn whole_run_allocation_budget_per_engine() {
         let per_kcycle = (after - before) as f64 / (stats.cycles as f64 / 1000.0);
         assert!(
             per_kcycle <= budget as f64,
-            "{engine:?}: {:.1} allocs per simulated kilocycle (budget {budget}) \
+            "{label}: {:.1} allocs per simulated kilocycle (budget {budget}) \
              over {} cycles",
             per_kcycle,
             stats.cycles,

@@ -2,8 +2,9 @@
 //! snapshotted mid-flight and resumed in a fresh process-equivalent
 //! (new `Gpu`, new workload build, new observer) must finish
 //! bit-identical to an uninterrupted run — same `RunStats`, same span
-//! trace, same interval time-series — across the whole engine matrix
-//! and under demand paging, shootdown storms, and the mixed fault soup.
+//! trace, same interval time-series — across the workload matrix, under
+//! both drive loops (snapshots live in the loop they share), and under
+//! demand paging, shootdown storms, and the mixed fault soup.
 
 use gmmu::experiments::{designs, ExperimentOpts};
 use gmmu::prelude::*;
@@ -74,8 +75,8 @@ fn observer() -> Observer {
     }
 }
 
-/// Runs `bench` under `cfg` on the checkpointed event engine; returns
-/// the stats, the observer, and every emitted checkpoint image.
+/// Runs `bench` under `cfg` with checkpointing; returns the stats, the
+/// observer, and every emitted checkpoint image.
 fn run_ckpt(
     bench: Bench,
     cfg: &GpuConfig,
@@ -91,7 +92,7 @@ fn run_ckpt(
     let mut images: Vec<Vec<u8>> = Vec::new();
     let mut sink = |b: &[u8]| images.push(b.to_vec());
     let stats = Gpu::new(cfg.clone())
-        .run_event_checkpointed(
+        .run_checkpointed(
             w.kernel.as_ref(),
             &mut w.space,
             &mut obs,
@@ -123,9 +124,10 @@ fn assert_observers_same(a: &Observer, b: &Observer, what: &str) {
     );
 }
 
-/// Snapshot/restore across the six-workload engine matrix: resume from
-/// a mid-run image and from the last image, with tracing and interval
-/// sampling attached, and require byte-identical results.
+/// Snapshot/restore across the six-workload matrix under both drive
+/// loops: resume from a mid-run image and from the last image, with
+/// tracing and interval sampling attached, and require byte-identical
+/// results.
 #[test]
 fn checkpoint_roundtrip_is_bit_identical_across_the_matrix() {
     type Configure = fn(&mut GpuConfig);
@@ -145,10 +147,14 @@ fn checkpoint_roundtrip_is_bit_identical_across_the_matrix() {
             c.tbc = Some(TbcConfig::tlb_aware(3));
         }),
     ];
-    for (bench, name, configure) in matrix {
+    for ((bench, name, configure), tick_every_cycle) in matrix
+        .into_iter()
+        .flat_map(|case| [(case, false), (case, true)])
+    {
         let mut cfg = ExperimentOpts::quick().gpu(MmuModel::Ideal);
         configure(&mut cfg);
-        cfg.engine = EngineKind::Event;
+        cfg.tick_every_cycle = tick_every_cycle;
+        let name = format!("{name}/tick_every_cycle={tick_every_cycle}");
 
         // Uninterrupted reference (emission off: `every == 0`).
         let (reference, obs_ref, none) = run_ckpt(bench, &cfg, None, 0, None);
@@ -215,7 +221,6 @@ fn checkpoint_roundtrip_mid_fault_storm() {
         let mut cfg = ExperimentOpts::quick().gpu(designs::augmented());
         cfg.fault = FaultConfig::demand();
         cfg.inject = Some(inject);
-        cfg.engine = EngineKind::Event;
         // Storms remap fully-mapped regions; the other cases start
         // demand-paged with first-touch faults.
         let demand = name != "storm";
@@ -242,7 +247,7 @@ fn checkpoint_roundtrip_mid_fault_storm() {
 }
 
 /// A replayed trace is checkpointable like any other run: snapshot the
-/// replay mid-flight on the event engine, resume from the image in a
+/// replay mid-flight, resume from the image in a
 /// fresh process-equivalent (new trace kernel, freshly rebuilt address
 /// space, new observer), and the end state must still match the stats
 /// embedded in the trace bit-identically.
@@ -259,9 +264,8 @@ fn checkpoint_mid_replay_resumes_bit_identically() {
     let bytes = assemble(launch, rec, &stats).encode();
     let trace = Trace::decode(&bytes).expect("trace decodes");
 
-    // Replay on the checkpointed event engine, emitting ~3 images.
-    let mut replay_cfg = trace.launch.config.clone();
-    replay_cfg.engine = EngineKind::Event;
+    // Replay with checkpointing, emitting ~3 images.
+    let replay_cfg = trace.launch.config.clone();
     let run = |every: u64, resume: Option<&[u8]>| -> (RunStats, Observer, Vec<Vec<u8>>) {
         let kernel = TraceKernel::from_trace(&trace).expect("records expand");
         let mut space = rebuild_space(&trace.launch).expect("space rebuilds");
@@ -269,7 +273,7 @@ fn checkpoint_mid_replay_resumes_bit_identically() {
         let mut images: Vec<Vec<u8>> = Vec::new();
         let mut sink = |b: &[u8]| images.push(b.to_vec());
         let stats = Gpu::new(replay_cfg.clone())
-            .run_event_checkpointed(
+            .run_checkpointed(
                 &kernel,
                 &mut space,
                 &mut obs,
@@ -295,11 +299,12 @@ fn checkpoint_mid_replay_resumes_bit_identically() {
 
 /// A checkpoint must only load into the machine that wrote it: a
 /// different configuration is a fingerprint mismatch, a truncated image
-/// is refused, and garbage is rejected by magic.
+/// is refused, garbage is rejected by magic, and an image of another
+/// format version — including a GMCK v3 image, which still carried the
+/// event calendar — is a typed version refusal.
 #[test]
 fn checkpoint_refuses_foreign_or_corrupt_images() {
-    let mut cfg = ExperimentOpts::quick().gpu(designs::augmented());
-    cfg.engine = EngineKind::Event;
+    let cfg = ExperimentOpts::quick().gpu(designs::augmented());
     let (reference, _, _) = run_ckpt(Bench::Bfs, &cfg, None, 0, None);
     let every = (reference.cycles / 2).max(1);
     let (_, _, images) = run_ckpt(Bench::Bfs, &cfg, None, every, None);
@@ -309,7 +314,7 @@ fn checkpoint_refuses_foreign_or_corrupt_images() {
         let mut w = build(Bench::Bfs, Scale::Tiny, 7);
         let mut obs = observer();
         let mut sink = |_: &[u8]| {};
-        Gpu::new(cfg.clone()).run_event_checkpointed(
+        Gpu::new(cfg.clone()).run_checkpointed(
             w.kernel.as_ref(),
             &mut w.space,
             &mut obs,
@@ -343,6 +348,19 @@ fn checkpoint_refuses_foreign_or_corrupt_images() {
         "bad magic must be rejected"
     );
 
+    // Other format versions: the version is the single varint byte
+    // after the magic.
+    assert_eq!(img[4] as u32, gmmu_simt::gpu::CKPT_VERSION);
+    for version in [3u8, 5] {
+        let mut other = img.clone();
+        other[4] = version;
+        assert_eq!(
+            resume(&cfg, &other).unwrap_err(),
+            CkptError::BadVersion(version as u32),
+            "a v{version} image must be refused by version"
+        );
+    }
+
     // Instruments must match the snapshotting run: the image carries a
     // recorded trace, so resuming into a disabled observer is refused.
     {
@@ -350,7 +368,7 @@ fn checkpoint_refuses_foreign_or_corrupt_images() {
         let mut obs = Observer::off();
         let mut sink = |_: &[u8]| {};
         let err = Gpu::new(cfg.clone())
-            .run_event_checkpointed(
+            .run_checkpointed(
                 w.kernel.as_ref(),
                 &mut w.space,
                 &mut obs,
@@ -373,12 +391,18 @@ fn checkpoint_refuses_foreign_or_corrupt_images() {
 }
 
 /// Multi-tenant snapshot/restore with the storm machinery hot: a
-/// 2-tenant scenario under the mixed fault soup, checkpointed on the
-/// event engine, must resume from every emitted image — including
+/// 2-tenant scenario under the mixed fault soup, checkpointed under
+/// either drive loop, must resume from every emitted image — including
 /// images taken mid-storm with cross-tenant faults queued — to the
 /// identical end state, per-tenant slice included.
 #[test]
 fn multitenant_checkpoint_mid_storm_kill_and_resume() {
+    for tick_every_cycle in [false, true] {
+        multitenant_kill_and_resume(tick_every_cycle);
+    }
+}
+
+fn multitenant_kill_and_resume(tick_every_cycle: bool) {
     use gmmu_simt::{TenantJob, TenantPolicy};
     use gmmu_workloads::tenants::scenario;
 
@@ -386,7 +410,7 @@ fn multitenant_checkpoint_mid_storm_kill_and_resume() {
     let mut cfg = ExperimentOpts::quick().gpu(designs::augmented());
     cfg.fault = FaultConfig::demand();
     cfg.inject = Some(inject);
-    cfg.engine = EngineKind::Event;
+    cfg.tick_every_cycle = tick_every_cycle;
     let policy = TenantPolicy {
         watchdog: 2_000_000,
         ..TenantPolicy::default()
@@ -430,17 +454,29 @@ fn multitenant_checkpoint_mid_storm_kill_and_resume() {
 
     let every = (reference.cycles / 4).max(1);
     let (ckpt_stats, _, images) = run(every, None);
-    assert_same(&reference, &ckpt_stats, "mt emitting-vs-plain");
+    assert_same(
+        &reference,
+        &ckpt_stats,
+        &format!("mt tick_every_cycle={tick_every_cycle} emitting-vs-plain"),
+    );
     assert_eq!(reference.tenants, ckpt_stats.tenants);
     assert!(!images.is_empty(), "no checkpoints emitted");
 
     for (i, img) in images.iter().enumerate() {
         let (resumed, obs_res, _) = run(0, Some(img));
-        assert_same(&reference, &resumed, &format!("mt image {i}"));
+        assert_same(
+            &reference,
+            &resumed,
+            &format!("mt tick_every_cycle={tick_every_cycle} image {i}"),
+        );
         assert_eq!(
             reference.tenants, resumed.tenants,
             "image {i}: per-tenant slice diverged after resume"
         );
-        assert_observers_same(&obs_ref, &obs_res, &format!("mt image {i}"));
+        assert_observers_same(
+            &obs_ref,
+            &obs_res,
+            &format!("mt tick_every_cycle={tick_every_cycle} image {i}"),
+        );
     }
 }

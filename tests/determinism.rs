@@ -126,11 +126,12 @@ fn tbc_is_deterministic() {
     assert_eq!(a.dwarps_formed, b.dwarps_formed);
 }
 
-/// Full-stats equality for the execution-engine matrix: {serial,
-/// parallel sweep} x {tick-every-cycle, idle-cycle skipping} must be
-/// observably equivalent — identical cycles, idle/live accounting,
+/// Full-stats equality for the drive-loop matrix: {one point at a
+/// time, parallel sweep} x {tick-every-cycle, idle-cycle skipping} must
+/// be observably equivalent — identical cycles, idle/live accounting,
 /// distributions, and every event counter — across benchmarks, MMU
-/// models, a throttling scheduler, and TBC.
+/// models, a throttling scheduler, and TBC. The per-cycle loop is the
+/// referee.
 #[test]
 fn execution_engines_are_observably_equivalent() {
     type Configure = fn(&mut GpuConfig);
@@ -151,7 +152,7 @@ fn execution_engines_are_observably_equivalent() {
         }),
     ];
 
-    // Serial reference: tick-every-cycle, one point at a time.
+    // Referee: tick-every-cycle, one point at a time.
     let mut reference = Vec::new();
     {
         let mut r = Runner::new(ExperimentOpts {
@@ -166,7 +167,7 @@ fn execution_engines_are_observably_equivalent() {
         }
     }
 
-    // Idle-cycle skipping, still serial.
+    // Idle-cycle skipping, one point at a time.
     {
         let mut r = Runner::new(ExperimentOpts {
             jobs: 1,
@@ -178,91 +179,7 @@ fn execution_engines_are_observably_equivalent() {
         }
     }
 
-    // The parallel intra-run engine at 1, 2, and 4 run-threads must be
-    // bit-identical to the serial reference on every workload. One
-    // thread degenerates to the serial loop (the flag must be a no-op);
-    // two and four exercise worker claiming, the ordered memory gate,
-    // and the per-core trace merge.
-    for threads in [1usize, 2, 4] {
-        let mut r = Runner::new(ExperimentOpts {
-            jobs: 1,
-            ..ExperimentOpts::quick()
-        });
-        for (i, (bench, name, configure)) in matrix.iter().enumerate() {
-            let s = r.run(*bench, |c| {
-                configure(c);
-                c.engine = EngineKind::Parallel;
-                c.run_threads = threads;
-            });
-            assert_same(
-                &reference[i],
-                &s,
-                &format!("{bench}/{name} parallel run_threads={threads}"),
-            );
-        }
-    }
-
-    // The event-calendar engine jumps straight between scheduled wake
-    // cycles and only ticks the cores whose events fire; it must be
-    // bit-identical to the serial reference on every workload.
-    {
-        let mut r = Runner::new(ExperimentOpts {
-            jobs: 1,
-            ..ExperimentOpts::quick()
-        });
-        for (i, (bench, name, configure)) in matrix.iter().enumerate() {
-            let s = r.run(*bench, |c| {
-                configure(c);
-                c.engine = EngineKind::Event;
-            });
-            assert_same(&reference[i], &s, &format!("{bench}/{name} event"));
-        }
-    }
-
-    // Event engine under the tick-every-cycle escape hatch: the flag
-    // forces the standard loop, which must still match.
-    {
-        let mut r = Runner::new(ExperimentOpts {
-            jobs: 1,
-            ..ExperimentOpts::quick()
-        });
-        for (i, (bench, name, configure)) in matrix.iter().enumerate() {
-            let s = r.run(*bench, |c| {
-                configure(c);
-                c.engine = EngineKind::Event;
-                c.tick_every_cycle = true;
-            });
-            assert_same(
-                &reference[i],
-                &s,
-                &format!("{bench}/{name} event+tick-every-cycle"),
-            );
-        }
-    }
-
-    // Parallel engine under the tick-every-cycle global loop: the two
-    // knobs are orthogonal and must compose.
-    {
-        let mut r = Runner::new(ExperimentOpts {
-            jobs: 1,
-            ..ExperimentOpts::quick()
-        });
-        for (i, (bench, name, configure)) in matrix.iter().enumerate() {
-            let s = r.run(*bench, |c| {
-                configure(c);
-                c.engine = EngineKind::Parallel;
-                c.run_threads = 2;
-                c.tick_every_cycle = true;
-            });
-            assert_same(
-                &reference[i],
-                &s,
-                &format!("{bench}/{name} parallel+tick-every-cycle"),
-            );
-        }
-    }
-
-    // Parallel sweep, both engines.
+    // Parallel sweep, both loops.
     for legacy in [false, true] {
         let mut r = Runner::new(ExperimentOpts {
             jobs: 4,
@@ -279,11 +196,11 @@ fn execution_engines_are_observably_equivalent() {
                 .to_vec()
         });
         for (i, (bench, name, _)) in matrix.iter().enumerate() {
-            let engine = if legacy { "tick-every-cycle" } else { "skip" };
+            let mode = if legacy { "tick-every-cycle" } else { "skip" };
             assert_same(
                 &reference[i],
                 &stats[i],
-                &format!("{bench}/{name} sweep+{engine}"),
+                &format!("{bench}/{name} sweep+{mode}"),
             );
         }
     }
@@ -292,7 +209,7 @@ fn execution_engines_are_observably_equivalent() {
 /// Attaching the observation instruments must not perturb a run: full
 /// `RunStats` (stall breakdown included) bit-identical with tracing and
 /// interval sampling on versus off, the emitted trace and time-series
-/// identical across the per-cycle and idle-skip engines, and the trace
+/// identical across the per-cycle and idle-skip loops, and the trace
 /// non-empty with the spans the MMU work cares about.
 #[test]
 fn observation_is_invisible_and_engine_independent() {
@@ -365,65 +282,21 @@ fn observation_is_invisible_and_engine_independent() {
         assert_eq!(
             obs.tracer.buffer(),
             obs_legacy.tracer.buffer(),
-            "{bench}/{name}: trace differs across engines"
+            "{bench}/{name}: trace differs across loops"
         );
         assert_eq!(
             obs.intervals.as_ref().unwrap().samples(),
             obs_legacy.intervals.as_ref().unwrap().samples(),
-            "{bench}/{name}: interval series differs across engines"
-        );
-
-        // The parallel engine stages trace events per core and merges
-        // them in core-index order after each cycle: the emitted trace
-        // must be byte-identical to the serial one, not merely a
-        // permutation.
-        let mut par_cfg = cfg.clone();
-        par_cfg.engine = EngineKind::Parallel;
-        par_cfg.run_threads = 4;
-        let mut obs_par = observer();
-        let par = Gpu::new(par_cfg).run_observed(w.kernel.as_ref(), &w.space, &mut obs_par);
-        assert_same(
-            &observed,
-            &par,
-            &format!("{bench}/{name} parallel observed"),
-        );
-        assert_eq!(
-            obs.tracer.buffer(),
-            obs_par.tracer.buffer(),
-            "{bench}/{name}: trace differs under the parallel engine"
-        );
-        assert_eq!(
-            obs.intervals.as_ref().unwrap().samples(),
-            obs_par.intervals.as_ref().unwrap().samples(),
-            "{bench}/{name}: interval series differs under the parallel engine"
-        );
-
-        // The event-calendar engine visits only event cycles, yet the
-        // spans it emits and the interval series it samples must be
-        // byte-identical to the per-cycle engines' output.
-        let mut ev_cfg = cfg.clone();
-        ev_cfg.engine = EngineKind::Event;
-        let mut obs_ev = observer();
-        let ev = Gpu::new(ev_cfg).run_observed(w.kernel.as_ref(), &w.space, &mut obs_ev);
-        assert_same(&observed, &ev, &format!("{bench}/{name} event observed"));
-        assert_eq!(
-            obs.tracer.buffer(),
-            obs_ev.tracer.buffer(),
-            "{bench}/{name}: trace differs under the event engine"
-        );
-        assert_eq!(
-            obs.intervals.as_ref().unwrap().samples(),
-            obs_ev.intervals.as_ref().unwrap().samples(),
-            "{bench}/{name}: interval series differs under the event engine"
+            "{bench}/{name}: interval series differs across loops"
         );
     }
 }
 
 /// The metrics channel must be invisible to the simulation — full
-/// `RunStats` bit-identical with metrics on versus an unobserved run on
-/// every engine — and the versioned snapshot it renders must be
-/// byte-identical across the serial, parallel, and event engines (the
-/// sink folds are commutative, so drain order cannot leak through).
+/// `RunStats` bit-identical with metrics on versus an unobserved run
+/// under both loops — and the versioned snapshot it renders must be
+/// byte-identical across the skip and per-cycle loops (the sink folds
+/// are commutative, so drain order cannot leak through).
 #[test]
 fn metrics_channel_is_invisible_and_snapshots_are_engine_invariant() {
     type Configure = fn(&mut GpuConfig);
@@ -439,14 +312,9 @@ fn metrics_channel_is_invisible_and_snapshots_are_engine_invariant() {
         let plain = Gpu::new(cfg.clone()).run(w.kernel.as_ref(), &w.space);
 
         let mut snapshots: Vec<String> = Vec::new();
-        for (label, engine, threads) in [
-            ("serial", EngineKind::Serial, 1usize),
-            ("parallel", EngineKind::Parallel, 4),
-            ("event", EngineKind::Event, 1),
-        ] {
+        for (label, tick_every_cycle) in [("skip", false), ("per-cycle", true)] {
             let mut e_cfg = cfg.clone();
-            e_cfg.engine = engine;
-            e_cfg.run_threads = threads;
+            e_cfg.tick_every_cycle = tick_every_cycle;
             let mut obs = Observer::off();
             obs.metrics = Metrics::recording();
             let mut gpu = Gpu::new(e_cfg);
@@ -471,11 +339,7 @@ fn metrics_channel_is_invisible_and_snapshots_are_engine_invariant() {
         }
         assert_eq!(
             snapshots[0], snapshots[1],
-            "{bench}/{name}: parallel snapshot differs from serial"
-        );
-        assert_eq!(
-            snapshots[0], snapshots[2],
-            "{bench}/{name}: event snapshot differs from serial"
+            "{bench}/{name}: per-cycle snapshot differs from skip"
         );
         assert!(
             snapshots[0].contains("\"schema\": \"gmmu-metrics\""),

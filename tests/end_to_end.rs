@@ -8,31 +8,28 @@ fn quick() -> Runner {
     Runner::new(ExperimentOpts::quick())
 }
 
-fn quick_event() -> Runner {
-    let mut opts = ExperimentOpts::quick();
-    opts.engine = EngineKind::Event;
-    Runner::new(opts)
-}
-
-/// Engine choice is presentation, not machine: every figure invariant
-/// above holds on `--engine event` because the event engine reproduces
-/// the serial engine bit for bit — checked here across every workload,
-/// the naive and augmented MMUs, and the TBC / TA-CCWS features.
+/// The drive loop is presentation, not machine: every figure invariant
+/// holds under `GMMU_TICK_EVERY_CYCLE` because the per-cycle referee
+/// reproduces the idle-skipping loop bit for bit — checked here across
+/// every workload, the naive and augmented MMUs, and the TBC / TA-CCWS
+/// features.
 #[test]
-fn event_engine_reproduces_serial_results_end_to_end() {
-    let mut serial = quick();
-    let mut event = quick_event();
+fn per_cycle_loop_reproduces_skip_results_end_to_end() {
+    let mut r = quick();
     for b in Bench::all() {
         for (name, model) in [
             ("naive3", designs::naive3()),
             ("augmented", designs::augmented()),
         ] {
-            let s = serial.run(b, |c| c.mmu = model);
-            let e = event.run(b, |c| c.mmu = model);
-            let diff = s.diff(&e);
+            let s = r.run(b, |c| c.mmu = model);
+            let t = r.run(b, |c| {
+                c.mmu = model;
+                c.tick_every_cycle = true;
+            });
+            let diff = s.diff(&t);
             assert!(
                 diff.is_empty(),
-                "{b}/{name}: event engine diverged from serial in {diff:?}"
+                "{b}/{name}: per-cycle loop diverged from skip in {diff:?}"
             );
         }
     }
@@ -48,12 +45,15 @@ fn event_engine_reproduces_serial_results_end_to_end() {
         }),
     ];
     for (name, configure) in features {
-        let s = serial.run(Bench::Mummergpu, configure);
-        let e = event.run(Bench::Mummergpu, configure);
-        let diff = s.diff(&e);
+        let s = r.run(Bench::Mummergpu, configure);
+        let t = r.run(Bench::Mummergpu, |c| {
+            configure(c);
+            c.tick_every_cycle = true;
+        });
+        let diff = s.diff(&t);
         assert!(
             diff.is_empty(),
-            "mummergpu/{name}: event engine diverged from serial in {diff:?}"
+            "mummergpu/{name}: per-cycle loop diverged from skip in {diff:?}"
         );
     }
 }

@@ -55,43 +55,26 @@ fn all_benches_complete_fully_demand_paged() {
     }
 }
 
-/// Demand-paged runs are deterministic and engine-independent: the
-/// tick-every-cycle loop, the idle-cycle-skipping engine, the parallel
-/// intra-run engine, and the event-calendar engine service the same
-/// fault schedule on the same cycles.
+/// Demand-paged runs are deterministic and loop-independent: the
+/// idle-cycle-skipping loop services the same fault schedule on the
+/// same cycles as the tick-every-cycle referee.
 #[test]
 fn demand_paged_runs_agree_across_engines() {
     let inject = FaultInjectConfig::demand_paged(0xfa57);
     for bench in [Bench::Bfs, Bench::Kmeans] {
-        let run_with = |engine: EngineKind, legacy: bool, threads: usize| {
+        let run_with = |legacy: bool| {
             let (w, _) = build_demand_paged(bench, Scale::Tiny, 7, &inject);
             let mut cfg = faulting_cfg(Some(inject));
             cfg.tick_every_cycle = legacy;
-            cfg.engine = engine;
-            cfg.run_threads = threads;
             run_faulted(w, cfg)
         };
-        let skip = run_with(EngineKind::Serial, false, 1);
-        let tick = run_with(EngineKind::Serial, true, 1);
-        let par = run_with(EngineKind::Parallel, false, 2);
-        let event = run_with(EngineKind::Event, false, 1);
-        for (other, engine) in [
-            (&tick, "tick-every-cycle"),
-            (&par, "parallel"),
-            (&event, "event"),
-        ] {
-            assert_eq!(
-                skip.cycles, other.cycles,
-                "{bench}: {engine} engine disagrees"
-            );
-            assert_eq!(skip.instructions, other.instructions);
-            assert_eq!(skip.idle_cycles, other.idle_cycles);
-            assert_eq!(skip.stall_breakdown, other.stall_breakdown);
-            assert_eq!(skip.faults, other.faults);
-            assert_eq!(skip.shootdowns, other.shootdowns);
-            assert_eq!(skip.squashed_walks, other.squashed_walks);
-            assert_eq!(skip.watchdog_fired, other.watchdog_fired);
-        }
+        let skip = run_with(false);
+        let tick = run_with(true);
+        let diff = skip.diff(&tick);
+        assert!(
+            diff.is_empty(),
+            "{bench}: per-cycle loop disagrees in {diff:?}"
+        );
         assert!(
             skip.stall_breakdown.get(StallCause::FaultService) > 0,
             "{bench}: parked warps must be attributed to fault service"
@@ -111,21 +94,20 @@ fn shootdown_storms_flush_and_replay() {
     let n_cores = cfg.n_cores as u64;
     let stats = run_faulted(w, cfg.clone());
 
-    // The event engine schedules the storm itself as a calendar event;
-    // the squash/flush/replay cascade must land on the same cycles.
-    let event = {
+    // The skip loop folds the storm schedule into its jump target; the
+    // squash/flush/replay cascade must land on the same cycles as
+    // under the per-cycle referee.
+    let tick = {
         let w = build(Bench::Kmeans, Scale::Tiny, 7);
         let mut cfg = cfg;
-        cfg.engine = EngineKind::Event;
+        cfg.tick_every_cycle = true;
         run_faulted(w, cfg)
     };
-    assert_eq!(
-        stats.cycles, event.cycles,
-        "event engine disagrees on storms"
+    let diff = stats.diff(&tick);
+    assert!(
+        diff.is_empty(),
+        "per-cycle loop disagrees on storms in {diff:?}"
     );
-    assert_eq!(stats.shootdowns, event.shootdowns);
-    assert_eq!(stats.squashed_walks, event.squashed_walks);
-    assert_eq!(stats.stall_breakdown, event.stall_breakdown);
     assert!(stats.completed, "storm run hit the cycle cap");
     assert!(!stats.watchdog_fired);
     assert!(stats.shootdowns > 0, "no core observed a shootdown");
@@ -160,66 +142,48 @@ fn mixed_fault_smoke_completes() {
     assert!(!stats.watchdog_fired);
     assert!(stats.faults > 0);
 
-    // Same mixed-fault soup through the event engine.
-    let event = {
+    // Same mixed-fault soup under the per-cycle referee.
+    let tick = {
         let (w, _) = build_demand_paged(Bench::Pathfinder, Scale::Tiny, 7, &inject);
         let mut cfg = faulting_cfg(Some(inject));
-        cfg.engine = EngineKind::Event;
+        cfg.tick_every_cycle = true;
         run_faulted(w, cfg)
     };
-    assert_eq!(
-        stats.cycles, event.cycles,
-        "event engine disagrees on smoke"
+    let diff = stats.diff(&tick);
+    assert!(
+        diff.is_empty(),
+        "per-cycle loop disagrees on smoke in {diff:?}"
     );
-    assert_eq!(stats.faults, event.faults);
-    assert_eq!(stats.instructions, event.instructions);
 }
 
 /// When a fault can never resolve — here, a read-only space the handler
 /// cannot map into — the run must not hang: warps stay parked, the
 /// watchdog detects the lack of forward progress, and the run fails
-/// with `watchdog_fired` at the same cycle on every engine.
+/// with `watchdog_fired` at the same cycle under both loops.
 #[test]
 fn watchdog_fires_when_faults_cannot_resolve() {
     let inject = FaultInjectConfig::demand_paged(0xfa57);
-    let run_with = |engine: EngineKind, legacy: bool, threads: usize| {
+    let run_with = |legacy: bool| {
         let (w, unmapped) = build_demand_paged(Bench::Bfs, Scale::Tiny, 7, &inject);
         assert!(unmapped > 0);
         let mut cfg = faulting_cfg(Some(inject));
         cfg.fault.watchdog = 50_000;
         cfg.tick_every_cycle = legacy;
-        cfg.engine = engine;
-        cfg.run_threads = threads;
         // Shared space: demand paging is on, but the handler has nothing
         // it may map into.
         Gpu::new(cfg).run(w.kernel.as_ref(), &w.space)
     };
-    let skip = run_with(EngineKind::Serial, false, 1);
+    let skip = run_with(false);
     assert!(skip.watchdog_fired, "watchdog never fired");
     assert!(!skip.completed, "a watchdog kill is not a completion");
     assert!(
         skip.stall_breakdown.get(StallCause::FaultService) > 0,
         "the stalled tail must be attributed to fault service"
     );
-    let tick = run_with(EngineKind::Serial, true, 1);
-    assert_eq!(
-        skip.cycles, tick.cycles,
-        "engines disagree on the kill cycle"
-    );
+    let tick = run_with(true);
+    assert_eq!(skip.cycles, tick.cycles, "loops disagree on the kill cycle");
     assert!(tick.watchdog_fired);
-    let par = run_with(EngineKind::Parallel, false, 4);
-    assert_eq!(
-        skip.cycles, par.cycles,
-        "parallel engine disagrees on the kill cycle"
-    );
-    assert!(par.watchdog_fired);
-    let event = run_with(EngineKind::Event, false, 1);
-    assert_eq!(
-        skip.cycles, event.cycles,
-        "event engine disagrees on the kill cycle"
-    );
-    assert!(event.watchdog_fired);
-    assert_eq!(skip.stall_breakdown, event.stall_breakdown);
+    assert_eq!(skip.stall_breakdown, tick.stall_breakdown);
 }
 
 /// Arming the fault model without any injection must be invisible: a
@@ -254,7 +218,7 @@ fn armed_but_fault_free_is_bit_identical() {
 /// Cross-tenant shootdown storms: storms raised against one tenant's
 /// address space squash in-flight walks and flush only that ASID's
 /// entries, every tenant still commits exactly its storm-free work, and
-/// the serial and event engines agree on the whole cascade.
+/// the skip and per-cycle loops agree on the whole cascade.
 #[test]
 fn cross_tenant_storms_squash_and_replay() {
     use gmmu_simt::{TenantJob, TenantPolicy};
@@ -265,9 +229,9 @@ fn cross_tenant_storms_squash_and_replay() {
         watchdog: 2_000_000,
         ..TenantPolicy::default()
     };
-    let run_with = |inject: Option<FaultInjectConfig>, engine: EngineKind| {
+    let run_with = |inject: Option<FaultInjectConfig>, legacy: bool| {
         let mut cfg = faulting_cfg(inject);
-        cfg.engine = engine;
+        cfg.tick_every_cycle = legacy;
         let mut built = scenario(2, Scale::Tiny, 7, true).build();
         let mut jobs: Vec<TenantJob<'_>> = built
             .iter_mut()
@@ -279,25 +243,23 @@ fn cross_tenant_storms_squash_and_replay() {
         Gpu::new(cfg).run_tenants(&mut jobs, policy, &mut Observer::off())
     };
 
-    let stats = run_with(Some(inject), EngineKind::Serial);
+    let stats = run_with(Some(inject), false);
     assert!(stats.completed, "storm scenario hit the cycle cap");
     assert!(!stats.watchdog_fired);
     assert!(stats.shootdowns > 0, "no core observed a shootdown");
     assert!(stats.squashed_walks > 0, "no walk was squashed");
     assert_eq!(stats.tenants.len(), 2);
 
-    let event = run_with(Some(inject), EngineKind::Event);
-    assert_eq!(
-        stats.cycles, event.cycles,
-        "event engine disagrees on cross-tenant storms"
+    let tick = run_with(Some(inject), true);
+    let diff = stats.diff(&tick);
+    assert!(
+        diff.is_empty(),
+        "per-cycle loop disagrees on cross-tenant storms in {diff:?}"
     );
-    assert_eq!(stats.shootdowns, event.shootdowns);
-    assert_eq!(stats.squashed_walks, event.squashed_walks);
-    assert_eq!(stats.tenants, event.tenants);
 
     // Storms perturb timing only: each tenant's committed work matches
     // the storm-free run of the same scenario.
-    let clean = run_with(None, EngineKind::Serial);
+    let clean = run_with(None, false);
     assert!(clean.completed);
     for (s, c) in stats.tenants.iter().zip(clean.tenants.iter()) {
         assert_eq!(

@@ -1,5 +1,6 @@
 //! Multi-tenant robustness end-to-end: N concurrent address spaces on
-//! one GPU, bit-identical across engines under adversarial fault and
+//! one GPU, bit-identical across the skip and per-cycle loops under
+//! adversarial fault and
 //! shootdown schedules, with per-tenant accounting, fairness, and the
 //! starvation watchdog (DESIGN.md §13).
 
@@ -63,20 +64,18 @@ fn run_scenario(
 
 /// The acceptance scenario: a 4-tenant Zipf mix with a thrashing
 /// memcached tenant, demand paging, walk delays, rejections, and
-/// cross-tenant shootdown storms — completing on all three engines
+/// cross-tenant shootdown storms — completing under both loops
 /// bit-identically (stats, per-tenant slice, and metrics snapshot) with
 /// no watchdog kill. A 2-tenant mix rides the same matrix.
 #[test]
 fn tenant_storms_bit_identical_across_engines() {
     for n_tenants in [2usize, 4] {
-        let run_with = |engine: EngineKind, legacy: bool, threads: usize| {
+        let run_with = |legacy: bool| {
             let mut cfg = mt_cfg(Some(FaultInjectConfig::smoke(0xfa57)));
-            cfg.engine = engine;
             cfg.tick_every_cycle = legacy;
-            cfg.run_threads = threads;
             run_scenario(n_tenants, 7, &cfg, generous_policy())
         };
-        let (skip, snap_skip) = run_with(EngineKind::Serial, false, 1);
+        let (skip, snap_skip) = run_with(false);
         assert!(skip.completed, "{n_tenants}T hit the cycle cap");
         assert!(!skip.watchdog_fired, "{n_tenants}T tripped the watchdog");
         assert_eq!(skip.tenants.len(), n_tenants);
@@ -97,19 +96,12 @@ fn tenant_storms_bit_identical_across_engines() {
             assert!(t.finished_at <= skip.cycles);
         }
 
-        for (engine, legacy, threads, name) in [
-            (EngineKind::Serial, true, 1, "tick-every-cycle"),
-            (EngineKind::Parallel, false, 2, "parallel"),
-            (EngineKind::Parallel, false, 4, "parallel-4"),
-            (EngineKind::Event, false, 1, "event"),
-        ] {
-            let (other, snap_other) = run_with(engine, legacy, threads);
-            assert_same(&skip, &other, &format!("{n_tenants}T {name}"));
-            assert_eq!(
-                snap_skip, snap_other,
-                "{n_tenants}T {name}: metrics snapshot diverged"
-            );
-        }
+        let (tick, snap_tick) = run_with(true);
+        assert_same(&skip, &tick, &format!("{n_tenants}T tick-every-cycle"));
+        assert_eq!(
+            snap_skip, snap_tick,
+            "{n_tenants}T tick-every-cycle: metrics snapshot diverged"
+        );
     }
 }
 
@@ -177,14 +169,13 @@ fn tagged_is_fairer_than_flush_on_switch() {
 }
 
 /// When a tenant's faults outlast the per-tenant deadline, the
-/// starvation watchdog kills the run — on the same cycle on every
-/// engine — and the kill is not a completion.
+/// starvation watchdog kills the run — on the same cycle under both
+/// loops — and the kill is not a completion.
 #[test]
 fn per_tenant_watchdog_kills_deterministically() {
-    let run_with = |engine: EngineKind, threads: usize| {
+    let run_with = |legacy: bool| {
         let mut cfg = mt_cfg(Some(FaultInjectConfig::demand_paged(0xfa57)));
-        cfg.engine = engine;
-        cfg.run_threads = threads;
+        cfg.tick_every_cycle = legacy;
         // Major faults take 30k cycles; a 5k-cycle per-tenant deadline
         // must catch a tenant parked on one.
         let policy = TenantPolicy {
@@ -219,18 +210,11 @@ fn per_tenant_watchdog_kills_deterministically() {
             .collect();
         Gpu::new(cfg).run_tenants(&mut jobs, policy, &mut Observer::off())
     };
-    let serial = run_with(EngineKind::Serial, 1);
-    assert!(serial.watchdog_fired, "per-tenant watchdog never fired");
-    assert!(!serial.completed, "a watchdog kill is not a completion");
-    let parallel = run_with(EngineKind::Parallel, 2);
-    let event = run_with(EngineKind::Event, 1);
-    for (other, name) in [(&parallel, "parallel"), (&event, "event")] {
-        assert_eq!(
-            serial.cycles, other.cycles,
-            "{name} engine disagrees on the kill cycle"
-        );
-        assert!(other.watchdog_fired);
-    }
+    let skip = run_with(false);
+    assert!(skip.watchdog_fired, "per-tenant watchdog never fired");
+    assert!(!skip.completed, "a watchdog kill is not a completion");
+    let tick = run_with(true);
+    assert_same(&skip, &tick, "tick-every-cycle kill");
 }
 
 /// Satellite 1: the metrics snapshot of a multi-tenant run carries the

@@ -1,8 +1,8 @@
 //! Trace capture/replay conformance: a run recorded to a GMTR trace and
-//! replayed through any execution engine must reproduce the captured
-//! run's statistics bit-identically — with and without fault injection —
-//! and the format must refuse foreign, truncated, tampered, or
-//! future-versioned files. Committed golden fixtures pin the byte format
+//! replayed under either drive loop (idle-skipping or per-cycle) must
+//! reproduce the captured run's statistics bit-identically — with and
+//! without fault injection — and the format must refuse foreign,
+//! truncated, tampered, or other-versioned files. Committed golden fixtures pin the byte format
 //! itself: re-capturing a replayed golden run must reproduce the
 //! committed file byte for byte.
 
@@ -30,19 +30,16 @@ fn capture(bench: Bench, cfg: &GpuConfig) -> (Vec<u8>, RunStats) {
     (trace.encode(), stats)
 }
 
-/// Replays `bytes` on each engine; every replay must match the stats
-/// embedded in the trace exactly (ignoring `wall_s`).
+/// The two drive loops every replay runs under.
+const LOOPS: [(&str, bool); 2] = [("skip", false), ("per-cycle", true)];
+
+/// Replays `bytes` under each drive loop; every replay must match the
+/// stats embedded in the trace exactly (ignoring `wall_s`).
 fn assert_replays_match(bytes: &[u8], what: &str) {
     let trace = Trace::decode(bytes).expect("trace decodes");
-    let engines = [
-        ("serial", EngineKind::Serial, 0),
-        ("parallel", EngineKind::Parallel, 2),
-        ("event", EngineKind::Event, 0),
-    ];
-    for (name, engine, threads) in engines {
+    for (name, tick_every_cycle) in LOOPS {
         let mut cfg = trace.launch.config.clone();
-        cfg.engine = engine;
-        cfg.run_threads = threads;
+        cfg.tick_every_cycle = tick_every_cycle;
         let replayed = replay_run(&trace, &cfg).expect("replay runs");
         let diff = trace.stats.diff(&replayed);
         assert!(
@@ -73,7 +70,7 @@ fn capture_does_not_perturb_the_run() {
 }
 
 /// Replaying a trace while recording it again must reproduce the
-/// original file byte for byte: the canonical record order is engine-
+/// original file byte for byte: the canonical record order is loop-
 /// independent and the launch section survives the round trip.
 #[test]
 fn recapturing_a_replay_is_byte_identical() {
@@ -112,15 +109,19 @@ fn trace_refuses_foreign_truncated_or_tampered_files() {
     foreign[..4].copy_from_slice(b"GMCK");
     assert_eq!(Trace::decode(&foreign).unwrap_err(), CkptError::BadMagic);
 
-    // A future format version (version 1 is the single varint byte at
-    // offset 4).
-    let mut future = bytes.clone();
-    assert_eq!(future[4], 1);
-    future[4] = 2;
-    assert_eq!(
-        Trace::decode(&future).unwrap_err(),
-        CkptError::BadVersion(2)
-    );
+    // Any other format version is refused before the payload is read
+    // (the version is the single varint byte at offset 4): a GMTR v1
+    // file, whose launch configuration still carried the engine
+    // fields, and a future version.
+    assert_eq!(bytes[4], 2);
+    for version in [1u8, 3] {
+        let mut other = bytes.clone();
+        other[4] = version;
+        assert_eq!(
+            Trace::decode(&other).unwrap_err(),
+            CkptError::BadVersion(version as u32)
+        );
+    }
 
     // Any flipped bit in the launch section is a fingerprint mismatch.
     let mut tampered = bytes.clone();
@@ -141,8 +142,8 @@ fn trace_refuses_foreign_truncated_or_tampered_files() {
 }
 
 /// The committed golden fixtures decode, re-encode byte-identically,
-/// replay to their embedded stats on every engine, and re-capture to
-/// the committed bytes. This pins the GMTR v1 byte format: an
+/// replay to their embedded stats under both loops, and re-capture to
+/// the committed bytes. This pins the GMTR v2 byte format: an
 /// accidental layout change fails here even if round-trip tests still
 /// pass against the changed code.
 #[test]
@@ -176,8 +177,8 @@ fn golden_fixtures_replay_and_recapture_byte_identically() {
 
 /// The committed metrics snapshot fixture pins the snapshot JSON schema:
 /// replaying the golden pathfinder trace with the metrics channel on
-/// must reproduce `metrics_pathfinder_tiny.json` byte for byte, on every
-/// engine. A schema change (new field, renamed instrument, different
+/// must reproduce `metrics_pathfinder_tiny.json` byte for byte, under
+/// both loops. A schema change (new field, renamed instrument, different
 /// float formatting) fails here and forces a deliberate fixture bump via
 /// `GMMU_EMIT_GOLDEN`.
 #[test]
@@ -188,14 +189,9 @@ fn golden_metrics_snapshot_matches_committed_fixture() {
     let golden = std::fs::read_to_string(format!("{dir}/metrics_pathfinder_tiny.json"))
         .expect("missing golden fixture metrics_pathfinder_tiny.json");
     let trace = Trace::decode(&bytes).expect("golden fixture decodes");
-    for (name, engine, threads) in [
-        ("serial", EngineKind::Serial, 0),
-        ("parallel", EngineKind::Parallel, 2),
-        ("event", EngineKind::Event, 0),
-    ] {
+    for (name, tick_every_cycle) in LOOPS {
         let mut cfg = trace.launch.config.clone();
-        cfg.engine = engine;
-        cfg.run_threads = threads;
+        cfg.tick_every_cycle = tick_every_cycle;
         let mut obs = Observer::off();
         obs.metrics = Metrics::recording();
         let (_, snapshot) = replay_run_observed(&trace, &cfg, &mut obs).expect("replay runs");
@@ -209,9 +205,9 @@ fn golden_metrics_snapshot_matches_committed_fixture() {
 
 /// Multi-tenant capture/replay conformance: a 2-tenant Zipf scenario
 /// under the mixed fault soup, captured to a GMTM container, must
-/// replay bit-identically (combined stats *and* per-tenant slice) on
-/// all three engines, and re-encoding the decoded trace reproduces the
-/// bytes.
+/// replay bit-identically (combined stats *and* per-tenant slice) under
+/// both loops, and re-encoding the decoded trace reproduces the bytes.
+/// A GMTM v1 container is refused by version.
 #[test]
 fn multitenant_capture_replay_round_trips() {
     use gmmu_simt::TenantPolicy;
@@ -247,15 +243,17 @@ fn multitenant_capture_replay_round_trips() {
     let back = MultiTrace::decode(&bytes).expect("GMTM decodes");
     assert_eq!(back.encode(), bytes, "re-encode is not byte-identical");
     assert_eq!(back.stats.tenants, stats.tenants);
+    let mut v1 = bytes.clone();
+    assert_eq!(v1[4], 2);
+    v1[4] = 1;
+    assert_eq!(
+        MultiTrace::decode(&v1).unwrap_err(),
+        CkptError::BadVersion(1)
+    );
 
-    for (name, engine, threads) in [
-        ("serial", EngineKind::Serial, 0),
-        ("parallel", EngineKind::Parallel, 2),
-        ("event", EngineKind::Event, 0),
-    ] {
+    for (name, tick_every_cycle) in LOOPS {
         let mut rcfg = back.tenants[0].launch.config.clone();
-        rcfg.engine = engine;
-        rcfg.run_threads = threads;
+        rcfg.tick_every_cycle = tick_every_cycle;
         let (replayed, _) =
             replay_tenants(&back, &rcfg, &mut Observer::off()).expect("GMTM replays");
         let diff = back.stats.diff(&replayed);
