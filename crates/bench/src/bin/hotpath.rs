@@ -1,23 +1,23 @@
-//! Microbenchmarks of the simulator's hot-path data structures, with
-//! linear-scan reference implementations alongside so the wins from the
-//! indexed variants are measured, not assumed. Self-contained timing
-//! harness (no external benchmarking crates), same batch-and-best idiom
-//! as `benches/simulator.rs`. Results are printed as a table and
-//! written to `BENCH_hotpath.json`.
+//! Timing harness for the simulator's hot-path components and its
+//! drive loop. Self-contained (no external benchmarking crates): each
+//! micro-benchmark runs in calibrated batches and the best batch is
+//! reported, which suppresses scheduler noise on a shared machine.
+//! Results are printed as a table and written to `BENCH_hotpath.json`.
+//! Run with `cargo run --release -p gmmu-bench --bin hotpath`.
 //!
 //! Covered:
-//! * `Tlb::lookup` — set-indexed lookup vs. a full-scan TLB of the
-//!   same geometry and replacement policy;
-//! * the MSHR file — lazy min-heap `expire`/`earliest_completion` vs. a
-//!   map-scan reference (the shape the code had before the heap);
+//! * `Tlb::lookup` on a set-indexed TLB, and `Mmu::translate` on an
+//!   all-hit page through the MMU front door;
+//! * the MSHR file's per-cycle `expire`/`earliest_completion` pair;
 //! * the coalescer's linear-scan dedup inner loop, coalesced and
 //!   divergent warps;
+//! * a shared-memory-system access (L2 slice + DRAM channel model);
 //! * `ShaderCore::next_event_at` — cached vs. recomputed every query
 //!   (the idle-skip loop queries every core on every skip attempt);
 //! * the drive loop end-to-end — `sim_cycles_per_sec` on a real
 //!   workload;
-//! * the arena page table vs. a boxed-per-node reference (the shape the
-//!   code had before the slab arena), on the translate path;
+//! * the arena page table's build, clone (the checkpoint path) and
+//!   translate paths;
 //! * allocation discipline — the binary installs a counting global
 //!   allocator and reports whole-run allocations per simulated
 //!   kilocycle (the machine-independent regression signal CI gates
@@ -25,11 +25,11 @@
 //! * a standard multi-tenant point — 4 co-running tenants under the
 //!   default ASID-tagged policy, `sim_cycles_per_sec` end to end.
 
-use gmmu_core::mmu::MmuModel;
+use gmmu_core::mmu::{Mmu, MmuModel, PageReq, TranslateBuf};
 use gmmu_core::tlb::{Tlb, TlbConfig};
 use gmmu_mem::mshr::{MshrFile, MshrOutcome};
-use gmmu_mem::{MemConfig, MemorySystem};
-use gmmu_sim::trace::Tracer;
+use gmmu_mem::{AccessKind, MemConfig, MemorySystem};
+use gmmu_sim::observe::Observer;
 use gmmu_simt::coalesce::{coalesce, CoalesceBuf};
 use gmmu_simt::core::ShaderCore;
 use gmmu_simt::program::{MemKind, Op, Program, ThreadId};
@@ -37,7 +37,6 @@ use gmmu_simt::{GpuConfig, Kernel};
 use gmmu_vm::frame::{FrameAlloc, FramePolicy};
 use gmmu_vm::PageTable;
 use gmmu_vm::{AddressSpace, PageSize, Ppn, Region, SpaceConfig, VAddr, Vpn};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -113,57 +112,14 @@ fn lcg(x: &mut u64) -> u64 {
 
 // ---------------------------------------------------------------- TLB
 
-/// A fully-associative full-scan TLB with the same LRU policy: the
-/// reference the set-indexed [`Tlb`] is measured against.
-struct LinearTlb {
-    entries: Vec<(Vpn, Ppn, u64)>, // (vpn, ppn, last_use)
-    capacity: usize,
-}
-
-impl LinearTlb {
-    fn new(capacity: usize) -> Self {
-        Self {
-            entries: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    fn lookup(&mut self, vpn: Vpn, stamp: u64) -> Option<Ppn> {
-        let hit = self.entries.iter_mut().find(|e| e.0 == vpn)?;
-        hit.2 = stamp;
-        Some(hit.1)
-    }
-
-    fn fill(&mut self, vpn: Vpn, ppn: Ppn, stamp: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
-            *e = (vpn, ppn, stamp);
-            return;
-        }
-        if self.entries.len() < self.capacity {
-            self.entries.push((vpn, ppn, stamp));
-            return;
-        }
-        let lru = self
-            .entries
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.2)
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        self.entries[lru] = (vpn, ppn, stamp);
-    }
-}
-
 /// 256-lookup batch over a hot set of 128 pages plus a cold tail, the
 /// mix a TLB-friendly workload presents.
 fn tlb_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
     const PAGES: u64 = 160; // 128 resident + misses to keep fills live
     let mut tlb = Tlb::new(TlbConfig::naive());
-    let mut linear = LinearTlb::new(TlbConfig::naive().entries);
     let mut stamp = 0u64;
     for p in 0..PAGES {
         tlb.fill(Vpn::new(p), Ppn::new(p), 0, stamp);
-        linear.fill(Vpn::new(p), Ppn::new(p), stamp);
         stamp += 1;
     }
     let mut x = 0x2545f4914f6cdd1du64;
@@ -184,46 +140,37 @@ fn tlb_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
     });
     results.push(("tlb_lookup_set_indexed_x256".into(), ns));
 
+    // One all-hit translation through the MMU front door (port
+    // arbitration, MSHR check, LRU stamp) on 64 warmed pages.
+    let mut space = AddressSpace::new(SpaceConfig::default());
+    let region = space
+        .map_region("bench", 16 << 20, PageSize::Base4K)
+        .expect("map");
+    let mut mem = MemorySystem::new(MemConfig::default());
+    let mut mmu = Mmu::new(MmuModel::augmented());
+    let mut buf = TranslateBuf::new();
+    let mut now = 0u64;
+    for i in 0..64u64 {
+        mmu.advance(now, &mut mem, &space);
+        let page = PageReq::new(region.at(i * 4096).vpn(), 0);
+        let _ = mmu.translate(now, 0, &[page], &space, &mut buf);
+        now += 2_000;
+    }
+    for _ in 0..16 {
+        mmu.advance(now, &mut mem, &space);
+        now += 2_000;
+    }
+    let mut i = 0u64;
     let ns = bench_ns(budget, || {
-        for &vpn in &seq {
-            stamp += 1;
-            match linear.lookup(vpn, stamp) {
-                Some(ppn) => {
-                    black_box(ppn);
-                }
-                None => linear.fill(vpn, Ppn::new(vpn.raw()), stamp),
-            }
-        }
+        let vpn = region.at((i % 64) * 4096).vpn();
+        i += 1;
+        now += 1;
+        black_box(mmu.translate(now, 0, &[PageReq::new(vpn, 0)], &space, &mut buf));
     });
-    results.push(("tlb_lookup_linear_ref_x256".into(), ns));
+    results.push(("mmu_translate_hit".into(), ns));
 }
 
 // --------------------------------------------------------------- MSHR
-
-/// Map-scan MSHR reference: `expire` walks every entry and
-/// `earliest_completion` scans for the minimum — the pre-heap shape.
-struct LinearMshr {
-    capacity: usize,
-    entries: HashMap<u64, u64>,
-}
-
-impl LinearMshr {
-    fn allocate(&mut self, key: u64) -> bool {
-        if self.entries.contains_key(&key) || self.entries.len() >= self.capacity {
-            return false;
-        }
-        self.entries.insert(key, u64::MAX);
-        true
-    }
-
-    fn expire(&mut self, now: u64) {
-        self.entries.retain(|_, done| *done > now);
-    }
-
-    fn earliest_completion(&self) -> u64 {
-        self.entries.values().copied().min().unwrap_or(u64::MAX)
-    }
-}
 
 /// One simulated-cycle's worth of MSHR traffic, repeated 256 times per
 /// iteration: allocate + retime a few keys, then the per-cycle
@@ -231,10 +178,6 @@ impl LinearMshr {
 fn mshr_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
     const KEYS: u64 = 24;
     let mut heap = MshrFile::new(32);
-    let mut linear = LinearMshr {
-        capacity: 32,
-        entries: HashMap::new(),
-    };
     let mut x = 0x9e3779b97f4a7c15u64;
     let mut now = 0u64;
     let ns = bench_ns(budget, || {
@@ -249,21 +192,6 @@ fn mshr_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
         }
     });
     results.push(("mshr_heap_cycle_x256".into(), ns));
-
-    let mut x = 0x9e3779b97f4a7c15u64;
-    let mut now = 0u64;
-    let ns = bench_ns(budget, || {
-        for _ in 0..256 {
-            now += 1;
-            let key = lcg(&mut x) % KEYS;
-            if linear.allocate(key) {
-                linear.entries.insert(key, now + 20 + lcg(&mut x) % 40);
-            }
-            linear.expire(now);
-            black_box(linear.earliest_completion());
-        }
-    });
-    results.push(("mshr_linear_ref_cycle_x256".into(), ns));
 }
 
 // ---------------------------------------------------------- Coalescer
@@ -288,6 +216,21 @@ fn coalesce_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
         black_box(buf.page_divergence());
     });
     results.push(("coalesce_warp_divergent".into(), ns));
+}
+
+// ------------------------------------------------------ Memory system
+
+/// One access to the shared memory system (L2 slice lookup plus the
+/// DRAM channel model on a miss) over a 100k-line footprint.
+fn memory_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
+    let mut mem = MemorySystem::new(MemConfig::default());
+    let (mut line, mut now) = (0u64, 0u64);
+    let ns = bench_ns(budget, || {
+        line += 7;
+        now += 1;
+        black_box(mem.access(now, line % 100_000, AccessKind::Load));
+    });
+    results.push(("shared_memory_access".into(), ns));
 }
 
 // ------------------------------------------------------ next_event_at
@@ -353,12 +296,12 @@ fn next_event_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
     core.push_block(0, 128);
     let mut mem = MemorySystem::new(MemConfig::default());
     let mut iters = vec![0u32; 128 * kernel.program.num_sites()];
-    let mut tracer = Tracer::Off;
+    let mut obs = Observer::off();
     // Tick into the middle of the run so walks, fills, and warp timers
     // are all in flight.
     let mut now = 0u64;
     while now < 300 && core.has_work() {
-        core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut tracer);
+        core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut obs);
         now += 1;
     }
     assert!(core.has_work(), "kernel drained before the measurement");
@@ -377,104 +320,15 @@ fn next_event_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
 
 // ----------------------------------------------------- Page-table arena
 
-/// Boxed-per-node radix page table: the pre-arena shape, where each
-/// interior node owns its own 512-entry `Vec` and descent chases a
-/// `Box` per level. Same tree fan-out and leaf payload as the real
-/// table so the comparison isolates the memory layout.
-struct NodeTable {
-    root: Box<RefNode>,
-}
-
-struct RefNode {
-    entries: Vec<RefEntry>,
-}
-
-enum RefEntry {
-    Empty,
-    Next(Box<RefNode>),
-    Leaf(u64),
-}
-
-impl RefNode {
-    fn empty() -> Box<RefNode> {
-        Box::new(RefNode {
-            entries: (0..512).map(|_| RefEntry::Empty).collect(),
-        })
-    }
-}
-
-impl NodeTable {
-    fn new() -> Self {
-        Self {
-            root: RefNode::empty(),
-        }
-    }
-
-    fn map(&mut self, vpn: u64, ppn: u64) {
-        let mut node = &mut self.root;
-        for level in (1..4).rev() {
-            let idx = ((vpn >> (9 * level)) & 511) as usize;
-            if !matches!(node.entries[idx], RefEntry::Next(_)) {
-                node.entries[idx] = RefEntry::Next(RefNode::empty());
-            }
-            let RefEntry::Next(next) = &mut node.entries[idx] else {
-                unreachable!()
-            };
-            node = next;
-        }
-        node.entries[(vpn & 511) as usize] = RefEntry::Leaf(ppn);
-    }
-
-    fn deep_clone(&self) -> NodeTable {
-        fn clone_node(node: &RefNode) -> Box<RefNode> {
-            Box::new(RefNode {
-                entries: node
-                    .entries
-                    .iter()
-                    .map(|e| match e {
-                        RefEntry::Empty => RefEntry::Empty,
-                        RefEntry::Next(n) => RefEntry::Next(clone_node(n)),
-                        RefEntry::Leaf(p) => RefEntry::Leaf(*p),
-                    })
-                    .collect(),
-            })
-        }
-        NodeTable {
-            root: clone_node(&self.root),
-        }
-    }
-
-    fn translate(&self, vpn: u64) -> Option<u64> {
-        let mut node = &self.root;
-        for level in (1..4).rev() {
-            let idx = ((vpn >> (9 * level)) & 511) as usize;
-            match &node.entries[idx] {
-                RefEntry::Next(next) => node = next,
-                _ => return None,
-            }
-        }
-        match node.entries[(vpn & 511) as usize] {
-            RefEntry::Leaf(ppn) => Some(ppn),
-            _ => None,
-        }
-    }
-}
-
-/// Arena vs. boxed-node page table on the three paths that matter:
+/// The arena page table on the three paths that matter:
 ///
-/// * **build** — mapping 16384 pages (37 nodes) into a bare table.
-///   Wall time slightly favours the reference (the real `map` checks
-///   alignment/overlap and allocates simulated frames); the decisive
-///   number is the *allocation count*, reported separately: the arena
-///   grows one slab under amortized doubling, the node reference
-///   allocates a `Box` plus a 512-entry `Vec` per node.
+/// * **build** — mapping 16384 pages (37 nodes) into a bare table; its
+///   allocation count is reported separately (the arena grows one slab
+///   under amortized doubling).
 /// * **clone** — the checkpoint path (`Ckpt::save` snapshots address
-///   spaces). The arena clones as one flat memcpy; the reference deep
-///   clones the tree, re-allocating every node.
-/// * **translate** — 256 random lookups. Reported for completeness;
-///   this path only runs in workload setup and trace replay (the sim
-///   walks via `walk()`), and on an L1-hot table the reference's
-///   leaner per-level code wins — the arena is not a latency play.
+///   spaces): one flat memcpy.
+/// * **translate** — 256 random lookups. This path only runs in
+///   workload setup and trace replay (the sim walks via `walk()`).
 fn page_table_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
     const PAGES: u64 = 1 << 14;
     let mut space = AddressSpace::new(SpaceConfig::default());
@@ -482,11 +336,6 @@ fn page_table_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
         .map_region("arena", PAGES << 12, PageSize::Base4K)
         .expect("map");
     let base_vpn = region.at(0).raw() >> 12;
-
-    let mut node_table = NodeTable::new();
-    for p in 0..PAGES {
-        node_table.map(base_vpn + p, 0x1000 + p);
-    }
 
     let ns = bench_ns(budget, || {
         let mut frames = FrameAlloc::new(1 << 21, FramePolicy::Sequential);
@@ -505,23 +354,9 @@ fn page_table_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
     results.push(("page_table_arena_build_16k".into(), ns));
 
     let ns = bench_ns(budget, || {
-        let mut t = NodeTable::new();
-        for p in 0..PAGES {
-            t.map(base_vpn + p, 0x1000 + p);
-        }
-        black_box(&t);
-    });
-    results.push(("page_table_node_ref_build_16k".into(), ns));
-
-    let ns = bench_ns(budget, || {
         black_box(space.clone());
     });
     results.push(("page_table_arena_clone_16k".into(), ns));
-
-    let ns = bench_ns(budget, || {
-        black_box(node_table.deep_clone());
-    });
-    results.push(("page_table_node_ref_clone_16k".into(), ns));
 
     let mut x = 0x0123_4567_89ab_cdefu64;
     let seq: Vec<u64> = (0..256).map(|_| lcg(&mut x) % PAGES).collect();
@@ -533,18 +368,11 @@ fn page_table_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
         }
     });
     results.push(("page_table_arena_translate_x256".into(), ns));
-
-    let ns = bench_ns(budget, || {
-        for &p in &seq {
-            black_box(node_table.translate(base_vpn + p).expect("mapped"));
-        }
-    });
-    results.push(("page_table_node_ref_translate_x256".into(), ns));
 }
 
-/// Heap allocations performed building each 16384-page table once —
-/// the deterministic half of the build comparison above.
-fn page_table_alloc_counts() -> (u64, u64) {
+/// Heap allocations performed building a 16384-page table once — the
+/// deterministic half of the build benchmark above.
+fn page_table_alloc_count() -> u64 {
     const PAGES: u64 = 1 << 14;
     let base_vpn = 0x40000u64;
     let before = allocs();
@@ -561,15 +389,7 @@ fn page_table_alloc_counts() -> (u64, u64) {
     }
     let arena = allocs() - before;
     std::hint::black_box(&t);
-
-    let before = allocs();
-    let mut r = NodeTable::new();
-    for p in 0..PAGES {
-        r.map(base_vpn + p, 0x1000 + p);
-    }
-    let node = allocs() - before;
-    std::hint::black_box(&r);
-    (arena, node)
+    arena
 }
 
 // --------------------------------------------------------- Allocations
@@ -642,8 +462,8 @@ fn serial_bench() -> f64 {
 /// End-to-end metrics-channel overhead on one real workload:
 /// `sim_cycles_per_sec` unobserved, with the channel
 /// instrumented-but-off (the default — every record site compiles
-/// down to an enabled check), and fully on (per-core staging buffers,
-/// per-cycle drains, sink folds). All three simulate bit-identical
+/// down to an enabled check), and fully on (every event built and
+/// folded into the sink). All three simulate bit-identical
 /// behaviour; only wall time differs. The three are measured
 /// *interleaved*, best-of-5 each, so the reported ratios compare
 /// same-window wall clocks — comparing best-of-N estimates taken
@@ -684,13 +504,14 @@ fn main() {
     tlb_benches(&mut results, budget);
     mshr_benches(&mut results, budget);
     coalesce_benches(&mut results, budget);
+    memory_benches(&mut results, budget);
     next_event_benches(&mut results, budget);
     page_table_benches(&mut results, budget);
     let serial_rate = serial_bench();
     let multitenant_rate = multitenant_bench();
     let (metrics_unobs_rate, metrics_off_rate, metrics_on_rate) = metrics_benches();
     let serial_allocs = alloc_bench();
-    let (pt_arena_allocs, pt_node_allocs) = page_table_alloc_counts();
+    let pt_arena_allocs = page_table_alloc_count();
 
     for (name, ns) in &results {
         println!("{name:<32} {ns:>12.1} ns/iter");
@@ -702,27 +523,8 @@ fn main() {
             _ => 0.0,
         }
     };
-    let tlb_speedup = ratio("tlb_lookup_set_indexed_x256", "tlb_lookup_linear_ref_x256");
-    let mshr_speedup = ratio("mshr_heap_cycle_x256", "mshr_linear_ref_cycle_x256");
     let cache_speedup = ratio("next_event_at_cached", "next_event_at_recomputed");
-    let pt_build_speedup = ratio(
-        "page_table_arena_build_16k",
-        "page_table_node_ref_build_16k",
-    );
-    let pt_clone_speedup = ratio(
-        "page_table_arena_clone_16k",
-        "page_table_node_ref_clone_16k",
-    );
-    let pt_translate_ratio = ratio(
-        "page_table_arena_translate_x256",
-        "page_table_node_ref_translate_x256",
-    );
-    println!("tlb set-indexed vs linear:      {tlb_speedup:.2}x");
-    println!("mshr heap vs map-scan:          {mshr_speedup:.2}x");
     println!("next-event cached vs recompute: {cache_speedup:.2}x");
-    println!("page table build, arena vs ref: {pt_build_speedup:.2}x");
-    println!("page table clone, arena vs ref: {pt_clone_speedup:.2}x");
-    println!("page table xlate, arena vs ref: {pt_translate_ratio:.2}x");
     println!("drive loop (bfs tiny):          {serial_rate:.0} sim cycles/s");
     let metrics_off_vs_unobserved = if metrics_unobs_rate > 0.0 {
         metrics_off_rate / metrics_unobs_rate
@@ -744,7 +546,7 @@ fn main() {
     );
     println!("multi-tenant (4 tenants):       {multitenant_rate:.0} sim cycles/s");
     println!("allocs/kcycle:                  {serial_allocs:>8.1}");
-    println!("page table build allocs:        arena {pt_arena_allocs}, node ref {pt_node_allocs}");
+    println!("page table build allocs:        {pt_arena_allocs}");
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -758,23 +560,9 @@ fn main() {
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(json, "  \"speedups\": {{");
-    let _ = writeln!(json, "    \"tlb_set_indexed_vs_linear\": {tlb_speedup:.3},");
-    let _ = writeln!(json, "    \"mshr_heap_vs_linear\": {mshr_speedup:.3},");
     let _ = writeln!(
         json,
-        "    \"next_event_cached_vs_recomputed\": {cache_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"page_table_build_arena_vs_node\": {pt_build_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"page_table_clone_arena_vs_node\": {pt_clone_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"page_table_translate_arena_vs_node\": {pt_translate_ratio:.3}"
+        "    \"next_event_cached_vs_recomputed\": {cache_speedup:.3}"
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"alloc\": {{");
@@ -784,11 +572,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"page_table_build_arena_allocs\": {pt_arena_allocs},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"page_table_build_node_ref_allocs\": {pt_node_allocs}"
+        "    \"page_table_build_arena_allocs\": {pt_arena_allocs}"
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"metrics\": {{");

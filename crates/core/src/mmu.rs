@@ -22,9 +22,9 @@ use crate::walker::{WalkDone, Walker, WalkerConfig};
 use gmmu_mem::mshr::{MshrFile, MshrOutcome};
 use gmmu_mem::MemorySystem;
 use gmmu_sim::fault::{FaultInjectConfig, FaultInjector};
-use gmmu_sim::metrics::{MetricEvent, Metrics, MetricsRegistry};
+use gmmu_sim::metrics::MetricsRegistry;
+use gmmu_sim::observe::{Event, Observer};
 use gmmu_sim::stats::{Counter, Summary};
-use gmmu_sim::trace::{TraceEvent, Tracer, TID_MMU};
 use gmmu_sim::Cycle;
 use gmmu_vm::{AddressSpace, Ppn, Vpn};
 use std::collections::HashMap;
@@ -310,12 +310,6 @@ pub struct Mmu {
     tagged: bool,
     /// Tenant the untagged TLB's entries currently belong to.
     current_asid: u16,
-    /// Telemetry channel. Every lifecycle event (lookups, misses, walk
-    /// levels, stage attribution, fills) originates inside this MMU, so
-    /// the channel lives here; the engine drains it into the observer's
-    /// sink once per cycle. Transient like `done_scratch`: buffers are
-    /// empty at checkpoint boundaries and are not serialized.
-    metrics: Metrics,
     /// Requests rejected (blocking / MSHR-full).
     pub rejects: Counter,
     /// Per-miss resolution latency: miss detection → TLB fill applied
@@ -368,7 +362,6 @@ impl Mmu {
             inject: None,
             tagged: true,
             current_asid: 0,
-            metrics: Metrics::Off,
             rejects: Counter::new(),
             miss_latency: Summary::new(),
             faults: Counter::new(),
@@ -405,23 +398,6 @@ impl Mmu {
     /// behaves bit-identically to a build without the harness.
     pub fn set_injection(&mut self, cfg: Option<FaultInjectConfig>) {
         self.inject = cfg.map(FaultInjector::new);
-    }
-
-    /// Enables (or disables) telemetry staging: when on, lifecycle
-    /// events accumulate in a core-local buffer the engine drains with
-    /// [`Mmu::drain_metrics`] once per cycle. Off by default; off means
-    /// the event closures are never evaluated.
-    pub fn set_metrics(&mut self, enabled: bool) {
-        self.metrics = if enabled {
-            Metrics::staging()
-        } else {
-            Metrics::Off
-        };
-    }
-
-    /// Drains staged telemetry events into `dst` (the observer's sink).
-    pub fn drain_metrics(&mut self, dst: &mut Metrics) {
-        dst.absorb(&mut self.metrics);
     }
 
     /// Registers this MMU's instruments (TLB, walker, MSHRs, fault
@@ -497,47 +473,25 @@ impl Mmu {
     /// Services the walker and applies due TLB fills. Call once per core
     /// cycle before translating.
     pub fn advance(&mut self, now: Cycle, mem: &mut MemorySystem, space: &AddressSpace) {
-        self.advance_tenants(now, mem, &[space], &mut Tracer::Off, 0);
+        self.advance_tenants(now, mem, &[space], &mut Observer::off());
     }
 
-    /// [`Mmu::advance`] that also emits `tlb_miss` spans (miss enqueue →
-    /// fill applied, track `TID_MMU`) and per-lane `page_walk` spans
-    /// under core `pid` when tracing is on.
-    pub fn advance_traced(
-        &mut self,
-        now: Cycle,
-        mem: &mut MemorySystem,
-        space: &AddressSpace,
-        tracer: &mut Tracer,
-        pid: u32,
-    ) {
-        self.advance_tenants(now, mem, &[space], tracer, pid);
-    }
-
-    /// The multi-tenant [`Mmu::advance_traced`]: each in-flight walk is
-    /// resolved against `spaces[walk.asid]`. Single-space callers pass a
-    /// one-element slice.
+    /// The multi-tenant, observed [`Mmu::advance`]: each in-flight walk
+    /// is resolved against `spaces[walk.asid]`, every walk emits one
+    /// [`Event::Walk`] and every applied fill one [`Event::Fill`].
+    /// Single-space callers pass a one-element slice.
     pub fn advance_tenants(
         &mut self,
         now: Cycle,
         mem: &mut MemorySystem,
         spaces: &[&AddressSpace],
-        tracer: &mut Tracer,
-        pid: u32,
+        obs: &mut Observer,
     ) {
         let Some(walker) = self.walker.as_mut() else {
             return;
         };
         self.done_scratch.clear();
-        walker.advance_tenants(
-            now,
-            mem,
-            spaces,
-            &mut self.done_scratch,
-            tracer,
-            &mut self.metrics,
-            pid,
-        );
+        walker.advance_tenants(now, mem, spaces, &mut self.done_scratch, obs);
         for mut done in self.done_scratch.drain(..) {
             if let Some(inj) = &self.inject {
                 done.complete += inj.walk_delay_t(done.asid, done.vpn.raw(), done.enqueued);
@@ -551,27 +505,15 @@ impl Mmu {
         while i < self.pending_fills.len() {
             if self.pending_fills[i].complete <= now {
                 let done = self.pending_fills.swap_remove(i);
-                self.apply_fill(now, done, tracer, pid);
+                self.apply_fill(done, obs);
             } else {
                 i += 1;
             }
         }
     }
 
-    fn apply_fill(&mut self, now: Cycle, done: WalkDone, tracer: &mut Tracer, pid: u32) {
+    fn apply_fill(&mut self, done: WalkDone, obs: &mut Observer) {
         self.miss_latency.record(done.complete - done.enqueued);
-        tracer.record(|| {
-            TraceEvent::span(
-                "tlb_miss",
-                "mmu",
-                pid,
-                TID_MMU,
-                done.enqueued,
-                done.complete - done.enqueued,
-            )
-            .arg("vpn", done.vpn.raw())
-            .arg("warp", done.warp as u64)
-        });
         self.mshrs.release(tkey(done.asid, done.vpn));
         let waiters = self
             .waiters
@@ -581,15 +523,17 @@ impl Mmu {
         // then active walking (memory references plus injected delays,
         // which `advance_tenants` folded into `complete`). The two stages
         // sum exactly to the `miss_latency` sample recorded above.
-        self.metrics.record(|| MetricEvent::WalkStage {
+        let core = obs.core;
+        obs.record(|| Event::Fill {
+            core,
             asid: done.asid,
-            queue: done.started - done.enqueued,
-            active: done.complete - done.started,
+            vpn: done.vpn.raw(),
+            warp: done.warp,
+            enqueued: done.enqueued,
+            started: done.started,
+            complete: done.complete,
+            waiters: waiters.len() as u32,
         });
-        self.metrics.record(|| MetricEvent::Fill {
-            waiters: waiters.len() as u64,
-        });
-        let _ = now;
         match done.translation {
             Some((ppn, _size)) => {
                 let owner = done.warp;
@@ -699,14 +643,16 @@ impl Mmu {
         space: &AddressSpace,
         buf: &mut TranslateBuf,
     ) -> TranslateOutcome {
-        self.translate_tenant(now, requester, 0, pages, space, buf)
+        self.translate_tenant(now, requester, 0, pages, space, buf, &mut Observer::off())
     }
 
     /// [`Mmu::translate`] for tenant `asid`: lookups, fills, MSHRs, and
     /// walks are all tagged with the ASID, and `space` must be that
     /// tenant's address space. With tagging disabled, presenting an ASID
     /// other than the TLB's current tenant flushes the whole TLB first
-    /// (the flush-on-switch fallback).
+    /// (the flush-on-switch fallback). Each accepted probe emits one
+    /// [`Event::Lookup`] and each registered miss one [`Event::Miss`].
+    #[allow(clippy::too_many_arguments)]
     pub fn translate_tenant(
         &mut self,
         now: Cycle,
@@ -715,6 +661,7 @@ impl Mmu {
         pages: &[PageReq],
         space: &AddressSpace,
         buf: &mut TranslateBuf,
+        obs: &mut Observer,
     ) -> TranslateOutcome {
         assert!(!pages.is_empty(), "translate needs at least one page");
         buf.clear();
@@ -800,7 +747,9 @@ impl Mmu {
         let ready_at = start + (lookup_cycles - 1) + tlb_cfg.access_penalty();
         // One lookup-latency sample per accepted probe (hit or miss):
         // port-arbitration wait plus the access penalty.
-        self.metrics.record(|| MetricEvent::Lookup(ready_at - now));
+        obs.record(|| Event::Lookup {
+            latency: ready_at - now,
+        });
 
         let tlb = self.tlb.as_mut().expect("real model has a TLB");
         for req in pages {
@@ -839,7 +788,7 @@ impl Mmu {
                     let mut list = self.waiter_pool.pop().unwrap_or_default();
                     list.push(requester);
                     self.waiters.insert(tkey(asid, vpn), list);
-                    self.metrics.record(|| MetricEvent::Miss {
+                    obs.record(|| Event::Miss {
                         asid,
                         vpn: vpn.raw(),
                     });
@@ -850,7 +799,7 @@ impl Mmu {
                         .entry(tkey(asid, vpn))
                         .or_default()
                         .push(requester);
-                    self.metrics.record(|| MetricEvent::Miss {
+                    obs.record(|| Event::Miss {
                         asid,
                         vpn: vpn.raw(),
                     });

@@ -18,11 +18,10 @@
 
 use gmmu_mem::cache::{Cache, CacheConfig};
 use gmmu_mem::{AccessKind, MemorySystem, LINE_SHIFT};
-use gmmu_sim::metrics::{MetricEvent, Metrics};
+use gmmu_sim::observe::{Event, Observer};
 use gmmu_sim::stats::{Counter, Summary};
-use gmmu_sim::trace::{TraceEvent, Tracer, TID_WALKER};
 use gmmu_sim::Cycle;
-use gmmu_vm::{AddressSpace, PageSize, Ppn, Vpn};
+use gmmu_vm::{AddressSpace, PageSize, Ppn, Vpn, Walk};
 use std::collections::VecDeque;
 
 /// Which walker microarchitecture to model.
@@ -551,67 +550,35 @@ impl Walker {
         space: &AddressSpace,
         done: &mut Vec<WalkDone>,
     ) {
-        self.advance_tenants(
-            now,
-            mem,
-            &[space],
-            done,
-            &mut Tracer::Off,
-            &mut Metrics::Off,
-            0,
-        );
+        self.advance_tenants(now, mem, &[space], done, &mut Observer::off());
     }
 
-    /// [`Walker::advance`] that also emits one `page_walk` span per walk
-    /// (track `TID_WALKER + lane`) under core `pid` when tracing is on,
-    /// and one [`MetricEvent::WalkLevel`] per page-table level each walk
-    /// references when metrics are on.
-    #[allow(clippy::too_many_arguments)]
-    pub fn advance_traced(
-        &mut self,
-        now: Cycle,
-        mem: &mut MemorySystem,
-        space: &AddressSpace,
-        done: &mut Vec<WalkDone>,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
-        pid: u32,
-    ) {
-        self.advance_tenants(now, mem, &[space], done, tracer, metrics, pid);
-    }
-
-    /// The multi-tenant [`Walker::advance_traced`]: each request's page
-    /// table is `spaces[request.asid]`. Single-space callers pass a
-    /// one-element slice and every request must carry ASID 0.
+    /// The multi-tenant, observed [`Walker::advance`]: each request's
+    /// page table is `spaces[request.asid]`, and every walk emits one
+    /// [`Event::Walk`] (track = serial lane or coalesced batch slot).
+    /// Single-space callers pass a one-element slice and every request
+    /// must carry ASID 0.
     ///
     /// # Panics
     ///
     /// Panics if a queued request's ASID has no matching space.
-    #[allow(clippy::too_many_arguments)]
     pub fn advance_tenants(
         &mut self,
         now: Cycle,
         mem: &mut MemorySystem,
         spaces: &[&AddressSpace],
         done: &mut Vec<WalkDone>,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
-        pid: u32,
+        obs: &mut Observer,
     ) {
         match self.config.kind {
-            WalkerKind::Serial { .. } => {
-                self.advance_serial(now, mem, spaces, done, 0, tracer, metrics, pid)
-            }
-            WalkerKind::Coalesced => {
-                self.advance_coalesced(now, mem, spaces, done, tracer, metrics, pid)
-            }
+            WalkerKind::Serial { .. } => self.advance_serial(now, mem, spaces, done, 0, obs),
+            WalkerKind::Coalesced => self.advance_coalesced(now, mem, spaces, done, obs),
             WalkerKind::Software { trap_cycles } => {
-                self.advance_serial(now, mem, spaces, done, trap_cycles, tracer, metrics, pid)
+                self.advance_serial(now, mem, spaces, done, trap_cycles, obs)
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn advance_serial(
         &mut self,
         now: Cycle,
@@ -619,9 +586,7 @@ impl Walker {
         spaces: &[&AddressSpace],
         done: &mut Vec<WalkDone>,
         trap_cycles: u64,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
-        pid: u32,
+        obs: &mut Observer,
     ) {
         loop {
             if self.pending.is_empty() {
@@ -642,11 +607,6 @@ impl Walker {
             // A software handler pays the trap on entry and exit.
             let mut t = now + trap_cycles;
             for level in &walk.levels {
-                metrics.record(|| MetricEvent::WalkLevel {
-                    asid: req.asid,
-                    vpn: req.vpn.raw(),
-                    level: level.level as u8,
-                });
                 t = Self::pte_load(
                     &mut self.pwc,
                     &mut self.stats,
@@ -662,17 +622,16 @@ impl Walker {
             self.stats.walk_latency.record(t - req.enqueued);
             self.stats.lane_busy_cycles.add(t - now);
             self.lanes[lane_idx] = t;
-            tracer.record(|| {
-                TraceEvent::span(
-                    "page_walk",
-                    "walker",
-                    pid,
-                    TID_WALKER + lane_idx as u32,
-                    now,
-                    t - now,
-                )
-                .arg("vpn", req.vpn.raw())
-                .arg("warp", req.warp as u64)
+            let core = obs.core;
+            obs.record(|| Event::Walk {
+                core,
+                track: lane_idx as u32,
+                asid: req.asid,
+                vpn: req.vpn.raw(),
+                warp: req.warp,
+                start: now,
+                end: t,
+                levels: level_list(&walk),
             });
             done.push(WalkDone {
                 asid: req.asid,
@@ -686,16 +645,13 @@ impl Walker {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn advance_coalesced(
         &mut self,
         now: Cycle,
         mem: &mut MemorySystem,
         spaces: &[&AddressSpace],
         done: &mut Vec<WalkDone>,
-        tracer: &mut Tracer,
-        metrics: &mut Metrics,
-        pid: u32,
+        obs: &mut Observer,
     ) {
         if self.pending.is_empty() || self.lanes[0] > now {
             return;
@@ -755,14 +711,6 @@ impl Walker {
                 let Some(level) = w.levels.get(li) else {
                     continue;
                 };
-                // Attribution is per-walk, not per-issued-load: each walk
-                // charges every level it needs even when the scheduler
-                // deduplicates the actual memory reference.
-                metrics.record(|| MetricEvent::WalkLevel {
-                    asid: batch[wi].asid,
-                    vpn: batch[wi].vpn.raw(),
-                    level: level.level as u8,
-                });
                 let pa = level.pte_paddr.raw();
                 match level_refs[..n_refs].iter_mut().find(|(a, _)| *a == pa) {
                     Some((_, users)) => users.push(wi), // duplicate: eliminated
@@ -812,19 +760,21 @@ impl Walker {
             let complete = walk_complete[wi];
             self.stats.walks.inc();
             self.stats.walk_latency.record(complete - req.enqueued);
-            // One span per walk in the batch; tracks fan out by batch
-            // index so concurrent walks render as parallel rows.
-            tracer.record(|| {
-                TraceEvent::span(
-                    "page_walk",
-                    "walker",
-                    pid,
-                    TID_WALKER + wi as u32,
-                    now,
-                    complete - now,
-                )
-                .arg("vpn", req.vpn.raw())
-                .arg("warp", req.warp as u64)
+            // One event per walk in the batch; tracks fan out by batch
+            // index so concurrent walks render as parallel rows. Level
+            // attribution is per walk, not per issued load: each walk
+            // charges every level it needs even when the scheduler
+            // deduplicated the memory reference.
+            let core = obs.core;
+            obs.record(|| Event::Walk {
+                core,
+                track: wi as u32,
+                asid: req.asid,
+                vpn: req.vpn.raw(),
+                warp: req.warp,
+                start: now,
+                end: complete,
+                levels: level_list(&walks[wi]),
             });
             done.push(WalkDone {
                 asid: req.asid,
@@ -844,6 +794,15 @@ impl Walker {
         self.scratch.walk_complete = walk_complete;
         self.scratch.level_refs = level_refs;
     }
+}
+
+/// The radix levels `walk` referenced, in [`Event::Walk`] form.
+fn level_list(walk: &Walk) -> [u8; 4] {
+    let mut levels = [0u8; 4];
+    for (slot, l) in levels.iter_mut().zip(walk.levels.iter()) {
+        *slot = l.level as u8;
+    }
+    levels
 }
 
 use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
@@ -1174,15 +1133,7 @@ mod tests {
         w.enqueue_asid(0, v0, 0, 0);
         w.enqueue_asid(1, v1, 0, 0);
         let mut done = Vec::new();
-        w.advance_tenants(
-            0,
-            &mut mem,
-            &[&s0, &s1],
-            &mut done,
-            &mut Tracer::Off,
-            &mut Metrics::Off,
-            0,
-        );
+        w.advance_tenants(0, &mut mem, &[&s0, &s1], &mut done, &mut Observer::off());
         assert_eq!(done.len(), 2);
         for d in &done {
             let space = if d.asid == 0 { &s0 } else { &s1 };
@@ -1206,15 +1157,7 @@ mod tests {
         }
         w.enqueue_asid(1, v1, 0, 0);
         let mut done = Vec::new();
-        w.advance_tenants(
-            0,
-            &mut mem,
-            &[&s0, &s1],
-            &mut done,
-            &mut Tracer::Off,
-            &mut Metrics::Off,
-            0,
-        );
+        w.advance_tenants(0, &mut mem, &[&s0, &s1], &mut done, &mut Observer::off());
         // First batch: 2 of tenant 0's walks plus tenant 1's — not all 33.
         assert_eq!(done.len(), 3);
         assert!(done.iter().any(|d| d.asid == 1));
@@ -1240,15 +1183,7 @@ mod tests {
         let mut done: Vec<WalkDone> = Vec::new();
         let mut t = 0;
         while !done.iter().any(|d| d.asid == 1) {
-            w.advance_tenants(
-                t,
-                &mut mem,
-                &[&s0, &s1],
-                &mut done,
-                &mut Tracer::Off,
-                &mut Metrics::Off,
-                0,
-            );
+            w.advance_tenants(t, &mut mem, &[&s0, &s1], &mut done, &mut Observer::off());
             t += 1;
             assert!(t < 5_000, "tenant 1 starved behind tenant 0's flood");
         }
@@ -1270,15 +1205,7 @@ mod tests {
             let mut done = Vec::new();
             let mut t = 0;
             while done.len() < 8 {
-                w.advance_tenants(
-                    t,
-                    mem,
-                    &[&s0, &s1],
-                    &mut done,
-                    &mut Tracer::Off,
-                    &mut Metrics::Off,
-                    0,
-                );
+                w.advance_tenants(t, mem, &[&s0, &s1], &mut done, &mut Observer::off());
                 t += 1;
             }
             done

@@ -308,6 +308,16 @@ ckpt_prim!(usize, usize, usize);
 ckpt_prim!(bool, bool, bool);
 ckpt_prim!(f64, f64, f64);
 
+impl<T: Ckpt, const N: usize> Ckpt for [T; N] {
+    fn save(&self, w: &mut Saver) {
+        self.iter().for_each(|item| item.save(w));
+    }
+
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+        self.iter_mut().try_for_each(|item| item.load(r))
+    }
+}
+
 impl<T: Ckpt + Default> Ckpt for Vec<T> {
     fn save(&self, w: &mut Saver) {
         w.usize(self.len());
@@ -316,12 +326,15 @@ impl<T: Ckpt + Default> Ckpt for Vec<T> {
         }
     }
 
+    /// Grows as items decode, so a corrupt length fails as
+    /// [`CkptError::Truncated`] instead of allocating it up front.
     fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
         let len = r.usize()?;
         self.clear();
-        self.resize_with(len, T::default);
-        for item in self.iter_mut() {
+        for _ in 0..len {
+            let mut item = T::default();
             item.load(r)?;
+            self.push(item);
         }
         Ok(())
     }

@@ -14,13 +14,15 @@
 //! * [`fault`] — deterministic fault injection (demand faults, delayed
 //!   walks, transient rejections, shootdown storms) driven by the
 //!   counter-based mixers, so fault schedules are reproducible.
-//! * [`metrics`] — translation-lifecycle telemetry: a zero-cost metric
-//!   event channel, per-stage latency histograms, a hot-page table, and
-//!   a labeled instrument registry rendered as versioned JSON.
+//! * [`metrics`] — translation-lifecycle telemetry: a sink folding the
+//!   observer's events into per-stage latency histograms and a hot-page
+//!   table, and a labeled instrument registry rendered as versioned JSON.
+//! * [`observe`] — the one typed event stream every instrumented site
+//!   emits, the per-run `Observer` that folds it, and interval sampling.
 //! * [`stats`] — counters, running means, and log-scale histograms used
 //!   for every statistic the paper reports.
 //! * [`table`] — plain-text/CSV table rendering for the figure harnesses.
-//! * [`trace`] — zero-cost span tracing with a Chrome/Perfetto exporter.
+//! * [`trace`] — the span buffer and its Chrome/Perfetto exporter.
 //!
 //! # Examples
 //!
@@ -39,6 +41,7 @@
 pub mod ckpt;
 pub mod fault;
 pub mod metrics;
+pub mod observe;
 pub mod rng;
 pub mod stats;
 pub mod table;

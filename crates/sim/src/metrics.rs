@@ -1,15 +1,11 @@
-//! Translation-lifecycle telemetry: a zero-cost metric event stream, a
-//! sink that folds events into per-stage latency histograms and a
-//! per-VPN hot-page table, and a hierarchical registry of labeled
-//! instruments rendered as a versioned JSON snapshot.
+//! Translation-lifecycle telemetry: a sink that folds the observer's
+//! [`Event`] stream into per-stage latency histograms and a per-VPN
+//! hot-page table, and a hierarchical registry of labeled instruments
+//! rendered as a versioned JSON snapshot.
 //!
-//! The design mirrors the span tracer in [`crate::trace`]: components
-//! call [`Metrics::record`] with a *closure*, so when metrics are off
-//! the closure is never evaluated and the instrumented code is
-//! bit-identical to an unobserved run. When metrics are on, every
-//! event is commutative over the sink (histogram increments and
-//! hot-page counter bumps), so the order buffers are drained in
-//! cannot change the final snapshot.
+//! Every fold is commutative (histogram increments and hot-page counter
+//! bumps), so the snapshot depends only on which events a run emitted,
+//! never on the order of emission.
 //!
 //! # Lifecycle stages
 //!
@@ -30,6 +26,7 @@
 //! (squashed walks appear in neither). `tests/invariants.rs` pins this.
 
 use crate::ckpt::{Ckpt, CkptError, Loader, Saver};
+use crate::observe::Event;
 use crate::stats::{HistSummary, Histogram};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -52,48 +49,8 @@ const STAGE_BOUND: usize = 2048;
 /// Exact-count bound for the fill-waiters histogram (bounded by warps).
 const WAITERS_BOUND: usize = 64;
 
-/// One telemetry event emitted by an instrumented component.
-///
-/// Events are designed so that folding them into a [`MetricsSink`] is
-/// commutative: any drain order yields the same sink state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricEvent {
-    /// A TLB lookup completed; payload is its latency in cycles.
-    Lookup(u64),
-    /// A TLB miss was registered for this VPN (hot-page accounting).
-    Miss {
-        /// Address space the miss belongs to (0 for single-tenant runs).
-        asid: u16,
-        /// Virtual page number that missed.
-        vpn: u64,
-    },
-    /// A page-table walk referenced one radix level for a VPN.
-    WalkLevel {
-        /// Address space whose table is being walked.
-        asid: u16,
-        /// Virtual page number being walked.
-        vpn: u64,
-        /// Radix level referenced (1 = leaf PTE, higher = upper levels).
-        level: u8,
-    },
-    /// A fill was applied; payload is the walk's stage attribution.
-    WalkStage {
-        /// Address space the filled translation belongs to.
-        asid: u16,
-        /// Cycles spent queued before a walker lane started the walk.
-        queue: u64,
-        /// Cycles from walk start to fill application.
-        active: u64,
-    },
-    /// A fill was applied; payload is the number of waiting warps woken.
-    Fill {
-        /// Waiter count released by this fill.
-        waiters: u64,
-    },
-}
-
 /// Per-VPN heat record: how often the page missed in the TLB and how
-/// many page-table references each radix level absorbed on its behalf.
+/// many page-table references each radix level served on its behalf.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotPage {
     /// TLB misses registered against this VPN.
@@ -106,16 +63,11 @@ pub struct HotPage {
 impl Ckpt for HotPage {
     fn save(&self, w: &mut Saver) {
         w.u64(self.tlb_misses);
-        for r in self.level_refs {
-            w.u64(r);
-        }
+        self.level_refs.save(w);
     }
     fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
         self.tlb_misses = r.u64()?;
-        for slot in &mut self.level_refs {
-            *slot = r.u64()?;
-        }
-        Ok(())
+        self.level_refs.load(r)
     }
 }
 
@@ -151,8 +103,8 @@ impl Ckpt for AsidStages {
 }
 
 /// Accumulated lifecycle telemetry: the four stage histograms plus the
-/// hot-page table. All folds are commutative, so per-cycle drain order
-/// across cores never affects the final state.
+/// hot-page table. All folds are commutative, so event order never
+/// affects the final state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSink {
     /// TLB lookup latency (issue to answer), hits and misses alike.
@@ -188,29 +140,38 @@ impl MetricsSink {
         }
     }
 
-    /// Folds one event into the sink.
-    pub fn apply(&mut self, ev: MetricEvent) {
-        match ev {
-            MetricEvent::Lookup(latency) => self.lookup_latency.record(latency),
-            MetricEvent::Miss { asid, vpn } => {
+    /// Folds one event into the sink; span-only events are ignored.
+    pub fn apply(&mut self, ev: &Event) {
+        match *ev {
+            Event::Lookup { latency } => self.lookup_latency.record(latency),
+            Event::Miss { asid, vpn } => {
                 self.hot_pages.entry((asid, vpn)).or_default().tlb_misses += 1
             }
-            MetricEvent::WalkLevel { asid, vpn, level } => {
-                let idx = (level.max(1) as usize - 1).min(3);
-                self.hot_pages.entry((asid, vpn)).or_default().level_refs[idx] += 1;
-            }
-            MetricEvent::WalkStage {
-                asid,
-                queue,
-                active,
+            Event::Walk {
+                asid, vpn, levels, ..
             } => {
+                for level in levels.into_iter().filter(|&l| l != 0) {
+                    let idx = (level as usize - 1).min(3);
+                    self.hot_pages.entry((asid, vpn)).or_default().level_refs[idx] += 1;
+                }
+            }
+            Event::Fill {
+                asid,
+                enqueued,
+                started,
+                complete,
+                waiters,
+                ..
+            } => {
+                let (queue, active) = (started - enqueued, complete - started);
                 self.walk_queue.record(queue);
                 self.walk_active.record(active);
                 let slice = self.asid_stages.entry(asid).or_default();
                 slice.walk_queue.record(queue);
                 slice.walk_active.record(active);
+                self.fill_waiters.record(waiters as u64);
             }
-            MetricEvent::Fill { waiters } => self.fill_waiters.record(waiters),
+            Event::WarpSleep { .. } | Event::BlockRetire { .. } => {}
         }
     }
 
@@ -348,22 +309,15 @@ impl Ckpt for MetricsSink {
     }
 }
 
-/// The metric event channel a component records into.
-///
-/// `Off` is the default and costs one enum-tag branch per call site —
-/// the event closure is never evaluated, which is what makes metrics-off
-/// runs bit-identical to unobserved runs. `On` folds events straight
-/// into a sink. `Buffer` stages raw events core-locally; the drive
-/// loop drains buffers into the observer's sink once per cycle.
+/// The metrics sink an [`crate::observe::Observer`] carries. `Off` is
+/// the default; `On` folds every recorded event into its sink.
 #[derive(Debug, Default)]
 pub enum Metrics {
-    /// Metrics disabled; record calls are no-ops.
+    /// Metrics disabled.
     #[default]
     Off,
-    /// Fold events directly into a sink.
+    /// Fold events into a sink.
     On(Box<MetricsSink>),
-    /// Stage raw events for a later [`Metrics::absorb`].
-    Buffer(Vec<MetricEvent>),
 }
 
 impl Metrics {
@@ -372,42 +326,17 @@ impl Metrics {
         Metrics::On(Box::default())
     }
 
-    /// A core-local staging buffer.
-    pub fn staging() -> Self {
-        Metrics::Buffer(Vec::new())
-    }
-
     /// Whether events are being captured at all.
+    #[inline(always)]
     pub fn enabled(&self) -> bool {
         !matches!(self, Metrics::Off)
     }
 
-    /// Records one event. The closure is only evaluated when metrics
-    /// are enabled, so an `Off` channel adds no work beyond the branch.
-    #[inline]
-    pub fn record(&mut self, f: impl FnOnce() -> MetricEvent) {
-        match self {
-            Metrics::Off => {}
-            Metrics::On(sink) => sink.apply(f()),
-            Metrics::Buffer(buf) => buf.push(f()),
-        }
-    }
-
-    /// Drains a staging buffer into this channel's sink. No-op unless
-    /// `self` is `On` and `staged` is `Buffer`.
-    pub fn absorb(&mut self, staged: &mut Metrics) {
-        if let (Metrics::On(sink), Metrics::Buffer(buf)) = (self, staged) {
-            for ev in buf.drain(..) {
-                sink.apply(ev);
-            }
-        }
-    }
-
-    /// The accumulated sink, when this channel owns one.
+    /// The accumulated sink, when on.
     pub fn sink(&self) -> Option<&MetricsSink> {
         match self {
             Metrics::On(sink) => Some(sink),
-            _ => None,
+            Metrics::Off => None,
         }
     }
 }
@@ -420,9 +349,6 @@ impl Ckpt for Metrics {
                 w.u64(1);
                 sink.save(w);
             }
-            // Staging buffers are loop-internal and provably empty at
-            // checkpoint boundaries; only Off/On channels are persisted.
-            Metrics::Buffer(_) => unreachable!("staging metrics buffers are never checkpointed"),
         }
     }
     fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
@@ -523,48 +449,94 @@ impl MetricsRegistry {
 mod tests {
     use super::*;
     use crate::ckpt::{Loader, Saver};
+    use crate::observe::Observer;
+
+    fn miss(asid: u16, vpn: u64) -> Event {
+        Event::Miss { asid, vpn }
+    }
+
+    fn walk(asid: u16, vpn: u64, levels: [u8; 4]) -> Event {
+        Event::Walk {
+            core: 0,
+            track: 0,
+            asid,
+            vpn,
+            warp: 0,
+            start: 0,
+            end: 9,
+            levels,
+        }
+    }
+
+    fn fill(asid: u16, queue: u64, active: u64, waiters: u32) -> Event {
+        Event::Fill {
+            core: 0,
+            asid,
+            vpn: 1,
+            warp: 0,
+            enqueued: 10,
+            started: 10 + queue,
+            complete: 10 + queue + active,
+            waiters,
+        }
+    }
 
     #[test]
     fn off_channel_never_evaluates_closure() {
-        let mut m = Metrics::Off;
-        m.record(|| panic!("closure must not run when metrics are off"));
-        assert!(!m.enabled());
+        // The interval recorder alone does not make events worth building.
+        let mut obs = Observer {
+            intervals: Some(crate::observe::IntervalRecorder::new(100)),
+            ..Observer::off()
+        };
+        obs.record(|| panic!("closure must not run when metrics are off"));
+        assert!(!obs.metrics.enabled());
+    }
+
+    #[test]
+    fn absorb_drains_buffer_into_sink() {
+        // There is no staging buffer to drain: each recorded event folds
+        // into the sink exactly once, at the moment it is recorded.
+        let mut obs = Observer {
+            metrics: Metrics::recording(),
+            ..Observer::off()
+        };
+        obs.record(|| Event::Lookup { latency: 5 });
+        obs.record(|| miss(0, 3));
+        let sink = obs.metrics.sink().unwrap();
+        assert_eq!(sink.lookup_latency.count(), 1);
+        assert_eq!(sink.lookup_latency.sum(), 5);
+        assert_eq!(sink.hot_pages[&(0, 3)].tlb_misses, 1);
+        // Metrics on, tracer off: nothing lands in a span buffer.
+        assert!(obs.tracer.buffer().is_none());
     }
 
     #[test]
     fn sink_folds_are_commutative() {
         let events = [
-            MetricEvent::Lookup(2),
-            MetricEvent::Miss { asid: 0, vpn: 7 },
-            MetricEvent::WalkLevel {
-                asid: 0,
-                vpn: 7,
-                level: 1,
+            Event::Lookup { latency: 2 },
+            miss(0, 7),
+            walk(0, 7, [4, 1, 0, 0]),
+            fill(1, 3, 40, 2),
+            Event::BlockRetire {
+                core: 0,
+                slot: 0,
+                start: 0,
+                end: 5,
             },
-            MetricEvent::WalkLevel {
-                asid: 0,
-                vpn: 7,
-                level: 4,
-            },
-            MetricEvent::WalkStage {
-                asid: 1,
-                queue: 3,
-                active: 40,
-            },
-            MetricEvent::Fill { waiters: 2 },
-            MetricEvent::Miss { asid: 1, vpn: 9 },
-            MetricEvent::Lookup(1),
+            miss(1, 9),
+            Event::Lookup { latency: 1 },
         ];
         let mut fwd = MetricsSink::new();
         let mut rev = MetricsSink::new();
-        for ev in events {
+        for ev in &events {
             fwd.apply(ev);
         }
         for ev in events.iter().rev() {
-            rev.apply(*ev);
+            rev.apply(ev);
         }
         assert_eq!(fwd, rev);
         assert_eq!(fwd.stage_cycles(), (3, 40));
+        assert_eq!(fwd.fill_waiters.sum(), 2);
         assert_eq!(fwd.hot_pages[&(0, 7)].tlb_misses, 1);
         assert_eq!(fwd.hot_pages[&(0, 7)].level_refs, [1, 0, 0, 1]);
         // The per-tenant slice only holds ASID 1's stage cycles.
@@ -573,25 +545,11 @@ mod tests {
     }
 
     #[test]
-    fn absorb_drains_buffer_into_sink() {
-        let mut on = Metrics::recording();
-        let mut staged = Metrics::staging();
-        staged.record(|| MetricEvent::Lookup(5));
-        staged.record(|| MetricEvent::Miss { asid: 0, vpn: 3 });
-        on.absorb(&mut staged);
-        on.absorb(&mut staged); // second drain is a no-op
-        let sink = on.sink().unwrap();
-        assert_eq!(sink.lookup_latency.count(), 1);
-        assert_eq!(sink.hot_pages[&(0, 3)].tlb_misses, 1);
-        assert!(matches!(&staged, Metrics::Buffer(b) if b.is_empty()));
-    }
-
-    #[test]
     fn top_pages_orders_by_misses_then_vpn() {
         let mut sink = MetricsSink::new();
         for (vpn, misses) in [(10u64, 2u64), (3, 5), (8, 2), (1, 1)] {
             for _ in 0..misses {
-                sink.apply(MetricEvent::Miss { asid: 0, vpn });
+                sink.apply(&miss(0, vpn));
             }
         }
         let top: Vec<u64> = sink.top_pages(3).iter().map(|((_, v), _)| *v).collect();
@@ -601,9 +559,9 @@ mod tests {
     #[test]
     fn same_vpn_under_different_asids_is_two_pages() {
         let mut sink = MetricsSink::new();
-        sink.apply(MetricEvent::Miss { asid: 0, vpn: 5 });
-        sink.apply(MetricEvent::Miss { asid: 1, vpn: 5 });
-        sink.apply(MetricEvent::Miss { asid: 1, vpn: 5 });
+        sink.apply(&miss(0, 5));
+        sink.apply(&miss(1, 5));
+        sink.apply(&miss(1, 5));
         assert_eq!(sink.hot_pages.len(), 2);
         assert_eq!(sink.hot_pages[&(0, 5)].tlb_misses, 1);
         assert_eq!(sink.hot_pages[&(1, 5)].tlb_misses, 2);
@@ -616,12 +574,8 @@ mod tests {
     #[test]
     fn snapshot_json_is_deterministic_and_versioned() {
         let mut sink = MetricsSink::new();
-        sink.apply(MetricEvent::Miss { asid: 0, vpn: 42 });
-        sink.apply(MetricEvent::WalkStage {
-            asid: 0,
-            queue: 1,
-            active: 9,
-        });
+        sink.apply(&miss(0, 42));
+        sink.apply(&fill(0, 1, 9, 1));
         let mut reg = MetricsRegistry::new();
         reg.counter("core0.tlb.hits", 12);
         reg.gauge("core0.tlb.hit_rate", 0.75);
@@ -639,18 +593,16 @@ mod tests {
     #[test]
     fn metrics_ckpt_round_trips_and_enforces_shape() {
         let mut on = Metrics::recording();
-        on.record(|| MetricEvent::Lookup(3));
-        on.record(|| MetricEvent::Miss { asid: 0, vpn: 5 });
-        on.record(|| MetricEvent::WalkLevel {
-            asid: 0,
-            vpn: 5,
-            level: 2,
-        });
-        on.record(|| MetricEvent::WalkStage {
-            asid: 3,
-            queue: 2,
-            active: 11,
-        });
+        if let Metrics::On(sink) = &mut on {
+            for ev in [
+                Event::Lookup { latency: 3 },
+                miss(0, 5),
+                walk(0, 5, [2, 0, 0, 0]),
+                fill(3, 2, 11, 1),
+            ] {
+                sink.apply(&ev);
+            }
+        }
         let mut w = Saver::new();
         on.save(&mut w);
         let bytes = w.into_bytes();

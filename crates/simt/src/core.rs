@@ -20,9 +20,9 @@ use gmmu_core::cpm::CommonPageMatrix;
 use gmmu_core::mmu::{Mmu, MmuEvent, TranslateBuf, TranslateOutcome};
 use gmmu_mem::mshr::{MshrFile, MshrOutcome};
 use gmmu_mem::{AccessKind, Cache, CacheAccess, MemorySystem};
-use gmmu_sim::metrics::{Metrics, MetricsRegistry};
+use gmmu_sim::metrics::MetricsRegistry;
+use gmmu_sim::observe::{Event, Observer};
 use gmmu_sim::stats::{Counter, Histogram, Summary};
-use gmmu_sim::trace::{TraceEvent, Tracer, TID_DISPATCH};
 use gmmu_sim::Cycle;
 use gmmu_vm::{AddressSpace, PageSize, Ppn, VAddr, Vpn};
 use std::cell::Cell;
@@ -340,6 +340,7 @@ impl MemPath {
     /// Issues (or replays) a pending memory instruction for scheduling
     /// unit `requester` on behalf of tenant `asid`. The unit's home
     /// pages carry their own static warp ids (TBC).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn issue_mem(
         &mut self,
         now: Cycle,
@@ -348,6 +349,7 @@ impl MemPath {
         pending: &mut Pending,
         mem: &mut MemorySystem,
         space: &AddressSpace,
+        obs: &mut Observer,
     ) -> MemIssue {
         debug_assert!(!pending.accesses.is_empty());
         let mut cbuf = std::mem::take(&mut self.cbuf);
@@ -361,7 +363,7 @@ impl MemPath {
         let mut tbuf = std::mem::take(&mut self.tbuf);
         let outcome =
             self.mmu
-                .translate_tenant(now, requester, asid, &cbuf.pages, space, &mut tbuf);
+                .translate_tenant(now, requester, asid, &cbuf.pages, space, &mut tbuf, obs);
         let result = match outcome {
             TranslateOutcome::Reject { retry_at } => MemIssue::Retry(retry_at.max(now + 1)),
             TranslateOutcome::AllHit { ready_at } => {
@@ -643,20 +645,6 @@ impl ShaderCore {
         &self.path.l1
     }
 
-    /// Arms (or disarms) this core's metric staging buffer. Enabled
-    /// cores record lifecycle events into a per-core buffer that the
-    /// drive loop drains in core-index order each cycle — see
-    /// [`gmmu_sim::metrics::Metrics`] for why that keeps snapshots
-    /// independent of which cycles the loop visits.
-    pub fn set_metrics_staging(&mut self, enabled: bool) {
-        self.path.mmu.set_metrics(enabled);
-    }
-
-    /// Moves this core's buffered metric events into `dst`.
-    pub fn drain_metrics(&mut self, dst: &mut Metrics) {
-        self.path.mmu.drain_metrics(dst);
-    }
-
     /// Registers this core's instruments (pipeline counters, stall
     /// breakdown, coalescer, L1, policy, and the MMU tree) under
     /// `prefix`.
@@ -718,10 +706,10 @@ impl ShaderCore {
     }
 
     /// Marks finished baseline block slots as free and counts them.
-    fn reap_blocks(&mut self, now: Cycle, tracer: &mut Tracer) {
+    fn reap_blocks(&mut self, now: Cycle, obs: &mut Observer) {
         if let ExecMode::Baseline { warps } = &self.exec {
             let wpb = self.warps_per_block;
-            let pid = self.id as u32;
+            let core = self.id as u32;
             for slot in 0..warps.len() / wpb {
                 if self.slot_occupied[slot]
                     && warps[slot * wpb..(slot + 1) * wpb]
@@ -736,15 +724,11 @@ impl ShaderCore {
                     )
                     .inc();
                     let started = self.slot_started[slot];
-                    tracer.record(|| {
-                        TraceEvent::span(
-                            "block",
-                            "dispatch",
-                            pid,
-                            TID_DISPATCH + slot as u32,
-                            started,
-                            now - started,
-                        )
+                    obs.record(|| Event::BlockRetire {
+                        core,
+                        slot: slot as u32,
+                        start: started,
+                        end: now,
                     });
                 }
             }
@@ -1121,7 +1105,7 @@ impl ShaderCore {
         space: &AddressSpace,
         kernel: &dyn Kernel,
         iters: &mut [u32],
-        tracer: &mut Tracer,
+        obs: &mut Observer,
     ) -> bool {
         let spaces = [space];
         let kernels = [kernel];
@@ -1131,26 +1115,28 @@ impl ShaderCore {
             iters,
             iters_base: &[0],
         };
-        self.tick_tenants(now, mem, &mut ctx, tracer) != 0
+        self.tick_tenants(now, mem, &mut ctx, obs) != 0
     }
 
     /// Advances the core by one cycle under a multi-tenant context.
     /// Returns a bitmask with bit `asid` set for each tenant that
     /// issued an instruction this cycle (the per-tenant watchdog's
     /// progress signal; ASIDs are capped at 64 by the GPU driver).
+    /// Events emitted during the tick are stamped with this core's id.
     pub fn tick_tenants(
         &mut self,
         now: Cycle,
         mem: &mut MemorySystem,
         ctx: &mut RunCtx<'_, '_>,
-        tracer: &mut Tracer,
+        obs: &mut Observer,
     ) -> u64 {
+        obs.core = self.id as u32;
         let dispatched = self.dispatch_blocks(ctx.kernels, now);
-        let pid = self.id as u32;
+        let core = obs.core;
         let path = &mut self.path;
         path.l1_mshrs.expire(now);
         let mmu_was_idle = path.mmu.is_idle();
-        path.mmu.advance_tenants(now, mem, ctx.spaces, tracer, pid);
+        path.mmu.advance_tenants(now, mem, ctx.spaces, obs);
         self.events.clear();
         self.events.extend(path.mmu.events());
         for ev in &self.events {
@@ -1166,16 +1152,12 @@ impl ShaderCore {
                         w.waiting_pages = w.waiting_pages.saturating_sub(1);
                         if w.waiting_pages == 0 {
                             let slept = w.pending.as_ref().map_or(now, |p| p.slept_at);
-                            tracer.record(|| {
-                                TraceEvent::span(
-                                    "warp_sleep",
-                                    "warp",
-                                    pid,
-                                    warp as u32,
-                                    slept,
-                                    now - slept,
-                                )
-                                .arg("vpn", vpn.raw())
+                            obs.record(|| Event::WarpSleep {
+                                core,
+                                warp,
+                                vpn: vpn.raw(),
+                                start: slept,
+                                end: now,
                             });
                             let all_serviced =
                                 w.pending.as_ref().is_some_and(|p| p.accesses.is_empty());
@@ -1198,7 +1180,7 @@ impl ShaderCore {
                             }
                         }
                     }
-                    ExecMode::Tbc(t) => t.wake(warp, vpn, ppn, path, now, mem, tracer, pid),
+                    ExecMode::Tbc(t) => t.wake(warp, vpn, ppn, path, now, mem, obs),
                 },
                 MmuEvent::Fault { asid, vpn, warp } => {
                     if !self.fault.demand_paging {
@@ -1269,7 +1251,7 @@ impl ShaderCore {
                 (0, false, idle_verdict.expect("checked"))
             }
             ExecMode::Baseline { warps } => {
-                let scan = baseline_issue(path, warps, &mut self.rr_ptr, now, mem, ctx);
+                let scan = baseline_issue(path, warps, &mut self.rr_ptr, now, mem, ctx, obs);
                 let issued = scan
                     .issued_asid
                     .map_or(0, |asid| 1u64 << (asid as u32 & 63));
@@ -1295,8 +1277,7 @@ impl ShaderCore {
                     ctx.spaces[0],
                     ctx.kernels[0],
                     ctx.iters,
-                    tracer,
-                    pid,
+                    obs,
                 ));
                 (issued, could, t.has_work())
             }
@@ -1337,7 +1318,7 @@ impl ShaderCore {
         // Blocks can only finish on a tick that mutated unit state, so
         // a quiet tick has nothing to reap.
         if !quiet {
-            self.reap_blocks(now, tracer);
+            self.reap_blocks(now, obs);
         }
         issued
     }
@@ -1417,6 +1398,7 @@ fn baseline_issue(
     now: Cycle,
     mem: &mut MemorySystem,
     ctx: &mut RunCtx<'_, '_>,
+    obs: &mut Observer,
 ) -> IssueScan {
     let n = warps.len();
     let mut saw_schedulable = false;
@@ -1453,7 +1435,7 @@ fn baseline_issue(
             }
         }
         let asid = warps[w].asid;
-        exec_one(path, warps, w, now, mem, ctx);
+        exec_one(path, warps, w, now, mem, ctx, obs);
         *rr_ptr = (w + 1) % n;
         return IssueScan {
             issued_asid: Some(asid),
@@ -1479,6 +1461,7 @@ fn exec_one(
     now: Cycle,
     mem: &mut MemorySystem,
     ctx: &mut RunCtx<'_, '_>,
+    obs: &mut Observer,
 ) {
     let asid = warps[w].asid;
     let kernel = ctx.kernels[asid as usize];
@@ -1548,7 +1531,7 @@ fn exec_one(
                 path.stats.replays.inc();
             }
             let mut pending = warp.pending.take().expect("just set");
-            match path.issue_mem(now, w as u16, asid, &mut pending, mem, space) {
+            match path.issue_mem(now, w as u16, asid, &mut pending, mem, space, obs) {
                 MemIssue::Done(ready) => {
                     warp.ready_at = ready;
                     warp.wait = WaitKind::MemData {
@@ -1860,9 +1843,9 @@ mod tests {
             core.push_block(b * 64, (threads - b * 64).min(64));
         }
         let mut now = 0;
-        let mut tracer = Tracer::Off;
+        let mut obs = Observer::off();
         while core.has_work() {
-            core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut tracer);
+            core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut obs);
             now += 1;
             assert!(now < 1_000_000, "core never finished");
         }

@@ -10,13 +10,13 @@
 
 use crate::config::GpuConfig;
 use crate::core::{RunCtx, ShaderCore};
-use crate::observe::{CounterSnapshot, Observer};
 use crate::program::Kernel;
 use crate::stall::StallBreakdown;
 use gmmu_mem::MemorySystem;
 use gmmu_sim::ckpt::{fnv1a64, Ckpt, CkptError, Loader, Saver};
 use gmmu_sim::fault::{major_fault, FaultInjector};
 use gmmu_sim::metrics::{Metrics, MetricsRegistry};
+use gmmu_sim::observe::{CounterSnapshot, Observer};
 use gmmu_sim::stats::{Histogram, Summary};
 use gmmu_sim::Cycle;
 use gmmu_vm::{AddressSpace, Vpn};
@@ -352,8 +352,9 @@ pub const CKPT_MAGIC: [u8; 4] = *b"GMCK";
 /// queue, per-tenant shootdown epochs, progress clocks, and finish
 /// times, plus one address-space image per tenant. Version 4 moved
 /// snapshots into the one drive loop and dropped the event calendar
-/// and the per-core idle-accounting cursors from the payload.
-pub const CKPT_VERSION: u32 = 4;
+/// and the per-core idle-accounting cursors from the payload. Version 5
+/// stores the span trace as typed, string-free events.
+pub const CKPT_VERSION: u32 = 5;
 
 /// The configuration fingerprint stored in a checkpoint header: a
 /// stable hash of the GPU configuration and every tenant's kernel name
@@ -663,12 +664,7 @@ impl Gpu {
             total_slots +=
                 ctx.kernel.num_threads() as usize * ctx.kernel.program().num_sites().max(1);
         }
-        // Arm (or disarm) each core's metric staging buffer: cores
-        // record lifecycle events locally and the drive loop drains
-        // them in core-index order each cycle.
-        let metrics_on = obs.metrics.enabled();
         for core in &mut self.cores {
-            core.set_metrics_staging(metrics_on);
             core.set_tagging(policy.tagged);
             if n_t > 1 && policy.walker_tokens > 0 {
                 core.set_walker_fairness(n_t, policy.walker_tokens, policy.walker_max_age);
@@ -972,19 +968,10 @@ impl Gpu {
             let mut live = false;
             let mut issued = 0u64;
             for core in &mut self.cores {
-                issued |= core.tick_tenants(now, &mut self.mem, &mut ctx, &mut obs.tracer);
+                issued |= core.tick_tenants(now, &mut self.mem, &mut ctx, obs);
                 live |= core.has_work();
             }
             spaces_pool = recycle_refs(spaces);
-            // Metric staging buffers drain into the observer's sink in
-            // core-index order every cycle; sink folds are commutative,
-            // so the snapshot is independent of which loop visited
-            // which cycles.
-            if obs.metrics.enabled() {
-                for core in &mut self.cores {
-                    core.drain_metrics(&mut obs.metrics);
-                }
-            }
             // New page faults raised this cycle enter the handler queue
             // once each; minor/major classification is a pure function
             // of the seed and the ASID-salted page (for ASID 0 the salt
@@ -1269,9 +1256,6 @@ impl Gpu {
         if let Some(rec) = obs.intervals.as_ref() {
             rec.save(&mut w);
         }
-        // Snapshots are taken at the top of a cycle, after the previous
-        // cycle's drain: per-core staging buffers are empty, so only the
-        // observer's aggregation sink needs to travel.
         obs.metrics.save(&mut w);
         w.into_bytes()
     }

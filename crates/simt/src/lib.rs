@@ -28,22 +28,22 @@
 //! * [`gpu`] — the whole GPU: block dispatch, the global cycle loop,
 //!   aggregate statistics ([`gpu::RunStats`]).
 //! * [`stall`] — idle-cycle attribution by dominant stall cause.
-//! * [`observe`] — per-run observation: span tracing and interval
-//!   time-series, both strictly zero-cost when off.
+//! * [`observe`] — per-run observation (re-exported from
+//!   [`gmmu_sim::observe`]): the one event stream folded into span
+//!   traces, metrics and interval time-series, all zero-cost when off.
 
 pub mod coalesce;
 pub mod config;
 pub mod core;
 pub mod gpu;
-pub mod observe;
 pub mod program;
 pub mod stack;
 pub mod stall;
 pub mod tbc;
 
 pub use config::{CoreTimings, FaultConfig, GpuConfig};
+pub use gmmu_sim::observe::{self, IntervalRecorder, IntervalSample, Observer};
 pub use gpu::{Gpu, RunStats, TenantJob, TenantPolicy, TenantStats};
-pub use observe::{IntervalRecorder, IntervalSample, Observer};
 pub use program::{Kernel, MemKind, Op, Program};
 pub use stack::SimtStack;
 pub use stall::{StallBreakdown, StallCause};

@@ -19,7 +19,7 @@ use crate::core::{BlockWork, MemIssue, MemPath, Pending, WaitKind};
 use crate::program::{Kernel, Op, ThreadId};
 use crate::stall::StallCause;
 use gmmu_mem::MemorySystem;
-use gmmu_sim::trace::{TraceEvent, Tracer, TID_DISPATCH};
+use gmmu_sim::observe::{Event, Observer};
 use gmmu_sim::Cycle;
 use gmmu_vm::AddressSpace;
 use std::collections::VecDeque;
@@ -295,8 +295,7 @@ impl TbcState {
         path: &mut MemPath,
         now: Cycle,
         mem: &mut MemorySystem,
-        tracer: &mut Tracer,
-        pid: u32,
+        obs: &mut Observer,
     ) {
         let u = &mut self.units[unit as usize];
         debug_assert!(u.alive && u.waiting_pages > 0);
@@ -306,9 +305,13 @@ impl TbcState {
         u.waiting_pages = u.waiting_pages.saturating_sub(1);
         if u.waiting_pages == 0 {
             let slept = u.pending.as_ref().map_or(now, |p| p.slept_at);
-            tracer.record(|| {
-                TraceEvent::span("warp_sleep", "warp", pid, unit as u32, slept, now - slept)
-                    .arg("vpn", vpn.raw())
+            let core = obs.core;
+            obs.record(|| Event::WarpSleep {
+                core,
+                warp: unit,
+                vpn: vpn.raw(),
+                start: slept,
+                end: now,
             });
             let all_serviced = u.pending.as_ref().is_some_and(|p| p.accesses.is_empty());
             if all_serviced {
@@ -462,11 +465,10 @@ impl TbcState {
         space: &AddressSpace,
         kernel: &dyn Kernel,
         iters: &mut [u32],
-        tracer: &mut Tracer,
-        pid: u32,
+        obs: &mut Observer,
     ) -> bool {
         for b in 0..self.blocks.len() {
-            self.maintain_block(b, path, now, kernel, iters, tracer, pid);
+            self.maintain_block(b, path, now, kernel, iters, obs);
         }
         // Collect schedulable units (top level of each active block).
         let mut cands = std::mem::take(&mut self.cand_scratch);
@@ -488,7 +490,7 @@ impl TbcState {
         } else {
             let pick = cands[self.rr % cands.len()];
             self.rr = self.rr.wrapping_add(1);
-            self.exec_unit(pick, path, now, mem, space, kernel, iters);
+            self.exec_unit(pick, path, now, mem, space, kernel, iters, obs);
             true
         };
         self.cand_scratch = cands;
@@ -497,7 +499,6 @@ impl TbcState {
 
     /// Handles barrier-complete (compaction) and level-complete (pop)
     /// conditions for one block.
-    #[allow(clippy::too_many_arguments)]
     fn maintain_block(
         &mut self,
         b: usize,
@@ -505,8 +506,7 @@ impl TbcState {
         now: Cycle,
         kernel: &dyn Kernel,
         iters: &mut [u32],
-        tracer: &mut Tracer,
-        pid: u32,
+        obs: &mut Observer,
     ) {
         loop {
             if !self.blocks[b].active {
@@ -517,15 +517,12 @@ impl TbcState {
                 self.blocks[b].active = false;
                 path.stats.blocks_done.inc();
                 let started = self.blocks[b].started;
-                tracer.record(|| {
-                    TraceEvent::span(
-                        "block",
-                        "dispatch",
-                        pid,
-                        TID_DISPATCH + b as u32,
-                        started,
-                        now - started,
-                    )
+                let core = obs.core;
+                obs.record(|| Event::BlockRetire {
+                    core,
+                    slot: b as u32,
+                    start: started,
+                    end: now,
                 });
                 return;
             };
@@ -834,6 +831,7 @@ impl TbcState {
         space: &AddressSpace,
         kernel: &dyn Kernel,
         iters: &mut [u32],
+        obs: &mut Observer,
     ) {
         let num_sites = kernel.program().num_sites().max(1);
         let block_idx = self.units[u as usize].block as usize;
@@ -888,7 +886,7 @@ impl TbcState {
                     path.stats.replays.inc();
                 }
                 let mut pending = self.units[u as usize].pending.take().expect("just set");
-                match path.issue_mem(now, u, 0, &mut pending, mem, space) {
+                match path.issue_mem(now, u, 0, &mut pending, mem, space, obs) {
                     MemIssue::Done(ready) => {
                         let unit = &mut self.units[u as usize];
                         unit.ready_at = ready;

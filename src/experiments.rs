@@ -508,7 +508,7 @@ fn engine_label(cfg: &GpuConfig) -> &'static str {
 
 /// Maps a journaled loop label back to the static string
 /// [`engine_label`] would have produced.
-fn intern_engine_label(v: &str) -> &'static str {
+fn engine_label_from_journal(v: &str) -> &'static str {
     match v {
         "tick_every_cycle" => "tick_every_cycle",
         "event_skip" => "event_skip",
@@ -585,12 +585,7 @@ fn observed_run(opts: ExperimentOpts, spec: &PointSpec, w: &Workload) -> RunStat
         // With the metrics channel and interval recorder both on, the
         // span trace gains a counter track of per-stage walk cycles.
         let counters = metrics_counter_rows(&obs);
-        let write = if counters.is_empty() {
-            buf.write_chrome_json(path)
-        } else {
-            std::fs::write(path, buf.to_chrome_json_with(&counters))
-        };
-        match write {
+        match std::fs::write(path, buf.to_chrome_json_with(&counters)) {
             Ok(()) => eprintln!(
                 "trace: {} events from {:?} written to {path}",
                 buf.len(),
@@ -634,7 +629,7 @@ fn observed_run(opts: ExperimentOpts, spec: &PointSpec, w: &Workload) -> RunStat
 /// Empty unless both the metrics channel and the interval recorder ran.
 ///
 /// [`TraceBuffer::to_chrome_json_with`]: gmmu_sim::trace::TraceBuffer::to_chrome_json_with
-fn metrics_counter_rows(obs: &Observer) -> Vec<String> {
+pub fn metrics_counter_rows(obs: &Observer) -> Vec<String> {
     if !obs.metrics.enabled() {
         return Vec::new();
     }
@@ -647,7 +642,7 @@ fn metrics_counter_rows(obs: &Observer) -> Vec<String> {
             format!(
                 "{{\"name\":\"walk_stage_cycles\",\"ph\":\"C\",\"ts\":{},\"pid\":0,\"tid\":0,\
                  \"args\":{{\"queue\":{},\"active\":{}}}}}",
-                s.end_cycle, s.walk_queue_cycles, s.walk_active_cycles
+                s.end_cycle, s.delta.walk_queue_cycles, s.delta.walk_active_cycles
             )
         })
         .collect()
@@ -747,7 +742,7 @@ fn parse_journal_line(line: &str) -> Option<(String, PointRun, RunStats)> {
         return None;
     }
     let fingerprint = u64::from_str_radix(fields.next()?, 16).ok()?;
-    let engine = intern_engine_label(fields.next()?);
+    let engine = engine_label_from_journal(fields.next()?);
     let wall_s = fields.next()?.parse::<f64>().ok()?;
     let bytes = hex_decode(fields.next()?)?;
     let key = fields.next()?.to_string();

@@ -71,7 +71,7 @@ fn allocs() -> u64 {
 
 use gmmu_core::mmu::MmuModel;
 use gmmu_mem::{MemConfig, MemorySystem};
-use gmmu_sim::trace::Tracer;
+use gmmu_sim::observe::Observer;
 use gmmu_simt::core::ShaderCore;
 use gmmu_simt::program::{MemKind, Op, Program, ThreadId};
 use gmmu_simt::{GpuConfig, Kernel};
@@ -149,14 +149,14 @@ fn serial_tick_loop_is_allocation_free() {
     core.push_block(0, 128);
     let mut mem = MemorySystem::new(MemConfig::default());
     let mut iters = vec![0u32; 128 * kernel.program.num_sites()];
-    let mut tracer = Tracer::Off;
+    let mut obs = Observer::off();
 
     // Warm-up: long enough for every pool, map, and cache to reach its
     // high-water mark (TLB misses, walk batches, MSHR fills, waiter
     // lists all occur many times over).
     let mut now = 0u64;
     while now < 20_000 {
-        core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut tracer);
+        core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut obs);
         now += 1;
     }
     assert!(core.has_work(), "kernel drained during warm-up");
@@ -168,7 +168,7 @@ fn serial_tick_loop_is_allocation_free() {
     let before = allocs();
     let window = 20_000;
     for _ in 0..window {
-        core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut tracer);
+        core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut obs);
         now += 1;
     }
     let after = allocs();
@@ -192,11 +192,11 @@ fn event_loop_is_allocation_free() {
     core.push_block(0, 128);
     let mut mem = MemorySystem::new(MemConfig::default());
     let mut iters = vec![0u32; 128 * kernel.program.num_sites()];
-    let mut tracer = Tracer::Off;
+    let mut obs = Observer::off();
 
     let mut step = |now: u64| -> u64 {
         let next = now + 1;
-        if core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut tracer) {
+        if core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut obs) {
             return next;
         }
         match core.next_event_at(now) {

@@ -72,6 +72,7 @@ fn observer() -> Observer {
         tracer: Tracer::recording(),
         intervals: Some(IntervalRecorder::new(1_000)),
         metrics: Metrics::recording(),
+        ..Observer::off()
     }
 }
 
@@ -300,8 +301,8 @@ fn checkpoint_mid_replay_resumes_bit_identically() {
 /// A checkpoint must only load into the machine that wrote it: a
 /// different configuration is a fingerprint mismatch, a truncated image
 /// is refused, garbage is rejected by magic, and an image of another
-/// format version — including a GMCK v3 image, which still carried the
-/// event calendar — is a typed version refusal.
+/// format version — including a GMCK v4 image, which still stored spans
+/// as strings — is a typed version refusal.
 #[test]
 fn checkpoint_refuses_foreign_or_corrupt_images() {
     let cfg = ExperimentOpts::quick().gpu(designs::augmented());
@@ -351,7 +352,7 @@ fn checkpoint_refuses_foreign_or_corrupt_images() {
     // Other format versions: the version is the single varint byte
     // after the magic.
     assert_eq!(img[4] as u32, gmmu_simt::gpu::CKPT_VERSION);
-    for version in [3u8, 5] {
+    for version in [4u8, 6] {
         let mut other = img.clone();
         other[4] = version;
         assert_eq!(
@@ -388,6 +389,60 @@ fn checkpoint_refuses_foreign_or_corrupt_images() {
     // The pristine image still loads (the helpers above didn't consume it).
     let resumed = resume(&cfg, img).expect("pristine image resumes");
     assert_same(&reference, &resumed, "pristine resume");
+}
+
+/// A checkpoint whose span trace holds an event with an unknown tag is
+/// refused with a typed error, never a panic. The trace section is
+/// located by decoding: it is the only offset from which the tracer,
+/// interval recorder and metrics sink load back-to-back and consume the
+/// image exactly.
+#[test]
+fn checkpoint_refuses_unknown_trace_event_tag() {
+    use gmmu_sim::ckpt::{Ckpt, Loader, Saver};
+    let cfg = ExperimentOpts::quick().gpu(designs::augmented());
+    let (reference, _, _) = run_ckpt(Bench::Bfs, &cfg, None, 0, None);
+    let every = (reference.cycles / 2).max(1);
+    let (_, _, images) = run_ckpt(Bench::Bfs, &cfg, None, every, None);
+    let img = images.first().expect("one checkpoint");
+
+    let tracer_at = (0..img.len())
+        .find(|&at| {
+            let mut obs = observer();
+            let mut r = Loader::new(&img[at..]);
+            obs.tracer.load(&mut r).is_ok()
+                && obs.intervals.as_mut().unwrap().load(&mut r).is_ok()
+                && obs.metrics.load(&mut r).is_ok()
+                && r.remaining() == 0
+                && obs.tracer.buffer().is_some_and(|b| !b.is_empty())
+        })
+        .expect("the image ends with a non-empty trace and the other instruments");
+    // Tracer tag (1 byte), then the event count, then the first event's tag.
+    let mut obs = observer();
+    obs.tracer
+        .load(&mut Loader::new(&img[tracer_at..]))
+        .expect("located above");
+    let mut count = Saver::new();
+    count.usize(obs.tracer.buffer().unwrap().len());
+    let tag_at = tracer_at + 1 + count.len();
+
+    let mut bad = img.clone();
+    bad[tag_at] = 0xee;
+    let mut w = build(Bench::Bfs, Scale::Tiny, 7);
+    let mut obs = observer();
+    let mut sink = |_: &[u8]| {};
+    let err = Gpu::new(cfg.clone())
+        .run_checkpointed(
+            w.kernel.as_ref(),
+            &mut w.space,
+            &mut obs,
+            CheckpointOpts {
+                every: 0,
+                sink: &mut sink,
+                resume: Some(&bad),
+            },
+        )
+        .unwrap_err();
+    assert_eq!(err, CkptError::Corrupt("unknown trace event tag"));
 }
 
 /// Multi-tenant snapshot/restore with the storm machinery hot: a

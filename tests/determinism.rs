@@ -4,6 +4,7 @@
 use gmmu::experiments::{designs, ExperimentOpts, Runner};
 use gmmu::prelude::*;
 use gmmu_sim::metrics::Metrics;
+use gmmu_sim::observe::Event;
 use gmmu_sim::trace::Tracer;
 use gmmu_simt::gpu::run_kernel;
 use gmmu_simt::IntervalRecorder;
@@ -227,6 +228,7 @@ fn observation_is_invisible_and_engine_independent() {
         tracer: Tracer::recording(),
         intervals: Some(IntervalRecorder::new(1_000)),
         metrics: Metrics::Off,
+        ..Observer::off()
     };
     for (bench, name, configure) in matrix {
         let w = build(bench, opts.scale, opts.seed);
@@ -251,11 +253,11 @@ fn observation_is_invisible_and_engine_independent() {
         let buf = obs.tracer.buffer().expect("recording tracer");
         assert!(!buf.is_empty(), "{bench}/{name}: trace is empty");
         assert!(
-            buf.events().iter().any(|e| e.name == "tlb_miss"),
+            buf.events().iter().any(|e| matches!(e, Event::Fill { .. })),
             "{bench}/{name}: no tlb_miss spans"
         );
         assert!(
-            buf.events().iter().any(|e| e.name == "page_walk"),
+            buf.events().iter().any(|e| matches!(e, Event::Walk { .. })),
             "{bench}/{name}: no page_walk spans"
         );
         let rec = obs.intervals.as_ref().expect("interval recorder");
@@ -263,7 +265,7 @@ fn observation_is_invisible_and_engine_independent() {
             !rec.samples().is_empty(),
             "{bench}/{name}: no interval samples"
         );
-        let insns: u64 = rec.samples().iter().map(|s| s.instructions).sum();
+        let insns: u64 = rec.samples().iter().map(|s| s.delta.instructions).sum();
         assert_eq!(
             insns, observed.instructions,
             "{bench}/{name}: intervals lose instructions"
@@ -296,7 +298,7 @@ fn observation_is_invisible_and_engine_independent() {
 /// `RunStats` bit-identical with metrics on versus an unobserved run
 /// under both loops — and the versioned snapshot it renders must be
 /// byte-identical across the skip and per-cycle loops (the sink folds
-/// are commutative, so drain order cannot leak through).
+/// are commutative, so event order cannot leak through).
 #[test]
 fn metrics_channel_is_invisible_and_snapshots_are_engine_invariant() {
     type Configure = fn(&mut GpuConfig);

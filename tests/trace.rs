@@ -203,6 +203,55 @@ fn golden_metrics_snapshot_matches_committed_fixture() {
     }
 }
 
+/// Pins the Perfetto and interval bytes across commits: replaying the
+/// golden pathfinder trace with the tracer, a 1000-cycle interval
+/// recorder and the metrics channel all on must reproduce the committed
+/// FNV-1a64 digests of the Chrome JSON (spans plus the
+/// `walk_stage_cycles` counter rows the harness splices in) and of the
+/// interval CSV, under both loops.
+#[test]
+fn golden_trace_and_interval_bytes_match_pinned_digests() {
+    use gmmu::experiments::metrics_counter_rows;
+    use gmmu_sim::rng::fnv1a64;
+    use gmmu_sim::trace::Tracer;
+    use gmmu_simt::IntervalRecorder;
+    const CHROME_FNV: u64 = 0x1cdc_829a_4e6a_0a45;
+    const INTERVALS_FNV: u64 = 0x0919_ee11_473e_e705;
+
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    let bytes = std::fs::read(format!("{dir}/pathfinder_tiny.gmtr"))
+        .expect("missing golden fixture pathfinder_tiny.gmtr");
+    let trace = Trace::decode(&bytes).expect("golden fixture decodes");
+    for (name, tick_every_cycle) in LOOPS {
+        let mut cfg = trace.launch.config.clone();
+        cfg.tick_every_cycle = tick_every_cycle;
+        let mut obs = Observer::off();
+        obs.tracer = Tracer::recording();
+        obs.intervals = Some(IntervalRecorder::new(1_000));
+        obs.metrics = Metrics::recording();
+        replay_run_observed(&trace, &cfg, &mut obs).expect("replay runs");
+        let rows = metrics_counter_rows(&obs);
+        assert!(!rows.is_empty(), "{name}: no walk_stage_cycles rows");
+        let json = obs
+            .tracer
+            .buffer()
+            .expect("recording")
+            .to_chrome_json_with(&rows);
+        let csv = obs.intervals.as_ref().expect("recording").to_csv();
+        for span in ["tlb_miss", "page_walk", "warp_sleep", "block"] {
+            assert!(
+                json.contains(&format!("\"name\":\"{span}\"")),
+                "{name}: the golden run emits no {span} span"
+            );
+        }
+        assert_eq!(
+            (fnv1a64(json.as_bytes()), fnv1a64(csv.as_bytes())),
+            (CHROME_FNV, INTERVALS_FNV),
+            "{name}: trace/interval bytes diverged from the pinned digests"
+        );
+    }
+}
+
 /// Multi-tenant capture/replay conformance: a 2-tenant Zipf scenario
 /// under the mixed fault soup, captured to a GMTM container, must
 /// replay bit-identically (combined stats *and* per-tenant slice) under
