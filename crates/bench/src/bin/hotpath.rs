@@ -15,7 +15,9 @@
 //! * `ShaderCore::next_event_at` — cached vs. recomputed every query
 //!   (the idle-skip loop queries every core on every skip attempt);
 //! * the drive loop end-to-end — `sim_cycles_per_sec` on a real
-//!   workload;
+//!   workload, once under the augmented MMU and once under the naive
+//!   blocking TLB, whose MMU rejects and replays the other points never
+//!   reach;
 //! * the arena page table's build, clone (the checkpoint path) and
 //!   translate paths;
 //! * allocation discipline — the binary installs a counting global
@@ -443,12 +445,15 @@ fn multitenant_bench() -> f64 {
 
 // ----------------------------------------------------------- Drive loop
 
-/// End-to-end drive-loop throughput on one real workload: best-of-3
-/// `sim_cycles_per_sec`.
-fn serial_bench() -> f64 {
+/// End-to-end drive-loop throughput on one real workload under `mmu`:
+/// best-of-3 `sim_cycles_per_sec`. Run under the augmented MMU and
+/// under the naive blocking TLB (`designs::naive3`), which rejects and
+/// replays every memory instruction presented while a walk is
+/// outstanding — a path the augmented point never takes.
+fn serial_bench(mmu: MmuModel) -> f64 {
     use gmmu::prelude::*;
     let w = build(Bench::Bfs, Scale::Tiny, 7);
-    let cfg = gmmu::ExperimentOpts::quick().gpu(MmuModel::augmented());
+    let cfg = gmmu::ExperimentOpts::quick().gpu(mmu);
     let mut rate = 0f64;
     for _ in 0..3 {
         let stats = gmmu_simt::gpu::run_kernel(cfg.clone(), w.kernel.as_ref(), &w.space);
@@ -507,7 +512,8 @@ fn main() {
     memory_benches(&mut results, budget);
     next_event_benches(&mut results, budget);
     page_table_benches(&mut results, budget);
-    let serial_rate = serial_bench();
+    let serial_rate = serial_bench(MmuModel::augmented());
+    let divergent_rate = serial_bench(gmmu::experiments::designs::naive3());
     let multitenant_rate = multitenant_bench();
     let (metrics_unobs_rate, metrics_off_rate, metrics_on_rate) = metrics_benches();
     let serial_allocs = alloc_bench();
@@ -526,6 +532,7 @@ fn main() {
     let cache_speedup = ratio("next_event_at_cached", "next_event_at_recomputed");
     println!("next-event cached vs recompute: {cache_speedup:.2}x");
     println!("drive loop (bfs tiny):          {serial_rate:.0} sim cycles/s");
+    println!("naive blocking TLB (bfs tiny):  {divergent_rate:.0} sim cycles/s");
     let metrics_off_vs_unobserved = if metrics_unobs_rate > 0.0 {
         metrics_off_rate / metrics_unobs_rate
     } else {
@@ -589,6 +596,10 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"throughput\": {{");
     let _ = writeln!(json, "    \"serial_sim_cycles_per_sec\": {serial_rate:.0},");
+    let _ = writeln!(
+        json,
+        "    \"divergent_sim_cycles_per_sec\": {divergent_rate:.0},"
+    );
     let _ = writeln!(
         json,
         "    \"multitenant_sim_cycles_per_sec\": {multitenant_rate:.0}"

@@ -206,6 +206,16 @@ impl Cache {
         self.ways[range].iter().any(|w| w.valid && w.tag == line)
     }
 
+    /// The metadata word of a resident line (the shader core's L1 stores
+    /// the owning warp), without updating recency or statistics.
+    pub fn meta(&self, line: u64) -> Option<u32> {
+        let range = self.set_range(line);
+        self.ways[range]
+            .iter()
+            .find(|w| w.valid && w.tag == line)
+            .map(|w| w.meta)
+    }
+
     /// Invalidates one line; returns `true` if it was present.
     pub fn invalidate(&mut self, line: u64) -> bool {
         let range = self.set_range(line);

@@ -9,10 +9,15 @@
 //! TLB ports and the walker.
 
 use gmmu_core::mmu::PageReq;
+use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
 use gmmu_vm::{PageSize, VAddr, Vpn};
 
 /// log2 of the L1 line size (128 bytes).
 const LINE_SHIFT: u32 = gmmu_mem::LINE_SHIFT;
+
+/// Lanes per warp: the most unique pages or lines one warp memory
+/// instruction can coalesce to.
+const WARP_LANES: usize = 32;
 
 /// One coalesced line reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,6 +26,10 @@ pub struct LineRef {
     pub vline: u64,
     /// Index into [`CoalesceBuf::pages`] of the page containing it.
     pub page_idx: u32,
+    /// Home warp of the line's first referencing thread — the owner the
+    /// L1 records when the line is filled. Under thread block compaction
+    /// the lines of one page can have different home warps.
+    pub warp: u16,
 }
 
 /// Reusable output of one warp memory instruction's coalescing.
@@ -51,6 +60,96 @@ impl CoalesceBuf {
     pub fn clear(&mut self) {
         self.lines.clear();
         self.pages.clear();
+    }
+
+    /// Keeps only the pages for which `keep` returns `true`, with their
+    /// lines, in their original order, renumbering
+    /// [`LineRef::page_idx`]. Pages are unique and each line lies on one
+    /// page, so the result equals coalescing again only the lanes on
+    /// the kept pages. The buffer must hold one warp instruction (at
+    /// most 32 pages).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gmmu_simt::coalesce::{coalesce, CoalesceBuf};
+    /// use gmmu_vm::VAddr;
+    ///
+    /// let mut buf = CoalesceBuf::new();
+    /// let lanes = [0x1000u64, 0x2000, 0x2080].map(|a| (VAddr::new(a), 0u16));
+    /// coalesce(lanes.into_iter(), &mut buf);
+    /// let first = buf.pages[0].vpn;
+    /// buf.retain_pages(|p| p.vpn != first);
+    /// assert_eq!(buf.page_divergence(), 1);
+    /// assert_eq!(buf.lines.len(), 2);
+    /// assert!(buf.lines.iter().all(|l| l.page_idx == 0));
+    /// ```
+    pub fn retain_pages(&mut self, mut keep: impl FnMut(&PageReq) -> bool) {
+        let mut remap = [u32::MAX; WARP_LANES];
+        let mut kept = 0;
+        for (i, to) in remap[..self.pages.len()].iter_mut().enumerate() {
+            if keep(&self.pages[i]) {
+                *to = kept as u32;
+                self.pages[kept] = self.pages[i];
+                kept += 1;
+            }
+        }
+        if kept == self.pages.len() {
+            return;
+        }
+        self.pages.truncate(kept);
+        self.lines.retain_mut(|l| {
+            l.page_idx = remap[l.page_idx as usize];
+            l.page_idx != u32::MAX
+        });
+    }
+}
+
+impl Ckpt for CoalesceBuf {
+    fn save(&self, w: &mut Saver) {
+        w.usize(self.pages.len());
+        for p in &self.pages {
+            p.vpn.save(w);
+            w.u16(p.warp);
+        }
+        w.usize(self.lines.len());
+        for l in &self.lines {
+            w.u64(l.vline);
+            w.u32(l.page_idx);
+            w.u16(l.warp);
+        }
+    }
+
+    /// Refuses lists longer than a warp and lines naming a missing page:
+    /// [`CoalesceBuf::retain_pages`] indexes a warp-sized map by
+    /// `page_idx`.
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+        self.clear();
+        let pages = r.usize()?;
+        if pages > WARP_LANES {
+            return Err(CkptError::Corrupt("coalesced pages exceed a warp"));
+        }
+        for _ in 0..pages {
+            let mut vpn = Vpn::default();
+            vpn.load(r)?;
+            self.pages.push(PageReq::new(vpn, r.u16()?));
+        }
+        let lines = r.usize()?;
+        if lines > WARP_LANES {
+            return Err(CkptError::Corrupt("coalesced lines exceed a warp"));
+        }
+        for _ in 0..lines {
+            let line = LineRef {
+                vline: r.u64()?,
+                page_idx: r.u32()?,
+                warp: r.u16()?,
+            };
+            if line.page_idx as usize >= self.pages.len() {
+                return Err(CkptError::Corrupt("coalesced line names a missing page"));
+            }
+            self.lines.push(line);
+        }
+        Ok(())
     }
 }
 
@@ -100,7 +199,11 @@ pub fn coalesce_granule(
         };
         let vline = va.line(LINE_SHIFT);
         if !out.lines.iter().any(|l| l.vline == vline) {
-            out.lines.push(LineRef { vline, page_idx });
+            out.lines.push(LineRef {
+                vline,
+                page_idx,
+                warp: home_warp,
+            });
         }
     }
 }
@@ -165,11 +268,56 @@ mod tests {
         let accesses = [
             (VAddr::new(0x1000), 3u16),
             (VAddr::new(0x1008), 5),
+            (VAddr::new(0x1080), 5),
             (VAddr::new(0x2000), 5),
         ];
         coalesce(accesses.into_iter(), &mut buf);
         assert_eq!(buf.pages[0].warp, 3);
         assert_eq!(buf.pages[1].warp, 5);
+        // Lines record their own first contributor, so the two lines of
+        // the first page belong to warps 3 and 5.
+        let line_warps: Vec<u16> = buf.lines.iter().map(|l| l.warp).collect();
+        assert_eq!(line_warps, [3, 5, 5]);
+    }
+
+    /// Encodes a buffer image field by field, bypassing the invariants
+    /// [`CoalesceBuf::save`] would uphold.
+    fn image(pages: usize, lines: &[u32]) -> Vec<u8> {
+        let mut w = Saver::new();
+        w.usize(pages);
+        for p in 0..pages {
+            w.u64(p as u64);
+            w.u16(0);
+        }
+        w.usize(lines.len());
+        for (i, &page_idx) in lines.iter().enumerate() {
+            w.u64(i as u64);
+            w.u32(page_idx);
+            w.u16(0);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn malformed_images_are_refused_with_a_typed_error() {
+        let load = |bytes: Vec<u8>| CoalesceBuf::new().load(&mut Loader::new(&bytes));
+        assert_eq!(load(image(32, &[31; 32])), Ok(()));
+        assert_eq!(
+            load(image(33, &[0])),
+            Err(CkptError::Corrupt("coalesced pages exceed a warp"))
+        );
+        assert_eq!(
+            load(image(1, &[0; 33])),
+            Err(CkptError::Corrupt("coalesced lines exceed a warp"))
+        );
+        assert_eq!(
+            load(image(2, &[0, 2])),
+            Err(CkptError::Corrupt("coalesced line names a missing page"))
+        );
+        assert_eq!(
+            load(image(2, &[0, 1])[..5].to_vec()),
+            Err(CkptError::Truncated)
+        );
     }
 
     #[test]

@@ -70,20 +70,19 @@ impl CoreStats {
     }
 }
 
-/// A memory instruction in flight for one warp (generated once; replays
-/// reuse the stored addresses so TLB-miss retries are idempotent).
+/// A memory instruction in flight for one warp. It is coalesced once,
+/// when generated; rejects and replays re-present its remaining pages,
+/// so TLB-miss retries are idempotent.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Pending {
     pub kind: MemKind,
-    /// `(address, home static warp)` per active lane; lanes whose pages
-    /// were serviced by cache overlap are removed.
-    pub accesses: Vec<(VAddr, u16)>,
+    /// The instruction's unique pages and lines still to be serviced;
+    /// pages served by cache overlap or a fill bypass are removed.
+    pub refs: CoalesceBuf,
     /// Whether this instruction has taken a TLB miss (TA-CCWS weighting).
     pub tlb_missed: bool,
     /// Completion of overlap-issued L1 accesses.
     pub overlap_done_at: Cycle,
-    /// Page divergence was recorded (first issue only).
-    pub diverge_recorded: bool,
     /// Whether any access of this instruction missed L2 and went to DRAM
     /// (stall attribution).
     pub touched_dram: bool,
@@ -225,29 +224,32 @@ pub(crate) struct MemPath {
     pub cpm: Option<CommonPageMatrix>,
     pub stats: CoreStats,
     pub timings: CoreTimings,
-    pub cbuf: CoalesceBuf,
     pub tbuf: TranslateBuf,
-    /// Scratch for [`MemPath::service_page`]'s line dedup; kept across
-    /// calls so the steady state allocates nothing.
-    seen_lines: Vec<u64>,
-    /// Scratch for [`MemPath::issue_mem`]'s hit-page retain filter.
-    hit_pages: Vec<Vpn>,
-    /// Recycled [`Pending::accesses`] allocations: every committed
-    /// memory instruction parks its address list here for the next one,
-    /// so the issue path stops allocating per instruction.
-    access_pool: Vec<Vec<(VAddr, u16)>>,
+    /// Recycled [`Pending::refs`] allocations: every committed memory
+    /// instruction parks its buffer here for the next one, so the issue
+    /// path stops allocating per instruction.
+    refs_pool: Vec<CoalesceBuf>,
 }
 
 impl MemPath {
-    /// Takes a recycled access-list allocation (or a fresh one).
-    pub(crate) fn grab_accesses(&mut self) -> Vec<(VAddr, u16)> {
-        self.access_pool.pop().unwrap_or_default()
+    /// Coalesces a new memory instruction's lanes — `(address, home
+    /// static warp)` each, generated in lane order — into a pooled
+    /// buffer and records its page divergence.
+    pub(crate) fn coalesce_new(
+        &mut self,
+        lanes: impl Iterator<Item = (VAddr, u16)>,
+    ) -> CoalesceBuf {
+        let mut refs = self.refs_pool.pop().unwrap_or_default();
+        coalesce_granule(lanes, self.granule, &mut refs);
+        self.stats
+            .page_divergence
+            .record(refs.page_divergence() as u64);
+        refs
     }
 
-    /// Parks a committed instruction's access list for reuse.
-    pub(crate) fn stash_accesses(&mut self, mut v: Vec<(VAddr, u16)>) {
-        v.clear();
-        self.access_pool.push(v);
+    /// Parks a committed instruction's buffer for reuse.
+    pub(crate) fn stash_refs(&mut self, refs: CoalesceBuf) {
+        self.refs_pool.push(refs);
     }
 
     /// Accesses the L1 (and below) for one physical line; returns the
@@ -286,37 +288,31 @@ impl MemPath {
     }
 
     /// Delivers a completed walk's translation straight to a waiting
-    /// instruction: the accesses on `vpn` run against the memory
-    /// hierarchy now and are removed from the pending set. This is the
+    /// instruction: the lines on `vpn` run against the memory hierarchy
+    /// now and the page is removed from the pending set. This is the
     /// hardware fill-bypass path — the translation is consumed even if
     /// the TLB entry is evicted before the warp is scheduled again.
     pub(crate) fn service_page(
         &mut self,
         now: Cycle,
         pending: &mut Pending,
-        vpn: gmmu_vm::Vpn,
+        vpn: Vpn,
         ppn: Ppn,
         mem: &mut MemorySystem,
     ) -> Cycle {
         let mut done = now;
-        let granule = self.granule;
         let mut dram_seen = false;
-        let mut seen_lines = std::mem::take(&mut self.seen_lines);
-        seen_lines.clear();
-        for &(va, home) in pending
-            .accesses
+        let refs = &pending.refs;
+        let page = refs.pages.iter().position(|p| p.vpn == vpn);
+        for line in refs
+            .lines
             .iter()
-            .filter(|(va, _)| granule_vpn(*va, granule) == vpn)
+            .filter(|l| Some(l.page_idx as usize) == page)
         {
-            let vline = va.line(gmmu_mem::LINE_SHIFT);
-            if seen_lines.contains(&vline) {
-                continue;
-            }
-            seen_lines.push(vline);
-            let pl = phys_line(ppn, vline, granule);
+            let pl = phys_line(ppn, line.vline, self.granule);
             match pending.kind {
                 MemKind::Load => {
-                    let (c, dram) = self.access_line(now, pl, home, pending.tlb_missed, mem);
+                    let (c, dram) = self.access_line(now, pl, line.warp, pending.tlb_missed, mem);
                     dram_seen |= dram;
                     done = done.max(c);
                 }
@@ -328,11 +324,8 @@ impl MemPath {
                 }
             }
         }
-        self.seen_lines = seen_lines;
         pending.touched_dram |= dram_seen;
-        pending
-            .accesses
-            .retain(|(va, _)| granule_vpn(*va, granule) != vpn);
+        pending.refs.retain_pages(|p| p.vpn != vpn);
         pending.overlap_done_at = pending.overlap_done_at.max(done);
         done
     }
@@ -351,38 +344,37 @@ impl MemPath {
         space: &AddressSpace,
         obs: &mut Observer,
     ) -> MemIssue {
-        debug_assert!(!pending.accesses.is_empty());
-        let mut cbuf = std::mem::take(&mut self.cbuf);
-        coalesce_granule(pending.accesses.iter().copied(), self.granule, &mut cbuf);
-        if !pending.diverge_recorded {
-            pending.diverge_recorded = true;
-            self.stats
-                .page_divergence
-                .record(cbuf.page_divergence() as u64);
-        }
+        debug_assert!(!pending.refs.pages.is_empty());
         let mut tbuf = std::mem::take(&mut self.tbuf);
-        let outcome =
-            self.mmu
-                .translate_tenant(now, requester, asid, &cbuf.pages, space, &mut tbuf, obs);
+        let outcome = self.mmu.translate_tenant(
+            now,
+            requester,
+            asid,
+            &pending.refs.pages,
+            space,
+            &mut tbuf,
+            obs,
+        );
         let result = match outcome {
             TranslateOutcome::Reject { retry_at } => MemIssue::Retry(retry_at.max(now + 1)),
             TranslateOutcome::AllHit { ready_at } => {
-                self.note_hits(&tbuf, &cbuf);
-                let done = self.run_accesses(ready_at, &cbuf, &tbuf, pending, mem, None);
+                self.note_hits(&tbuf, &pending.refs);
+                let done = self.run_accesses(ready_at, &tbuf, pending, mem, None);
                 MemIssue::Done(done.max(pending.overlap_done_at))
             }
             TranslateOutcome::Miss { ready_at, misses } => {
                 let replay = pending.tlb_missed;
                 pending.tlb_missed = true;
                 for &vpn in &tbuf.misses {
-                    let home = cbuf
+                    let home = pending
+                        .refs
                         .pages
                         .iter()
                         .find(|p| p.vpn == vpn)
                         .map_or(requester, |p| p.warp);
                     self.policy.on_tlb_miss(home, vpn);
                 }
-                self.note_hits(&tbuf, &cbuf);
+                self.note_hits(&tbuf, &pending.refs);
                 // Hit pages proceed to the cache either when the TLB
                 // supports cache overlap (Section 6.3), or on a replay —
                 // a replay's hits were delivered by the warp's own walks
@@ -390,22 +382,15 @@ impl MemPath {
                 // since been evicted; this keeps wide-divergence warps
                 // making monotonic progress.
                 if (self.mmu.cache_overlap() || replay) && !tbuf.hits.is_empty() {
-                    let done =
-                        self.run_accesses(ready_at, &cbuf, &tbuf, pending, mem, Some(&tbuf.hits));
+                    let done = self.run_accesses(ready_at, &tbuf, pending, mem, Some(&tbuf.hits));
                     pending.overlap_done_at = pending.overlap_done_at.max(done);
-                    let mut hit_pages = std::mem::take(&mut self.hit_pages);
-                    hit_pages.clear();
-                    hit_pages.extend(tbuf.hits.iter().map(|t| t.vpn));
-                    let granule = self.granule;
                     pending
-                        .accesses
-                        .retain(|(va, _)| !hit_pages.contains(&granule_vpn(*va, granule)));
-                    self.hit_pages = hit_pages;
+                        .refs
+                        .retain_pages(|p| !tbuf.hits.iter().any(|t| t.vpn == p.vpn));
                 }
                 MemIssue::WaitTlb(misses)
             }
         };
-        self.cbuf = cbuf;
         self.tbuf = tbuf;
         result
     }
@@ -427,13 +412,12 @@ impl MemPath {
         }
     }
 
-    /// Runs the L1/store accesses for the lines whose pages are in
-    /// `only` (or all lines when `only` is `None`); returns the cycle
+    /// Runs the L1/store accesses for the pending lines whose pages are
+    /// in `only` (or all lines when `only` is `None`); returns the cycle
     /// the last one completes.
     fn run_accesses(
         &mut self,
         at: Cycle,
-        cbuf: &CoalesceBuf,
         tbuf: &TranslateBuf,
         pending: &mut Pending,
         mem: &mut MemorySystem,
@@ -442,8 +426,9 @@ impl MemPath {
         let translations = only.unwrap_or(&tbuf.hits);
         let mut done = at;
         let mut dram_seen = false;
-        for line in &cbuf.lines {
-            let page = &cbuf.pages[line.page_idx as usize];
+        let refs = &pending.refs;
+        for line in &refs.lines {
+            let page = &refs.pages[line.page_idx as usize];
             let Some(t) = translations.iter().find(|t| t.vpn == page.vpn) else {
                 continue; // page missed: handled on replay
             };
@@ -478,13 +463,6 @@ impl MemPath {
 pub(crate) fn phys_line(ppn: Ppn, vline: u64, granule: PageSize) -> u64 {
     let mask = (1u64 << (granule.shift() - gmmu_mem::LINE_SHIFT)) - 1;
     (ppn.raw() << 5) + (vline & mask)
-}
-
-/// The granule-base 4 KiB page number containing `va` at `granule`.
-#[inline]
-pub(crate) fn granule_vpn(va: VAddr, granule: PageSize) -> Vpn {
-    let shift = granule.shift();
-    Vpn::new((va.raw() >> shift) << (shift - 12))
 }
 
 /// A block of threads waiting to run.
@@ -592,11 +570,8 @@ impl ShaderCore {
                 cpm,
                 stats: CoreStats::default(),
                 timings: cfg.timings,
-                cbuf: CoalesceBuf::new(),
                 tbuf: TranslateBuf::new(),
-                seen_lines: Vec::new(),
-                hit_pages: Vec::new(),
-                access_pool: Vec::new(),
+                refs_pool: Vec::new(),
             },
             exec,
             rr_ptr: 0,
@@ -1081,13 +1056,13 @@ impl ShaderCore {
                     let _ = writeln!(
                         s,
                         "  warp {i} (asid {}): waiting_pages={} faulted_pages={} ready_at={} \
-                         (now {now}) wait={:?} pending_accesses={}",
+                         (now {now}) wait={:?} pending_lines={}",
                         w.asid,
                         w.waiting_pages,
                         w.faulted_pages,
                         w.ready_at,
                         w.wait,
-                        w.pending.as_ref().map_or(0, |p| p.accesses.len()),
+                        w.pending.as_ref().map_or(0, |p| p.refs.lines.len()),
                     );
                 }
             }
@@ -1160,7 +1135,7 @@ impl ShaderCore {
                                 end: now,
                             });
                             let all_serviced =
-                                w.pending.as_ref().is_some_and(|p| p.accesses.is_empty());
+                                w.pending.as_ref().is_some_and(|p| p.refs.pages.is_empty());
                             if all_serviced {
                                 // Instruction complete: commit it.
                                 let p = w.pending.take().expect("checked");
@@ -1168,7 +1143,7 @@ impl ShaderCore {
                                 w.wait = WaitKind::MemData {
                                     dram: p.touched_dram,
                                 };
-                                path.stash_accesses(p.accesses);
+                                path.stash_refs(p.refs);
                                 let stack = w.stack.as_mut().expect("waiting warp is live");
                                 let (pc, _) = stack.current().expect("live");
                                 stack.advance(pc + 1);
@@ -1505,22 +1480,20 @@ fn exec_one(
         }
         Op::Mem { site, kind } => {
             if warp.pending.is_none() {
-                let mut accesses = path.grab_accesses();
-                for lane in 0..32 {
-                    if mask & (1 << lane) != 0 {
-                        let tid = warp.first_tid + lane;
-                        let slot = base + tid as usize * num_sites + site as usize;
-                        let iter = iters[slot];
-                        iters[slot] += 1;
-                        accesses.push((kernel.mem_addr(tid, site, iter), w as u16));
-                    }
-                }
+                let first_tid = warp.first_tid;
+                let lanes = (0..32).filter(|lane| mask & (1 << lane) != 0).map(|lane| {
+                    let tid = first_tid + lane;
+                    let slot = base + tid as usize * num_sites + site as usize;
+                    let iter = iters[slot];
+                    iters[slot] += 1;
+                    (kernel.mem_addr(tid, site, iter), w as u16)
+                });
+                let refs = path.coalesce_new(lanes);
                 warp.pending = Some(Pending {
                     kind,
-                    accesses,
+                    refs,
                     tlb_missed: false,
                     overlap_done_at: 0,
-                    diverge_recorded: false,
                     touched_dram: false,
                     slept_at: 0,
                 });
@@ -1538,7 +1511,7 @@ fn exec_one(
                         dram: pending.touched_dram,
                     };
                     warp.stack.as_mut().expect("live warp").advance(pc + 1);
-                    path.stash_accesses(pending.accesses);
+                    path.stash_refs(pending.refs);
                 }
                 MemIssue::WaitTlb(misses) => {
                     warp.waiting_pages = misses;
@@ -1601,19 +1574,17 @@ impl Ckpt for WaitKind {
 impl Ckpt for Pending {
     fn save(&self, w: &mut Saver) {
         self.kind.save(w);
-        self.accesses.save(w);
+        self.refs.save(w);
         w.bool(self.tlb_missed);
         w.u64(self.overlap_done_at);
-        w.bool(self.diverge_recorded);
         w.bool(self.touched_dram);
         w.u64(self.slept_at);
     }
     fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
         self.kind.load(r)?;
-        self.accesses.load(r)?;
+        self.refs.load(r)?;
         self.tlb_missed = r.bool()?;
         self.overlap_done_at = r.u64()?;
-        self.diverge_recorded = r.bool()?;
         self.touched_dram = r.bool()?;
         self.slept_at = r.u64()?;
         Ok(())
@@ -1691,8 +1662,8 @@ impl Ckpt for CoreStats {
 impl Ckpt for MemPath {
     /// `granule` and `timings` are configuration; whether a CPM exists is
     /// too, so its contents appear in the stream only when present. The
-    /// coalesce and translate buffers are scratch within one memory issue
-    /// and are reset instead of saved.
+    /// translate buffer is scratch within one memory issue and is reset
+    /// instead of saved; the pending-refs pool only recycles allocations.
     fn save(&self, w: &mut Saver) {
         self.mmu.save(w);
         self.l1.save(w);
@@ -1712,7 +1683,6 @@ impl Ckpt for MemPath {
             cpm.load(r)?;
         }
         self.stats.load(r)?;
-        self.cbuf.clear();
         self.tbuf = TranslateBuf::new();
         Ok(())
     }

@@ -353,8 +353,10 @@ pub const CKPT_MAGIC: [u8; 4] = *b"GMCK";
 /// times, plus one address-space image per tenant. Version 4 moved
 /// snapshots into the one drive loop and dropped the event calendar
 /// and the per-core idle-accounting cursors from the payload. Version 5
-/// stores the span trace as typed, string-free events.
-pub const CKPT_VERSION: u32 = 5;
+/// stores the span trace as typed, string-free events. Version 6 stores
+/// each in-flight memory instruction as its coalesced pages and lines
+/// instead of its lane addresses.
+pub const CKPT_VERSION: u32 = 6;
 
 /// The configuration fingerprint stored in a checkpoint header: a
 /// stable hash of the GPU configuration and every tenant's kernel name

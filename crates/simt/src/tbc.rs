@@ -313,14 +313,14 @@ impl TbcState {
                 start: slept,
                 end: now,
             });
-            let all_serviced = u.pending.as_ref().is_some_and(|p| p.accesses.is_empty());
+            let all_serviced = u.pending.as_ref().is_some_and(|p| p.refs.pages.is_empty());
             if all_serviced {
                 let p = u.pending.take().expect("checked");
                 u.ready_at = p.overlap_done_at.max(now + 1);
                 u.wait = WaitKind::MemData {
                     dram: p.touched_dram,
                 };
-                path.stash_accesses(p.accesses);
+                path.stash_refs(p.refs);
                 u.pc += 1;
                 // done_at_rpc is fixed up against the unit's level by
                 // maintain_block via the rpc check below.
@@ -376,7 +376,7 @@ impl TbcState {
             let _ = writeln!(
                 s,
                 "  dwarp {i}: block={} pc={} waiting_pages={} faulted_pages={} ready_at={} \
-                 (now {now}) wait={:?} at_branch={} done_at_rpc={} pending_accesses={}",
+                 (now {now}) wait={:?} at_branch={} done_at_rpc={} pending_lines={}",
                 u.block,
                 u.pc,
                 u.waiting_pages,
@@ -385,7 +385,7 @@ impl TbcState {
                 u.wait,
                 u.at_branch,
                 u.done_at_rpc,
-                u.pending.as_ref().map_or(0, |p| p.accesses.len()),
+                u.pending.as_ref().map_or(0, |p| p.refs.lines.len()),
             );
         }
     }
@@ -862,21 +862,19 @@ impl TbcState {
                 let block_first = self.blocks[block_idx].first_tid;
                 let base_warp = self.blocks[block_idx].base_warp;
                 if self.units[u as usize].pending.is_none() {
-                    let mut accesses = path.grab_accesses();
-                    let unit = &self.units[u as usize];
-                    for tid in unit.lanes.iter().flatten() {
-                        let slot = *tid as usize * num_sites + site as usize;
+                    let lanes = self.units[u as usize].lanes.iter().flatten().map(|&tid| {
+                        let slot = tid as usize * num_sites + site as usize;
                         let iter = iters[slot];
                         iters[slot] += 1;
-                        let home = base_warp + ((*tid - block_first) / 32) as u16;
-                        accesses.push((kernel.mem_addr(*tid, site, iter), home));
-                    }
+                        let home = base_warp + ((tid - block_first) / 32) as u16;
+                        (kernel.mem_addr(tid, site, iter), home)
+                    });
+                    let refs = path.coalesce_new(lanes);
                     self.units[u as usize].pending = Some(Pending {
                         kind,
-                        accesses,
+                        refs,
                         tlb_missed: false,
                         overlap_done_at: 0,
-                        diverge_recorded: false,
                         touched_dram: false,
                         slept_at: 0,
                     });
@@ -895,7 +893,7 @@ impl TbcState {
                         };
                         unit.pc = pc + 1;
                         unit.done_at_rpc = unit.pc == level_rpc;
-                        path.stash_accesses(pending.accesses);
+                        path.stash_refs(pending.refs);
                     }
                     MemIssue::WaitTlb(misses) => {
                         let unit = &mut self.units[u as usize];
@@ -1144,6 +1142,81 @@ mod tests {
         assert!(tbc.completed);
         assert_eq!(tbc.instructions, base.instructions);
         assert_eq!(tbc.blocks_done, base.blocks_done);
+    }
+
+    /// A dynamic warp mixes home warps, so the lines of one page can
+    /// belong to different home warps. The fill-bypass wake must give
+    /// the L1 each line's own first-lane home warp, not the page's.
+    #[test]
+    fn fill_bypass_hands_each_line_its_home_warp() {
+        use crate::core::{phys_line, ExecMode, Pending, ShaderCore};
+        use gmmu_mem::{MemConfig, MemorySystem};
+        use gmmu_sim::observe::Observer;
+        use gmmu_vm::Ppn;
+
+        let cfg = GpuConfig {
+            n_cores: 1,
+            warps_per_core: 8,
+            warps_per_block: 2,
+            tbc: Some(TbcConfig::baseline()),
+            ..GpuConfig::default()
+        };
+        let mut core = ShaderCore::new(0, &cfg);
+        let page = 0x40_0000u64;
+        // Line 0 is first touched by home warp 3, line 1 by home warp 5;
+        // the page's own home warp is 3. A second page keeps the unit
+        // asleep after the first page's wake.
+        let lanes = [
+            (page, 3u16),
+            (page + 0x80, 5),
+            (page + 0x84, 3),
+            (page + 0x4, 5),
+            (page + 0x10_0000, 3),
+        ];
+        let refs = core
+            .path
+            .coalesce_new(lanes.iter().map(|&(a, w)| (VAddr::new(a), w)));
+        assert_eq!(refs.pages[0].warp, 3);
+        let ExecMode::Tbc(tbc) = &mut core.exec else {
+            panic!("TBC core");
+        };
+        tbc.units.push(super::Dwarp {
+            alive: true,
+            waiting_pages: 2,
+            pending: Some(Pending {
+                kind: MemKind::Load,
+                refs,
+                ..Pending::default()
+            }),
+            ..super::Dwarp::dead()
+        });
+        let unit = (tbc.units.len() - 1) as u16;
+        let mut mem = MemorySystem::new(MemConfig::default());
+        let vpn = VAddr::new(page).vpn();
+        let ppn = Ppn::new(0x77);
+        tbc.wake(
+            unit,
+            vpn,
+            ppn,
+            &mut core.path,
+            10,
+            &mut mem,
+            &mut Observer::off(),
+        );
+
+        let owner = |va: u64| {
+            let pl = phys_line(ppn, VAddr::new(va).line(7), PageSize::Base4K);
+            core.path.l1.meta(pl)
+        };
+        assert_eq!(owner(page), Some(3));
+        assert_eq!(owner(page + 0x80), Some(5));
+        // Only the other page is left pending.
+        let u = &tbc.units[unit as usize];
+        assert_eq!(u.waiting_pages, 1);
+        let refs = &u.pending.as_ref().expect("still pending").refs;
+        assert_eq!(refs.pages.len(), 1);
+        assert_eq!(refs.lines.len(), 1);
+        assert_eq!(refs.lines[0].page_idx, 0);
     }
 
     #[test]

@@ -352,7 +352,7 @@ fn checkpoint_refuses_foreign_or_corrupt_images() {
     // Other format versions: the version is the single varint byte
     // after the magic.
     assert_eq!(img[4] as u32, gmmu_simt::gpu::CKPT_VERSION);
-    for version in [4u8, 6] {
+    for version in [5u8, 7] {
         let mut other = img.clone();
         other[4] = version;
         assert_eq!(

@@ -11,7 +11,7 @@ use gmmu_core::mmu::{Mmu, MmuEvent, MmuModel, PageReq, TranslateBuf, TranslateOu
 use gmmu_core::walker::{Walker, WalkerConfig};
 use gmmu_mem::{Cache, CacheConfig, MemConfig, MemorySystem};
 use gmmu_sim::rng::Xoshiro256;
-use gmmu_simt::coalesce::{coalesce, CoalesceBuf};
+use gmmu_simt::coalesce::{coalesce, coalesce_granule, CoalesceBuf};
 use gmmu_simt::stack::SimtStack;
 use gmmu_vm::{AddressSpace, PageSize, SpaceConfig, VAddr, Vpn};
 use std::collections::{HashMap, HashSet};
@@ -84,6 +84,57 @@ fn no_frame_aliasing() {
         for p in 0..r.num_pages() {
             let (pa, _) = space.translate(r.at(p * 4096)).unwrap();
             assert!(seen.insert(pa.ppn().raw()), "frame aliased");
+        }
+    });
+}
+
+/// Removing pages from a coalesced instruction equals coalescing again
+/// only the lanes on the kept pages — pages, lines, `page_idx` and each
+/// line's home warp — so a pending instruction can be coalesced once
+/// and then shrink as its pages are served.
+#[test]
+fn retain_pages_equals_recoalescing_survivors() {
+    for_each_case("retain_pages_equals_recoalescing_survivors", |rng| {
+        let granule = if rng.gen_bool(0.5) {
+            PageSize::Base4K
+        } else {
+            PageSize::Large2M
+        };
+        let page_bytes = 1u64 << granule.shift();
+        // A few pages with a few lines each, so lanes share both.
+        let pages = rng.gen_range(1..9);
+        let lines = rng.gen_range(1..9);
+        let lanes: Vec<(VAddr, u16)> = (0..rng.gen_range(1..33))
+            .map(|_| {
+                let page = rng.gen_range(0..pages);
+                let line = rng.gen_range(0..lines);
+                let byte = rng.gen_range(0..128);
+                let va = 0x4000_0000 + page * page_bytes + line * (page_bytes / 32) + byte;
+                (VAddr::new(va), rng.gen_range(0..4) as u16)
+            })
+            .collect();
+        let page_of = |va: VAddr| {
+            let shift = granule.shift();
+            Vpn::new((va.raw() >> shift) << (shift - 12))
+        };
+        let mut buf = CoalesceBuf::new();
+        coalesce_granule(lanes.iter().copied(), granule, &mut buf);
+        let mut kept: Vec<Vpn> = buf.pages.iter().map(|p| p.vpn).collect();
+        // Two rounds of removal, as a hit filter then a fill bypass would.
+        for _ in 0..2 {
+            kept.retain(|_| rng.gen_bool(0.7));
+            buf.retain_pages(|p| kept.contains(&p.vpn));
+            let mut expected = CoalesceBuf::new();
+            coalesce_granule(
+                lanes
+                    .iter()
+                    .copied()
+                    .filter(|&(va, _)| kept.contains(&page_of(va))),
+                granule,
+                &mut expected,
+            );
+            assert_eq!(buf.pages, expected.pages);
+            assert_eq!(buf.lines, expected.lines);
         }
     });
 }
