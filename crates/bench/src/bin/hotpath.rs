@@ -13,11 +13,12 @@
 //!   divergent warps;
 //! * a shared-memory-system access (L2 slice + DRAM channel model);
 //! * `ShaderCore::next_event_at` — cached vs. recomputed every query
-//!   (the idle-skip loop queries every core on every skip attempt);
+//!   (the drive loop queries a core each time it did not issue);
 //! * the drive loop end-to-end — `sim_cycles_per_sec` on a real
 //!   workload, once under the augmented MMU and once under the naive
 //!   blocking TLB, whose MMU rejects and replays the other points never
-//!   reach;
+//!   reach; the naive point also reports the loop's core ticks per
+//!   visited cycle (`Gpu::drive_counts`);
 //! * the arena page table's build, clone (the checkpoint path) and
 //!   translate paths;
 //! * allocation discipline — the binary installs a counting global
@@ -35,7 +36,7 @@ use gmmu_sim::observe::Observer;
 use gmmu_simt::coalesce::{coalesce, CoalesceBuf};
 use gmmu_simt::core::ShaderCore;
 use gmmu_simt::program::{MemKind, Op, Program, ThreadId};
-use gmmu_simt::{GpuConfig, Kernel};
+use gmmu_simt::{DriveCounts, GpuConfig, Kernel};
 use gmmu_vm::frame::{FrameAlloc, FramePolicy};
 use gmmu_vm::PageTable;
 use gmmu_vm::{AddressSpace, PageSize, Ppn, Region, SpaceConfig, VAddr, Vpn};
@@ -449,17 +450,21 @@ fn multitenant_bench() -> f64 {
 /// best-of-3 `sim_cycles_per_sec`. Run under the augmented MMU and
 /// under the naive blocking TLB (`designs::naive3`), which rejects and
 /// replays every memory instruction presented while a walk is
-/// outstanding — a path the augmented point never takes.
-fn serial_bench(mmu: MmuModel) -> f64 {
+/// outstanding — a path the augmented point never takes. Also returns
+/// the drive loop's visited-cycle and core-tick counts for the point.
+fn serial_bench(mmu: MmuModel) -> (f64, DriveCounts) {
     use gmmu::prelude::*;
     let w = build(Bench::Bfs, Scale::Tiny, 7);
     let cfg = gmmu::ExperimentOpts::quick().gpu(mmu);
     let mut rate = 0f64;
+    let mut counts = DriveCounts::default();
     for _ in 0..3 {
-        let stats = gmmu_simt::gpu::run_kernel(cfg.clone(), w.kernel.as_ref(), &w.space);
+        let mut gpu = Gpu::new(cfg.clone());
+        let stats = gpu.run(w.kernel.as_ref(), &w.space);
+        counts = gpu.drive_counts();
         rate = rate.max(stats.cycles_per_sec());
     }
-    rate
+    (rate, counts)
 }
 
 // ------------------------------------------------------------- Metrics
@@ -512,8 +517,9 @@ fn main() {
     memory_benches(&mut results, budget);
     next_event_benches(&mut results, budget);
     page_table_benches(&mut results, budget);
-    let serial_rate = serial_bench(MmuModel::augmented());
-    let divergent_rate = serial_bench(gmmu::experiments::designs::naive3());
+    let (serial_rate, _) = serial_bench(MmuModel::augmented());
+    let (divergent_rate, divergent_counts) = serial_bench(gmmu::experiments::designs::naive3());
+    let ticks_per_visit = divergent_counts.core_ticks_per_visited_cycle();
     let multitenant_rate = multitenant_bench();
     let (metrics_unobs_rate, metrics_off_rate, metrics_on_rate) = metrics_benches();
     let serial_allocs = alloc_bench();
@@ -533,6 +539,10 @@ fn main() {
     println!("next-event cached vs recompute: {cache_speedup:.2}x");
     println!("drive loop (bfs tiny):          {serial_rate:.0} sim cycles/s");
     println!("naive blocking TLB (bfs tiny):  {divergent_rate:.0} sim cycles/s");
+    println!(
+        "core ticks per visited cycle:   {ticks_per_visit:.2} ({} ticks / {} cycles, naive bfs tiny)",
+        divergent_counts.core_ticks, divergent_counts.visited_cycles
+    );
     let metrics_off_vs_unobserved = if metrics_unobs_rate > 0.0 {
         metrics_off_rate / metrics_unobs_rate
     } else {
@@ -599,6 +609,10 @@ fn main() {
     let _ = writeln!(
         json,
         "    \"divergent_sim_cycles_per_sec\": {divergent_rate:.0},"
+    );
+    let _ = writeln!(
+        json,
+        "    \"core_ticks_per_visited_cycle\": {ticks_per_visit:.3},"
     );
     let _ = writeln!(
         json,

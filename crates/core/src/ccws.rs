@@ -299,8 +299,8 @@ impl LocalityPolicy {
 
     /// The cycle of the next score-decay epoch, or `None` for the
     /// [`PolicyKind::None`] policy (which never changes state over
-    /// time). Decay can release throttled warps, so the event-skipping
-    /// engine must not jump past it while throttling could matter.
+    /// time). Decay can release throttled warps, so a core must not
+    /// sleep past it while throttling could matter.
     pub fn next_event_at(&self) -> Option<Cycle> {
         match self.kind {
             PolicyKind::None => None,

@@ -145,8 +145,8 @@ impl CommonPageMatrix {
 
     /// Flushes the table when the flush interval has elapsed. Flush
     /// epochs are anchored at exact multiples of the interval, so the
-    /// method may be called at any subset of cycles (the event-skipping
-    /// engine calls it only on event cycles): every elapsed epoch is
+    /// method may be called at any subset of cycles (the drive loop
+    /// ticks a core only on its wake cycles): every elapsed epoch is
     /// caught up, leaving the counters and the flush count exactly as a
     /// once-per-cycle caller would.
     pub fn tick(&mut self, now: Cycle) {

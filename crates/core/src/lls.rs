@@ -123,9 +123,10 @@ impl Lls {
 
     /// Applies time-based decay. Decay epochs are anchored at exact
     /// multiples of the decay interval, so the method may be called at
-    /// any subset of cycles (the event-skipping engine calls it only on
-    /// event cycles): every elapsed epoch is caught up, which yields the
-    /// same scores as calling it once per cycle.
+    /// any subset of cycles (the drive loop ticks a core only on its
+    /// wake cycles): every elapsed epoch is caught up, which yields the
+    /// same scores as calling it once per cycle, provided no score bump
+    /// lands between a skipped epoch and its catch-up.
     pub fn tick(&mut self, now: Cycle) {
         let interval = self.config.decay_interval.max(1);
         while now

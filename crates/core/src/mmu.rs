@@ -609,8 +609,9 @@ impl Mmu {
     /// The earliest future cycle at which [`Mmu::advance`] will do
     /// something: apply a finished walk's fill, or start a queued walk
     /// on a freed walker lane. Returns `None` when the MMU is quiescent
-    /// (ideal model, or no walks in flight). Used by the event-skipping
-    /// engine to bound how far the clock may jump.
+    /// (ideal model, or no walks in flight). Folded into the owning
+    /// core's wake cycle, which bounds how long the drive loop lets the
+    /// core sleep.
     pub fn next_event_at(&self) -> Option<Cycle> {
         let mut next: Option<Cycle> = None;
         let mut fold = |c: Cycle| next = Some(next.map_or(c, |n: Cycle| n.min(c)));

@@ -214,10 +214,11 @@ impl MemorySystem {
     /// The memory system is purely *reactive*: it holds no queued work
     /// of its own — every access computes its completion time the
     /// moment it is issued, and the per-slice / per-channel
-    /// reservations are only consulted by later accesses. The
-    /// event-skipping engine therefore does not need this in its skip
-    /// bound (cores already track their own completion times); it is
-    /// exposed for diagnostics and API symmetry with the cores.
+    /// reservations are only consulted by later accesses. The drive
+    /// loop therefore does not need this in any core's wake cycle (cores
+    /// already track their own completion times), and a core that did
+    /// not issue may sleep while others access memory; it is exposed
+    /// for diagnostics and API symmetry with the cores.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         self.slice_next_free
             .iter()

@@ -505,10 +505,10 @@ pub struct ShaderCore {
     /// `Some(inner)` = the last computed answer). [`ShaderCore::tick`]
     /// keeps it across *quiet* ticks — cycles that provably changed no
     /// state the computation reads — and drops it otherwise, so the
-    /// idle-skip loop stops rescanning every warp of every core per
-    /// jump. External timer sources ([`ShaderCore::push_block`],
-    /// [`ShaderCore::resolve_fault`], [`ShaderCore::shootdown`]) drop it
-    /// too.
+    /// drive loop stops rescanning every warp of a core each time it
+    /// sets that core's wake cycle. External timer sources
+    /// ([`ShaderCore::push_block`], [`ShaderCore::resolve_fault`],
+    /// [`ShaderCore::shootdown`]) drop it too.
     next_event_cache: Cell<Option<Option<Cycle>>>,
     /// Memoized core-local timer scan (the non-MMU half of
     /// [`ShaderCore::next_event_at`]): `None` = invalid, `Some(inner)`
@@ -898,15 +898,16 @@ impl ShaderCore {
         Some(next)
     }
 
-    /// Accounts `skipped` elided cycles exactly as per-cycle ticking
-    /// would have: every skipped cycle is, by construction of the skip
-    /// bound, a live-but-idle cycle (liveness cannot change without an
-    /// event, and events bound the skip). `now` is the first skipped
-    /// cycle; the stall cause classified there holds for the whole span
-    /// — no unit's timer expires inside it, no fill or wake lands, and
-    /// a policy gate stays closed until at least the bounding decay
-    /// epoch — so charging the span to one cause matches what per-cycle
-    /// ticking would have recorded.
+    /// Accounts `skipped` cycles this core slept through exactly as
+    /// per-cycle ticking would have: every such cycle is, because the
+    /// core's wake cycle bounds its sleep, a live-but-idle cycle
+    /// (liveness cannot change without an event, and events bound the
+    /// sleep). `now` is the first skipped cycle; the stall cause
+    /// classified there holds for the whole span — no unit's timer
+    /// expires inside it, no fill or wake lands, and a policy gate
+    /// stays closed until at least the bounding decay epoch — so
+    /// charging the span to one cause matches what per-cycle ticking
+    /// would have recorded.
     pub fn note_idle_skip(&mut self, now: Cycle, skipped: u64) {
         let live = match &self.exec {
             ExecMode::Baseline { warps } => warps.iter().any(|w| !w.is_done()),
@@ -963,13 +964,14 @@ impl ShaderCore {
 
     /// The CPU fault handler finished mapping `vpn` for tenant `asid`:
     /// release every unit parked on it; units with no other outstanding
-    /// pages replay their access next cycle.
-    pub(crate) fn resolve_fault(&mut self, asid: u16, vpn: Vpn, now: Cycle) {
+    /// pages replay their access next cycle. Returns whether any unit
+    /// was parked on the page (the core must then be ticked at `now`).
+    pub(crate) fn resolve_fault(&mut self, asid: u16, vpn: Vpn, now: Cycle) -> bool {
         let Some(waiters) = self
             .fault_waiters
             .remove(&gmmu_mem::mshr::tenant_key(asid, vpn.raw()))
         else {
-            return;
+            return false;
         };
         // This arms `ready_at` timers outside of a tick: the cached
         // next-event value could otherwise skip straight past the wake.
@@ -988,6 +990,7 @@ impl ShaderCore {
                 ExecMode::Tbc(t) => t.resolve_fault(unit, now),
             }
         }
+        true
     }
 
     /// A human-readable dump of everything that could explain a stuck
@@ -1109,6 +1112,13 @@ impl ShaderCore {
         let dispatched = self.dispatch_blocks(ctx.kernels, now);
         let core = obs.core;
         let path = &mut self.path;
+        // Catch up the decay epochs strictly before `now` first: a core
+        // that slept across an epoch must decay its scores before this
+        // cycle's MMU events bump them, as ticking every cycle does.
+        path.policy.tick(now.saturating_sub(1));
+        if let Some(cpm) = path.cpm.as_mut() {
+            cpm.tick(now.saturating_sub(1));
+        }
         path.l1_mshrs.expire(now);
         let mmu_was_idle = path.mmu.is_idle();
         path.mmu.advance_tenants(now, mem, ctx.spaces, obs);

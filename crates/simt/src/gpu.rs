@@ -442,6 +442,40 @@ fn recycle_refs<'b, T>(mut v: Vec<&T>) -> Vec<&'b T> {
     unsafe { std::mem::transmute(v) }
 }
 
+/// Credits `core` with its quiet cycles `[*credited, to)` and moves the
+/// cursor to `to`. A sleeping core's skipped ticks are exactly these
+/// quiet ticks, so charging them in one span records what ticking every
+/// cycle would have.
+fn settle(core: &mut ShaderCore, credited: &mut Cycle, to: Cycle) {
+    if *credited < to {
+        core.note_idle_skip(*credited, to - *credited);
+        *credited = to;
+    }
+}
+
+/// How much work the drive loop did in the last run: the cycles it
+/// visited and the core ticks it made on them. Host-side bookkeeping,
+/// kept out of [`RunStats`] because those must match the per-cycle
+/// loop exactly.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DriveCounts {
+    /// Cycles the loop stopped on.
+    pub visited_cycles: u64,
+    /// Core ticks summed over the visited cycles.
+    pub core_ticks: u64,
+}
+
+impl DriveCounts {
+    /// Mean core ticks per visited cycle (0 before any run).
+    pub fn core_ticks_per_visited_cycle(&self) -> f64 {
+        if self.visited_cycles == 0 {
+            0.0
+        } else {
+            self.core_ticks as f64 / self.visited_cycles as f64
+        }
+    }
+}
+
 /// The drive loop's clock state bundled for checkpointing.
 struct DriveClocks<'s> {
     now: Cycle,
@@ -464,6 +498,7 @@ pub struct Gpu {
     config: GpuConfig,
     cores: Vec<ShaderCore>,
     mem: MemorySystem,
+    counts: DriveCounts,
 }
 
 impl Gpu {
@@ -473,12 +508,23 @@ impl Gpu {
             .map(|id| ShaderCore::new(id, &config))
             .collect();
         let mem = MemorySystem::new(config.mem);
-        Self { config, cores, mem }
+        Self {
+            config,
+            cores,
+            mem,
+            counts: DriveCounts::default(),
+        }
     }
 
     /// The configuration this GPU was built with.
     pub fn config(&self) -> &GpuConfig {
         &self.config
+    }
+
+    /// Visited cycles and core ticks of the last run (of its resumed
+    /// part, for a run resumed from a checkpoint).
+    pub fn drive_counts(&self) -> DriveCounts {
+        self.counts
     }
 
     /// Runs `kernel` to completion against `space` and returns the
@@ -771,12 +817,16 @@ impl Gpu {
         let track_tenants = n_t > 1;
         let kernels: Vec<&dyn Kernel> = tenants.iter().map(|t| t.kernel).collect();
         let owned = tenants.iter_mut().any(|t| t.space.get_mut().is_some());
-        // The idle-cycle-skipping loop is observably equivalent to
-        // ticking every cycle: whenever no core issues, core state can
-        // only change at a future completion / wake / epoch boundary,
-        // so the loop jumps `now` straight to the earliest such event
-        // and credits the skipped cycles to the same idle/live
-        // counters the per-cycle loop would have bumped.
+        // Each core sleeps until its own next event and the loop jumps
+        // `now` to the earliest wake or global timer. This is
+        // observably equivalent to ticking every core every cycle: the
+        // memory system is reactive, so a core that did not issue can
+        // only change state at its own next completion / wake / epoch
+        // boundary, or when the loop shoots it down or resolves one of
+        // its faults (which wake it). Its skipped ticks would have been
+        // quiet, and are credited to the same idle/stall counters when
+        // it next runs (`settle`). Under `tick_every_cycle` every wake
+        // is `now + 1`: the per-cycle referee.
         let legacy = self.config.tick_every_cycle;
         let fault_cfg = self.config.fault;
         let injector = self
@@ -863,7 +913,17 @@ impl Gpu {
             }
             next_emit = emit_after(now);
         }
+        // `wake[i]`: the next cycle core `i` must be ticked
+        // (`Cycle::MAX`: no work). `credited[i]`: the first cycle whose
+        // idle accounting core `i` has not received. A resumed run
+        // ticks every core on its first cycle; ticking a core on a
+        // cycle it would have slept through is a no-op, so the image
+        // needs neither array.
+        let mut wake: Vec<Cycle> = vec![now; self.cores.len()];
+        let mut credited: Vec<Cycle> = vec![now; self.cores.len()];
+        let mut counts = DriveCounts::default();
         loop {
+            counts.visited_cycles += 1;
             // Snapshot at the top of a visited cycle, before any phase
             // of the cycle runs: the loop state here is exactly the
             // clocks, the fault queue, the iteration counters, the
@@ -871,6 +931,10 @@ impl Gpu {
             // re-enters the loop in that state.
             if now >= next_emit {
                 if let Some(opts) = ckpt.as_mut() {
+                    // The image carries stats up to the top of `now`.
+                    for (core, c) in self.cores.iter_mut().zip(&mut credited) {
+                        settle(core, c, now);
+                    }
                     let clocks = DriveClocks {
                         now,
                         last_progress,
@@ -910,12 +974,15 @@ impl Gpu {
             // shootdown epoch: on a bump every core flushes that
             // tenant's TLB entries and squashes its in-flight walks (the
             // squash events wake their warps for a backed-off retry this
-            // very cycle). Other tenants' state is untouched.
+            // very cycle). Other tenants' state is untouched. Every core
+            // is settled and woken first.
             for (t, ctx) in tenants.iter().enumerate() {
                 let epoch = ctx.space.get().shootdown_epoch();
                 if epoch != last_epoch[t] {
                     last_epoch[t] = epoch;
-                    for core in &mut self.cores {
+                    for (i, core) in self.cores.iter_mut().enumerate() {
+                        settle(core, &mut credited[i], now);
+                        wake[i] = wake[i].min(now);
                         if track_tenants {
                             core.shootdown_asid(now, t as u16);
                         } else {
@@ -946,8 +1013,13 @@ impl Gpu {
                     };
                     if mapped {
                         faults_t[asid as usize] += 1;
-                        for core in &mut self.cores {
-                            core.resolve_fault(asid, vpn, now);
+                        // Settle before the release rewrites the warp
+                        // state the stall classifier reads.
+                        for (i, core) in self.cores.iter_mut().enumerate() {
+                            settle(core, &mut credited[i], now);
+                            if core.resolve_fault(asid, vpn, now) {
+                                wake[i] = wake[i].min(now);
+                            }
                         }
                     } else {
                         // Couldn't map (shared space, region gone, out of
@@ -967,11 +1039,26 @@ impl Gpu {
                 iters: &mut *iters,
                 iters_base,
             };
+            // Due cores tick in id order, so the shared memory system
+            // sees the per-cycle loop's access order.
             let mut live = false;
             let mut issued = 0u64;
-            for core in &mut self.cores {
-                issued |= core.tick_tenants(now, &mut self.mem, &mut ctx, obs);
+            for (i, core) in self.cores.iter_mut().enumerate() {
+                if wake[i] > now {
+                    live |= wake[i] != Cycle::MAX;
+                    continue;
+                }
+                settle(core, &mut credited[i], now);
+                let bits = core.tick_tenants(now, &mut self.mem, &mut ctx, obs);
+                credited[i] = now + 1;
+                counts.core_ticks += 1;
+                issued |= bits;
                 live |= core.has_work();
+                wake[i] = if legacy || bits != 0 {
+                    now + 1
+                } else {
+                    core.next_event_at(now).unwrap_or(Cycle::MAX)
+                };
             }
             spaces_pool = recycle_refs(spaces);
             // New page faults raised this cycle enter the handler queue
@@ -1067,8 +1154,37 @@ impl Gpu {
                     break;
                 }
             }
-            now += 1;
+            // Jump to the earliest due core. Fault-handler completions,
+            // the storm schedule, and the watchdog deadlines are global
+            // timers the cores know nothing about; folding them in keeps
+            // both loops on identical cycles. Every term lies beyond
+            // `now`.
+            let mut next = wake.iter().copied().min().unwrap_or(Cycle::MAX);
+            for &(_, at) in &fault_q {
+                next = next.min(at);
+            }
+            if let Some(inj) = &injector {
+                if owned {
+                    if let Some(c) = inj.storm_at(next_storm) {
+                        next = next.min(c.max(now + 1));
+                    }
+                }
+            }
+            if fault_cfg.watchdog > 0 {
+                next = next.min(last_progress + fault_cfg.watchdog);
+            }
+            if policy.watchdog > 0 && track_tenants {
+                for t in 0..n_t {
+                    if finished_at[t] == UNFINISHED {
+                        next = next.min(progress_t[t] + policy.watchdog);
+                    }
+                }
+            }
+            now = next.min(self.config.max_cycles);
             if let Some(rec) = obs.intervals.as_mut() {
+                // No observed counter moves while a core sleeps, so
+                // boundaries crossed by the jump record exactly what the
+                // per-cycle loop records.
                 while rec.due(now) {
                     let totals = Self::totals(&self.cores, &self.mem, &obs.metrics);
                     rec.sample(totals);
@@ -1078,64 +1194,14 @@ impl Gpu {
                 completed = false;
                 break;
             }
-            if legacy || issued != 0 {
-                continue;
-            }
-            let mut target = Cycle::MAX;
-            for core in &self.cores {
-                if let Some(c) = core.next_event_at(now - 1) {
-                    target = target.min(c);
-                }
-            }
-            // Fault-handler completions, the storm schedule, and the
-            // watchdog deadlines are global timers the cores know nothing
-            // about; folding them in keeps both loops on identical
-            // cycles.
-            for &(_, at) in &fault_q {
-                target = target.min(at);
-            }
-            if let Some(inj) = &injector {
-                if owned {
-                    if let Some(c) = inj.storm_at(next_storm) {
-                        target = target.min(c.max(now));
-                    }
-                }
-            }
-            if fault_cfg.watchdog > 0 {
-                target = target.min(last_progress + fault_cfg.watchdog);
-            }
-            if policy.watchdog > 0 && track_tenants {
-                for t in 0..n_t {
-                    if finished_at[t] == UNFINISHED {
-                        target = target.min(progress_t[t] + policy.watchdog);
-                    }
-                }
-            }
-            if target == Cycle::MAX || target <= now {
-                continue;
-            }
-            let capped = target.min(self.config.max_cycles);
-            let skipped = capped - now;
-            if skipped > 0 {
-                for core in &mut self.cores {
-                    core.note_idle_skip(now, skipped);
-                }
-                now = capped;
-                if let Some(rec) = obs.intervals.as_mut() {
-                    // No observed counter moves inside an idle span, so
-                    // boundaries crossed by the jump record zero activity
-                    // — exactly what the per-cycle loop records.
-                    while rec.due(now) {
-                        let totals = Self::totals(&self.cores, &self.mem, &obs.metrics);
-                        rec.sample(totals);
-                    }
-                }
-            }
-            if now >= self.config.max_cycles {
-                completed = false;
-                break;
-            }
         }
+        // Settle every core through the last cycle the run covers: a
+        // watchdog stops after ticking `now`, the cycle cap before it.
+        let end = if watchdog_fired { now + 1 } else { now };
+        for (core, c) in self.cores.iter_mut().zip(&mut credited) {
+            settle(core, c, end);
+        }
+        self.counts = counts;
         if let Some(rec) = obs.intervals.as_mut() {
             rec.finish(now, Self::totals(&self.cores, &self.mem, &obs.metrics));
         }

@@ -198,6 +198,32 @@ fn checkpoint_roundtrip_is_bit_identical_across_the_matrix() {
     }
 }
 
+/// Snapshots taken while cores sleep: at 8 cores under the naive
+/// blocking TLB most cores wait on a walk while others issue, so a
+/// small prime cadence lands many snapshots between a sleeping core's
+/// ticks. Each image must carry that core's idle cycles up to the
+/// snapshot cycle (a resumed run ticks every core from there), so
+/// every resume must finish with the uninterrupted run's stats.
+#[test]
+fn checkpoint_taken_while_cores_sleep_resumes_bit_identically() {
+    let opts = ExperimentOpts {
+        n_cores: 8,
+        ..ExperimentOpts::quick()
+    };
+    let mut cfg = opts.gpu(designs::naive3());
+    cfg.policy = PolicyKind::Ccws;
+    let (reference, obs_ref, _) = run_ckpt(Bench::Bfs, &cfg, None, 0, None);
+    assert!(reference.completed, "bfs hit the cycle cap");
+    let (ckpt_stats, _, images) = run_ckpt(Bench::Bfs, &cfg, None, 4_999, None);
+    assert_same(&reference, &ckpt_stats, "sleeping emitting-vs-plain");
+    assert!(images.len() >= 4, "too few snapshots: {}", images.len());
+    for i in [0, images.len() / 3, 2 * images.len() / 3, images.len() - 1] {
+        let (resumed, obs_res, _) = run_ckpt(Bench::Bfs, &cfg, None, 0, Some(&images[i]));
+        assert_same(&reference, &resumed, &format!("sleeping image {i}"));
+        assert_observers_same(&obs_ref, &obs_res, &format!("sleeping image {i}"));
+    }
+}
+
 /// Snapshot/restore while the fault machinery is hot: demand-paged
 /// first-touch faults, periodic shootdown storms, and the mixed smoke
 /// soup. Every emitted image must resume to the identical end state —

@@ -207,6 +207,72 @@ fn execution_engines_are_observably_equivalent() {
     }
 }
 
+/// The per-cycle referee at 8 cores under the naive blocking TLB, one
+/// point per scheduling-policy family. With 8 cores most of them sleep
+/// on a fill, a replay timer or a decay epoch while others issue: the
+/// case per-core wake cycles exist for, which the 2-core
+/// `ExperimentOpts::quick()` matrix above rarely reaches. The CCWS and
+/// TA-CCWS points run at experiment scale: tiny memcached finishes
+/// before a core ever wakes on a fill past a decay epoch, so only there
+/// would a decay applied after the fill's score bump show.
+#[test]
+fn sleeping_cores_match_the_per_cycle_referee() {
+    type Configure = fn(&mut GpuConfig);
+    let matrix: [(Bench, Scale, &str, Configure); 4] = [
+        (Bench::Memcached, Scale::Small, "ccws", |c| {
+            c.policy = PolicyKind::Ccws
+        }),
+        (Bench::Memcached, Scale::Small, "ta-ccws", |c| {
+            c.policy = PolicyKind::TaCcws { tlb_weight: 4 }
+        }),
+        (Bench::Bfs, Scale::Tiny, "tcws", |c| {
+            c.policy = PolicyKind::tcws_best()
+        }),
+        (Bench::Mummergpu, Scale::Tiny, "tbc", |c| {
+            c.tbc = Some(TbcConfig::tlb_aware(3))
+        }),
+    ];
+    let opts = ExperimentOpts {
+        n_cores: 8,
+        ..ExperimentOpts::default()
+    };
+    for (bench, scale, name, configure) in matrix {
+        let w = build(bench, scale, opts.seed);
+        let run = |tick_every_cycle: bool| {
+            let mut cfg = opts.gpu(designs::naive3());
+            configure(&mut cfg);
+            cfg.tick_every_cycle = tick_every_cycle;
+            run_kernel(cfg, w.kernel.as_ref(), &w.space)
+        };
+        let referee = run(true);
+        assert!(referee.completed, "{bench}/{name} hit the cycle cap");
+        assert_same(&referee, &run(false), &format!("{bench}/{name} 8 cores"));
+    }
+}
+
+/// Regression: a core that sleeps across a policy decay epoch must
+/// apply that epoch's decay before the MMU events of the cycle it
+/// wakes on raise its scores, as ticking every cycle does. Memcached
+/// under CCWS and the naive blocking TLB on one core wakes on walk
+/// fills past decay boundaries.
+#[test]
+fn decay_epochs_catch_up_before_a_waking_core_bumps_scores() {
+    let opts = ExperimentOpts {
+        n_cores: 1,
+        ..ExperimentOpts::default()
+    };
+    let w = build(Bench::Memcached, opts.scale, opts.seed);
+    let run = |tick_every_cycle: bool| {
+        let mut cfg = opts.gpu(designs::naive3());
+        cfg.policy = PolicyKind::Ccws;
+        cfg.tick_every_cycle = tick_every_cycle;
+        run_kernel(cfg, w.kernel.as_ref(), &w.space)
+    };
+    let referee = run(true);
+    assert!(referee.completed, "memcached/ccws hit the cycle cap");
+    assert_same(&referee, &run(false), "memcached/ccws 1 core");
+}
+
 /// Attaching the observation instruments must not perturb a run: full
 /// `RunStats` (stall breakdown included) bit-identical with tracing and
 /// interval sampling on versus off, the emitted trace and time-series
