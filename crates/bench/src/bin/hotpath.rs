@@ -19,8 +19,7 @@
 //!   blocking TLB, whose MMU rejects and replays the other points never
 //!   reach; the naive point also reports the loop's core ticks per
 //!   visited cycle (`Gpu::drive_counts`);
-//! * the arena page table's build, clone (the checkpoint path) and
-//!   translate paths;
+//! * the arena page table's build and translate paths;
 //! * allocation discipline — the binary installs a counting global
 //!   allocator and reports whole-run allocations per simulated
 //!   kilocycle (the machine-independent regression signal CI gates
@@ -323,13 +322,11 @@ fn next_event_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
 
 // ----------------------------------------------------- Page-table arena
 
-/// The arena page table on the three paths that matter:
+/// The arena page table on the two paths that matter:
 ///
 /// * **build** — mapping 16384 pages (37 nodes) into a bare table; its
 ///   allocation count is reported separately (the arena grows one slab
 ///   under amortized doubling).
-/// * **clone** — the checkpoint path (`Ckpt::save` snapshots address
-///   spaces): one flat memcpy.
 /// * **translate** — 256 random lookups. This path only runs in
 ///   workload setup and trace replay (the sim walks via `walk()`).
 fn page_table_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
@@ -355,11 +352,6 @@ fn page_table_benches(results: &mut Vec<(String, f64)>, budget: Duration) {
         black_box(&t);
     });
     results.push(("page_table_arena_build_16k".into(), ns));
-
-    let ns = bench_ns(budget, || {
-        black_box(space.clone());
-    });
-    results.push(("page_table_arena_clone_16k".into(), ns));
 
     let mut x = 0x0123_4567_89ab_cdefu64;
     let seq: Vec<u64> = (0..256).map(|_| lcg(&mut x) % PAGES).collect();

@@ -322,28 +322,6 @@ impl LocalityPolicy {
     }
 }
 
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for LocalityPolicy {
-    /// VTA counts per kind are geometry (empty or one per warp, decided
-    /// by the policy kind), so the stream holds each array element in
-    /// index order without a length.
-    fn save(&self, w: &mut Saver) {
-        for vta in self.line_vtas.iter().chain(&self.page_vtas) {
-            vta.save(w);
-        }
-        self.lls.save(w);
-        self.events.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        for vta in self.line_vtas.iter_mut().chain(&mut self.page_vtas) {
-            vta.load(r)?;
-        }
-        self.lls.load(r)?;
-        self.events.load(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -166,23 +166,6 @@ impl CommonPageMatrix {
     }
 }
 
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for CommonPageMatrix {
-    fn save(&self, w: &mut Saver) {
-        self.counters.save(w);
-        w.u64(self.last_flush);
-        self.updates.save(w);
-        self.flushes.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.counters.load(r)?;
-        self.last_flush = r.u64()?;
-        self.updates.load(r)?;
-        self.flushes.load(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

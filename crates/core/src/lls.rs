@@ -200,27 +200,6 @@ impl Lls {
     }
 }
 
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for Lls {
-    /// The `allowed` mask is a cache over `scores`/`rotate`; marking the
-    /// state dirty on load lets `recompute` rebuild it on first use.
-    fn save(&self, w: &mut Saver) {
-        self.scores.save(w);
-        w.u64(self.total);
-        w.u64(self.last_decay);
-        w.usize(self.rotate);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.scores.load(r)?;
-        self.total = r.u64()?;
-        self.last_decay = r.u64()?;
-        self.rotate = r.usize()?;
-        self.dirty = true;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -912,153 +912,6 @@ impl Mmu {
     }
 }
 
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for MmuEvent {
-    fn save(&self, w: &mut Saver) {
-        match *self {
-            MmuEvent::Evicted { asid, vpn, owner } => {
-                w.u8(0);
-                w.u16(asid);
-                vpn.save(w);
-                w.u16(owner);
-            }
-            MmuEvent::Wake {
-                asid,
-                warp,
-                vpn,
-                ppn,
-            } => {
-                w.u8(1);
-                w.u16(asid);
-                w.u16(warp);
-                vpn.save(w);
-                ppn.save(w);
-            }
-            MmuEvent::Fault { asid, vpn, warp } => {
-                w.u8(2);
-                w.u16(asid);
-                vpn.save(w);
-                w.u16(warp);
-            }
-            MmuEvent::Squashed { asid, warp, vpn } => {
-                w.u8(3);
-                w.u16(asid);
-                w.u16(warp);
-                vpn.save(w);
-            }
-        }
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        let mut vpn = Vpn::default();
-        let mut ppn = Ppn::default();
-        *self = match r.u8()? {
-            0 => {
-                let asid = r.u16()?;
-                vpn.load(r)?;
-                let owner = r.u16()?;
-                MmuEvent::Evicted { asid, vpn, owner }
-            }
-            1 => {
-                let asid = r.u16()?;
-                let warp = r.u16()?;
-                vpn.load(r)?;
-                ppn.load(r)?;
-                MmuEvent::Wake {
-                    asid,
-                    warp,
-                    vpn,
-                    ppn,
-                }
-            }
-            2 => {
-                let asid = r.u16()?;
-                vpn.load(r)?;
-                let warp = r.u16()?;
-                MmuEvent::Fault { asid, vpn, warp }
-            }
-            3 => {
-                let asid = r.u16()?;
-                let warp = r.u16()?;
-                vpn.load(r)?;
-                MmuEvent::Squashed { asid, warp, vpn }
-            }
-            _ => return Err(CkptError::Corrupt("unknown MMU event tag")),
-        };
-        Ok(())
-    }
-}
-
-impl Ckpt for Mmu {
-    /// The model (and whether a TLB/walker exist) is configuration; the
-    /// waiter map is serialized sorted by page so `HashMap` iteration
-    /// order never leaks into the byte stream. `done_scratch` is
-    /// transient within one `advance` call and is reset instead of
-    /// saved. The fault injector is pure (a stateless function of its
-    /// seed), so only the surrounding configuration carries it.
-    fn save(&self, w: &mut Saver) {
-        if let Some(tlb) = &self.tlb {
-            tlb.save(w);
-        }
-        if let Some(walker) = &self.walker {
-            walker.save(w);
-        }
-        self.mshrs.save(w);
-        let mut waiters: Vec<(u64, Vec<u16>)> =
-            self.waiters.iter().map(|(&k, v)| (k, v.clone())).collect();
-        waiters.sort_unstable_by_key(|(k, _)| *k);
-        waiters.save(w);
-        self.pending_fills.save(w);
-        w.usize(self.events.len());
-        for e in &self.events {
-            e.save(w);
-        }
-        w.u64(self.lookup_next_free);
-        w.u64(self.stamp);
-        w.u16(self.current_asid);
-        self.rejects.save(w);
-        self.miss_latency.save(w);
-        self.faults.save(w);
-        self.shootdowns.save(w);
-        self.squashed_walks.save(w);
-        self.switch_flushes.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        if let Some(tlb) = &mut self.tlb {
-            tlb.load(r)?;
-        }
-        if let Some(walker) = &mut self.walker {
-            walker.load(r)?;
-        }
-        self.mshrs.load(r)?;
-        let mut waiters: Vec<(u64, Vec<u16>)> = Vec::new();
-        waiters.load(r)?;
-        self.waiters = waiters.into_iter().collect();
-        self.pending_fills.load(r)?;
-        let n_events = r.usize()?;
-        self.events.clear();
-        for _ in 0..n_events {
-            let mut e = MmuEvent::Fault {
-                asid: 0,
-                vpn: Vpn::default(),
-                warp: 0,
-            };
-            e.load(r)?;
-            self.events.push(e);
-        }
-        self.done_scratch.clear();
-        self.lookup_next_free = r.u64()?;
-        self.stamp = r.u64()?;
-        self.current_asid = r.u16()?;
-        self.rejects.load(r)?;
-        self.miss_latency.load(r)?;
-        self.faults.load(r)?;
-        self.shootdowns.load(r)?;
-        self.squashed_walks.load(r)?;
-        self.switch_flushes.load(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -175,7 +175,7 @@ impl gmmu_sim::ckpt::Ckpt for TlbConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct TlbEntry {
     vpn: Vpn,
     ppn: Ppn,
@@ -470,55 +470,6 @@ impl Tlb {
             .iter()
             .filter(|e| e.valid && e.asid == asid)
             .count()
-    }
-}
-
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for TlbEntry {
-    fn save(&self, w: &mut Saver) {
-        self.vpn.save(w);
-        self.ppn.save(w);
-        w.u16(self.asid);
-        w.u64(self.last_use);
-        w.u16(self.owner);
-        for h in &self.history {
-            w.u16(*h);
-        }
-        w.u8(self.hist_len);
-        w.bool(self.valid);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.vpn.load(r)?;
-        self.ppn.load(r)?;
-        self.asid = r.u16()?;
-        self.last_use = r.u64()?;
-        self.owner = r.u16()?;
-        for h in &mut self.history {
-            *h = r.u16()?;
-        }
-        self.hist_len = r.u8()?;
-        self.valid = r.bool()?;
-        Ok(())
-    }
-}
-
-impl Ckpt for Tlb {
-    /// Geometry (`config`, `set_mask`) is rebuilt by the caller; only
-    /// the entry array and counters are serialized.
-    fn save(&self, w: &mut Saver) {
-        self.entries.save(w);
-        self.accesses.save(w);
-        self.hits.save(w);
-        self.fills.save(w);
-        self.hit_depth.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.entries.load(r)?;
-        self.accesses.load(r)?;
-        self.hits.load(r)?;
-        self.fills.load(r)?;
-        self.hit_depth.load(r)
     }
 }
 

@@ -119,38 +119,6 @@ impl Vta {
     }
 }
 
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for VtaEntry {
-    fn save(&self, w: &mut Saver) {
-        w.u64(self.tag);
-        w.u64(self.last_use);
-        w.bool(self.valid);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.tag = r.u64()?;
-        self.last_use = r.u64()?;
-        self.valid = r.bool()?;
-        Ok(())
-    }
-}
-
-impl Ckpt for Vta {
-    /// Geometry (`ways`, `set_mask`) is rebuilt by the caller.
-    fn save(&self, w: &mut Saver) {
-        self.entries.save(w);
-        w.u64(self.clock);
-        self.hits.save(w);
-        self.probes.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.entries.load(r)?;
-        self.clock = r.u64()?;
-        self.hits.load(r)?;
-        self.probes.load(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

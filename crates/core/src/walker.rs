@@ -150,7 +150,7 @@ impl gmmu_sim::ckpt::Ckpt for WalkerConfig {
 }
 
 /// A queued walk request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkRequest {
     /// Address space whose page table must be walked.
     pub asid: u16,
@@ -163,7 +163,7 @@ pub struct WalkRequest {
 }
 
 /// A finished walk, ready to fill the TLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkDone {
     /// Address space the translation belongs to.
     pub asid: u16,
@@ -803,97 +803,6 @@ fn level_list(walk: &Walk) -> [u8; 4] {
         *slot = l.level as u8;
     }
     levels
-}
-
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for WalkRequest {
-    fn save(&self, w: &mut Saver) {
-        w.u16(self.asid);
-        self.vpn.save(w);
-        w.u16(self.warp);
-        w.u64(self.enqueued);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.asid = r.u16()?;
-        self.vpn.load(r)?;
-        self.warp = r.u16()?;
-        self.enqueued = r.u64()?;
-        Ok(())
-    }
-}
-
-impl Ckpt for WalkDone {
-    fn save(&self, w: &mut Saver) {
-        w.u16(self.asid);
-        self.vpn.save(w);
-        w.u16(self.warp);
-        self.translation.save(w);
-        w.u64(self.complete);
-        w.u64(self.enqueued);
-        w.u64(self.started);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.asid = r.u16()?;
-        self.vpn.load(r)?;
-        self.warp = r.u16()?;
-        self.translation.load(r)?;
-        self.complete = r.u64()?;
-        self.enqueued = r.u64()?;
-        self.started = r.u64()?;
-        Ok(())
-    }
-}
-
-impl Ckpt for WalkerStats {
-    fn save(&self, w: &mut Saver) {
-        self.walks.save(w);
-        self.refs_issued.save(w);
-        self.refs_naive.save(w);
-        self.walk_latency.save(w);
-        self.batch_size.save(w);
-        self.pwc_hits.save(w);
-        self.lane_busy_cycles.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.walks.load(r)?;
-        self.refs_issued.load(r)?;
-        self.refs_naive.load(r)?;
-        self.walk_latency.load(r)?;
-        self.batch_size.load(r)?;
-        self.pwc_hits.load(r)?;
-        self.lane_busy_cycles.load(r)
-    }
-}
-
-impl Ckpt for Walker {
-    /// Whether a page-walk cache or fairness scheduler exists is
-    /// config-derived geometry, so the stream holds their contents only
-    /// when the walker has them.
-    fn save(&self, w: &mut Saver) {
-        self.lanes.save(w);
-        self.pending.save(w);
-        if let Some(pwc) = &self.pwc {
-            pwc.save(w);
-        }
-        if let Some(fair) = &self.fair {
-            fair.credits.save(w);
-            w.usize(fair.rr);
-        }
-        self.stats.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.lanes.load(r)?;
-        self.pending.load(r)?;
-        if let Some(pwc) = &mut self.pwc {
-            pwc.load(r)?;
-        }
-        if let Some(fair) = &mut self.fair {
-            fair.credits.load(r)?;
-            fair.rr = r.usize()?;
-        }
-        self.stats.load(r)
-    }
 }
 
 #[cfg(test)]

@@ -80,7 +80,7 @@ impl CacheAccess {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Way {
     tag: u64,
     meta: u32,
@@ -247,39 +247,6 @@ impl Cache {
     /// Number of valid lines (diagnostics).
     pub fn occupancy(&self) -> usize {
         self.ways.iter().filter(|w| w.valid).count()
-    }
-}
-
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for Way {
-    fn save(&self, w: &mut Saver) {
-        w.u64(self.tag);
-        w.u32(self.meta);
-        w.u64(self.last_use);
-        w.bool(self.valid);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.tag = r.u64()?;
-        self.meta = r.u32()?;
-        self.last_use = r.u64()?;
-        self.valid = r.bool()?;
-        Ok(())
-    }
-}
-
-impl Ckpt for Cache {
-    /// Geometry (`config`, `set_mask`) is rebuilt by the caller; only
-    /// the tag/LRU state and hit counters are serialized.
-    fn save(&self, w: &mut Saver) {
-        self.ways.save(w);
-        self.accesses.save(w);
-        self.hits.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.ways.load(r)?;
-        self.accesses.load(r)?;
-        self.hits.load(r)
     }
 }
 

@@ -99,22 +99,6 @@ impl Channel {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for Channel {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
-        w.u64(self.next_free);
-        self.requests.save(w);
-        self.latency.save(w);
-    }
-    fn load(
-        &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
-        self.next_free = r.u64()?;
-        self.requests.load(r)?;
-        self.latency.load(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -194,36 +194,6 @@ impl MshrFile {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for MshrFile {
-    /// Entries are serialized sorted by key (the `HashMap` iteration
-    /// order must never leak into the byte stream); the lazy-deletion
-    /// heap is rebuilt from the live entries on load, which drops
-    /// staleness a checkpoint never carried.
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
-        let mut entries: Vec<(u64, Cycle)> = self.entries.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable();
-        entries.save(w);
-        w.usize(self.peak);
-    }
-    fn load(
-        &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
-        let mut entries: Vec<(u64, Cycle)> = Vec::new();
-        entries.load(r)?;
-        self.entries.clear();
-        self.heap.clear();
-        for (key, done) in entries {
-            self.entries.insert(key, done);
-            if done != gmmu_sim::NEVER {
-                self.heap.push(Reverse((done, key)));
-            }
-        }
-        self.peak = r.usize()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

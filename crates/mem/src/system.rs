@@ -288,44 +288,6 @@ impl MemorySystem {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for MemorySystem {
-    /// Slice and channel counts are geometry (rebuilt from config), so
-    /// the stream holds each element in index order without a length.
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
-        for slice in &self.slices {
-            slice.save(w);
-        }
-        self.slice_next_free.save(w);
-        for ch in &self.channels {
-            ch.save(w);
-        }
-        self.loads.save(w);
-        self.stores.save(w);
-        self.walk_refs.save(w);
-        self.walk_l2_hits.save(w);
-        self.load_latency.save(w);
-        self.walk_latency.save(w);
-    }
-    fn load(
-        &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
-        for slice in &mut self.slices {
-            slice.load(r)?;
-        }
-        self.slice_next_free.load(r)?;
-        for ch in &mut self.channels {
-            ch.load(r)?;
-        }
-        self.loads.load(r)?;
-        self.stores.load(r)?;
-        self.walk_refs.load(r)?;
-        self.walk_l2_hits.load(r)?;
-        self.load_latency.load(r)?;
-        self.walk_latency.load(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,29 +1,27 @@
-//! Hand-rolled checkpoint codec: a versioned, compact binary format
-//! for deterministic snapshot/restore of simulation state.
+//! Hand-rolled binary codec: a versioned, compact format for the
+//! files the simulator writes and reads back — GMTR kernel traces,
+//! GMTM multi-tenant traces, and the sweep journal's per-point stats.
 //!
 //! The workspace has no external dependencies, so instead of serde each
-//! stateful type implements [`Ckpt`]: `save` appends its mutable state
-//! to a [`Saver`], and `load` overwrites the state of an *already
-//! constructed* object from a [`Loader`]. Loading into a prebuilt
-//! object is the key design choice — configuration-derived geometry
-//! (core counts, TLB shapes, cache ways, policy kinds) is never
-//! serialized; the restorer rebuilds the machine from the same
-//! configuration and the checkpoint only carries what a run mutates. A
-//! fingerprint of the configuration travels in the header so a
-//! checkpoint can refuse to load into a differently-shaped machine.
+//! encoded type implements [`Ckpt`]: `save` appends its state to a
+//! [`Saver`], and `load` overwrites the state of an *already
+//! constructed* object from a [`Loader`]. Every value a reader takes
+//! from the stream is bounds-checked, so truncated or corrupt input is
+//! a typed [`CkptError`], never a panic. A fingerprint travels in the
+//! header so a file can refuse to load against a different
+//! configuration.
 //!
-//! Encoding: unsigned integers are LEB128 varints (checkpoints are
-//! dominated by small counters and cycle deltas), `f64` is 8 raw
+//! Encoding: unsigned integers are LEB128 varints (the encoded values
+//! are dominated by small counters and cycle deltas), `f64` is 8 raw
 //! little-endian bytes of its bit pattern, and containers are a varint
-//! length followed by elements. The format is versioned through
+//! length followed by elements. Each format is versioned through
 //! [`Saver::header`] / [`Loader::header`]; any layout change must bump
 //! the writer's version, and readers reject versions they don't know
-//! (see DESIGN.md "Checkpoint format").
+//! (see DESIGN.md §10, "Codec version policy").
 
-use std::collections::VecDeque;
 use std::fmt;
 
-/// Why a checkpoint failed to load.
+/// Why encoded input failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
     /// The buffer ended mid-value.
@@ -32,12 +30,12 @@ pub enum CkptError {
     BadMagic,
     /// The format version is not one this reader understands.
     BadVersion(u32),
-    /// The configuration fingerprint in the header does not match the
-    /// machine being restored into.
+    /// The fingerprint in the header does not match the one the reader
+    /// recomputed from the decoded content.
     ConfigMismatch {
-        /// Fingerprint the restoring machine computed.
+        /// Fingerprint the reader computed.
         expected: u64,
-        /// Fingerprint stored in the checkpoint.
+        /// Fingerprint stored in the header.
         found: u64,
     },
     /// A value was structurally invalid for the object being loaded.
@@ -47,15 +45,15 @@ pub enum CkptError {
 impl fmt::Display for CkptError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CkptError::Truncated => write!(f, "checkpoint truncated"),
-            CkptError::BadMagic => write!(f, "not a checkpoint (bad magic)"),
-            CkptError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
+            CkptError::Truncated => write!(f, "input truncated"),
+            CkptError::BadMagic => write!(f, "unrecognised format (bad magic)"),
+            CkptError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             CkptError::ConfigMismatch { expected, found } => write!(
                 f,
-                "checkpoint was taken under a different configuration \
-                 (fingerprint {found:#018x}, machine has {expected:#018x})"
+                "fingerprint mismatch \
+                 (header has {found:#018x}, content hashes to {expected:#018x})"
             ),
-            CkptError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
+            CkptError::Corrupt(what) => write!(f, "corrupt input: {what}"),
         }
     }
 }
@@ -273,11 +271,8 @@ impl<'a> Loader<'a> {
     }
 }
 
-/// State that can be checkpointed: `save` appends the mutable state,
-/// `load` overwrites it on an already-constructed object. Geometry and
-/// configuration are never serialized — `load` assumes `self` was built
-/// from the same configuration the saved object was (enforced by the
-/// fingerprint in the checkpoint header).
+/// A type the codec can encode: `save` appends its state, `load`
+/// overwrites it on an already-constructed object.
 pub trait Ckpt {
     /// Appends this object's mutable state.
     fn save(&self, w: &mut Saver);
@@ -303,20 +298,9 @@ ckpt_prim!(u8, u8, u8);
 ckpt_prim!(u16, u16, u16);
 ckpt_prim!(u32, u32, u32);
 ckpt_prim!(u64, u64, u64);
-ckpt_prim!(u128, u128, u128);
 ckpt_prim!(usize, usize, usize);
 ckpt_prim!(bool, bool, bool);
 ckpt_prim!(f64, f64, f64);
-
-impl<T: Ckpt, const N: usize> Ckpt for [T; N] {
-    fn save(&self, w: &mut Saver) {
-        self.iter().for_each(|item| item.save(w));
-    }
-
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.iter_mut().try_for_each(|item| item.load(r))
-    }
-}
 
 impl<T: Ckpt + Default> Ckpt for Vec<T> {
     fn save(&self, w: &mut Saver) {
@@ -335,26 +319,6 @@ impl<T: Ckpt + Default> Ckpt for Vec<T> {
             let mut item = T::default();
             item.load(r)?;
             self.push(item);
-        }
-        Ok(())
-    }
-}
-
-impl<T: Ckpt + Default> Ckpt for VecDeque<T> {
-    fn save(&self, w: &mut Saver) {
-        w.usize(self.len());
-        for item in self {
-            item.save(w);
-        }
-    }
-
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        let len = r.usize()?;
-        self.clear();
-        for _ in 0..len {
-            let mut item = T::default();
-            item.load(r)?;
-            self.push_back(item);
         }
         Ok(())
     }
@@ -380,18 +344,6 @@ impl<T: Ckpt + Default> Ckpt for Option<T> {
             *self = None;
         }
         Ok(())
-    }
-}
-
-impl<A: Ckpt, B: Ckpt> Ckpt for (A, B) {
-    fn save(&self, w: &mut Saver) {
-        self.0.save(w);
-        self.1.save(w);
-    }
-
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.0.load(r)?;
-        self.1.load(r)
     }
 }
 
@@ -463,32 +415,22 @@ mod tests {
     #[test]
     fn containers_round_trip_into_prebuilt_objects() {
         let v: Vec<u64> = vec![0, 1, u64::MAX, 42];
-        let dq: VecDeque<u32> = [7u32, 8, 9].into_iter().collect();
         let opt: Option<u64> = Some(99);
-        let pair: (u64, bool) = (5, true);
         let mut w = Saver::new();
         v.save(&mut w);
-        dq.save(&mut w);
         opt.save(&mut w);
         None::<u64>.save(&mut w);
-        pair.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = Loader::new(&bytes);
         let mut v2: Vec<u64> = vec![123; 17];
-        let mut dq2: VecDeque<u32> = VecDeque::new();
         let mut opt2: Option<u64> = None;
         let mut opt3: Option<u64> = Some(1);
-        let mut pair2: (u64, bool) = (0, false);
         v2.load(&mut r).unwrap();
-        dq2.load(&mut r).unwrap();
         opt2.load(&mut r).unwrap();
         opt3.load(&mut r).unwrap();
-        pair2.load(&mut r).unwrap();
         assert_eq!(v2, v);
-        assert_eq!(dq2, dq);
         assert_eq!(opt2, opt);
         assert_eq!(opt3, None);
-        assert_eq!(pair2, pair);
     }
 
     #[test]

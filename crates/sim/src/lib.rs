@@ -6,8 +6,8 @@
 //! cycle-level architecture simulator needs to be *deterministic and
 //! reproducible* lives here.
 //!
-//! * [`ckpt`] — the hand-rolled checkpoint codec (versioned compact
-//!   binary snapshots of simulation state).
+//! * [`ckpt`] — the hand-rolled binary codec (versioned, compact) that
+//!   GMTR/GMTM traces and the sweep journal are written in.
 //! * [`rng`] — counter-based and xoshiro PRNGs plus distributions
 //!   (uniform, Zipf, permutations) that behave identically on every
 //!   platform and toolchain.

@@ -25,7 +25,6 @@
 //! two stage histograms *sum exactly* to the existing aggregate
 //! (squashed walks appear in neither). `tests/invariants.rs` pins this.
 
-use crate::ckpt::{Ckpt, CkptError, Loader, Saver};
 use crate::observe::Event;
 use crate::stats::{HistSummary, Histogram};
 use std::collections::{BTreeMap, HashMap};
@@ -60,17 +59,6 @@ pub struct HotPage {
     pub level_refs: [u64; 4],
 }
 
-impl Ckpt for HotPage {
-    fn save(&self, w: &mut Saver) {
-        w.u64(self.tlb_misses);
-        self.level_refs.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.tlb_misses = r.u64()?;
-        self.level_refs.load(r)
-    }
-}
-
 /// Per-tenant slices of the walk-stage histograms: one pair per ASID,
 /// folded alongside the run-wide aggregates so a multi-tenant snapshot
 /// shows which address space the walker cycles went to.
@@ -88,17 +76,6 @@ impl Default for AsidStages {
             walk_queue: Histogram::with_bound(STAGE_BOUND),
             walk_active: Histogram::with_bound(STAGE_BOUND),
         }
-    }
-}
-
-impl Ckpt for AsidStages {
-    fn save(&self, w: &mut Saver) {
-        self.walk_queue.save(w);
-        self.walk_active.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.walk_queue.load(r)?;
-        self.walk_active.load(r)
     }
 }
 
@@ -263,52 +240,6 @@ impl MetricsSink {
     }
 }
 
-impl Ckpt for MetricsSink {
-    fn save(&self, w: &mut Saver) {
-        self.lookup_latency.save(w);
-        self.walk_queue.save(w);
-        self.walk_active.save(w);
-        self.fill_waiters.save(w);
-        w.u64(self.hot_pages.len() as u64);
-        let mut keys: Vec<(u16, u64)> = self.hot_pages.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            w.u16(key.0);
-            w.u64(key.1);
-            self.hot_pages[&key].save(w);
-        }
-        w.u64(self.asid_stages.len() as u64);
-        for (asid, slice) in &self.asid_stages {
-            w.u16(*asid);
-            slice.save(w);
-        }
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.lookup_latency.load(r)?;
-        self.walk_queue.load(r)?;
-        self.walk_active.load(r)?;
-        self.fill_waiters.load(r)?;
-        let n = r.u64()? as usize;
-        self.hot_pages.clear();
-        for _ in 0..n {
-            let asid = r.u16()?;
-            let vpn = r.u64()?;
-            let mut page = HotPage::default();
-            page.load(r)?;
-            self.hot_pages.insert((asid, vpn), page);
-        }
-        let n = r.u64()? as usize;
-        self.asid_stages.clear();
-        for _ in 0..n {
-            let asid = r.u16()?;
-            let mut slice = AsidStages::default();
-            slice.load(r)?;
-            self.asid_stages.insert(asid, slice);
-        }
-        Ok(())
-    }
-}
-
 /// The metrics sink an [`crate::observe::Observer`] carries. `Off` is
 /// the default; `On` folds every recorded event into its sink.
 #[derive(Debug, Default)]
@@ -337,28 +268,6 @@ impl Metrics {
         match self {
             Metrics::On(sink) => Some(sink),
             Metrics::Off => None,
-        }
-    }
-}
-
-impl Ckpt for Metrics {
-    fn save(&self, w: &mut Saver) {
-        match self {
-            Metrics::Off => w.u64(0),
-            Metrics::On(sink) => {
-                w.u64(1);
-                sink.save(w);
-            }
-        }
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        let tag = r.u64()?;
-        match (tag, &mut *self) {
-            (0, Metrics::Off) => Ok(()),
-            (1, Metrics::On(sink)) => sink.load(r),
-            _ => Err(CkptError::Corrupt(
-                "metrics on/off state differs from the checkpoint",
-            )),
         }
     }
 }
@@ -448,7 +357,6 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ckpt::{Loader, Saver};
     use crate::observe::Observer;
 
     fn miss(asid: u16, vpn: u64) -> Event {
@@ -588,32 +496,5 @@ mod tests {
         assert!(a.contains("\"core0.tlb.hits\""));
         assert!(a.contains("\"asid\": 0, \"vpn\": 42"));
         assert!(a.contains("\"tenants\": ["));
-    }
-
-    #[test]
-    fn metrics_ckpt_round_trips_and_enforces_shape() {
-        let mut on = Metrics::recording();
-        if let Metrics::On(sink) = &mut on {
-            for ev in [
-                Event::Lookup { latency: 3 },
-                miss(0, 5),
-                walk(0, 5, [2, 0, 0, 0]),
-                fill(3, 2, 11, 1),
-            ] {
-                sink.apply(&ev);
-            }
-        }
-        let mut w = Saver::new();
-        on.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut restored = Metrics::recording();
-        restored
-            .load(&mut Loader::new(&bytes))
-            .expect("round trip must load");
-        assert_eq!(restored.sink(), on.sink());
-
-        let mut off = Metrics::Off;
-        assert!(off.load(&mut Loader::new(&bytes)).is_err());
     }
 }

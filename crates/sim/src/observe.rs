@@ -18,7 +18,6 @@
 //! metrics sink, so they are a fold over the same stream and stay zero
 //! when the metrics channel is off.
 
-use crate::ckpt::{Ckpt, CkptError, Loader, Saver};
 use crate::metrics::Metrics;
 use crate::trace::Tracer;
 use crate::Cycle;
@@ -102,47 +101,6 @@ pub enum Event {
     },
 }
 
-/// The checkpoint wire format of [`Event`]: one tag byte, then the
-/// variant's fields in the order listed.
-macro_rules! event_ckpt {
-    ($($tag:literal => $variant:ident { $($field:ident),* },)*) => {
-        impl Ckpt for Event {
-            fn save(&self, w: &mut Saver) {
-                match self {
-                    $(Event::$variant { $($field),* } => {
-                        w.u8($tag);
-                        $($field.save(w);)*
-                    })*
-                }
-            }
-            // Struct-literal fields evaluate in source order, which is
-            // the order `save` wrote them in.
-            fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-                *self = match r.u8()? {
-                    $($tag => Event::$variant { $($field: load_field(r)?),* },)*
-                    _ => return Err(CkptError::Corrupt("unknown trace event tag")),
-                };
-                Ok(())
-            }
-        }
-    };
-}
-
-fn load_field<T: Ckpt + Default>(r: &mut Loader<'_>) -> Result<T, CkptError> {
-    let mut v = T::default();
-    v.load(r)?;
-    Ok(v)
-}
-
-event_ckpt! {
-    0 => Lookup { latency },
-    1 => Miss { asid, vpn },
-    2 => Walk { core, track, asid, vpn, warp, start, end, levels },
-    3 => Fill { core, asid, vpn, warp, enqueued, started, complete, waiters },
-    4 => WarpSleep { core, warp, vpn, start, end },
-    5 => BlockRetire { core, slot, start, end },
-}
-
 /// Per-run observation instruments. [`Observer::off`] observes nothing.
 #[derive(Debug, Default)]
 pub struct Observer {
@@ -217,7 +175,7 @@ impl CounterSnapshot {
 }
 
 /// One interval's worth of activity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntervalSample {
     /// Cycle the interval ends at (exclusive).
     pub end_cycle: Cycle,
@@ -368,56 +326,6 @@ impl IntervalRecorder {
         }
         out.push_str("  ]\n}\n");
         out
-    }
-}
-
-impl Ckpt for CounterSnapshot {
-    fn save(&self, w: &mut Saver) {
-        w.u64(self.instructions);
-        w.u64(self.tlb_accesses);
-        w.u64(self.tlb_hits);
-        w.u64(self.walker_busy_cycles);
-        w.u64(self.dram_requests);
-        w.u64(self.walk_queue_cycles);
-        w.u64(self.walk_active_cycles);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.instructions = r.u64()?;
-        self.tlb_accesses = r.u64()?;
-        self.tlb_hits = r.u64()?;
-        self.walker_busy_cycles = r.u64()?;
-        self.dram_requests = r.u64()?;
-        self.walk_queue_cycles = r.u64()?;
-        self.walk_active_cycles = r.u64()?;
-        Ok(())
-    }
-}
-
-impl Ckpt for IntervalSample {
-    fn save(&self, w: &mut Saver) {
-        w.u64(self.end_cycle);
-        w.u64(self.cycles);
-        self.delta.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.end_cycle = r.u64()?;
-        self.cycles = r.u64()?;
-        self.delta.load(r)
-    }
-}
-
-impl Ckpt for IntervalRecorder {
-    /// `stride` and `lanes` come from the run setup and are rebuilt by
-    /// the caller; the stream holds the sampling cursor and the samples.
-    fn save(&self, w: &mut Saver) {
-        w.u64(self.next);
-        self.last.save(w);
-        self.samples.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.next = r.u64()?;
-        self.last.load(r)?;
-        self.samples.load(r)
     }
 }
 

@@ -8,7 +8,6 @@
 //! their names, categories, tracks and arguments exist only in the JSON
 //! exporter.
 
-use crate::ckpt::{Ckpt, CkptError, Loader, Saver};
 use crate::observe::Event;
 
 /// Track id for the per-core MMU (TLB fill spans).
@@ -189,40 +188,6 @@ impl Tracer {
     }
 }
 
-impl Ckpt for Tracer {
-    fn save(&self, w: &mut Saver) {
-        match self {
-            Tracer::Off => w.u8(0),
-            Tracer::Buffer(buf) => {
-                w.u8(1);
-                w.usize(buf.events.len());
-                buf.events.iter().for_each(|ev| ev.save(w));
-            }
-        }
-    }
-    /// Restores into a tracer of the *same shape*: the caller attaches
-    /// the instruments before loading, and a mismatch (checkpoint taken
-    /// with tracing on, restored with it off, or vice versa) is an error
-    /// rather than a silent divergence.
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        match (r.u8()?, self) {
-            (0, Tracer::Off) => Ok(()),
-            (1, Tracer::Buffer(buf)) => {
-                buf.events.clear();
-                for _ in 0..r.usize()? {
-                    let mut ev = Event::Lookup { latency: 0 };
-                    ev.load(r)?;
-                    buf.events.push(ev);
-                }
-                Ok(())
-            }
-            _ => Err(CkptError::Corrupt(
-                "tracer on/off state differs from the checkpoint",
-            )),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,22 +223,6 @@ mod tests {
         let mut buf = TraceBuffer::default();
         events.iter().for_each(|&ev| buf.push(ev));
         buf
-    }
-
-    #[test]
-    fn tracer_round_trips_through_checkpoint() {
-        let t = Tracer::Buffer(buffer(&[FILL, WALK, BLOCK]));
-        let mut w = Saver::new();
-        t.save(&mut w);
-        let bytes = w.into_bytes();
-
-        let mut back = Tracer::recording();
-        back.load(&mut Loader::new(&bytes)).unwrap();
-        assert_eq!(t, back);
-
-        // Shape mismatch is an error, not silence.
-        let mut off = Tracer::Off;
-        assert!(off.load(&mut Loader::new(&bytes)).is_err());
     }
 
     #[test]

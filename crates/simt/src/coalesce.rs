@@ -9,7 +9,6 @@
 //! TLB ports and the walker.
 
 use gmmu_core::mmu::PageReq;
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
 use gmmu_vm::{PageSize, VAddr, Vpn};
 
 /// log2 of the L1 line size (128 bytes).
@@ -102,54 +101,6 @@ impl CoalesceBuf {
             l.page_idx = remap[l.page_idx as usize];
             l.page_idx != u32::MAX
         });
-    }
-}
-
-impl Ckpt for CoalesceBuf {
-    fn save(&self, w: &mut Saver) {
-        w.usize(self.pages.len());
-        for p in &self.pages {
-            p.vpn.save(w);
-            w.u16(p.warp);
-        }
-        w.usize(self.lines.len());
-        for l in &self.lines {
-            w.u64(l.vline);
-            w.u32(l.page_idx);
-            w.u16(l.warp);
-        }
-    }
-
-    /// Refuses lists longer than a warp and lines naming a missing page:
-    /// [`CoalesceBuf::retain_pages`] indexes a warp-sized map by
-    /// `page_idx`.
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.clear();
-        let pages = r.usize()?;
-        if pages > WARP_LANES {
-            return Err(CkptError::Corrupt("coalesced pages exceed a warp"));
-        }
-        for _ in 0..pages {
-            let mut vpn = Vpn::default();
-            vpn.load(r)?;
-            self.pages.push(PageReq::new(vpn, r.u16()?));
-        }
-        let lines = r.usize()?;
-        if lines > WARP_LANES {
-            return Err(CkptError::Corrupt("coalesced lines exceed a warp"));
-        }
-        for _ in 0..lines {
-            let line = LineRef {
-                vline: r.u64()?,
-                page_idx: r.u32()?,
-                warp: r.u16()?,
-            };
-            if line.page_idx as usize >= self.pages.len() {
-                return Err(CkptError::Corrupt("coalesced line names a missing page"));
-            }
-            self.lines.push(line);
-        }
-        Ok(())
     }
 }
 
@@ -278,46 +229,6 @@ mod tests {
         // the first page belong to warps 3 and 5.
         let line_warps: Vec<u16> = buf.lines.iter().map(|l| l.warp).collect();
         assert_eq!(line_warps, [3, 5, 5]);
-    }
-
-    /// Encodes a buffer image field by field, bypassing the invariants
-    /// [`CoalesceBuf::save`] would uphold.
-    fn image(pages: usize, lines: &[u32]) -> Vec<u8> {
-        let mut w = Saver::new();
-        w.usize(pages);
-        for p in 0..pages {
-            w.u64(p as u64);
-            w.u16(0);
-        }
-        w.usize(lines.len());
-        for (i, &page_idx) in lines.iter().enumerate() {
-            w.u64(i as u64);
-            w.u32(page_idx);
-            w.u16(0);
-        }
-        w.into_bytes()
-    }
-
-    #[test]
-    fn malformed_images_are_refused_with_a_typed_error() {
-        let load = |bytes: Vec<u8>| CoalesceBuf::new().load(&mut Loader::new(&bytes));
-        assert_eq!(load(image(32, &[31; 32])), Ok(()));
-        assert_eq!(
-            load(image(33, &[0])),
-            Err(CkptError::Corrupt("coalesced pages exceed a warp"))
-        );
-        assert_eq!(
-            load(image(1, &[0; 33])),
-            Err(CkptError::Corrupt("coalesced lines exceed a warp"))
-        );
-        assert_eq!(
-            load(image(2, &[0, 2])),
-            Err(CkptError::Corrupt("coalesced line names a missing page"))
-        );
-        assert_eq!(
-            load(image(2, &[0, 1])[..5].to_vec()),
-            Err(CkptError::Truncated)
-        );
     }
 
     #[test]

@@ -294,10 +294,8 @@ impl Ckpt for FaultConfig {
 impl Ckpt for GpuConfig {
     /// Serializes every field results depend on — all but
     /// `tick_every_cycle` — so a trace carrying a `GpuConfig` can
-    /// rebuild the exact machine in another process (checkpoint
-    /// payloads instead pin the shape by fingerprint and never
-    /// serialize configuration). Loading leaves `tick_every_cycle`
-    /// as it was.
+    /// rebuild the exact machine in another process. Loading leaves
+    /// `tick_every_cycle` as it was.
     fn save(&self, w: &mut Saver) {
         w.usize(self.n_cores);
         w.usize(self.warps_per_core);

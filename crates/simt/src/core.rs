@@ -176,12 +176,6 @@ impl Warp {
     }
 }
 
-impl Default for Warp {
-    fn default() -> Self {
-        Warp::empty()
-    }
-}
-
 /// Execution mode: per-warp stacks or thread block compaction.
 //
 // `TbcState` dwarfs the baseline variant, but there is exactly one
@@ -466,7 +460,7 @@ pub(crate) fn phys_line(ppn: Ppn, vline: u64, granule: PageSize) -> u64 {
 }
 
 /// A block of threads waiting to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlockWork {
     /// The tenant the block belongs to.
     pub asid: u16,
@@ -1535,214 +1529,6 @@ fn exec_one(
                 }
             }
         }
-    }
-}
-
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for MemKind {
-    fn save(&self, w: &mut Saver) {
-        w.u8(match self {
-            MemKind::Load => 0,
-            MemKind::Store => 1,
-        });
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        *self = match r.u8()? {
-            0 => MemKind::Load,
-            1 => MemKind::Store,
-            _ => return Err(CkptError::Corrupt("unknown memory-op tag")),
-        };
-        Ok(())
-    }
-}
-
-impl Ckpt for WaitKind {
-    fn save(&self, w: &mut Saver) {
-        match self {
-            WaitKind::Pipeline => w.u8(0),
-            WaitKind::MemData { dram } => {
-                w.u8(1);
-                w.bool(*dram);
-            }
-            WaitKind::Reject => w.u8(2),
-            WaitKind::Replay => w.u8(3),
-        }
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        *self = match r.u8()? {
-            0 => WaitKind::Pipeline,
-            1 => WaitKind::MemData { dram: r.bool()? },
-            2 => WaitKind::Reject,
-            3 => WaitKind::Replay,
-            _ => return Err(CkptError::Corrupt("unknown wait-kind tag")),
-        };
-        Ok(())
-    }
-}
-
-impl Ckpt for Pending {
-    fn save(&self, w: &mut Saver) {
-        self.kind.save(w);
-        self.refs.save(w);
-        w.bool(self.tlb_missed);
-        w.u64(self.overlap_done_at);
-        w.bool(self.touched_dram);
-        w.u64(self.slept_at);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.kind.load(r)?;
-        self.refs.load(r)?;
-        self.tlb_missed = r.bool()?;
-        self.overlap_done_at = r.u64()?;
-        self.touched_dram = r.bool()?;
-        self.slept_at = r.u64()?;
-        Ok(())
-    }
-}
-
-impl Ckpt for Warp {
-    fn save(&self, w: &mut Saver) {
-        w.u16(self.asid);
-        w.u32(self.first_tid);
-        self.stack.save(w);
-        w.u64(self.ready_at);
-        self.pending.save(w);
-        w.usize(self.waiting_pages);
-        w.usize(self.faulted_pages);
-        self.wait.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.asid = r.u16()?;
-        self.first_tid = r.u32()?;
-        self.stack.load(r)?;
-        self.ready_at = r.u64()?;
-        self.pending.load(r)?;
-        self.waiting_pages = r.usize()?;
-        self.faulted_pages = r.usize()?;
-        self.wait.load(r)
-    }
-}
-
-impl Ckpt for BlockWork {
-    fn save(&self, w: &mut Saver) {
-        w.u16(self.asid);
-        w.u32(self.first_tid);
-        w.u32(self.n_threads);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.asid = r.u16()?;
-        self.first_tid = r.u32()?;
-        self.n_threads = r.u32()?;
-        Ok(())
-    }
-}
-
-impl Ckpt for CoreStats {
-    fn save(&self, w: &mut Saver) {
-        self.instructions.save(w);
-        self.mem_instructions.save(w);
-        self.idle_cycles.save(w);
-        self.stall_breakdown.save(w);
-        self.live_cycles.save(w);
-        self.page_divergence.save(w);
-        self.l1_miss_latency.save(w);
-        self.replays.save(w);
-        self.dwarps_formed.save(w);
-        self.blocks_done.save(w);
-        self.tenant_instructions.save(w);
-        self.tenant_blocks_done.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.instructions.load(r)?;
-        self.mem_instructions.load(r)?;
-        self.idle_cycles.load(r)?;
-        self.stall_breakdown.load(r)?;
-        self.live_cycles.load(r)?;
-        self.page_divergence.load(r)?;
-        self.l1_miss_latency.load(r)?;
-        self.replays.load(r)?;
-        self.dwarps_formed.load(r)?;
-        self.blocks_done.load(r)?;
-        self.tenant_instructions.load(r)?;
-        self.tenant_blocks_done.load(r)
-    }
-}
-
-impl Ckpt for MemPath {
-    /// `granule` and `timings` are configuration; whether a CPM exists is
-    /// too, so its contents appear in the stream only when present. The
-    /// translate buffer is scratch within one memory issue and is reset
-    /// instead of saved; the pending-refs pool only recycles allocations.
-    fn save(&self, w: &mut Saver) {
-        self.mmu.save(w);
-        self.l1.save(w);
-        self.l1_mshrs.save(w);
-        self.policy.save(w);
-        if let Some(cpm) = &self.cpm {
-            cpm.save(w);
-        }
-        self.stats.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.mmu.load(r)?;
-        self.l1.load(r)?;
-        self.l1_mshrs.load(r)?;
-        self.policy.load(r)?;
-        if let Some(cpm) = &mut self.cpm {
-            cpm.load(r)?;
-        }
-        self.stats.load(r)?;
-        self.tbuf = TranslateBuf::new();
-        Ok(())
-    }
-}
-
-impl Ckpt for ShaderCore {
-    /// The execution mode's *variant* is configuration (TBC on or off),
-    /// so only the active variant's state is serialized. The fault-waiter
-    /// map is written sorted by page so hash iteration order never leaks
-    /// into the byte stream; the MMU-event drain buffer is transient
-    /// within one tick and the next-event memo is a cache, so both are
-    /// reset on load.
-    fn save(&self, w: &mut Saver) {
-        self.path.save(w);
-        match &self.exec {
-            ExecMode::Baseline { warps } => warps.save(w),
-            ExecMode::Tbc(t) => t.save(w),
-        }
-        w.usize(self.rr_ptr);
-        self.block_queue.save(w);
-        self.slot_occupied.save(w);
-        self.slot_started.save(w);
-        self.slot_asid.save(w);
-        let mut waiters: Vec<(u64, Vec<u16>)> = self
-            .fault_waiters
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        waiters.sort_unstable_by_key(|(k, _)| *k);
-        waiters.save(w);
-        self.pending_faults.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.path.load(r)?;
-        match &mut self.exec {
-            ExecMode::Baseline { warps } => warps.load(r)?,
-            ExecMode::Tbc(t) => t.load(r)?,
-        }
-        self.rr_ptr = r.usize()?;
-        self.block_queue.load(r)?;
-        self.slot_occupied.load(r)?;
-        self.slot_started.load(r)?;
-        self.slot_asid.load(r)?;
-        let mut waiters: Vec<(u64, Vec<u16>)> = Vec::new();
-        waiters.load(r)?;
-        self.fault_waiters = waiters.into_iter().collect();
-        self.pending_faults.load(r)?;
-        self.events.clear();
-        self.drop_timer_caches();
-        Ok(())
     }
 }
 

@@ -13,7 +13,7 @@ use crate::core::{RunCtx, ShaderCore};
 use crate::program::Kernel;
 use crate::stall::StallBreakdown;
 use gmmu_mem::MemorySystem;
-use gmmu_sim::ckpt::{fnv1a64, Ckpt, CkptError, Loader, Saver};
+use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
 use gmmu_sim::fault::{major_fault, FaultInjector};
 use gmmu_sim::metrics::{Metrics, MetricsRegistry};
 use gmmu_sim::observe::{CounterSnapshot, Observer};
@@ -108,7 +108,7 @@ pub struct TenantStats {
 }
 
 /// Policy knobs for a multi-tenant run. Deliberately *not* part of
-/// [`GpuConfig`]: that struct's checkpoint layout is pinned, and these
+/// [`GpuConfig`]: that struct's serialized layout is pinned, and these
 /// knobs only shape scheduling, never the machine's geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantPolicy {
@@ -341,56 +341,6 @@ impl RunStats {
     }
 }
 
-/// Magic bytes opening every checkpoint image.
-pub const CKPT_MAGIC: [u8; 4] = *b"GMCK";
-/// Checkpoint format version. Bumped whenever the payload layout
-/// changes; old images are refused rather than misread (see
-/// `DESIGN.md`, "Checkpoint format versioning"). Version 2 added the
-/// walk-start cycle to in-flight walk records, the per-stage walk
-/// columns to interval snapshots, and the observer's metrics channel.
-/// Version 3 added multi-tenant state: ASID tags throughout the fault
-/// queue, per-tenant shootdown epochs, progress clocks, and finish
-/// times, plus one address-space image per tenant. Version 4 moved
-/// snapshots into the one drive loop and dropped the event calendar
-/// and the per-core idle-accounting cursors from the payload. Version 5
-/// stores the span trace as typed, string-free events. Version 6 stores
-/// each in-flight memory instruction as its coalesced pages and lines
-/// instead of its lane addresses.
-pub const CKPT_VERSION: u32 = 6;
-
-/// The configuration fingerprint stored in a checkpoint header: a
-/// stable hash of the GPU configuration and every tenant's kernel name
-/// and thread count (plus the tenant policy for multi-tenant runs).
-/// [`Gpu::run_checkpointed`] refuses to resume a checkpoint whose
-/// fingerprint differs — state can only be loaded into an identically
-/// shaped machine.
-fn ckpt_fingerprint(
-    config: &GpuConfig,
-    tenants: &[TenantCtx<'_, '_>],
-    policy: &TenantPolicy,
-) -> u64 {
-    let mut key = format!("{config:?}");
-    for t in tenants {
-        key.push_str(&format!("|{}|{}", t.kernel.name(), t.kernel.num_threads()));
-    }
-    if tenants.len() > 1 {
-        key.push_str(&format!("|{policy:?}"));
-    }
-    fnv1a64(key.as_bytes())
-}
-
-/// Checkpoint emission and resume controls for one
-/// [`Gpu::run_checkpointed`] run.
-pub struct CheckpointOpts<'a> {
-    /// Emit a checkpoint at the first visited cycle at or after every
-    /// multiple of this many cycles (0 = never emit).
-    pub every: Cycle,
-    /// Receives each emitted checkpoint image.
-    pub sink: &'a mut dyn FnMut(&[u8]),
-    /// A checkpoint image to resume from instead of starting at cycle 0.
-    pub resume: Option<&'a [u8]>,
-}
-
 /// How a run borrows the address space: shared (read-only translation,
 /// the historical contract) or owned (the fault handler and shootdown
 /// storms may map/remap pages mid-run).
@@ -476,17 +426,6 @@ impl DriveCounts {
     }
 }
 
-/// The drive loop's clock state bundled for checkpointing.
-struct DriveClocks<'s> {
-    now: Cycle,
-    last_progress: Cycle,
-    next_storm: u32,
-    last_epoch: &'s [u64],
-    progress_t: &'s [Cycle],
-    finished_at: &'s [Cycle],
-    faults_t: &'s [u64],
-}
-
 /// A configured GPU ready to run kernels.
 ///
 /// # Examples
@@ -521,8 +460,7 @@ impl Gpu {
         &self.config
     }
 
-    /// Visited cycles and core ticks of the last run (of its resumed
-    /// part, for a run resumed from a checkpoint).
+    /// Visited cycles and core ticks of the last run.
     pub fn drive_counts(&self) -> DriveCounts {
         self.counts
     }
@@ -608,38 +546,7 @@ impl Gpu {
                 space: SpaceAccess::Owned(&mut *j.space),
             })
             .collect();
-        self.run_prepared(&mut tenants, &policy, obs, None)
-            .expect("a run without a resume image cannot fail")
-    }
-
-    /// [`Gpu::run_tenants`] with checkpoint/restore, the multi-tenant
-    /// analogue of [`Gpu::run_checkpointed`]: every tenant's address
-    /// space and all ASID-tagged translation state travel in the image,
-    /// and a resumed storm finishes bit-identical to an uninterrupted
-    /// one.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Gpu::run_checkpointed`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Gpu::run_tenants`].
-    pub fn run_tenants_checkpointed(
-        &mut self,
-        jobs: &mut [TenantJob<'_>],
-        policy: TenantPolicy,
-        obs: &mut Observer,
-        mut opts: CheckpointOpts<'_>,
-    ) -> Result<RunStats, CkptError> {
-        let mut tenants: Vec<TenantCtx<'_, '_>> = jobs
-            .iter_mut()
-            .map(|j| TenantCtx {
-                kernel: j.kernel,
-                space: SpaceAccess::Owned(&mut *j.space),
-            })
-            .collect();
-        self.run_prepared(&mut tenants, &policy, obs, Some(&mut opts))
+        self.run_prepared(&mut tenants, &policy, obs)
     }
 
     /// Shared run preamble: validates every kernel against its space,
@@ -729,42 +636,6 @@ impl Gpu {
         (vec![0u32; total_slots], iters_base, blocks_total)
     }
 
-    /// Runs `kernel` with deterministic checkpoint/restore: a
-    /// versioned snapshot of the *entire* simulation state (cores, TLBs,
-    /// MSHRs, page tables, statistics, observer buffers) is handed to
-    /// `opts.sink` every `opts.every` cycles, and a run resumed from
-    /// such a snapshot (`opts.resume`) finishes bit-identical to an
-    /// uninterrupted one — same stats, traces, and interval series.
-    /// Snapshots are taken inside the one drive loop, so this works
-    /// under the skip and per-cycle loops alike.
-    ///
-    /// The space is always owned (the `run_faulted` contract): demand
-    /// paging and shootdown storms mutate it, so its state is part of
-    /// the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `opts.resume` is truncated, corrupt, from a different
-    /// format version, or from a differently configured machine
-    /// (fingerprint mismatch). Never fails when `opts.resume` is `None`.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Gpu::run`].
-    pub fn run_checkpointed(
-        &mut self,
-        kernel: &dyn Kernel,
-        space: &mut AddressSpace,
-        obs: &mut Observer,
-        mut opts: CheckpointOpts<'_>,
-    ) -> Result<RunStats, CkptError> {
-        let mut tenants = [TenantCtx {
-            kernel,
-            space: SpaceAccess::Owned(space),
-        }];
-        self.run_prepared(&mut tenants, &TenantPolicy::default(), obs, Some(&mut opts))
-    }
-
     fn run_inner(
         &mut self,
         kernel: &dyn Kernel,
@@ -772,8 +643,7 @@ impl Gpu {
         obs: &mut Observer,
     ) -> RunStats {
         let mut tenants = [TenantCtx { kernel, space }];
-        self.run_prepared(&mut tenants, &TenantPolicy::default(), obs, None)
-            .expect("a run without a resume image cannot fail")
+        self.run_prepared(&mut tenants, &TenantPolicy::default(), obs)
     }
 
     fn run_prepared(
@@ -781,28 +651,16 @@ impl Gpu {
         tenants: &mut [TenantCtx<'_, '_>],
         policy: &TenantPolicy,
         obs: &mut Observer,
-        ckpt: Option<&mut CheckpointOpts<'_>>,
-    ) -> Result<RunStats, CkptError> {
+    ) -> RunStats {
         let wall_start = std::time::Instant::now();
         let (mut iters, iters_base, blocks_total) = self.prepare_run_tenants(tenants, policy, obs);
-        let mut stats = self.drive(
-            tenants,
-            policy,
-            obs,
-            &mut iters,
-            &iters_base,
-            &blocks_total,
-            ckpt,
-        )?;
+        let mut stats = self.drive(tenants, policy, obs, &mut iters, &iters_base, &blocks_total);
         stats.wall_s = wall_start.elapsed().as_secs_f64();
-        Ok(stats)
+        stats
     }
 
     /// The global cycle loop. Handles any tenant count — a one-element
-    /// slice is the legacy single-tenant path, bit-for-bit — and, with
-    /// `ckpt`, emits snapshots at the top of visited cycles and resumes
-    /// from one.
-    #[allow(clippy::too_many_arguments)]
+    /// slice is the legacy single-tenant path, bit-for-bit.
     fn drive(
         &mut self,
         tenants: &mut [TenantCtx<'_, '_>],
@@ -811,8 +669,7 @@ impl Gpu {
         iters: &mut [u32],
         iters_base: &[usize],
         blocks_total: &[u64],
-        mut ckpt: Option<&mut CheckpointOpts<'_>>,
-    ) -> Result<RunStats, CkptError> {
+    ) -> RunStats {
         let n_t = tenants.len();
         let track_tenants = n_t > 1;
         let kernels: Vec<&dyn Kernel> = tenants.iter().map(|t| t.kernel).collect();
@@ -851,105 +708,14 @@ impl Gpu {
         let mut watchdog_fired = false;
         let mut now: Cycle = 0;
         let mut completed = true;
-        // A snapshot is due at the first visited cycle at least `every`
-        // cycles after the start (or the previous snapshot or resume
-        // point); `Cycle::MAX` when emission is off.
-        let every = ckpt.as_ref().map_or(0, |c| c.every);
-        let emit_after = |now: Cycle| {
-            if every > 0 {
-                now.saturating_add(every)
-            } else {
-                Cycle::MAX
-            }
-        };
-        let mut next_emit = emit_after(0);
-        if let Some(bytes) = ckpt.as_ref().and_then(|c| c.resume) {
-            // The image holds the loop-top state `save_checkpoint`
-            // wrote, in the same order.
-            let mut r = Loader::new(bytes);
-            let found = r.header(&CKPT_MAGIC, CKPT_VERSION)?;
-            let expected = ckpt_fingerprint(&self.config, tenants, policy);
-            if found != expected {
-                return Err(CkptError::ConfigMismatch { expected, found });
-            }
-            now = r.u64()?;
-            last_progress = r.u64()?;
-            next_storm = r.u32()?;
-            for e in last_epoch.iter_mut() {
-                *e = r.u64()?;
-            }
-            for p in progress_t.iter_mut() {
-                *p = r.u64()?;
-            }
-            for f in finished_at.iter_mut() {
-                *f = r.u64()?;
-            }
-            for f in faults_t.iter_mut() {
-                *f = r.u64()?;
-            }
-            fault_q.load(&mut r)?;
-            for it in iters.iter_mut() {
-                *it = r.u32()?;
-            }
-            for ctx in tenants.iter_mut() {
-                match ctx.space.get_mut() {
-                    Some(sp) => sp.load(&mut r)?,
-                    None => {
-                        return Err(CkptError::Corrupt("resume requires an owned address space"))
-                    }
-                }
-            }
-            self.mem.load(&mut r)?;
-            for core in &mut self.cores {
-                core.load(&mut r)?;
-            }
-            obs.tracer.load(&mut r)?;
-            if let Some(rec) = obs.intervals.as_mut() {
-                rec.load(&mut r)?;
-            }
-            obs.metrics.load(&mut r)?;
-            if r.remaining() != 0 {
-                return Err(CkptError::Corrupt("trailing bytes after checkpoint"));
-            }
-            next_emit = emit_after(now);
-        }
         // `wake[i]`: the next cycle core `i` must be ticked
         // (`Cycle::MAX`: no work). `credited[i]`: the first cycle whose
-        // idle accounting core `i` has not received. A resumed run
-        // ticks every core on its first cycle; ticking a core on a
-        // cycle it would have slept through is a no-op, so the image
-        // needs neither array.
-        let mut wake: Vec<Cycle> = vec![now; self.cores.len()];
-        let mut credited: Vec<Cycle> = vec![now; self.cores.len()];
+        // idle accounting core `i` has not received.
+        let mut wake: Vec<Cycle> = vec![0; self.cores.len()];
+        let mut credited: Vec<Cycle> = vec![0; self.cores.len()];
         let mut counts = DriveCounts::default();
         loop {
             counts.visited_cycles += 1;
-            // Snapshot at the top of a visited cycle, before any phase
-            // of the cycle runs: the loop state here is exactly the
-            // clocks, the fault queue, the iteration counters, the
-            // spaces, memory, cores, and observer, and a resumed run
-            // re-enters the loop in that state.
-            if now >= next_emit {
-                if let Some(opts) = ckpt.as_mut() {
-                    // The image carries stats up to the top of `now`.
-                    for (core, c) in self.cores.iter_mut().zip(&mut credited) {
-                        settle(core, c, now);
-                    }
-                    let clocks = DriveClocks {
-                        now,
-                        last_progress,
-                        next_storm,
-                        last_epoch: &last_epoch,
-                        progress_t: &progress_t,
-                        finished_at: &finished_at,
-                        faults_t: &faults_t,
-                    };
-                    let image =
-                        self.save_checkpoint(tenants, policy, obs, iters, &clocks, &fault_q);
-                    (opts.sink)(&image);
-                }
-                next_emit = emit_after(now);
-            }
             // Injected shootdown storms: remap a deterministically-chosen
             // region of a deterministically-chosen victim tenant, bumping
             // the epoch the check below observes. Storm cycles are folded
@@ -1210,7 +976,7 @@ impl Gpu {
         if track_tenants {
             stats.tenants = self.tenant_stats(&finished_at, &faults_t, now);
         }
-        Ok(stats)
+        stats
     }
 
     /// Watchdog helper: the pages currently in CPU fault service.
@@ -1265,67 +1031,6 @@ impl Gpu {
                 }
             })
             .collect()
-    }
-
-    /// Serializes the full simulation state at the top of cycle
-    /// `clocks.now`. Layout (after the header) is fixed by
-    /// [`CKPT_VERSION`]: loop clocks (including the per-tenant epoch,
-    /// progress, finish, and fault arrays), fault queue, iteration
-    /// counters, every tenant's address space in ASID order, memory
-    /// system, cores, then observer buffers. Geometry-length sequences
-    /// (per-tenant arrays, iters, cores) are written per element without
-    /// a length — the machine shape is pinned by the fingerprint.
-    fn save_checkpoint(
-        &self,
-        tenants: &[TenantCtx<'_, '_>],
-        policy: &TenantPolicy,
-        obs: &Observer,
-        iters: &[u32],
-        clocks: &DriveClocks<'_>,
-        fault_q: &[((u16, Vpn), Cycle)],
-    ) -> Vec<u8> {
-        let mut w = Saver::new();
-        w.header(
-            &CKPT_MAGIC,
-            CKPT_VERSION,
-            ckpt_fingerprint(&self.config, tenants, policy),
-        );
-        w.u64(clocks.now);
-        w.u64(clocks.last_progress);
-        w.u32(clocks.next_storm);
-        for &e in clocks.last_epoch {
-            w.u64(e);
-        }
-        for &p in clocks.progress_t {
-            w.u64(p);
-        }
-        for &f in clocks.finished_at {
-            w.u64(f);
-        }
-        for &f in clocks.faults_t {
-            w.u64(f);
-        }
-        // Same wire shape as `Vec::save` (the resume path loads with it).
-        w.usize(fault_q.len());
-        for entry in fault_q {
-            entry.save(&mut w);
-        }
-        for &it in iters {
-            w.u32(it);
-        }
-        for ctx in tenants {
-            ctx.space.get().save(&mut w);
-        }
-        self.mem.save(&mut w);
-        for core in &self.cores {
-            core.save(&mut w);
-        }
-        obs.tracer.save(&mut w);
-        if let Some(rec) = obs.intervals.as_ref() {
-            rec.save(&mut w);
-        }
-        obs.metrics.save(&mut w);
-        w.into_bytes()
     }
 
     /// Current whole-GPU totals of the counters interval samples track.

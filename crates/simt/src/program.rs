@@ -169,6 +169,23 @@ pub trait Kernel: Sync {
 
 use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
 
+impl Ckpt for MemKind {
+    fn save(&self, w: &mut Saver) {
+        w.u8(match self {
+            MemKind::Load => 0,
+            MemKind::Store => 1,
+        });
+    }
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+        *self = match r.u8()? {
+            0 => MemKind::Load,
+            1 => MemKind::Store,
+            _ => return Err(CkptError::Corrupt("unknown memory-op tag")),
+        };
+        Ok(())
+    }
+}
+
 impl Ckpt for Op {
     fn save(&self, w: &mut Saver) {
         match *self {

@@ -10,7 +10,7 @@
 //! same mechanism: exiting threads simply wait in the ancestor entry.
 
 /// One stack level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StackEntry {
     /// Next pc this entry will execute.
     pub pc: u32,
@@ -34,7 +34,7 @@ pub struct StackEntry {
 /// s.branch(0b0011, 5, 1, 8);
 /// assert_eq!(s.current().unwrap(), (5, 0b0011)); // taken side first
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimtStack {
     entries: Vec<StackEntry>,
 }
@@ -138,31 +138,6 @@ impl SimtStack {
             });
         }
         self.maybe_pop();
-    }
-}
-
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for StackEntry {
-    fn save(&self, w: &mut Saver) {
-        w.u32(self.pc);
-        w.u32(self.rpc);
-        w.u32(self.mask);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.pc = r.u32()?;
-        self.rpc = r.u32()?;
-        self.mask = r.u32()?;
-        Ok(())
-    }
-}
-
-impl Ckpt for SimtStack {
-    fn save(&self, w: &mut Saver) {
-        self.entries.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.entries.load(r)
     }
 }
 

@@ -69,14 +69,8 @@ impl Dwarp {
     }
 }
 
-impl Default for Dwarp {
-    fn default() -> Self {
-        Dwarp::dead()
-    }
-}
-
 /// One level of a block-wide reconvergence stack.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct TbcLevel {
     /// Pc at which this level's units are done.
     rpc: u32,
@@ -910,103 +904,6 @@ impl TbcState {
                 }
             }
         }
-    }
-}
-
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for Dwarp {
-    /// The lane array is fixed-width (32), so each slot is written in
-    /// index order without a length.
-    fn save(&self, w: &mut Saver) {
-        for lane in &self.lanes {
-            lane.save(w);
-        }
-        w.u16(self.block);
-        w.u32(self.pc);
-        w.u64(self.ready_at);
-        self.pending.save(w);
-        w.usize(self.waiting_pages);
-        w.usize(self.faulted_pages);
-        w.bool(self.at_branch);
-        w.bool(self.done_at_rpc);
-        w.bool(self.alive);
-        self.wait.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        for lane in &mut self.lanes {
-            lane.load(r)?;
-        }
-        self.block = r.u16()?;
-        self.pc = r.u32()?;
-        self.ready_at = r.u64()?;
-        self.pending.load(r)?;
-        self.waiting_pages = r.usize()?;
-        self.faulted_pages = r.usize()?;
-        self.at_branch = r.bool()?;
-        self.done_at_rpc = r.bool()?;
-        self.alive = r.bool()?;
-        self.wait.load(r)
-    }
-}
-
-impl Ckpt for TbcLevel {
-    fn save(&self, w: &mut Saver) {
-        w.u32(self.rpc);
-        self.units.save(w);
-        self.resume_pc.save(w);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.rpc = r.u32()?;
-        self.units.load(r)?;
-        self.resume_pc.load(r)
-    }
-}
-
-impl Ckpt for TbcBlock {
-    /// `base_warp` is derived from the slot index at construction and is
-    /// not part of the stream.
-    fn save(&self, w: &mut Saver) {
-        w.bool(self.active);
-        w.u32(self.first_tid);
-        self.levels.save(w);
-        w.u64(self.started);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        self.active = r.bool()?;
-        self.first_tid = r.u32()?;
-        self.levels.load(r)?;
-        self.started = r.u64()?;
-        Ok(())
-    }
-}
-
-impl Ckpt for TbcState {
-    /// `cfg` and `warps_per_block` are configuration, and the block-slot
-    /// count is config-derived, so block slots are written per element
-    /// without a length. `cand_scratch` is transient within one `issue`
-    /// call and is cleared instead of saved.
-    fn save(&self, w: &mut Saver) {
-        for b in &self.blocks {
-            b.save(w);
-        }
-        self.units.save(w);
-        self.free_units.save(w);
-        w.usize(self.rr);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        for b in &mut self.blocks {
-            b.load(r)?;
-        }
-        self.units.load(r)?;
-        self.free_units.load(r)?;
-        self.rr = r.usize()?;
-        self.cand_scratch.clear();
-        self.taken_scratch.clear();
-        self.fall_scratch.clear();
-        self.old_units_scratch.clear();
-        self.building_scratch.clear();
-        Ok(())
     }
 }
 

@@ -25,8 +25,8 @@
 //! machine fingerprint: any flipped bit in the launch block is refused
 //! as [`CkptError::ConfigMismatch`] before the reader interprets a
 //! single field. Foreign magic, unknown versions, truncation, and
-//! trailing garbage are refused exactly like `GMCK` checkpoint images
-//! (see DESIGN.md §11).
+//! trailing garbage are each refused with their own typed error (see
+//! DESIGN.md §11).
 
 use gmmu_sim::ckpt::{fnv1a64, Ckpt, CkptError, Loader, Saver};
 use gmmu_simt::gpu::RunStats;
@@ -37,8 +37,8 @@ use gmmu_vm::{Region, SpaceConfig};
 /// Magic bytes opening every trace file.
 pub const TRACE_MAGIC: [u8; 4] = *b"GMTR";
 /// Trace format version. Bumped whenever the layout changes; readers
-/// refuse any other version rather than misread it (same policy as
-/// `CKPT_VERSION`, see DESIGN.md §11). Version 2 dropped the
+/// refuse any other version rather than misread it (the codec version
+/// policy, DESIGN.md §10–§11). Version 2 dropped the
 /// execution-engine fields (`tick_every_cycle`, engine kind, run
 /// threads) from the launch's machine configuration: results never
 /// depended on them.

@@ -15,7 +15,7 @@
 //! file carries the machine configuration, program, address-space
 //! layout, record stream, and the captured run's statistics, and the
 //! reader refuses foreign, truncated, corrupt, or future-versioned
-//! files with the same taxonomy as `GMCK` checkpoint images.
+//! files with a typed [`gmmu_sim::ckpt::CkptError`], never a panic.
 
 pub mod capture;
 pub mod format;

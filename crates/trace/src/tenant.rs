@@ -23,7 +23,7 @@
 //!
 //! The fingerprint covers every tenant's launch bytes, so a flipped bit
 //! in any tenant's machine description is refused before interpretation,
-//! with the same error taxonomy as `GMTR` and `GMCK`.
+//! with the same error taxonomy as `GMTR`.
 
 use crate::capture::{capture_launch, Recorder};
 use crate::format::{

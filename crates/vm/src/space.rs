@@ -482,9 +482,9 @@ impl Ckpt for Region {
 
 impl Ckpt for AddressSpace {
     /// Serializes the *full* mapping state — page-table nodes, allocator
-    /// cursors, regions, and the shootdown epoch — so demand paging and
-    /// remap storms resume with the exact frame-allocation future the
-    /// uninterrupted run would have had.
+    /// cursors, regions, and the shootdown epoch — so a decoded space
+    /// continues demand paging and remap storms with the exact
+    /// frame-allocation future of the original.
     fn save(&self, w: &mut Saver) {
         w.u16(self.asid);
         self.table.save(w);

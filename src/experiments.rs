@@ -22,7 +22,7 @@ use gmmu_sim::ckpt::{Ckpt, Loader, Saver};
 use gmmu_sim::metrics::Metrics;
 use gmmu_sim::rng::fnv1a64;
 use gmmu_sim::trace::Tracer;
-use gmmu_simt::gpu::{run_kernel, CheckpointOpts};
+use gmmu_simt::gpu::run_kernel;
 use gmmu_simt::{IntervalRecorder, Kernel, Observer};
 use gmmu_trace::{assemble, capture_launch, replay_run_observed, Recorder, Trace};
 use std::collections::{HashMap, HashSet};
@@ -36,8 +36,7 @@ const USAGE: &str = "usage: harness [--quick | --full] [--csv] [--jobs N]
                [--metrics PATH]
                [--fault-inject] [--fault-seed N]
                [--journal PATH] [--shard I/N] [--kill-after N]
-               [--checkpoint-every N] [--checkpoint-path PATH]
-               [--resume PATH] [--capture-trace PATH] [--replay PATH]
+               [--capture-trace PATH] [--replay PATH]
   --quick    tiny workloads on a 2-core machine (CI/smoke scope)
   --full     the paper's full 30-core machine (slow; final numbers)
   --csv      also print each table as CSV
@@ -80,21 +79,11 @@ const USAGE: &str = "usage: harness [--quick | --full] [--csv] [--jobs N]
   --kill-after N
              stop after N freshly simulated design points with exit
              status 3, journal intact (exercises the resume path)
-  --checkpoint-every N
-             snapshot the first simulated design point every N cycles
-             to --checkpoint-path (atomic overwrite, latest image wins)
-  --checkpoint-path PATH
-             where --checkpoint-every writes (default gmmu.ckpt)
-  --resume PATH
-             resume the first simulated design point from a checkpoint
-             image written by --checkpoint-every (the configuration and
-             instruments must match the snapshotting run)
   --capture-trace PATH
              record the first simulated design point to a GMTR trace
              file: the kernel's full data-dependent behaviour plus the
              machine configuration and final stats. Recording does not
-             perturb the run. Incompatible with --resume (a resumed run
-             only exercises the tail of the kernel)
+             perturb the run
   --replay PATH
              replay a GMTR trace instead of running the figure: rebuild
              the captured machine, drive it from the recorded behaviour,
@@ -161,15 +150,6 @@ pub struct ExperimentOpts {
     /// Exit with status 3 after this many freshly simulated points
     /// (`--kill-after`; exercises journal resume).
     pub kill_after: Option<usize>,
-    /// Snapshot the first simulated design point every N cycles
-    /// (`--checkpoint-every`; 0 = off).
-    pub checkpoint_every: u64,
-    /// Where `--checkpoint-every` writes its image
-    /// (`--checkpoint-path`).
-    pub checkpoint_path: &'static str,
-    /// Resume the first simulated design point from this checkpoint
-    /// image (`--resume`).
-    pub resume: Option<&'static str>,
     /// Record the first simulated design point to this GMTR trace file
     /// (`--capture-trace`).
     pub capture_trace: Option<&'static str>,
@@ -193,9 +173,6 @@ impl Default for ExperimentOpts {
             journal: None,
             shard: None,
             kill_after: None,
-            checkpoint_every: 0,
-            checkpoint_path: "gmmu.ckpt",
-            resume: None,
             capture_trace: None,
             replay: None,
         }
@@ -282,18 +259,6 @@ impl ExperimentOpts {
                     Some(v) => opts.kill_after = Some(parse_kill_after(&v)),
                     None => bad_usage("--kill-after needs a value"),
                 },
-                "--checkpoint-every" => match args.next() {
-                    Some(v) => opts.checkpoint_every = parse_every(&v),
-                    None => bad_usage("--checkpoint-every needs a value"),
-                },
-                "--checkpoint-path" => match args.next() {
-                    Some(v) => opts.checkpoint_path = leak_path(v),
-                    None => bad_usage("--checkpoint-path needs a path"),
-                },
-                "--resume" => match args.next() {
-                    Some(v) => opts.resume = Some(leak_path(v)),
-                    None => bad_usage("--resume needs a path"),
-                },
                 "--capture-trace" => match args.next() {
                     Some(v) => opts.capture_trace = Some(leak_path(v)),
                     None => bad_usage("--capture-trace needs a path"),
@@ -325,12 +290,6 @@ impl ExperimentOpts {
                         opts.shard = Some(parse_shard(v))
                     } else if let Some(v) = other.strip_prefix("--kill-after=") {
                         opts.kill_after = Some(parse_kill_after(v))
-                    } else if let Some(v) = other.strip_prefix("--checkpoint-every=") {
-                        opts.checkpoint_every = parse_every(v)
-                    } else if let Some(v) = other.strip_prefix("--checkpoint-path=") {
-                        opts.checkpoint_path = leak_path(v.to_string())
-                    } else if let Some(v) = other.strip_prefix("--resume=") {
-                        opts.resume = Some(leak_path(v.to_string()))
                     } else if let Some(v) = other.strip_prefix("--capture-trace=") {
                         opts.capture_trace = Some(leak_path(v.to_string()))
                     } else if let Some(v) = other.strip_prefix("--replay=") {
@@ -340,11 +299,6 @@ impl ExperimentOpts {
                     }
                 }
             }
-        }
-        if opts.capture_trace.is_some() && opts.resume.is_some() {
-            // A resumed run only exercises the kernel's tail, so the
-            // recorded behaviour tables would be incomplete.
-            bad_usage("--capture-trace cannot be combined with --resume")
         }
         if let Some(path) = opts.replay {
             // Replay replaces the figure: every binary that parses its
@@ -379,12 +333,6 @@ impl ExperimentOpts {
         self.trace.is_some() || self.intervals.is_some() || self.metrics.is_some()
     }
 
-    /// Whether checkpointing (`--checkpoint-every` / `--resume`) was
-    /// requested.
-    pub fn checkpoints(&self) -> bool {
-        self.checkpoint_every > 0 || self.resume.is_some()
-    }
-
     /// Whether trace capture (`--capture-trace`) was requested.
     pub fn captures(&self) -> bool {
         self.capture_trace.is_some()
@@ -414,15 +362,6 @@ fn parse_kill_after(v: &str) -> usize {
     match v.parse::<usize>() {
         Ok(n) if n >= 1 => n,
         _ => bad_usage(&format!("--kill-after needs a positive integer, got `{v}`")),
-    }
-}
-
-fn parse_every(v: &str) -> u64 {
-    match v.parse::<u64>() {
-        Ok(n) if n >= 1 => n,
-        _ => bad_usage(&format!(
-            "--checkpoint-every needs a positive cycle count, got `{v}`"
-        )),
     }
 }
 
@@ -524,12 +463,19 @@ fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
+/// Inverse of [`hex_encode`]. Works on bytes, so a damaged field with
+/// non-ASCII text is refused rather than sliced mid-character.
 fn hex_decode(s: &str) -> Option<Vec<u8>> {
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok())
+    s.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| {
+            let hi = (pair[0] as char).to_digit(16)?;
+            let lo = (pair[1] as char).to_digit(16)?;
+            Some((hi << 4 | lo) as u8)
+        })
         .collect()
 }
 
@@ -560,14 +506,9 @@ fn observed_run(opts: ExperimentOpts, spec: &PointSpec, w: &Workload) -> RunStat
         Some(rec) => rec,
         None => w.kernel.as_ref(),
     };
-    let (stats, snapshot) = if opts.checkpoints() {
-        checkpointed_run(opts, spec, kernel, w, &mut obs)
-    } else {
-        let mut gpu = Gpu::new(spec.cfg.clone());
-        let stats = gpu.run_observed(kernel, &w.space, &mut obs);
-        let snapshot = gpu.metrics_snapshot(&obs);
-        (stats, snapshot)
-    };
+    let mut gpu = Gpu::new(spec.cfg.clone());
+    let stats = gpu.run_observed(kernel, &w.space, &mut obs);
+    let snapshot = gpu.metrics_snapshot(&obs);
     if let (Some(path), Some(launch), Some(rec)) = (opts.capture_trace, launch, recorder) {
         let trace = assemble(launch, rec, &stats);
         let bytes = trace.encode();
@@ -648,63 +589,25 @@ pub fn metrics_counter_rows(obs: &Observer) -> Vec<String> {
         .collect()
 }
 
-/// Runs one design point with checkpointing: the run is
-/// snapshotted every `--checkpoint-every` cycles to `--checkpoint-path`
-/// (written atomically, latest image wins) and optionally resumed from
-/// a `--resume` image. Checkpointed runs own a clone of the shared
-/// workload address space (demand state must be restorable), and they
-/// are bit-identical to the unobserved run.
-fn checkpointed_run(
-    opts: ExperimentOpts,
-    spec: &PointSpec,
-    kernel: &dyn Kernel,
-    w: &Workload,
-    obs: &mut Observer,
-) -> (RunStats, Option<String>) {
-    let resume_bytes = opts.resume.map(|path| match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("checkpoint: cannot read --resume {path}: {e}");
-            std::process::exit(1)
-        }
-    });
-    let path = opts.checkpoint_path;
-    let tmp = format!("{path}.tmp");
-    let mut sink = |img: &[u8]| {
-        let write = std::fs::write(&tmp, img).and_then(|()| std::fs::rename(&tmp, path));
-        if let Err(e) = write {
-            eprintln!("checkpoint: cannot write {path}: {e}");
-        }
-    };
-    let mut space = w.space.clone();
-    let mut gpu = Gpu::new(spec.cfg.clone());
-    let run = gpu.run_checkpointed(
-        kernel,
-        &mut space,
-        obs,
-        CheckpointOpts {
-            every: opts.checkpoint_every,
-            sink: &mut sink,
-            resume: resume_bytes.as_deref(),
-        },
-    );
-    match run {
-        Ok(stats) => {
-            let snapshot = gpu.metrics_snapshot(obs);
-            (stats, snapshot)
-        }
-        Err(e) => {
-            eprintln!("checkpoint: resume refused: {e:?}");
-            std::process::exit(1)
-        }
-    }
+/// Renders one completed design point as a sweep-journal line: version
+/// tag, key fingerprint, engine label, wall seconds, the full
+/// [`RunStats`] as hex-encoded codec bytes, and the memo key itself.
+fn journal_line(key: &str, run: &PointRun, stats: &RunStats) -> String {
+    let mut w = Saver::new();
+    stats.save(&mut w);
+    format!(
+        "v1\t{:016x}\t{}\t{:.6}\t{}\t{}\n",
+        run.fingerprint,
+        run.engine,
+        run.wall_s,
+        hex_encode(&w.into_bytes()),
+        key
+    )
 }
 
-/// Appends one completed design point to the sweep journal: version
-/// tag, key fingerprint, engine label, wall seconds, the full
-/// [`RunStats`] as hex-encoded checkpoint bytes, and the memo key
-/// itself. One line per point; a line is only ever appended after its
-/// stats are final, so a killed sweep leaves a valid journal.
+/// Appends [`journal_line`] to the sweep journal. One line per point; a
+/// line is only ever appended after its stats are final, so a killed
+/// sweep leaves a valid journal.
 fn journal_append(
     journal: &Option<Mutex<std::fs::File>>,
     key: &str,
@@ -712,16 +615,7 @@ fn journal_append(
     stats: &RunStats,
 ) {
     let Some(file) = journal else { return };
-    let mut w = Saver::new();
-    stats.save(&mut w);
-    let line = format!(
-        "v1\t{:016x}\t{}\t{:.6}\t{}\t{}\n",
-        run.fingerprint,
-        run.engine,
-        run.wall_s,
-        hex_encode(&w.into_bytes()),
-        key
-    );
+    let line = journal_line(key, run, stats);
     use std::io::Write as _;
     let mut f = file.lock().unwrap();
     if f.write_all(line.as_bytes())
@@ -795,8 +689,8 @@ pub struct Runner {
     cache: HashMap<String, RunStats>,
     recorded: Vec<PointSpec>,
     mode: Mode,
-    /// The first fresh simulation still owes the `--trace`/`--intervals`
-    /// outputs and/or the `--checkpoint-every`/`--resume` handling.
+    /// The first fresh simulation still owes the `--trace`/`--intervals`/
+    /// `--metrics` outputs and/or the `--capture-trace` recording.
     observe_pending: bool,
     /// Open journal (`--journal`); completed points append here.
     journal_file: Option<Mutex<std::fs::File>>,
@@ -835,7 +729,7 @@ impl Runner {
             cache: HashMap::new(),
             recorded: Vec::new(),
             mode: Mode::Direct,
-            observe_pending: opts.observes() || opts.checkpoints() || opts.captures(),
+            observe_pending: opts.observes() || opts.captures(),
             journal_file,
             runs: 0,
             journal_hits: 0,
@@ -851,14 +745,17 @@ impl Runner {
         let Some(path) = self.opts.journal else {
             return;
         };
-        let Ok(body) = std::fs::read_to_string(path) else {
+        let Ok(body) = std::fs::read(path) else {
             return; // fresh journal: nothing to replay
         };
-        for line in body.lines() {
+        // Lines are decoded one at a time, so a damaged byte costs its
+        // own line rather than the whole journal.
+        for line in body.split(|&b| b == b'\n') {
             if line.is_empty() {
                 continue;
             }
-            let Some((key, run, stats)) = parse_journal_line(line) else {
+            let parsed = std::str::from_utf8(line).ok().and_then(parse_journal_line);
+            let Some((key, run, stats)) = parsed else {
                 eprintln!("journal: skipping a malformed line in {path}");
                 continue;
             };
@@ -1058,10 +955,10 @@ impl Runner {
             self.ensure_workload(spec.bench, spec.large_pages);
         }
         if self.observe_pending {
-            // The observed/checkpointed point runs serially (its file
+            // The observed/captured point runs serially (its file
             // writes must not interleave with workers) and first, so
-            // `--trace` or `--resume` on a sweep binary applies to the
-            // sweep's first design point.
+            // `--trace` or `--capture-trace` on a sweep binary applies to
+            // the sweep's first design point.
             let (key, spec) = todo.remove(0);
             self.observe_pending = false;
             let opts = self.opts;
@@ -1435,5 +1332,124 @@ mod tests {
         let b = r.sweep(f);
         assert_eq!(a, b);
         assert_eq!(r.runs, executed, "second sweep must be all cache hits");
+    }
+
+    /// One real design point, as the journal would record it: its memo
+    /// key, run metadata (wall time pinned to a value the journal's
+    /// six-decimal field holds exactly) and stats.
+    fn real_point() -> (String, PointRun, RunStats) {
+        let mut r = Runner::new(ExperimentOpts::quick());
+        r.run(Bench::Kmeans, |c| c.mmu = designs::naive3());
+        let (key, stats) = r.cache.drain().next().expect("one simulated point");
+        let mut run = r.point_log.pop().expect("one logged point");
+        run.wall_s = 0.125;
+        (key, run, stats)
+    }
+
+    #[test]
+    fn journal_line_parses_back_to_the_same_point() {
+        let (key, run, stats) = real_point();
+        let line = journal_line(&key, &run, &stats);
+        let (k, back_run, back) = parse_journal_line(line.trim_end()).expect("line parses");
+        assert_eq!(k, key);
+        assert!(back.diff(&stats).is_empty(), "{:?}", back.diff(&stats));
+        assert_eq!(back.wall_s.to_bits(), stats.wall_s.to_bits());
+        assert_eq!(
+            (back_run.bench, back_run.large_pages, back_run.fingerprint),
+            (run.bench, run.large_pages, run.fingerprint)
+        );
+        assert_eq!((back_run.engine, back_run.wall_s), (run.engine, run.wall_s));
+        assert_eq!(back_run.cycles, stats.cycles);
+    }
+
+    #[test]
+    fn journal_refuses_damaged_lines() {
+        let (key, run, stats) = real_point();
+        let line = journal_line(&key, &run, &stats);
+        let line = line.trim_end();
+        let fields: Vec<&str> = line.splitn(6, '\t').collect();
+        let with = |i: usize, v: &str| {
+            let mut f = fields.clone();
+            f[i] = v;
+            f.join("\t")
+        };
+        let other_fp = format!("{:016x}", run.fingerprint ^ 1);
+        let hex = fields[4];
+        let damaged = [
+            ("version tag", with(0, "v2")),
+            ("fingerprint", with(1, &other_fp)),
+            ("odd-length stats", with(4, &hex[1..])),
+            ("non-hex stats", with(4, &format!("zz{}", &hex[2..]))),
+            ("trailing stats bytes", with(4, &format!("{hex}00"))),
+        ];
+        for (what, bad) in &damaged {
+            assert!(parse_journal_line(bad).is_none(), "{what} was accepted");
+        }
+        // A writer killed mid-append leaves a strict prefix of the line.
+        for cut in 0..line.len() {
+            assert!(
+                parse_journal_line(&line[..cut]).is_none(),
+                "a line cut at byte {cut} was accepted"
+            );
+        }
+    }
+
+    /// A journal byte that is not UTF-8 costs only its own line: the
+    /// intact line after it still replays.
+    #[test]
+    fn journal_keeps_good_lines_around_a_damaged_one() {
+        let (key, run, stats) = real_point();
+        let mut body = b"v1\t\xff damaged\n".to_vec();
+        body.extend_from_slice(journal_line(&key, &run, &stats).as_bytes());
+        let path = std::env::temp_dir().join(format!("gmmu-journal-{}", std::process::id()));
+        std::fs::write(&path, &body).expect("write journal");
+        let r = Runner::new(ExperimentOpts {
+            journal: Some(leak_path(path.display().to_string())),
+            ..ExperimentOpts::quick()
+        });
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(r.journal_hits, 1);
+        assert!(r.cache.contains_key(&key));
+    }
+
+    /// A damaged line whose stats field holds a multi-byte character at
+    /// an even length once sliced the hex decoder mid-character.
+    #[test]
+    fn journal_refuses_non_ascii_stats_without_panicking() {
+        let line = include_str!("../tests/fixtures/journal_line_non_ascii_stats.txt");
+        assert!(!line.is_ascii());
+        assert!(parse_journal_line(line).is_none());
+    }
+
+    /// Seeded single-byte damage and truncation of a real journal line:
+    /// the parser may refuse it or (for a damaged wall time or engine
+    /// label) accept it, but never panics. Damaged bytes are read back
+    /// lossily, so non-ASCII text reaches the parser too.
+    #[test]
+    fn journal_parser_survives_seeded_byte_mutations() {
+        use gmmu_sim::rng::Xoshiro256;
+        let (key, run, stats) = real_point();
+        let line = journal_line(&key, &run, &stats)
+            .trim_end()
+            .as_bytes()
+            .to_vec();
+        let mut rng = Xoshiro256::seed_from(0x6a6f_7572);
+        let mut inputs: Vec<Vec<u8>> = (0..1_200)
+            .map(|_| {
+                let mut m = line.clone();
+                let at = rng.gen_range(0..line.len() as u64) as usize;
+                m[at] ^= rng.gen_range(1..256) as u8;
+                m
+            })
+            .collect();
+        inputs.extend((0..200).map(|_| {
+            let cut = rng.gen_range(0..line.len() as u64) as usize;
+            line[..cut].to_vec()
+        }));
+        for (i, bytes) in inputs.iter().enumerate() {
+            let text = String::from_utf8_lossy(bytes);
+            let parsed = std::panic::catch_unwind(|| parse_journal_line(&text).is_some());
+            assert!(parsed.is_ok(), "input {i} panicked the journal parser");
+        }
     }
 }

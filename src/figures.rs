@@ -771,7 +771,7 @@ pub fn ablations(r: &mut Runner) -> Vec<Table> {
 /// ASID-tagged translation vs the flush-on-switch baseline.
 ///
 /// Runs [`Gpu::run_tenants`] directly rather than through a [`Runner`]:
-/// the runner's journal stores the pinned `RunStats` checkpoint layout,
+/// the runner's journal stores the pinned `RunStats` codec layout,
 /// which deliberately excludes the per-tenant slice this figure is
 /// about.
 pub fn fig_multitenant(opts: &crate::ExperimentOpts) -> Vec<Table> {

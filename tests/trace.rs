@@ -313,3 +313,189 @@ fn multitenant_capture_replay_round_trips() {
         );
     }
 }
+
+/// Seeded single-byte corruptions: each mutant XORs a nonzero byte into
+/// one position drawn uniformly from `range`.
+fn byte_mutants(
+    bytes: &[u8],
+    range: std::ops::Range<usize>,
+    n: usize,
+    rng: &mut gmmu_sim::rng::Xoshiro256,
+) -> Vec<Vec<u8>> {
+    (0..n)
+        .map(|_| {
+            let mut m = bytes.to_vec();
+            let at = rng.gen_range(range.start as u64..range.end as u64) as usize;
+            m[at] ^= rng.gen_range(1..256) as u8;
+            m
+        })
+        .collect()
+}
+
+/// Seeded strict prefixes of `bytes`, including the last 16 cut points.
+fn truncations<'a>(
+    bytes: &'a [u8],
+    n: usize,
+    rng: &mut gmmu_sim::rng::Xoshiro256,
+) -> Vec<&'a [u8]> {
+    let len = bytes.len();
+    (0..n)
+        .map(|_| rng.gen_range(0..len as u64) as usize)
+        .chain(len - 16..len)
+        .map(|cut| &bytes[..cut])
+        .collect()
+}
+
+/// Runs `decode` over every input under `catch_unwind`: a damaged file
+/// may decode or be refused, but must never panic. Returns how many
+/// inputs were refused.
+fn refusals<T, E>(what: &str, inputs: &[&[u8]], decode: fn(&[u8]) -> Result<T, E>) -> usize {
+    let mut refused = 0;
+    for (i, input) in inputs.iter().enumerate() {
+        match std::panic::catch_unwind(|| decode(input).is_err()) {
+            Ok(err) => refused += err as usize,
+            Err(_) => panic!(
+                "{what}: input {i} ({} bytes) panicked the loader",
+                input.len()
+            ),
+        }
+    }
+    refused
+}
+
+/// Byte-level damage anywhere in a GMTR file — header, launch section,
+/// record stream, stats — is a typed refusal or a clean decode, never a
+/// panic. Header and launch damage hits the committed fixtures as they
+/// are. Record and stats damage hits each fixture re-encoded with its
+/// first 300 records: the record decoder is position-independent, and
+/// a short stream keeps the sweep fast. Launch damage is also re-sealed
+/// with a matching fingerprint, so the launch decoder itself sees the
+/// corrupt bytes.
+#[test]
+fn gmtr_loader_survives_seeded_byte_mutations() {
+    use gmmu_sim::ckpt::{Loader, Saver};
+    use gmmu_sim::rng::{fnv1a64, Xoshiro256};
+    use gmmu_trace::{TRACE_MAGIC, TRACE_VERSION};
+
+    /// Offset and length of the launch section's bytes.
+    fn launch_span(bytes: &[u8]) -> (usize, usize) {
+        let mut r = Loader::new(bytes);
+        r.header(&TRACE_MAGIC, TRACE_VERSION).expect("header");
+        let len = r.bytes().expect("launch section").len();
+        (bytes.len() - r.remaining() - len, len)
+    }
+
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    let mut rng = Xoshiro256::seed_from(0x6d75_7461);
+    let mut mutations = 0;
+    for name in ["pathfinder_tiny", "kmeans_tiny"] {
+        let full = std::fs::read(format!("{dir}/{name}.gmtr")).expect("golden fixture");
+        let trace = Trace::decode(&full).expect("golden fixture decodes");
+        let short = Trace {
+            records: trace.records[..300].to_vec(),
+            ..trace
+        }
+        .encode();
+        let (at, len) = launch_span(&short);
+        let body = at + len;
+
+        // Same launch, so the same span in both encodings.
+        assert_eq!(launch_span(&full), (at, len));
+        let mut mutants = byte_mutants(&full, 0..body, 250, &mut rng);
+        mutants.extend(byte_mutants(&short, 0..short.len(), 150, &mut rng));
+        mutants.extend(byte_mutants(&short, body..short.len(), 150, &mut rng));
+        mutants.extend(byte_mutants(
+            &short,
+            short.len() - 256..short.len(),
+            150,
+            &mut rng,
+        ));
+        for bad in byte_mutants(&short[at..body], 0..len, 150, &mut rng) {
+            let mut w = Saver::new();
+            w.header(&TRACE_MAGIC, TRACE_VERSION, fnv1a64(&bad));
+            w.bytes(&bad);
+            let mut sealed = w.into_bytes();
+            sealed.extend_from_slice(&short[body..]);
+            mutants.push(sealed);
+        }
+        mutations += mutants.len();
+        let inputs: Vec<&[u8]> = mutants.iter().map(Vec::as_slice).collect();
+        assert!(refusals(name, &inputs, Trace::decode) > 0);
+
+        let mut cuts = truncations(&short, 200, &mut rng);
+        cuts.extend((full.len() - 8..full.len()).map(|cut| &full[..cut]));
+        assert_eq!(
+            refusals(name, &cuts, Trace::decode),
+            cuts.len(),
+            "{name}: a truncated trace decoded"
+        );
+    }
+    assert!(mutations >= 1_000, "only {mutations} mutations");
+}
+
+/// The same damage sweep over a GMTM container holding two tenants
+/// (the committed pathfinder and kmeans launches, first 300 records
+/// each): never a panic, and every truncation is refused.
+#[test]
+fn gmtm_loader_survives_seeded_byte_mutations() {
+    use gmmu_sim::rng::Xoshiro256;
+    use gmmu_simt::{TenantPolicy, TenantStats};
+    use gmmu_trace::{MultiTrace, TenantSection};
+
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    let traces: Vec<Trace> = ["pathfinder_tiny", "kmeans_tiny"]
+        .iter()
+        .map(|name| {
+            let bytes = std::fs::read(format!("{dir}/{name}.gmtr")).expect("golden fixture");
+            Trace::decode(&bytes).expect("golden fixture decodes")
+        })
+        .collect();
+    let mut stats = traces[0].stats.clone();
+    stats.tenants = (0..2)
+        .map(|asid| TenantStats {
+            asid,
+            instructions: 1_000 + asid as u64,
+            blocks_done: 4,
+            finished_at: 20_000,
+            faults: 3,
+        })
+        .collect();
+    let trace = MultiTrace {
+        policy: TenantPolicy::default(),
+        tenants: traces
+            .iter()
+            .map(|t| TenantSection {
+                launch: t.launch.clone(),
+                records: t.records.iter().take(300).cloned().collect(),
+            })
+            .collect(),
+        stats,
+    };
+    let bytes = trace.encode();
+    let back = MultiTrace::decode(&bytes).expect("GMTM decodes");
+    assert_eq!(back.encode(), bytes);
+
+    let mut rng = Xoshiro256::seed_from(0x6d75_7462);
+    let mut mutants = byte_mutants(&bytes, 0..bytes.len(), 400, &mut rng);
+    mutants.extend(byte_mutants(
+        &bytes,
+        bytes.len() / 2..bytes.len(),
+        400,
+        &mut rng,
+    ));
+    mutants.extend(byte_mutants(
+        &bytes,
+        bytes.len() - 256..bytes.len(),
+        400,
+        &mut rng,
+    ));
+    let inputs: Vec<&[u8]> = mutants.iter().map(Vec::as_slice).collect();
+    assert!(refusals("GMTM", &inputs, MultiTrace::decode) > 0);
+
+    let cuts = truncations(&bytes, 200, &mut rng);
+    assert_eq!(
+        refusals("GMTM", &cuts, MultiTrace::decode),
+        cuts.len(),
+        "a truncated GMTM container decoded"
+    );
+}
