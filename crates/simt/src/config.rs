@@ -133,12 +133,17 @@ impl Default for FaultConfig {
     }
 }
 
+/// Most warp contexts one core can hold: the baseline scheduler keeps
+/// each core's warp states in `u64` bitsets.
+pub const MAX_WARPS_PER_CORE: usize = 64;
+
 /// Full GPU configuration.
 #[derive(Debug, Clone)]
 pub struct GpuConfig {
     /// Shader cores (paper: 30; experiment presets use fewer).
     pub n_cores: usize,
-    /// Warp contexts per core (paper: 48).
+    /// Warp contexts per core (paper: 48; at most
+    /// [`MAX_WARPS_PER_CORE`]).
     pub warps_per_core: usize,
     /// Warps per thread block (paper-style 256-thread blocks → 8).
     pub warps_per_block: usize,
@@ -295,7 +300,9 @@ impl Ckpt for GpuConfig {
     /// Serializes every field results depend on — all but
     /// `tick_every_cycle` — so a trace carrying a `GpuConfig` can
     /// rebuild the exact machine in another process. Loading leaves
-    /// `tick_every_cycle` as it was.
+    /// `tick_every_cycle` as it was, and refuses a machine no core can
+    /// be built for (`warps_per_core` outside `1..=64`,
+    /// `warps_per_block` zero).
     fn save(&self, w: &mut Saver) {
         w.usize(self.n_cores);
         w.usize(self.warps_per_core);
@@ -323,7 +330,13 @@ impl Ckpt for GpuConfig {
     fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
         self.n_cores = r.usize()?;
         self.warps_per_core = r.usize()?;
+        if !(1..=MAX_WARPS_PER_CORE).contains(&self.warps_per_core) {
+            return Err(CkptError::Corrupt("warps_per_core outside 1..=64"));
+        }
         self.warps_per_block = r.usize()?;
+        if self.warps_per_block == 0 {
+            return Err(CkptError::Corrupt("warps_per_block is zero"));
+        }
         self.mmu.load(r)?;
         self.policy.load(r)?;
         self.policy_config.load(r)?;
@@ -367,6 +380,39 @@ mod tests {
         assert_eq!(full.warps_per_core, fast.warps_per_core);
         assert_eq!(full.l1, fast.l1);
         assert!(fast.n_cores < full.n_cores);
+    }
+
+    fn reload(cfg: &GpuConfig) -> Result<GpuConfig, CkptError> {
+        let mut w = Saver::new();
+        cfg.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut back = GpuConfig::default();
+        back.load(&mut Loader::new(&bytes))?;
+        Ok(back)
+    }
+
+    #[test]
+    fn load_refuses_warp_counts_the_scheduler_cannot_hold() {
+        for bad in [0, MAX_WARPS_PER_CORE + 1, 1 << 20] {
+            let cfg = GpuConfig {
+                warps_per_core: bad,
+                ..GpuConfig::default()
+            };
+            assert!(
+                matches!(reload(&cfg), Err(CkptError::Corrupt(_))),
+                "warps_per_core = {bad} must be refused"
+            );
+        }
+        let cfg = GpuConfig {
+            warps_per_block: 0,
+            ..GpuConfig::default()
+        };
+        assert!(matches!(reload(&cfg), Err(CkptError::Corrupt(_))));
+        let max = GpuConfig {
+            warps_per_core: MAX_WARPS_PER_CORE,
+            ..GpuConfig::default()
+        };
+        assert_eq!(reload(&max).unwrap().warps_per_core, MAX_WARPS_PER_CORE);
     }
 
     #[test]

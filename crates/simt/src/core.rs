@@ -10,7 +10,7 @@
 //! warps managed by [`crate::tbc`].
 
 use crate::coalesce::{coalesce_granule, CoalesceBuf};
-use crate::config::{CoreTimings, FaultConfig, GpuConfig, TbcConfig};
+use crate::config::{CoreTimings, FaultConfig, GpuConfig, TbcConfig, MAX_WARPS_PER_CORE};
 use crate::program::{Kernel, MemKind, Op, ThreadId};
 use crate::stack::SimtStack;
 use crate::stall::{StallBreakdown, StallCause};
@@ -168,12 +168,215 @@ impl Warp {
         self.stack.as_ref().is_none_or(|s| s.is_done())
     }
 
+    #[cfg(any(test, debug_assertions))]
     fn schedulable(&self, now: Cycle) -> bool {
         !self.is_done()
             && self.waiting_pages == 0
             && self.faulted_pages == 0
             && self.ready_at <= now
     }
+}
+
+/// The baseline warps' scheduling state as `u64` bitsets (bit `i` is
+/// warp `i`), so the issue, stall and timer queries of a tick are bit
+/// operations instead of scans over the warp array. [`WarpSet::sync`]
+/// re-reads one warp and must run wherever a warp's liveness, page
+/// counts, wait kind or `ready_at` change: block dispatch, `exec_one`,
+/// the MMU's `Wake`/`Fault`/`Squashed` events and fault resolution.
+///
+/// Runnable warps (live, not waiting on a fill, not faulted) split into
+/// `due` (`ready_at` reached) and `sleeping`; a sleeper moves to `due`
+/// when [`WarpSet::advance`] passes its `ready_at`, and `next_wake` is
+/// the earliest sleeper's `ready_at` (`Cycle::MAX` with none).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct WarpSet {
+    live: u64,
+    /// Waiting on TLB fills.
+    waiting: u64,
+    /// Parked on page faults.
+    faulted: u64,
+    due: u64,
+    sleeping: u64,
+    next_wake: Cycle,
+    /// Live warps by [`WaitKind`], indexed by the [`StallCause`] each
+    /// kind maps to.
+    wait: [u64; StallCause::COUNT],
+    /// Each warp's `ready_at`, as of its last sync.
+    ready_at: [Cycle; MAX_WARPS_PER_CORE],
+}
+
+impl WarpSet {
+    fn new() -> Self {
+        Self {
+            live: 0,
+            waiting: 0,
+            faulted: 0,
+            due: 0,
+            sleeping: 0,
+            next_wake: Cycle::MAX,
+            wait: [0; StallCause::COUNT],
+            ready_at: [0; MAX_WARPS_PER_CORE],
+        }
+    }
+
+    /// Re-reads warp `i`'s state at cycle `now`.
+    fn sync(&mut self, i: usize, w: &Warp, now: Cycle) {
+        let bit = 1u64 << i;
+        let was_earliest = self.sleeping & bit != 0 && self.ready_at[i] == self.next_wake;
+        self.live &= !bit;
+        self.waiting &= !bit;
+        self.faulted &= !bit;
+        self.due &= !bit;
+        self.sleeping &= !bit;
+        for m in &mut self.wait {
+            *m &= !bit;
+        }
+        self.ready_at[i] = w.ready_at;
+        if !w.is_done() {
+            self.live |= bit;
+            self.wait[w.wait.cause() as usize] |= bit;
+            if w.waiting_pages > 0 {
+                self.waiting |= bit;
+            }
+            if w.faulted_pages > 0 {
+                self.faulted |= bit;
+            }
+            if w.waiting_pages == 0 && w.faulted_pages == 0 {
+                if w.ready_at <= now {
+                    self.due |= bit;
+                } else {
+                    self.sleeping |= bit;
+                    self.next_wake = self.next_wake.min(w.ready_at);
+                }
+            }
+        }
+        if was_earliest {
+            self.next_wake = self.earliest(self.sleeping);
+        }
+    }
+
+    /// The earliest `ready_at` among the warps in `mask`.
+    fn earliest(&self, mask: u64) -> Cycle {
+        Bits(mask)
+            .map(|i| self.ready_at[i])
+            .min()
+            .unwrap_or(Cycle::MAX)
+    }
+
+    /// `(due, sleeping, next_wake)` as of cycle `now`, which must not
+    /// precede the last sync or advance. Sleepers whose timers expired
+    /// by `now` count as due; only then are the sleepers scanned.
+    fn at(&self, now: Cycle) -> (u64, u64, Cycle) {
+        if self.next_wake > now {
+            return (self.due, self.sleeping, self.next_wake);
+        }
+        let woke = Bits(self.sleeping)
+            .filter(|&i| self.ready_at[i] <= now)
+            .fold(0u64, |m, i| m | 1 << i);
+        let sleeping = self.sleeping & !woke;
+        (self.due | woke, sleeping, self.earliest(sleeping))
+    }
+
+    /// Moves every sleeper whose timer expired by `now` to `due`.
+    fn advance(&mut self, now: Cycle) {
+        (self.due, self.sleeping, self.next_wake) = self.at(now);
+    }
+
+    /// The dominant stall cause at `now` of a core that issued nothing
+    /// (see [`classify_stall`]): the highest-priority [`StallCause`]
+    /// present among the live warps. A due warp can only have been
+    /// gated by the locality policy, since `baseline_issue` issues the
+    /// first due warp that passes the gate.
+    fn classify(&self, now: Cycle) -> StallCause {
+        let (due, sleeping, _) = self.at(now);
+        let by = |c: StallCause| self.wait[c as usize] & sleeping;
+        let present = [
+            (self.faulted, StallCause::FaultService),
+            (self.waiting, StallCause::TlbFill),
+            (by(StallCause::MmuReject), StallCause::MmuReject),
+            (by(StallCause::Dram), StallCause::Dram),
+            (by(StallCause::L1Mshr), StallCause::L1Mshr),
+            (by(StallCause::ReplayWake), StallCause::ReplayWake),
+            (due, StallCause::Throttled),
+            (by(StallCause::Pipeline), StallCause::Pipeline),
+        ];
+        // No live warp at all (work still queued behind full slots, or
+        // an empty pipeline between blocks): a dispatch drought.
+        present
+            .into_iter()
+            .find(|&(mask, _)| mask != 0)
+            .map_or(StallCause::Dispatch, |(_, cause)| cause)
+    }
+
+    /// The block slots (`wpb` warps each, `n_slots` of them) holding no
+    /// live warp, as a slot bitmask.
+    fn free_slots(&self, wpb: usize, n_slots: usize) -> u64 {
+        let group = low_bits(wpb);
+        (0..n_slots)
+            .filter(|&s| self.live & (group << (s * wpb)) == 0)
+            .fold(0, |m, s| m | 1 << s)
+    }
+
+    /// The set a from-scratch scan of `warps` at `now` yields; the
+    /// debug-build referee for the incremental [`WarpSet::sync`].
+    #[cfg(any(test, debug_assertions))]
+    fn recompute(warps: &[Warp], now: Cycle) -> Self {
+        let mut s = Self::new();
+        for (i, w) in warps.iter().enumerate() {
+            s.ready_at[i] = w.ready_at;
+            if w.is_done() {
+                continue;
+            }
+            let bit = 1u64 << i;
+            s.live |= bit;
+            s.wait[w.wait.cause() as usize] |= bit;
+            if w.faulted_pages > 0 {
+                s.faulted |= bit;
+            }
+            if w.waiting_pages > 0 {
+                s.waiting |= bit;
+            }
+            if w.schedulable(now) {
+                s.due |= bit;
+            } else if w.waiting_pages == 0 && w.faulted_pages == 0 {
+                s.sleeping |= bit;
+                s.next_wake = s.next_wake.min(w.ready_at);
+            }
+        }
+        s
+    }
+}
+
+/// The low `n` bits set (`n <= 64`).
+fn low_bits(n: usize) -> u64 {
+    if n >= 64 {
+        u64::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// The indices of a bitmask's set bits, ascending.
+struct Bits(u64);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(i)
+    }
+}
+
+/// The set bits of `mask` in round-robin order from bit `start`: those
+/// at or above `start` ascending, then those below it.
+fn rr_order(mask: u64, start: usize) -> impl Iterator<Item = usize> {
+    let from = low_bits(start);
+    Bits(mask & !from).chain(Bits(mask & from))
 }
 
 /// Execution mode: per-warp stacks or thread block compaction.
@@ -185,7 +388,7 @@ impl Warp {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub(crate) enum ExecMode {
-    Baseline { warps: Vec<Warp> },
+    Baseline { warps: Vec<Warp>, set: WarpSet },
     Tbc(TbcState),
 }
 
@@ -478,8 +681,9 @@ pub struct ShaderCore {
     pub(crate) exec: ExecMode,
     rr_ptr: usize,
     pub(crate) block_queue: std::collections::VecDeque<BlockWork>,
-    /// Baseline mode: which block slots currently hold a live block.
-    slot_occupied: Vec<bool>,
+    /// Baseline mode: which block slots currently hold a live block
+    /// (bit = slot).
+    slot_occupied: u64,
     /// Baseline mode: cycle each occupied slot's block was dispatched
     /// (the `block` trace span's start).
     slot_started: Vec<Cycle>,
@@ -498,48 +702,23 @@ pub struct ShaderCore {
     /// Memoized [`ShaderCore::next_event_at`] result (`None` = invalid;
     /// `Some(inner)` = the last computed answer). [`ShaderCore::tick`]
     /// keeps it across *quiet* ticks — cycles that provably changed no
-    /// state the computation reads — and drops it otherwise, so the
-    /// drive loop stops rescanning every warp of a core each time it
-    /// sets that core's wake cycle. External timer sources
-    /// ([`ShaderCore::push_block`], [`ShaderCore::resolve_fault`],
-    /// [`ShaderCore::shootdown`]) drop it too.
+    /// state the computation reads — and drops it otherwise; it folds
+    /// in the MMU's timers, which move while walks are in flight.
+    /// External timer sources ([`ShaderCore::push_block`],
+    /// [`ShaderCore::resolve_fault`], [`ShaderCore::shootdown`]) drop
+    /// it too.
     next_event_cache: Cell<Option<Option<Cycle>>>,
-    /// Memoized core-local timer scan (the non-MMU half of
-    /// [`ShaderCore::next_event_at`]): `None` = invalid, `Some(inner)`
-    /// = the last computed answer, where `inner` is `None` for a core
-    /// with no work and otherwise the earliest core timer (possibly
-    /// `Cycle::MAX` when only the MMU can wake it). Unlike
-    /// `next_event_cache` it survives ticks where only the MMU was
-    /// busy: in-flight walks advance without touching unit state until
-    /// an event drains, and drained events drop this cache. A cached
-    /// timer at or before `now` forces a recompute (the unit it named
-    /// became schedulable).
-    core_timer_cache: Cell<Option<Option<Cycle>>>,
-    /// Memoized idle verdict from the last full no-issue warp scan:
-    /// `(next_ready, live)` — no baseline warp can become schedulable
-    /// before `next_ready` (the earliest armed timer among units that
-    /// are neither waiting on pages nor faulted), and `live` is whether
-    /// any warp was live at all. While `now < next_ready` and nothing
-    /// external intervened (no dispatch, no drained event — both of
-    /// which run before the scan and refresh it), the round-robin issue
-    /// scan is provably a no-op and the tick skips it. Never set when a
-    /// schedulable (even policy-gated) warp exists: gated warps must
-    /// re-consult `issue_allowed` every cycle, as `policy.tick` can
-    /// open the gate.
-    idle_cache: Cell<Option<(Cycle, bool)>>,
-    /// Memoized stall classification: `(cause, valid_until)`. On a quiet
-    /// tick no unit state changes, so the classification from the last
-    /// idle cycle still holds — until `now` reaches `valid_until`, the
-    /// earliest `ready_at` that could flip a sleeping unit's cause. Any
-    /// tick that mutates unit state drops it (same discipline as
-    /// `next_event_cache`), so re-scanning every warp per idle cycle is
-    /// replaced by a `Cell` read on the common path.
-    stall_cache: Cell<Option<(StallCause, Cycle)>>,
 }
 
 impl ShaderCore {
     /// Builds a core from the GPU configuration.
     pub fn new(id: usize, cfg: &GpuConfig) -> Self {
+        assert!(
+            (1..=MAX_WARPS_PER_CORE).contains(&cfg.warps_per_core),
+            "warps_per_core = {} is outside 1..={MAX_WARPS_PER_CORE}: the warp scheduler \
+             keeps a core's warps in u64 bitsets",
+            cfg.warps_per_core
+        );
         let cpm = cfg.tbc.as_ref().and_then(|t: &TbcConfig| {
             t.tlb_aware
                 .then(|| CommonPageMatrix::new(cfg.warps_per_core, t.cpm))
@@ -547,6 +726,7 @@ impl ShaderCore {
         let exec = match &cfg.tbc {
             None => ExecMode::Baseline {
                 warps: (0..cfg.warps_per_core).map(|_| Warp::empty()).collect(),
+                set: WarpSet::new(),
             },
             Some(t) => ExecMode::Tbc(TbcState::new(cfg, *t)),
         };
@@ -570,7 +750,7 @@ impl ShaderCore {
             exec,
             rr_ptr: 0,
             block_queue: std::collections::VecDeque::new(),
-            slot_occupied: vec![false; cfg.warps_per_core / cfg.warps_per_block],
+            slot_occupied: 0,
             slot_started: vec![0; cfg.warps_per_core / cfg.warps_per_block],
             slot_asid: vec![0; cfg.warps_per_core / cfg.warps_per_block],
             events: Vec::new(),
@@ -578,9 +758,6 @@ impl ShaderCore {
             fault_waiters: std::collections::HashMap::new(),
             pending_faults: Vec::new(),
             next_event_cache: Cell::new(None),
-            idle_cache: Cell::new(None),
-            core_timer_cache: Cell::new(None),
-            stall_cache: Cell::new(None),
         }
     }
 
@@ -591,7 +768,7 @@ impl ShaderCore {
 
     /// Queues tenant `asid`'s thread block for execution on this core.
     pub fn push_block_asid(&mut self, asid: u16, first_tid: ThreadId, n_threads: u32) {
-        self.drop_timer_caches();
+        self.invalidate_next_event_cache();
         self.block_queue.push_back(BlockWork {
             asid,
             first_tid,
@@ -668,38 +845,38 @@ impl ShaderCore {
         if !self.block_queue.is_empty() {
             return true;
         }
+        self.has_live_units()
+    }
+
+    /// Whether any warp (TBC: any block) is still live.
+    fn has_live_units(&self) -> bool {
         match &self.exec {
-            ExecMode::Baseline { warps } => warps.iter().any(|w| !w.is_done()),
+            ExecMode::Baseline { set, .. } => set.live != 0,
             ExecMode::Tbc(t) => t.has_work(),
         }
     }
 
     /// Marks finished baseline block slots as free and counts them.
     fn reap_blocks(&mut self, now: Cycle, obs: &mut Observer) {
-        if let ExecMode::Baseline { warps } = &self.exec {
+        if let ExecMode::Baseline { warps, set } = &self.exec {
             let wpb = self.warps_per_block;
+            let retired = set.free_slots(wpb, warps.len() / wpb) & self.slot_occupied;
             let core = self.id as u32;
-            for slot in 0..warps.len() / wpb {
-                if self.slot_occupied[slot]
-                    && warps[slot * wpb..(slot + 1) * wpb]
-                        .iter()
-                        .all(|w| w.is_done())
-                {
-                    self.slot_occupied[slot] = false;
-                    self.path.stats.blocks_done.inc();
-                    CoreStats::tenant_counter(
-                        &mut self.path.stats.tenant_blocks_done,
-                        self.slot_asid[slot],
-                    )
-                    .inc();
-                    let started = self.slot_started[slot];
-                    obs.record(|| Event::BlockRetire {
-                        core,
-                        slot: slot as u32,
-                        start: started,
-                        end: now,
-                    });
-                }
+            for slot in Bits(retired) {
+                self.slot_occupied &= !(1 << slot);
+                self.path.stats.blocks_done.inc();
+                CoreStats::tenant_counter(
+                    &mut self.path.stats.tenant_blocks_done,
+                    self.slot_asid[slot],
+                )
+                .inc();
+                let started = self.slot_started[slot];
+                obs.record(|| Event::BlockRetire {
+                    core,
+                    slot: slot as u32,
+                    start: started,
+                    end: now,
+                });
             }
         }
     }
@@ -709,46 +886,45 @@ impl ShaderCore {
     fn dispatch_blocks(&mut self, kernels: &[&dyn Kernel], now: Cycle) -> bool {
         // Finished slots were reaped at the end of the tick that retired
         // them (nothing changes between ticks), so dispatch only needs
-        // to scan for free slots when there is something to place.
+        // to look for free slots when there is something to place.
         if self.block_queue.is_empty() {
             return false;
         }
         let mut dispatched = false;
         match &mut self.exec {
-            ExecMode::Baseline { warps } => {
+            ExecMode::Baseline { warps, set } => {
                 let wpb = self.warps_per_block;
-                for slot in 0..warps.len() / wpb {
-                    let group = slot * wpb..(slot + 1) * wpb;
-                    if warps[group.clone()].iter().all(|w| w.is_done()) {
-                        let Some(block) = self.block_queue.pop_front() else {
-                            continue;
+                for slot in Bits(set.free_slots(wpb, warps.len() / wpb)) {
+                    let Some(block) = self.block_queue.pop_front() else {
+                        break;
+                    };
+                    let end_pc = kernels[block.asid as usize].program().end_pc();
+                    dispatched = true;
+                    self.slot_occupied |= 1 << slot;
+                    self.slot_started[slot] = now;
+                    self.slot_asid[slot] = block.asid;
+                    for i in 0..wpb {
+                        let first = block.first_tid + (i as u32) * 32;
+                        let in_block = block.n_threads.saturating_sub((i as u32) * 32).min(32);
+                        let w = Warp {
+                            asid: block.asid,
+                            first_tid: first,
+                            stack: (in_block > 0).then(|| {
+                                let mask = if in_block == 32 {
+                                    u32::MAX
+                                } else {
+                                    (1u32 << in_block) - 1
+                                };
+                                SimtStack::new(mask, end_pc)
+                            }),
+                            ready_at: 0,
+                            pending: None,
+                            waiting_pages: 0,
+                            faulted_pages: 0,
+                            wait: WaitKind::default(),
                         };
-                        let end_pc = kernels[block.asid as usize].program().end_pc();
-                        dispatched = true;
-                        self.slot_occupied[slot] = true;
-                        self.slot_started[slot] = now;
-                        self.slot_asid[slot] = block.asid;
-                        for (i, w) in warps[group].iter_mut().enumerate() {
-                            let first = block.first_tid + (i as u32) * 32;
-                            let in_block = block.n_threads.saturating_sub((i as u32) * 32).min(32);
-                            *w = Warp {
-                                asid: block.asid,
-                                first_tid: first,
-                                stack: (in_block > 0).then(|| {
-                                    let mask = if in_block == 32 {
-                                        u32::MAX
-                                    } else {
-                                        (1u32 << in_block) - 1
-                                    };
-                                    SimtStack::new(mask, end_pc)
-                                }),
-                                ready_at: 0,
-                                pending: None,
-                                waiting_pages: 0,
-                                faulted_pages: 0,
-                                wait: WaitKind::default(),
-                            };
-                        }
+                        set.sync(slot * wpb + i, &w, now);
+                        warps[slot * wpb + i] = w;
                     }
                 }
             }
@@ -803,32 +979,10 @@ impl ShaderCore {
         self.next_event_cache.set(None);
     }
 
-    /// Drops both per-tick memoizations (next-event and stall cause);
-    /// called wherever unit state changes outside a quiet tick.
-    fn drop_timer_caches(&self) {
-        self.next_event_cache.set(None);
-        self.idle_cache.set(None);
-        self.core_timer_cache.set(None);
-        self.stall_cache.set(None);
-    }
-
-    /// The scan behind [`ShaderCore::next_event_at`]: the MMU's next
-    /// timer is read fresh (walks in flight move it every cycle), the
-    /// core-local half comes from `core_timer_cache` when still valid.
+    /// The computation behind [`ShaderCore::next_event_at`]: the
+    /// core-local timers plus the MMU's next timer.
     fn compute_next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        let core_part = match self.core_timer_cache.get() {
-            Some(inner) if inner.is_none_or(|c| c > now) => inner,
-            _ => {
-                let fresh = self.compute_core_timers(now);
-                // TBC timers fold tick-local state the cache discipline
-                // does not track; only the baseline scan is memoized.
-                if matches!(self.exec, ExecMode::Baseline { .. }) {
-                    self.core_timer_cache.set(Some(fresh));
-                }
-                fresh
-            }
-        };
-        let mut next = core_part?;
+        let mut next = self.compute_core_timers(now)?;
         if let Some(c) = self.path.mmu.next_event_at() {
             next = next.min(c.max(now + 1));
         }
@@ -849,35 +1003,19 @@ impl ShaderCore {
         }
         let mut next = Cycle::MAX;
         match &self.exec {
-            ExecMode::Baseline { warps } => {
-                let mut throttled = false;
-                for w in warps {
-                    if w.is_done() || w.waiting_pages > 0 || w.faulted_pages > 0 {
-                        continue;
-                    }
-                    if w.ready_at > now {
-                        next = next.min(w.ready_at);
-                    } else {
-                        // Schedulable yet nothing issued: the locality
-                        // policy gated it; the next decay epoch may
-                        // release it.
-                        throttled = true;
-                    }
-                }
-                if throttled {
+            ExecMode::Baseline { warps, set } => {
+                let (due, _, next_wake) = set.at(now);
+                next = next_wake;
+                if due != 0 {
+                    // Schedulable yet nothing issued: the locality
+                    // policy gated it; the next decay epoch may
+                    // release it.
                     let decay = self.path.policy.next_event_at().unwrap_or(now + 1);
                     next = next.min(decay.max(now + 1));
                 }
-                if !self.block_queue.is_empty() {
-                    let wpb = self.warps_per_block;
-                    let free = (0..warps.len() / wpb).any(|slot| {
-                        warps[slot * wpb..(slot + 1) * wpb]
-                            .iter()
-                            .all(|w| w.is_done())
-                    });
-                    if free {
-                        next = next.min(now + 1);
-                    }
+                let wpb = self.warps_per_block;
+                if !self.block_queue.is_empty() && set.free_slots(wpb, warps.len() / wpb) != 0 {
+                    next = next.min(now + 1);
                 }
             }
             ExecMode::Tbc(t) => {
@@ -903,19 +1041,8 @@ impl ShaderCore {
     /// charging the span to one cause matches what per-cycle ticking
     /// would have recorded.
     pub fn note_idle_skip(&mut self, now: Cycle, skipped: u64) {
-        let live = match &self.exec {
-            ExecMode::Baseline { warps } => warps.iter().any(|w| !w.is_done()),
-            ExecMode::Tbc(t) => t.has_work(),
-        };
-        if live {
-            let cause = match self.stall_cache.get() {
-                Some((cause, valid_until)) if now < valid_until => cause,
-                _ => {
-                    let fresh = classify_stall(&self.exec, now);
-                    self.stall_cache.set(Some(fresh));
-                    fresh.0
-                }
-            };
+        if self.has_live_units() {
+            let cause = classify_stall(&self.exec, now);
             self.path.stats.live_cycles.add(skipped);
             self.path.stats.idle_cycles.add(skipped);
             self.path.stats.stall_breakdown.add(cause, skipped);
@@ -926,7 +1053,7 @@ impl ShaderCore {
     /// shootdown epoch bump; the resulting [`MmuEvent::Squashed`] events
     /// drain on this core's next tick.
     pub fn shootdown(&mut self, now: Cycle) {
-        self.drop_timer_caches();
+        self.invalidate_next_event_cache();
         self.path.mmu.shootdown(now);
     }
 
@@ -934,7 +1061,7 @@ impl ShaderCore {
     /// flushes only its TLB entries (or, in flush-on-switch mode, the
     /// whole TLB when the victim is resident).
     pub fn shootdown_asid(&mut self, now: Cycle, asid: u16) {
-        self.drop_timer_caches();
+        self.invalidate_next_event_cache();
         self.path.mmu.shootdown_asid(now, asid);
     }
 
@@ -969,10 +1096,10 @@ impl ShaderCore {
         };
         // This arms `ready_at` timers outside of a tick: the cached
         // next-event value could otherwise skip straight past the wake.
-        self.drop_timer_caches();
+        self.invalidate_next_event_cache();
         for unit in waiters {
             match &mut self.exec {
-                ExecMode::Baseline { warps } => {
+                ExecMode::Baseline { warps, set } => {
                     let w = &mut warps[unit as usize];
                     debug_assert!(w.faulted_pages > 0);
                     w.faulted_pages = w.faulted_pages.saturating_sub(1);
@@ -980,11 +1107,32 @@ impl ShaderCore {
                         w.ready_at = now + 1;
                         w.wait = WaitKind::Replay;
                     }
+                    set.sync(unit as usize, w, now);
                 }
                 ExecMode::Tbc(t) => t.resolve_fault(unit, now),
             }
         }
+        #[cfg(debug_assertions)]
+        self.check_warp_set(now);
         true
+    }
+
+    /// Debug builds: asserts the incremental [`WarpSet`], advanced to
+    /// `now`, equals a from-scratch scan of the warps at `now`. The
+    /// per-cycle referee shares the set with the skip loop, so loop
+    /// agreement alone cannot catch a stale bit.
+    #[cfg(debug_assertions)]
+    fn check_warp_set(&self, now: Cycle) {
+        if let ExecMode::Baseline { warps, set } = &self.exec {
+            let mut advanced = set.clone();
+            advanced.advance(now);
+            assert_eq!(
+                advanced,
+                WarpSet::recompute(warps, now),
+                "core {}: warp-set mirror went stale at cycle {now}",
+                self.id
+            );
+        }
     }
 
     /// A human-readable dump of everything that could explain a stuck
@@ -1005,7 +1153,7 @@ impl ShaderCore {
         );
         // The tenants with any presence on this core, in ASID order.
         let mut asids: Vec<u16> = match &self.exec {
-            ExecMode::Baseline { warps } => warps
+            ExecMode::Baseline { warps, .. } => warps
                 .iter()
                 .filter(|w| !w.is_done())
                 .map(|w| w.asid)
@@ -1045,7 +1193,7 @@ impl ShaderCore {
             );
         }
         match &self.exec {
-            ExecMode::Baseline { warps } => {
+            ExecMode::Baseline { warps, .. } => {
                 for (i, w) in warps.iter().enumerate() {
                     if w.is_done() {
                         continue;
@@ -1122,7 +1270,7 @@ impl ShaderCore {
             match *ev {
                 MmuEvent::Evicted { vpn, owner, .. } => path.policy.on_tlb_evict(owner, vpn),
                 MmuEvent::Wake { warp, vpn, ppn, .. } => match &mut self.exec {
-                    ExecMode::Baseline { warps } => {
+                    ExecMode::Baseline { warps, set } => {
                         let w = &mut warps[warp as usize];
                         debug_assert!(w.waiting_pages > 0);
                         if let Some(pending) = w.pending.as_mut() {
@@ -1158,6 +1306,7 @@ impl ShaderCore {
                                 w.wait = WaitKind::Replay;
                             }
                         }
+                        set.sync(warp as usize, w, now);
                     }
                     ExecMode::Tbc(t) => t.wake(warp, vpn, ppn, path, now, mem, obs),
                 },
@@ -1170,11 +1319,12 @@ impl ShaderCore {
                     // count to the faulted count and the warp sleeps
                     // until the CPU fault handler maps it.
                     match &mut self.exec {
-                        ExecMode::Baseline { warps } => {
+                        ExecMode::Baseline { warps, set } => {
                             let w = &mut warps[warp as usize];
                             debug_assert!(w.waiting_pages > 0);
                             w.waiting_pages = w.waiting_pages.saturating_sub(1);
                             w.faulted_pages += 1;
+                            set.sync(warp as usize, w, now);
                         }
                         ExecMode::Tbc(t) => t.fault(warp),
                     }
@@ -1188,7 +1338,7 @@ impl ShaderCore {
                     waiters.push(warp);
                 }
                 MmuEvent::Squashed { warp, .. } => match &mut self.exec {
-                    ExecMode::Baseline { warps } => {
+                    ExecMode::Baseline { warps, set } => {
                         let w = &mut warps[warp as usize];
                         w.waiting_pages = w.waiting_pages.saturating_sub(1);
                         if w.waiting_pages == 0 && w.faulted_pages == 0 {
@@ -1197,6 +1347,7 @@ impl ShaderCore {
                             w.ready_at = now + self.fault.shootdown_backoff.max(1);
                             w.wait = WaitKind::Reject;
                         }
+                        set.sync(warp as usize, w, now);
                     }
                     ExecMode::Tbc(t) => t.squash(warp, now, self.fault.shootdown_backoff),
                 },
@@ -1207,44 +1358,16 @@ impl ShaderCore {
             cpm.tick(now);
         }
 
-        // One scan both issues and observes: `could_issue` is whether
-        // any unit could act this cycle (captured against pre-issue
-        // state — a schedulable-but-gated warp counts, as
-        // `issue_allowed` perturbs policy state even when it denies),
-        // and on a no-issue scan — which visited every warp anyway —
-        // liveness falls out for free. Only an issuing tick (where the
-        // executed instruction may have retired its warp) re-checks
-        // liveness, and that `any` scan short-circuits at the first
-        // live warp.
-        // Skip the scan outright when the last full scan proved no unit
-        // can become schedulable before `now` absent a dispatch or a
-        // drained event (both of which refresh the verdict below).
-        let idle_verdict = match self.idle_cache.get() {
-            Some((until, live)) if !dispatched && self.events.is_empty() && now < until => {
-                Some(live)
-            }
-            _ => None,
-        };
+        // `could_issue` is whether any unit could act this cycle,
+        // captured against pre-issue state: a due-but-gated warp counts,
+        // as `issue_allowed` perturbs policy state even when it denies.
         let (issued, could_issue, live): (u64, bool, bool) = match &mut self.exec {
-            ExecMode::Baseline { .. } if idle_verdict.is_some() => {
-                (0, false, idle_verdict.expect("checked"))
-            }
-            ExecMode::Baseline { warps } => {
-                let scan = baseline_issue(path, warps, &mut self.rr_ptr, now, mem, ctx, obs);
-                let issued = scan
-                    .issued_asid
+            ExecMode::Baseline { warps, set } => {
+                set.advance(now);
+                let could = set.due != 0;
+                let issued = baseline_issue(path, warps, set, &mut self.rr_ptr, now, mem, ctx, obs)
                     .map_or(0, |asid| 1u64 << (asid as u32 & 63));
-                let live = match scan.live_if_unissued {
-                    Some(live) => live,
-                    None => warps.iter().any(|w| !w.is_done()),
-                };
-                // Every real scan refreshes the idle verdict: valid only
-                // when not even a policy-gated unit was schedulable.
-                self.idle_cache.set(match scan.live_if_unissued {
-                    Some(l) if !scan.saw_schedulable => Some((scan.next_ready, l)),
-                    _ => None,
-                });
-                (issued, scan.saw_schedulable, live)
+                (issued, could, set.live != 0)
             }
             ExecMode::Tbc(t) => {
                 debug_assert_eq!(ctx.spaces.len(), 1, "TBC is single-tenant");
@@ -1261,37 +1384,21 @@ impl ShaderCore {
                 (issued, could, t.has_work())
             }
         };
-        // A quiet tick touched nothing `next_event_at` or the stall
-        // classifier reads: no block dispatched, the MMU had nothing to
-        // advance, no events drained, and no unit could issue (so no
-        // executor or policy mutation either). Only then may the
-        // memoized values survive into this cycle's classification.
+        // A quiet tick touched nothing `next_event_at` reads: no block
+        // dispatched, the MMU had nothing to advance, no events drained,
+        // and no unit could issue (so no executor or policy mutation
+        // either). Only then may the memoized value survive.
         let quiet = !dispatched && mmu_was_idle && self.events.is_empty() && !could_issue;
         if !quiet {
             self.next_event_cache.set(None);
         }
-        // Unit state (what the stall classifier and the core-timer scan
-        // read) is untouched by a busy-but-eventless MMU: walks advance
-        // internally and only a drained event wakes a unit. So these
-        // two caches survive MMU-busy cycles that `next_event_cache`
-        // (which folds MMU timers) cannot.
-        if dispatched || !self.events.is_empty() || could_issue {
-            self.core_timer_cache.set(None);
-            self.stall_cache.set(None);
-        }
         if live {
             path.stats.live_cycles.inc();
             if issued == 0 {
-                let cause = match self.stall_cache.get() {
-                    Some((cause, valid_until)) if now < valid_until => cause,
-                    _ => {
-                        let fresh = classify_stall(&self.exec, now);
-                        self.stall_cache.set(Some(fresh));
-                        fresh.0
-                    }
-                };
                 path.stats.idle_cycles.inc();
-                path.stats.stall_breakdown.add(cause, 1);
+                path.stats
+                    .stall_breakdown
+                    .add(classify_stall(&self.exec, now), 1);
             }
         }
         // Blocks can only finish on a tick that mutated unit state, so
@@ -1299,6 +1406,8 @@ impl ShaderCore {
         if !quiet {
             self.reap_blocks(now, obs);
         }
+        #[cfg(debug_assertions)]
+        self.check_warp_set(now);
         issued
     }
 }
@@ -1306,96 +1415,36 @@ impl ShaderCore {
 /// Names the dominant blocker of a live-but-idle cycle: every non-done
 /// unit maps to one [`StallCause`] from its wait state, and the
 /// highest-priority cause present wins ([`StallCause`] declaration
-/// order). A schedulable-yet-unissued baseline warp can only have been
-/// gated by the locality policy — `baseline_issue` issues the first
-/// schedulable non-gated warp — so it classifies as `Throttled` without
+/// order). A schedulable-yet-unissued unit can only have been gated by
+/// the locality policy, so it classifies as `Throttled` without
 /// consulting (and perturbing) the policy.
-fn classify_stall(exec: &ExecMode, now: Cycle) -> (StallCause, Cycle) {
-    let mut best: Option<StallCause> = None;
-    let mut note = |c: StallCause| best = Some(best.map_or(c, |b| b.min(c)));
-    // How long the classification stays valid absent state changes: the
-    // earliest armed `ready_at` beyond `now`. Waiting/faulted units only
-    // change cause via an event or fault resolution, both of which drop
-    // the cache; a timer expiry alone can flip a sleeping unit to
-    // schedulable, so the cache must not outlive the nearest one.
-    let mut valid_until = Cycle::MAX;
+fn classify_stall(exec: &ExecMode, now: Cycle) -> StallCause {
     match exec {
-        ExecMode::Baseline { warps } => {
-            for w in warps {
-                if w.is_done() {
-                    continue;
-                }
-                if w.faulted_pages > 0 {
-                    note(StallCause::FaultService);
-                } else if w.waiting_pages > 0 {
-                    note(StallCause::TlbFill);
-                } else if w.ready_at > now {
-                    valid_until = valid_until.min(w.ready_at);
-                    note(w.wait.cause());
-                } else {
-                    note(StallCause::Throttled);
-                }
-            }
-        }
+        ExecMode::Baseline { set, .. } => set.classify(now),
         ExecMode::Tbc(t) => {
-            // TBC unit state is not scanned for a bound; the cache is
-            // simply never reused (valid only at the computing cycle).
-            valid_until = now;
-            t.classify_stall(now, &mut note);
+            let mut best: Option<StallCause> = None;
+            t.classify_stall(now, &mut |c| best = Some(best.map_or(c, |b| b.min(c))));
+            // No live unit at all: a dispatch drought.
+            best.unwrap_or(StallCause::Dispatch)
         }
     }
-    // No live unit at all (work still queued behind full slots or an
-    // empty pipeline between blocks): a dispatch drought.
-    (best.unwrap_or(StallCause::Dispatch), valid_until)
 }
 
-/// What one round-robin pass over the baseline warps establishes.
-struct IssueScan {
-    /// The issuing warp's ASID, when one issued.
-    issued_asid: Option<u16>,
-    /// Whether any warp was schedulable at scan time (a policy-gated
-    /// warp counts; this is the pre-issue `could_issue` predicate).
-    saw_schedulable: bool,
-    /// Liveness observed by the scan — `Some` only when nothing issued,
-    /// in which case every warp was visited and no state changed, so
-    /// the answer is exact. An issuing scan stops early (and the issued
-    /// instruction may retire its warp), so the caller re-checks.
-    live_if_unissued: Option<bool>,
-    /// Earliest `ready_at` beyond `now` among units that only a timer
-    /// (not a fill or fault resolution) keeps from issuing; `Cycle::MAX`
-    /// when none. Meaningful only on a no-issue scan.
-    next_ready: Cycle,
-}
-
-/// Picks and executes one instruction from the baseline warps. The same
-/// pass records the schedulability and liveness facts the tick needs,
-/// so idle cycles cost one warp scan instead of three.
+/// Picks and executes one instruction from the baseline warps: the
+/// first due warp in round-robin order from `rr_ptr` that the locality
+/// policy lets issue. Returns the issuing warp's ASID.
+#[allow(clippy::too_many_arguments)]
 fn baseline_issue(
     path: &mut MemPath,
     warps: &mut [Warp],
+    set: &mut WarpSet,
     rr_ptr: &mut usize,
     now: Cycle,
     mem: &mut MemorySystem,
     ctx: &mut RunCtx<'_, '_>,
     obs: &mut Observer,
-) -> IssueScan {
-    let n = warps.len();
-    let mut saw_schedulable = false;
-    let mut any_live = false;
-    let mut next_ready = Cycle::MAX;
-    for off in 0..n {
-        let w = (*rr_ptr + off) % n;
-        if !warps[w].schedulable(now) {
-            let wp = &warps[w];
-            if !wp.is_done() {
-                any_live = true;
-                if wp.waiting_pages == 0 && wp.faulted_pages == 0 && wp.ready_at > now {
-                    next_ready = next_ready.min(wp.ready_at);
-                }
-            }
-            continue;
-        }
-        saw_schedulable = true;
+) -> Option<u16> {
+    for w in rr_order(set.due, *rr_ptr) {
         // CCWS-style throttling gates *memory* instructions: throttled
         // warps may still run ALU/branch work, and a warp with a pending
         // memory instruction replays regardless (it holds MSHRs).
@@ -1404,31 +1453,21 @@ fn baseline_issue(
                 .stack
                 .as_ref()
                 .and_then(|s| s.current())
-                .expect("schedulable implies live");
+                .expect("due implies live");
             if matches!(
                 ctx.kernels[warps[w].asid as usize].program().op(pc),
                 Op::Mem { .. }
             ) {
-                any_live = true;
                 continue;
             }
         }
         let asid = warps[w].asid;
         exec_one(path, warps, w, now, mem, ctx, obs);
-        *rr_ptr = (w + 1) % n;
-        return IssueScan {
-            issued_asid: Some(asid),
-            saw_schedulable: true,
-            live_if_unissued: None,
-            next_ready: Cycle::MAX,
-        };
+        set.sync(w, &warps[w], now);
+        *rr_ptr = (w + 1) % warps.len();
+        return Some(asid);
     }
-    IssueScan {
-        issued_asid: None,
-        saw_schedulable,
-        live_if_unissued: Some(any_live),
-        next_ready,
-    }
+    None
 }
 
 /// Executes the next instruction of baseline warp `w` against its
@@ -1674,6 +1713,99 @@ mod tests {
             real.stats().stall_breakdown.get(StallCause::TlbFill) > 0,
             "a naive MMU must show TLB-fill stalls"
         );
+    }
+
+    #[test]
+    fn round_robin_bit_order_wraps_at_rr_ptr() {
+        let n = 48;
+        let reference = |mask: u64, start: usize| -> Vec<usize> {
+            (0..n)
+                .map(|off| (start + off) % n)
+                .filter(|&w| mask & (1 << w) != 0)
+                .collect()
+        };
+        let sparse = 1 << 0 | 1 << 5 | 1 << 20 | 1 << 47;
+        assert_eq!(rr_order(sparse, 21).collect::<Vec<_>>(), [47, 0, 5, 20]);
+        assert_eq!(rr_order(sparse, 47).collect::<Vec<_>>(), [47, 0, 5, 20]);
+        assert_eq!(rr_order(sparse, 5).collect::<Vec<_>>(), [5, 20, 47, 0]);
+        let all = low_bits(n);
+        let from_30: Vec<usize> = (30..48).chain(0..30).collect();
+        assert_eq!(rr_order(all, 30).collect::<Vec<_>>(), from_30);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for start in 0..n {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let mask = x & all;
+            assert_eq!(
+                rr_order(mask, start).collect::<Vec<_>>(),
+                reference(mask, start)
+            );
+        }
+    }
+
+    fn live_warp(ready_at: Cycle) -> Warp {
+        Warp {
+            stack: Some(SimtStack::new(u32::MAX, 4)),
+            ready_at,
+            ..Warp::empty()
+        }
+    }
+
+    #[test]
+    fn next_wake_follows_the_earliest_sleeper() {
+        let mut warps: Vec<Warp> = (0..48).map(|_| Warp::empty()).collect();
+        let mut set = WarpSet::new();
+        for (i, at) in [(3, 10), (17, 20), (40, 30)] {
+            warps[i] = live_warp(at);
+            set.sync(i, &warps[i], 0);
+        }
+        assert_eq!(set, WarpSet::recompute(&warps, 0));
+        assert_eq!(set.next_wake, 10);
+
+        // The earliest sleeper wakes.
+        set.advance(10);
+        assert_eq!(set.due, 1 << 3);
+        assert_eq!(set.next_wake, 20);
+        assert_eq!(set, WarpSet::recompute(&warps, 10));
+
+        // The earliest sleeper is re-armed past the next one.
+        warps[17].ready_at = 50;
+        set.sync(17, &warps[17], 11);
+        assert_eq!(set.next_wake, 30);
+        assert_eq!(set, WarpSet::recompute(&warps, 11));
+
+        // The earliest sleeper retires.
+        warps[40].stack = None;
+        set.sync(40, &warps[40], 12);
+        assert_eq!(set.next_wake, 50);
+        assert_eq!(set.live, 1 << 3 | 1 << 17);
+        assert_eq!(set, WarpSet::recompute(&warps, 12));
+
+        // The earliest sleeper starts waiting on a fill; none is left.
+        warps[17].waiting_pages = 1;
+        set.sync(17, &warps[17], 13);
+        assert_eq!(set.next_wake, Cycle::MAX);
+        assert_eq!(set, WarpSet::recompute(&warps, 13));
+        assert_eq!(set.classify(13), StallCause::TlbFill);
+    }
+
+    #[test]
+    fn oversized_warp_count_is_refused_with_a_clear_message() {
+        for bad in [0, MAX_WARPS_PER_CORE + 1] {
+            let cfg = GpuConfig {
+                n_cores: 1,
+                warps_per_core: bad,
+                ..GpuConfig::default()
+            };
+            let err =
+                std::panic::catch_unwind(|| ShaderCore::new(0, &cfg)).expect_err("must refuse");
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(msg.contains("warps_per_core"), "unclear panic: {msg:?}");
+        }
     }
 
     #[test]

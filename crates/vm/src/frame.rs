@@ -177,25 +177,6 @@ impl gmmu_sim::ckpt::Ckpt for FramePolicy {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for FrameAlloc {
-    /// Capacity and policy are configuration; only the allocation cursor
-    /// state is serialized. (This cursor pair *is* the simulator's frame
-    /// "RNG": the scramble is a pure function of `next_small`.)
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
-        w.u64(self.next_small);
-        w.u64(self.next_large);
-        self.free_list.save(w);
-    }
-    fn load(
-        &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
-        self.next_small = r.u64()?;
-        self.next_large = r.u64()?;
-        self.free_list.load(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

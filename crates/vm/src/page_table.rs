@@ -199,8 +199,7 @@ pub struct PageTable {
     /// Last level-1 (PT) node a lookup descended into, packed as
     /// `(vpn >> 9) << LEAF_NODE_BITS | node`. Table nodes are never
     /// reclaimed or re-parented, so a prefix→node association stays
-    /// valid for the table's lifetime; only [`Ckpt::load`] rebuilds
-    /// nodes and must invalidate it. This makes the replay/rebuild path
+    /// valid for the table's lifetime. This makes the replay/rebuild path
     /// (millions of sequential `translate` calls over warm regions) a
     /// one-load lookup. Atomic (relaxed) rather than `Cell` so shared
     /// references stay `Sync` for the parallel sweep engine; a racing
@@ -455,82 +454,6 @@ impl PageTable {
             }
         }
         false
-    }
-}
-
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
-
-impl Ckpt for Entry {
-    fn save(&self, w: &mut Saver) {
-        match self {
-            Entry::None => w.u8(0),
-            Entry::Table(child) => {
-                w.u8(1);
-                w.u32(*child);
-            }
-            Entry::Page(ppn) => {
-                w.u8(2);
-                ppn.save(w);
-            }
-        }
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        *self = match r.u8()? {
-            0 => Entry::None,
-            1 => Entry::Table(r.u32()?),
-            2 => {
-                let mut ppn = Ppn::default();
-                ppn.load(r)?;
-                Entry::Page(ppn)
-            }
-            _ => return Err(CkptError::Corrupt("unknown page-table entry tag")),
-        };
-        Ok(())
-    }
-}
-
-impl Ckpt for PageTable {
-    /// Byte-compatible with the pre-arena layout: node count, then per
-    /// node its frame and a length-prefixed entry list (always
-    /// [`ENTRIES_PER_NODE`]), then the mapped-page count.
-    fn save(&self, w: &mut Saver) {
-        w.usize(self.node_frames.len());
-        for (i, frame) in self.node_frames.iter().enumerate() {
-            frame.save(w);
-            w.usize(ENTRIES_PER_NODE);
-            for e in &self.slab[i * ENTRIES_PER_NODE..(i + 1) * ENTRIES_PER_NODE] {
-                e.save(w);
-            }
-        }
-        w.u64(self.mapped_pages);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        self.node_frames.clear();
-        self.node_frames.reserve(n);
-        self.slab.clear();
-        self.slab.reserve(n * ENTRIES_PER_NODE);
-        for _ in 0..n {
-            let mut frame = Ppn::default();
-            frame.load(r)?;
-            self.node_frames.push(frame);
-            let len = r.usize()?;
-            if len != ENTRIES_PER_NODE {
-                return Err(CkptError::Corrupt("page-table node entry count"));
-            }
-            for _ in 0..len {
-                let mut e = Entry::None;
-                e.load(r)?;
-                self.slab.push(e);
-            }
-        }
-        if self.node_frames.is_empty() {
-            return Err(CkptError::Corrupt("page table without a root node"));
-        }
-        self.mapped_pages = r.u64()?;
-        // Node ids were rebuilt from scratch; drop the leaf cache.
-        self.last_leaf.store(NO_LEAF, Ordering::Relaxed);
-        Ok(())
     }
 }
 

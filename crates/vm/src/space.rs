@@ -480,33 +480,6 @@ impl Ckpt for Region {
     }
 }
 
-impl Ckpt for AddressSpace {
-    /// Serializes the *full* mapping state — page-table nodes, allocator
-    /// cursors, regions, and the shootdown epoch — so a decoded space
-    /// continues demand paging and remap storms with the exact
-    /// frame-allocation future of the original.
-    fn save(&self, w: &mut Saver) {
-        w.u16(self.asid);
-        self.table.save(w);
-        self.frames.save(w);
-        self.regions.save(w);
-        w.u64(self.next_vbase);
-        w.u64(self.shootdown_epoch);
-    }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
-        let asid = r.u16()?;
-        if asid != self.asid {
-            return Err(CkptError::Corrupt("address-space ASID mismatch"));
-        }
-        self.table.load(r)?;
-        self.frames.load(r)?;
-        self.regions.load(r)?;
-        self.next_vbase = r.u64()?;
-        self.shootdown_epoch = r.u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
