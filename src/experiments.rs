@@ -17,6 +17,7 @@
 //! own freshly-built [`Gpu`], so results are bit-identical to a serial
 //! sweep in any thread count.
 
+use crate::figures::Figure;
 use crate::prelude::*;
 use gmmu_sim::ckpt::{Ckpt, Loader, Saver};
 use gmmu_sim::metrics::Metrics;
@@ -31,17 +32,33 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-const USAGE: &str = "usage: harness [--quick | --full] [--csv] [--jobs N]
-               [--trace PATH] [--intervals PATH] [--interval-stride N]
-               [--metrics PATH]
-               [--fault-inject] [--fault-seed N]
-               [--journal PATH] [--shard I/N] [--kill-after N]
-               [--capture-trace PATH] [--replay PATH]
+const USAGE: &str = "usage: gmmu <command> [options]
+commands:
+  fig NAME      print one figure's tables; NAME is one of table_config,
+                fig09, fig02, fig03, fig04, fig06, fig07, fig10, fig11,
+                fig13, fig16, fig17, fig18, fig20, fig22, sec9,
+                multitenant, ablations
+  all           every figure in paper order (all but ablations), its
+                design points run as one deduplicated batch; writes
+                BENCH_all_figures.json
+  validate      capture/replay conformance matrix: six workloads x
+                skip/per-cycle loop x plain/fault-injected; writes
+                BENCH_validate.json
+  replay PATH   replay a GMTR trace: rebuild the captured machine, drive
+                it from the recorded behaviour, and diff the result
+                against the stats embedded in the trace; exits non-zero
+                on any difference
+  fault-inject  every workload executes a fully demand-paged run (zero
+                pre-mapped pages) and a mixed-fault run (partial unmap,
+                delayed walks, transient rejects, shootdown storms);
+                exits non-zero if any run panics, hangs, or trips the
+                forward-progress watchdog
+options (every option also takes the form --flag=value):
   --quick    tiny workloads on a 2-core machine (CI/smoke scope)
   --full     the paper's full 30-core machine (slow; final numbers)
   --csv      also print each table as CSV
   --jobs N   worker threads for design-point sweeps
-             (default: GMMU_JOBS or the machine's available parallelism)
+             (default: the machine's available parallelism)
   --trace PATH
              write a Chrome/Perfetto trace.json of the first design
              point simulated (load at ui.perfetto.dev)
@@ -54,16 +71,11 @@ const USAGE: &str = "usage: harness [--quick | --full] [--csv] [--jobs N]
              write the first design point's versioned metrics snapshot
              (instrument registry, per-stage walk latency histograms,
              hot-page table) to PATH as JSON; snapshots do not
-             depend on the drive loop. Under --replay: diff the replayed
-             snapshot against PATH when the file exists (exit non-zero
-             on any difference), write it otherwise
-  --fault-inject
-             run the fault-injection harness instead of the figure:
-             every workload executes a fully demand-paged run (zero
-             pre-mapped pages) and a mixed-fault run (partial unmap,
-             delayed walks, transient rejects, shootdown storms);
-             exits non-zero if any run panics, hangs, or trips the
-             forward-progress watchdog
+             depend on the drive loop. Under `fig multitenant`: the
+             4-tenant mixed-fault snapshot with per-tenant sections.
+             Under `replay`: diff the replayed snapshot against PATH
+             when the file exists (exit non-zero on any difference),
+             write it otherwise
   --fault-seed N
              seed for the deterministic fault schedules (default 0xfa57)
   --journal PATH
@@ -84,32 +96,155 @@ const USAGE: &str = "usage: harness [--quick | --full] [--csv] [--jobs N]
              file: the kernel's full data-dependent behaviour plus the
              machine configuration and final stats. Recording does not
              perturb the run
-  --replay PATH
-             replay a GMTR trace instead of running the figure: rebuild
-             the captured machine, drive it from the recorded behaviour,
-             and diff the result against the stats embedded in the
-             trace; exits non-zero on any difference
 environment:
   GMMU_TICK_EVERY_CYCLE
              when set, visit every cycle instead of skipping idle
              spans (the per-cycle referee; results are identical)";
 
-/// Default sweep parallelism: the `GMMU_JOBS` environment variable when
-/// set, otherwise the machine's available parallelism.
-fn default_jobs() -> usize {
-    if let Some(v) = std::env::var_os("GMMU_JOBS") {
-        if let Some(n) = v.to_str().and_then(|s| s.parse::<usize>().ok()) {
-            if n >= 1 {
-                return n;
+/// What a `gmmu` invocation asks for.
+#[derive(Clone, Copy)]
+pub enum Command {
+    /// `fig NAME`: one registry entry.
+    Fig(&'static Figure),
+    /// `all`: every registry entry `gmmu all` prints.
+    All,
+    /// `validate`: the capture/replay conformance matrix.
+    Validate,
+    /// `replay PATH`: replay and verify one GMTR trace ([`run_replay`]).
+    Replay(&'static str),
+    /// `fault-inject`: the fault-injection harness
+    /// ([`run_fault_injection`]).
+    FaultInject,
+}
+
+/// A parsed command line: the subcommand, the experiment scope every
+/// subcommand shares, and the `--csv` presentation flag.
+#[derive(Clone, Copy)]
+pub struct Cli {
+    /// The subcommand.
+    pub command: Command,
+    /// Scope, observability and journal options.
+    pub opts: ExperimentOpts,
+    /// Print each table again as CSV (`--csv`).
+    pub csv: bool,
+}
+
+/// Why [`Cli::parse`] refused a command line.
+#[derive(Debug, PartialEq, Eq)]
+pub enum ArgError {
+    /// `--help` / `-h`: print the usage text and succeed.
+    Help,
+    /// A malformed command line, with the reason.
+    Usage(String),
+}
+
+impl Cli {
+    /// Parses a command line (without the program name): one
+    /// subcommand with its positional arguments, plus options anywhere.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, ArgError> {
+        let bad = ArgError::Usage;
+        let mut opts = ExperimentOpts::default();
+        let mut csv = false;
+        let mut positional = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with('-') {
+                positional.push(arg);
+                continue;
+            }
+            let (flag, mut inline) = match arg.split_once('=') {
+                Some((f, v)) => (f, Some(v.to_string())),
+                None => (arg.as_str(), None),
+            };
+            if inline.is_some() && matches!(flag, "--quick" | "--full" | "--csv" | "--help" | "-h")
+            {
+                return Err(bad(format!("`{flag}` takes no value")));
+            }
+            let mut value = || {
+                inline
+                    .take()
+                    .or_else(|| args.next())
+                    .ok_or_else(|| bad(format!("`{flag}` needs a value")))
+            };
+            match flag {
+                "--quick" => {
+                    opts = ExperimentOpts {
+                        scale: Scale::Tiny,
+                        n_cores: 2,
+                        ..opts
+                    }
+                }
+                "--full" => {
+                    opts = ExperimentOpts {
+                        scale: Scale::Full,
+                        n_cores: 30,
+                        ..opts
+                    }
+                }
+                "--csv" => csv = true,
+                "--jobs" => opts.jobs = positive(flag, &value()?)?,
+                "--trace" => opts.trace = Some(leak_path(value()?)),
+                "--intervals" => opts.intervals = Some(leak_path(value()?)),
+                "--interval-stride" => opts.interval_stride = positive(flag, &value()?)?,
+                "--metrics" => opts.metrics = Some(leak_path(value()?)),
+                "--fault-seed" => opts.fault_seed = parse_seed(&value()?)?,
+                "--journal" => opts.journal = Some(leak_path(value()?)),
+                "--shard" => opts.shard = Some(parse_shard(&value()?)?),
+                "--kill-after" => opts.kill_after = Some(positive(flag, &value()?)?),
+                "--capture-trace" => opts.capture_trace = Some(leak_path(value()?)),
+                "--help" | "-h" => return Err(ArgError::Help),
+                _ => return Err(bad(format!("unknown argument `{arg}`"))),
+            }
+        }
+        let mut positional = positional.into_iter();
+        let command = match positional.next().as_deref() {
+            Some("fig") => {
+                let name = positional
+                    .next()
+                    .ok_or_else(|| bad("`fig` needs a figure name".into()))?;
+                Command::Fig(
+                    crate::figures::lookup(&name)
+                        .ok_or_else(|| bad(format!("unknown figure `{name}`")))?,
+                )
+            }
+            Some("all") => Command::All,
+            Some("validate") => Command::Validate,
+            Some("replay") => Command::Replay(leak_path(
+                positional
+                    .next()
+                    .ok_or_else(|| bad("`replay` needs a trace path".into()))?,
+            )),
+            Some("fault-inject") => Command::FaultInject,
+            Some(other) => return Err(bad(format!("unknown command `{other}`"))),
+            None => return Err(bad("missing command".into())),
+        };
+        if let Some(extra) = positional.next() {
+            return Err(bad(format!("unexpected argument `{extra}`")));
+        }
+        Ok(Self { command, opts, csv })
+    }
+
+    /// [`Cli::parse`] over the process arguments. `--help` prints the
+    /// usage text and exits 0; a malformed command line prints the
+    /// reason and the usage text and exits with status 2.
+    pub fn from_args() -> Self {
+        match Self::parse(std::env::args().skip(1)) {
+            Ok(cli) => cli,
+            Err(ArgError::Help) => {
+                eprintln!("{USAGE}");
+                std::process::exit(0)
+            }
+            Err(ArgError::Usage(msg)) => {
+                eprintln!("error: {msg}\n{USAGE}");
+                std::process::exit(2)
             }
         }
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-fn bad_usage(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{USAGE}");
-    std::process::exit(2)
+/// Default sweep parallelism: the machine's available parallelism.
+fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Scope of an experiment run.
@@ -133,12 +268,9 @@ pub struct ExperimentOpts {
     /// Interval sample stride in cycles (`--interval-stride`).
     pub interval_stride: u64,
     /// Write the first design point's metrics snapshot to this path
-    /// (`--metrics`); under `--replay`, diff against the file when it
+    /// (`--metrics`); under `gmmu replay`, diff against the file when it
     /// exists and write it otherwise.
     pub metrics: Option<&'static str>,
-    /// Run the fault-injection harness instead of the figure
-    /// (`--fault-inject`).
-    pub fault_inject: bool,
     /// Seed for the deterministic fault schedules (`--fault-seed`).
     pub fault_seed: u64,
     /// Journal completed design points to this path and replay it on
@@ -153,8 +285,6 @@ pub struct ExperimentOpts {
     /// Record the first simulated design point to this GMTR trace file
     /// (`--capture-trace`).
     pub capture_trace: Option<&'static str>,
-    /// Replay a GMTR trace instead of running the figure (`--replay`).
-    pub replay: Option<&'static str>,
 }
 
 impl Default for ExperimentOpts {
@@ -168,13 +298,11 @@ impl Default for ExperimentOpts {
             intervals: None,
             interval_stride: 10_000,
             metrics: None,
-            fault_inject: false,
             fault_seed: 0xfa57,
             journal: None,
             shard: None,
             kill_after: None,
             capture_trace: None,
-            replay: None,
         }
     }
 }
@@ -196,121 +324,6 @@ impl ExperimentOpts {
             n_cores: 30,
             ..Self::default()
         }
-    }
-
-    /// Parses harness arguments: `--quick`, `--full` (default: the
-    /// standard experiment scope), `--csv`, and `--jobs N`.
-    ///
-    /// Unknown arguments print the usage text and exit with status 2.
-    pub fn from_args() -> Self {
-        let mut opts = Self::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--quick" => {
-                    opts = Self {
-                        scale: Scale::Tiny,
-                        n_cores: 2,
-                        ..opts
-                    }
-                }
-                "--full" => {
-                    opts = Self {
-                        scale: Scale::Full,
-                        n_cores: 30,
-                        ..opts
-                    }
-                }
-                "--csv" => {} // presentation flag, handled by the binary
-                "--jobs" => match args.next() {
-                    Some(v) => opts.jobs = parse_jobs(&v),
-                    None => bad_usage("--jobs needs a value"),
-                },
-                "--trace" => match args.next() {
-                    Some(v) => opts.trace = Some(leak_path(v)),
-                    None => bad_usage("--trace needs a path"),
-                },
-                "--intervals" => match args.next() {
-                    Some(v) => opts.intervals = Some(leak_path(v)),
-                    None => bad_usage("--intervals needs a path"),
-                },
-                "--interval-stride" => match args.next() {
-                    Some(v) => opts.interval_stride = parse_stride(&v),
-                    None => bad_usage("--interval-stride needs a value"),
-                },
-                "--metrics" => match args.next() {
-                    Some(v) => opts.metrics = Some(leak_path(v)),
-                    None => bad_usage("--metrics needs a path"),
-                },
-                "--fault-inject" => opts.fault_inject = true,
-                "--fault-seed" => match args.next() {
-                    Some(v) => opts.fault_seed = parse_seed(&v),
-                    None => bad_usage("--fault-seed needs a value"),
-                },
-                "--journal" => match args.next() {
-                    Some(v) => opts.journal = Some(leak_path(v)),
-                    None => bad_usage("--journal needs a path"),
-                },
-                "--shard" => match args.next() {
-                    Some(v) => opts.shard = Some(parse_shard(&v)),
-                    None => bad_usage("--shard needs I/N"),
-                },
-                "--kill-after" => match args.next() {
-                    Some(v) => opts.kill_after = Some(parse_kill_after(&v)),
-                    None => bad_usage("--kill-after needs a value"),
-                },
-                "--capture-trace" => match args.next() {
-                    Some(v) => opts.capture_trace = Some(leak_path(v)),
-                    None => bad_usage("--capture-trace needs a path"),
-                },
-                "--replay" => match args.next() {
-                    Some(v) => opts.replay = Some(leak_path(v)),
-                    None => bad_usage("--replay needs a path"),
-                },
-                "--help" | "-h" => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(0)
-                }
-                other => {
-                    if let Some(v) = other.strip_prefix("--jobs=") {
-                        opts.jobs = parse_jobs(v)
-                    } else if let Some(v) = other.strip_prefix("--trace=") {
-                        opts.trace = Some(leak_path(v.to_string()))
-                    } else if let Some(v) = other.strip_prefix("--intervals=") {
-                        opts.intervals = Some(leak_path(v.to_string()))
-                    } else if let Some(v) = other.strip_prefix("--interval-stride=") {
-                        opts.interval_stride = parse_stride(v)
-                    } else if let Some(v) = other.strip_prefix("--metrics=") {
-                        opts.metrics = Some(leak_path(v.to_string()))
-                    } else if let Some(v) = other.strip_prefix("--fault-seed=") {
-                        opts.fault_seed = parse_seed(v)
-                    } else if let Some(v) = other.strip_prefix("--journal=") {
-                        opts.journal = Some(leak_path(v.to_string()))
-                    } else if let Some(v) = other.strip_prefix("--shard=") {
-                        opts.shard = Some(parse_shard(v))
-                    } else if let Some(v) = other.strip_prefix("--kill-after=") {
-                        opts.kill_after = Some(parse_kill_after(v))
-                    } else if let Some(v) = other.strip_prefix("--capture-trace=") {
-                        opts.capture_trace = Some(leak_path(v.to_string()))
-                    } else if let Some(v) = other.strip_prefix("--replay=") {
-                        opts.replay = Some(leak_path(v.to_string()))
-                    } else {
-                        bad_usage(&format!("unknown argument `{other}`"))
-                    }
-                }
-            }
-        }
-        if let Some(path) = opts.replay {
-            // Replay replaces the figure: every binary that parses its
-            // arguments here can replay any GMTR trace.
-            run_replay(opts, path)
-        }
-        if opts.fault_inject {
-            // The harness replaces the figure: every binary that parses
-            // its arguments here gains the fault-injection mode.
-            run_fault_injection(opts)
-        }
-        opts
     }
 
     /// The GPU configuration for this scope with the given MMU, before
@@ -339,49 +352,33 @@ impl ExperimentOpts {
     }
 }
 
-fn parse_jobs(v: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => bad_usage(&format!("--jobs needs a positive integer, got `{v}`")),
+/// A positive integer option value.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    flag: &str,
+    v: &str,
+) -> Result<T, ArgError> {
+    match v.parse::<T>() {
+        Ok(n) if n >= T::from(1) => Ok(n),
+        _ => Err(ArgError::Usage(format!(
+            "`{flag}` needs a positive integer, got `{v}`"
+        ))),
     }
 }
 
-fn parse_shard(v: &str) -> (usize, usize) {
-    let parsed = v.split_once('/').and_then(|(i, n)| {
-        let i = i.parse::<usize>().ok()?;
-        let n = n.parse::<usize>().ok()?;
-        (n >= 1 && i < n).then_some((i, n))
-    });
-    match parsed {
-        Some(s) => s,
-        None => bad_usage(&format!("--shard needs I/N with 0 <= I < N, got `{v}`")),
-    }
+fn parse_shard(v: &str) -> Result<(usize, usize), ArgError> {
+    v.split_once('/')
+        .and_then(|(i, n)| {
+            let i = i.parse::<usize>().ok()?;
+            let n = n.parse::<usize>().ok()?;
+            (n >= 1 && i < n).then_some((i, n))
+        })
+        .ok_or_else(|| ArgError::Usage(format!("`--shard` needs I/N with 0 <= I < N, got `{v}`")))
 }
 
-fn parse_kill_after(v: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => bad_usage(&format!("--kill-after needs a positive integer, got `{v}`")),
-    }
-}
-
-fn parse_stride(v: &str) -> u64 {
-    match v.parse::<u64>() {
-        Ok(n) if n >= 1 => n,
-        _ => bad_usage(&format!(
-            "--interval-stride needs a positive integer, got `{v}`"
-        )),
-    }
-}
-
-fn parse_seed(v: &str) -> u64 {
-    let parsed = v
-        .strip_prefix("0x")
-        .map_or_else(|| v.parse::<u64>(), |h| u64::from_str_radix(h, 16));
-    match parsed {
-        Ok(n) => n,
-        _ => bad_usage(&format!("--fault-seed needs an integer, got `{v}`")),
-    }
+fn parse_seed(v: &str) -> Result<u64, ArgError> {
+    v.strip_prefix("0x")
+        .map_or_else(|| v.parse::<u64>(), |h| u64::from_str_radix(h, 16))
+        .map_err(|_| ArgError::Usage(format!("`--fault-seed` needs an integer, got `{v}`")))
 }
 
 /// Output paths live for the whole process (they came from argv), which
@@ -434,6 +431,28 @@ pub struct PointRun {
     pub sim_cycles_per_sec: f64,
     /// Whether this was the observed run (`--trace` / `--intervals`).
     pub observed: bool,
+}
+
+impl PointRun {
+    /// Metadata for `spec`, simulated from `started` until now.
+    fn simulated(
+        key: &str,
+        spec: &PointSpec,
+        started: Instant,
+        stats: &RunStats,
+        observed: bool,
+    ) -> Self {
+        Self {
+            bench: spec.bench,
+            large_pages: spec.large_pages,
+            fingerprint: fnv1a64(key.as_bytes()),
+            engine: engine_label(&spec.cfg),
+            wall_s: started.elapsed().as_secs_f64(),
+            cycles: stats.cycles,
+            sim_cycles_per_sec: stats.cycles_per_sec(),
+            observed,
+        }
+    }
 }
 
 /// Drive-loop label for run metadata.
@@ -792,6 +811,15 @@ impl Runner {
         }
     }
 
+    /// The built workload `spec` runs on (after [`Runner::ensure_workload`]).
+    fn workload(&self, spec: &PointSpec) -> &Workload {
+        if spec.large_pages {
+            &self.large_page_workloads[&spec.bench]
+        } else {
+            &self.workloads[&spec.bench]
+        }
+    }
+
     fn point(&mut self, spec: PointSpec) -> RunStats {
         if self.mode == Mode::Record {
             self.recorded.push(spec);
@@ -806,27 +834,14 @@ impl Runner {
         self.observe_pending = false;
         let opts = self.opts;
         let started = Instant::now();
-        let w = if spec.large_pages {
-            &self.large_page_workloads[&spec.bench]
-        } else {
-            &self.workloads[&spec.bench]
-        };
+        let w = self.workload(&spec);
         let stats = if observe {
             observed_run(opts, &spec, w)
         } else {
             run_kernel(spec.cfg.clone(), w.kernel.as_ref(), &w.space)
         };
         self.runs += 1;
-        let run = PointRun {
-            bench: spec.bench,
-            large_pages: spec.large_pages,
-            fingerprint: fnv1a64(key.as_bytes()),
-            engine: engine_label(&spec.cfg),
-            wall_s: started.elapsed().as_secs_f64(),
-            cycles: stats.cycles,
-            sim_cycles_per_sec: stats.cycles_per_sec(),
-            observed: observe && opts.observes(),
-        };
+        let run = PointRun::simulated(&key, &spec, started, &stats, observe && opts.observes());
         journal_append(&self.journal_file, &key, &run, &stats);
         self.point_log.push(run);
         self.cache.insert(key, stats.clone());
@@ -957,40 +972,16 @@ impl Runner {
         if self.observe_pending {
             // The observed/captured point runs serially (its file
             // writes must not interleave with workers) and first, so
-            // `--trace` or `--capture-trace` on a sweep binary applies to
+            // `--trace` or `--capture-trace` on a sweep applies to
             // the sweep's first design point.
-            let (key, spec) = todo.remove(0);
-            self.observe_pending = false;
-            let opts = self.opts;
-            let started = Instant::now();
-            let w = if spec.large_pages {
-                &self.large_page_workloads[&spec.bench]
-            } else {
-                &self.workloads[&spec.bench]
-            };
-            let stats = observed_run(opts, &spec, w);
-            self.runs += 1;
-            let run = PointRun {
-                bench: spec.bench,
-                large_pages: spec.large_pages,
-                fingerprint: fnv1a64(key.as_bytes()),
-                engine: engine_label(&spec.cfg),
-                wall_s: started.elapsed().as_secs_f64(),
-                cycles: stats.cycles,
-                sim_cycles_per_sec: stats.cycles_per_sec(),
-                observed: opts.observes(),
-            };
-            journal_append(&self.journal_file, &key, &run, &stats);
-            self.point_log.push(run);
-            self.cache.insert(key, stats);
+            let (_, spec) = todo.remove(0);
+            self.point(spec);
             if todo.is_empty() {
                 self.exit_if_killed(kill);
                 return;
             }
         }
-        let workloads = &self.workloads;
-        let large_page_workloads = &self.large_page_workloads;
-        let journal = &self.journal_file;
+        let runner = &*self;
         let jobs = self.opts.jobs.clamp(1, todo.len());
         let next = AtomicUsize::new(0);
         let done: Mutex<Vec<(usize, PointRun, RunStats)>> =
@@ -1003,25 +994,12 @@ impl Runner {
                         break;
                     };
                     let started = Instant::now();
-                    let w = if spec.large_pages {
-                        &large_page_workloads[&spec.bench]
-                    } else {
-                        &workloads[&spec.bench]
-                    };
+                    let w = runner.workload(spec);
                     let stats = run_kernel(spec.cfg.clone(), w.kernel.as_ref(), &w.space);
-                    let run = PointRun {
-                        bench: spec.bench,
-                        large_pages: spec.large_pages,
-                        fingerprint: fnv1a64(key.as_bytes()),
-                        engine: engine_label(&spec.cfg),
-                        wall_s: started.elapsed().as_secs_f64(),
-                        cycles: stats.cycles,
-                        sim_cycles_per_sec: stats.cycles_per_sec(),
-                        observed: false,
-                    };
+                    let run = PointRun::simulated(key, spec, started, &stats, false);
                     // Journaled the moment it completes, so a real kill
                     // loses at most the in-flight points.
-                    journal_append(journal, key, &run, &stats);
+                    journal_append(&runner.journal_file, key, &run, &stats);
                     done.lock().unwrap().push((i, run, stats));
                 });
             }
@@ -1052,8 +1030,8 @@ impl Runner {
     }
 }
 
-/// The `--fault-inject` harness: proves every recovery path survives on
-/// all six workloads, then exits. Each benchmark executes twice —
+/// `gmmu fault-inject`: proves every recovery path survives on all six
+/// workloads, then exits. Each benchmark executes twice —
 ///
 /// 1. **demand-paged**: every data page starts unmapped, so the whole
 ///    footprint arrives through page faults serviced by the modeled CPU
@@ -1117,11 +1095,10 @@ pub fn run_fault_injection(opts: ExperimentOpts) -> ! {
     std::process::exit(0)
 }
 
-/// Replays a GMTR trace captured with `--capture-trace`: rebuilds the
-/// captured machine and address space, drives the cores from the
-/// recorded kernel behaviour, and diffs every
-/// statistic (except wall time) against the stats embedded in the
-/// trace. Exits 0 on an exact match, 1 on any difference or on a
+/// `gmmu replay`: replays a GMTR trace captured with `--capture-trace`.
+/// Rebuilds the captured machine and address space, drives the cores
+/// from the recorded kernel behaviour, and diffs every statistic
+/// (except wall time) against the stats embedded in the trace. Exits 0 on an exact match, 1 on any difference or on a
 /// refused file.
 pub fn run_replay(opts: ExperimentOpts, path: &str) -> ! {
     let bytes = match std::fs::read(path) {
@@ -1262,6 +1239,77 @@ pub mod designs {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(line: &str) -> Result<Cli, ArgError> {
+        Cli::parse(line.split_whitespace().map(String::from))
+    }
+
+    fn refused(line: &str) -> String {
+        match parse(line) {
+            Err(ArgError::Usage(msg)) => msg,
+            Err(ArgError::Help) => panic!("`{line}` asked for help"),
+            Ok(_) => panic!("`{line}` was accepted"),
+        }
+    }
+
+    #[test]
+    fn flag_values_parse_inline_or_separate() {
+        let spaced = parse("all --jobs 4 --shard 1/2 --fault-seed 0x10").unwrap();
+        let inline = parse("all --jobs=4 --shard=1/2 --fault-seed=0x10").unwrap();
+        assert_eq!(spaced.opts, inline.opts);
+        assert_eq!(inline.opts.jobs, 4);
+        assert_eq!(inline.opts.shard, Some((1, 2)));
+        assert_eq!(inline.opts.fault_seed, 16);
+        // A path may itself contain `=`; only the first one splits.
+        let cli = parse("replay t.gmtr --metrics=a=b.json").unwrap();
+        assert_eq!(cli.opts.metrics, Some("a=b.json"));
+        assert!(matches!(cli.command, Command::Replay("t.gmtr")));
+    }
+
+    #[test]
+    fn subcommands_and_scope_parse() {
+        let cli = parse("fig fig10 --quick --csv").unwrap();
+        assert!(matches!(cli.command, Command::Fig(f) if f.name == "fig10"));
+        assert!(cli.csv);
+        assert_eq!(cli.opts, ExperimentOpts::quick());
+        let cli = parse("--full fault-inject").unwrap();
+        assert!(matches!(cli.command, Command::FaultInject));
+        assert_eq!((cli.opts.scale, cli.opts.n_cores), (Scale::Full, 30));
+        assert!(matches!(
+            parse("validate").unwrap().command,
+            Command::Validate
+        ));
+        assert_eq!(parse("all --help").err(), Some(ArgError::Help));
+    }
+
+    /// The usage text is where `gmmu --help` readers (and the CI slice
+    /// check) find the figure names.
+    #[test]
+    fn usage_lists_every_registered_figure() {
+        let listed = USAGE.split_once("is one of").unwrap().1;
+        let listed = listed.split_once("\n  all").unwrap().0;
+        let listed: Vec<&str> = listed
+            .split([',', ' ', '\n'])
+            .filter(|n| !n.is_empty())
+            .collect();
+        let registered: Vec<&str> = crate::figures::REGISTRY.iter().map(|f| f.name).collect();
+        assert_eq!(listed, registered);
+    }
+
+    #[test]
+    fn bad_command_lines_are_refused_not_exited() {
+        assert!(refused("all --jobs 0").contains("--jobs"));
+        assert!(refused("all --shard 2/2").contains("--shard"));
+        assert!(refused("all --jobs").contains("needs a value"));
+        assert!(refused("all --bogus").contains("--bogus"));
+        assert!(refused("all --quick=1").contains("takes no value"));
+        assert!(refused("plot").contains("plot"));
+        assert!(refused("fig fig99").contains("fig99"));
+        assert!(refused("fig").contains("figure name"));
+        assert!(refused("replay").contains("trace path"));
+        assert!(refused("all extra").contains("extra"));
+        assert!(refused("--quick").contains("missing command"));
+    }
 
     #[test]
     fn quick_runner_reproduces_the_headline_ordering() {

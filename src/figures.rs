@@ -2,9 +2,9 @@
 //!
 //! Each function reruns the figure's design points through a [`Runner`]
 //! and returns the same rows/series the paper plots, as printable
-//! tables. The `gmmu-bench` binaries (`fig02` … `sec9_large_pages`)
-//! wrap these one-per-figure; `EXPERIMENTS.md` records paper-reported
-//! vs. measured values.
+//! tables. [`REGISTRY`] lists them in paper order under the names
+//! `gmmu fig NAME` takes; `gmmu all` runs all but the ablations.
+//! `EXPERIMENTS.md` records paper-reported vs. measured values.
 //!
 //! All speedups are normalized to the same machine with an ideal
 //! (no-TLB) MMU and plain round-robin scheduling, exactly as the paper
@@ -840,7 +840,7 @@ pub fn fig_multitenant(opts: &crate::ExperimentOpts) -> Vec<Table> {
 /// the augmented MMU, with the per-ASID walk-stage histograms and
 /// per-ASID hot-page keys the snapshot's `tenants` section carries
 /// (DESIGN.md §13). Deterministic and loop-invariant like every
-/// snapshot; backs `fig_multitenant --metrics PATH`.
+/// snapshot; backs `gmmu fig multitenant --metrics PATH`.
 pub fn multitenant_metrics_snapshot(opts: &crate::ExperimentOpts) -> String {
     use gmmu_sim::metrics::Metrics;
     use gmmu_workloads::tenants::scenario;
@@ -868,6 +868,85 @@ pub fn multitenant_metrics_snapshot(opts: &crate::ExperimentOpts) -> String {
     let stats = gpu.run_tenants(&mut jobs, policy, &mut obs);
     assert!(stats.completed, "metrics scenario hit the cycle cap");
     gpu.metrics_snapshot(&obs).expect("metrics channel was on")
+}
+
+/// Where a registry entry's tables come from.
+#[derive(Clone, Copy)]
+pub enum Source {
+    /// Design points served through the [`Runner`]'s memo cache: `gmmu
+    /// fig` sweeps them, `gmmu all` records them and runs the union of
+    /// every entry's points as one batch.
+    Sweep(fn(&mut Runner) -> Vec<Table>),
+    /// A function of the scope alone that never touches the memo cache;
+    /// `gmmu all` calls it once, in its print pass.
+    Scope(fn(&crate::ExperimentOpts) -> Vec<Table>),
+}
+
+/// One named entry of [`REGISTRY`].
+pub struct Figure {
+    /// Name `gmmu fig NAME` looks up.
+    pub name: &'static str,
+    /// How the tables are produced.
+    pub source: Source,
+    /// Whether `gmmu all` prints this entry.
+    pub in_all: bool,
+    /// What `--metrics PATH` writes for a [`Source::Scope`] entry, which
+    /// has no runner to observe a design point of.
+    pub metrics: Option<fn(&crate::ExperimentOpts) -> String>,
+}
+
+const fn sweep(name: &'static str, f: fn(&mut Runner) -> Vec<Table>) -> Figure {
+    Figure {
+        name,
+        source: Source::Sweep(f),
+        in_all: true,
+        metrics: None,
+    }
+}
+
+const fn scope(name: &'static str, f: fn(&crate::ExperimentOpts) -> Vec<Table>) -> Figure {
+    Figure {
+        name,
+        source: Source::Scope(f),
+        in_all: true,
+        metrics: None,
+    }
+}
+
+/// Every figure and table of the evaluation, in the order `gmmu all`
+/// prints them, followed by the ablations (`gmmu fig ablations` only).
+pub const REGISTRY: &[Figure] = &[
+    scope("table_config", |o| table_config(*o)),
+    scope("fig09", |_| fig09()),
+    sweep("fig02", fig02),
+    sweep("fig03", fig03),
+    sweep("fig04", fig04),
+    sweep("fig06", fig06),
+    sweep("fig07", fig07),
+    sweep("fig10", |r| [fig10(r), fig10_stalls(r)].concat()),
+    sweep("fig11", fig11),
+    sweep("fig13", fig13),
+    sweep("fig16", fig16),
+    sweep("fig17", fig17),
+    sweep("fig18", fig18),
+    sweep("fig20", fig20),
+    sweep("fig22", fig22),
+    sweep("sec9", sec9),
+    // Runs outside the memo cache: the journal stores the pinned
+    // `RunStats` layout, which has no per-tenant slice.
+    Figure {
+        metrics: Some(multitenant_metrics_snapshot),
+        ..scope("multitenant", fig_multitenant)
+    },
+    Figure {
+        in_all: false,
+        ..sweep("ablations", ablations)
+    },
+];
+
+/// The registry entry named `name`.
+pub fn lookup(name: &str) -> Option<&'static Figure> {
+    REGISTRY.iter().find(|f| f.name == name)
 }
 
 #[cfg(test)]

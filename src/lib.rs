@@ -22,7 +22,8 @@
 //! This crate is the front door: [`experiments`] runs design points
 //! against their no-TLB baseline, and [`figures`] regenerates every
 //! figure of the paper's evaluation as a printable table (the
-//! `gmmu-bench` binaries wrap them one per figure).
+//! `gmmu-bench` crate's `gmmu` binary runs them: `gmmu fig NAME`,
+//! `gmmu all`).
 //!
 //! # Quick start
 //!
