@@ -11,7 +11,8 @@
 //!
 //! `fig` and `all` run the entries of [`gmmu::figures::REGISTRY`];
 //! `validate`, `replay` and `fault-inject` are the trace-conformance,
-//! trace-replay and fault-injection harnesses. `hotpath` is a separate
-//! binary: it microbenchmarks the simulator's hot paths under a counting
-//! global allocator. `EXPERIMENTS.md` in the repository root records
-//! paper-reported vs. measured values.
+//! trace-replay and fault-injection harnesses. `gmmu all` also writes
+//! `BENCH_all_figures.json`, the per-point wall times and sim-cycles/s
+//! that CI's throughput floors read (`ci/figure_floors.txt`).
+//! `EXPERIMENTS.md` in the repository root records paper-reported vs.
+//! measured values.

@@ -460,16 +460,6 @@ impl Mmu {
         self.mshrs.len()
     }
 
-    /// True when [`Mmu::advance`] would be a no-op this cycle: no
-    /// finished walk is waiting to fill and nothing is queued at the
-    /// walker. Walks only enter via [`Mmu::translate`] (an issue, hence
-    /// a non-quiet core cycle), so an idle MMU stays idle until the core
-    /// does something — which is what lets the core keep its cached
-    /// next-event value across quiet ticks.
-    pub fn is_idle(&self) -> bool {
-        self.pending_fills.is_empty() && self.walker.as_ref().is_none_or(|w| w.queue_len() == 0)
-    }
-
     /// Services the walker and applies due TLB fills. Call once per core
     /// cycle before translating.
     pub fn advance(&mut self, now: Cycle, mem: &mut MemorySystem, space: &AddressSpace) {

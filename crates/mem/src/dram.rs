@@ -87,11 +87,6 @@ impl Channel {
         done
     }
 
-    /// Cycle at which the channel can accept the next request.
-    pub fn next_free(&self) -> Cycle {
-        self.next_free
-    }
-
     /// Registers this channel's instruments under `prefix`.
     pub fn register_metrics(&self, prefix: &str, reg: &mut gmmu_sim::metrics::MetricsRegistry) {
         reg.counter(format!("{prefix}.requests"), self.requests.get());

@@ -208,26 +208,6 @@ impl MemorySystem {
         MemResult { complete, l2_hit }
     }
 
-    /// The earliest cycle after `now` at which a slice port or DRAM
-    /// channel frees up, or `None` when the system is uncontended.
-    ///
-    /// The memory system is purely *reactive*: it holds no queued work
-    /// of its own — every access computes its completion time the
-    /// moment it is issued, and the per-slice / per-channel
-    /// reservations are only consulted by later accesses. The drive
-    /// loop therefore does not need this in any core's wake cycle (cores
-    /// already track their own completion times), and a core that did
-    /// not issue may sleep while others access memory; it is exposed
-    /// for diagnostics and API symmetry with the cores.
-    pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        self.slice_next_free
-            .iter()
-            .copied()
-            .chain(self.channels.iter().map(|c| c.next_free()))
-            .filter(|&c| c > now)
-            .min()
-    }
-
     /// Whether `line` is currently resident in its L2 slice (no side
     /// effects).
     pub fn probe_l2(&self, line: u64) -> bool {

@@ -98,7 +98,7 @@ impl FaultInjectConfig {
         }
     }
 
-    /// The smoke configuration `--fault-inject` runs: moderate rates of
+    /// The smoke configuration `gmmu fault-inject` runs: moderate rates of
     /// every fault class at once, so each recovery path is exercised.
     pub fn smoke(seed: u64) -> Self {
         Self {

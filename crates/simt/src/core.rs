@@ -25,7 +25,6 @@ use gmmu_sim::observe::{Event, Observer};
 use gmmu_sim::stats::{Counter, Histogram, Summary};
 use gmmu_sim::Cycle;
 use gmmu_vm::{AddressSpace, PageSize, Ppn, VAddr, Vpn};
-use std::cell::Cell;
 
 /// Statistics gathered by one shader core.
 #[derive(Debug, Clone, Default)]
@@ -699,15 +698,6 @@ pub struct ShaderCore {
     /// Faulted `(asid, page)` pairs not yet reported to the GPU's fault
     /// handler.
     pub(crate) pending_faults: Vec<(u16, Vpn)>,
-    /// Memoized [`ShaderCore::next_event_at`] result (`None` = invalid;
-    /// `Some(inner)` = the last computed answer). [`ShaderCore::tick`]
-    /// keeps it across *quiet* ticks — cycles that provably changed no
-    /// state the computation reads — and drops it otherwise; it folds
-    /// in the MMU's timers, which move while walks are in flight.
-    /// External timer sources ([`ShaderCore::push_block`],
-    /// [`ShaderCore::resolve_fault`], [`ShaderCore::shootdown`]) drop
-    /// it too.
-    next_event_cache: Cell<Option<Option<Cycle>>>,
 }
 
 impl ShaderCore {
@@ -757,7 +747,6 @@ impl ShaderCore {
             fault: cfg.fault,
             fault_waiters: std::collections::HashMap::new(),
             pending_faults: Vec::new(),
-            next_event_cache: Cell::new(None),
         }
     }
 
@@ -768,7 +757,6 @@ impl ShaderCore {
 
     /// Queues tenant `asid`'s thread block for execution on this core.
     pub fn push_block_asid(&mut self, asid: u16, first_tid: ThreadId, n_threads: u32) {
-        self.invalidate_next_event_cache();
         self.block_queue.push_back(BlockWork {
             asid,
             first_tid,
@@ -881,16 +869,15 @@ impl ShaderCore {
         }
     }
 
-    /// Fills free block slots from the queue; returns whether any block
-    /// was dispatched. `kernels` is indexed by each queued block's ASID.
-    fn dispatch_blocks(&mut self, kernels: &[&dyn Kernel], now: Cycle) -> bool {
+    /// Fills free block slots from the queue. `kernels` is indexed by
+    /// each queued block's ASID.
+    fn dispatch_blocks(&mut self, kernels: &[&dyn Kernel], now: Cycle) {
         // Finished slots were reaped at the end of the tick that retired
         // them (nothing changes between ticks), so dispatch only needs
         // to look for free slots when there is something to place.
         if self.block_queue.is_empty() {
-            return false;
+            return;
         }
-        let mut dispatched = false;
         match &mut self.exec {
             ExecMode::Baseline { warps, set } => {
                 let wpb = self.warps_per_block;
@@ -899,7 +886,6 @@ impl ShaderCore {
                         break;
                     };
                     let end_pc = kernels[block.asid as usize].program().end_pc();
-                    dispatched = true;
                     self.slot_occupied |= 1 << slot;
                     self.slot_started[slot] = now;
                     self.slot_asid[slot] = block.asid;
@@ -936,10 +922,9 @@ impl ShaderCore {
                     "TBC is single-tenant"
                 );
                 let end_pc = kernels[0].program().end_pc();
-                dispatched = tbc.dispatch_blocks(&mut self.block_queue, end_pc, now);
+                tbc.dispatch_blocks(&mut self.block_queue, end_pc, now);
             }
         }
-        dispatched
     }
 
     /// The earliest cycle after `now` (the cycle just ticked) at which
@@ -951,37 +936,7 @@ impl ShaderCore {
     /// (which can release throttled warps), and block dispatch into a
     /// free slot. Warps waiting on pages carry no timer of their own —
     /// the MMU fill that wakes them is already a candidate.
-    ///
-    /// The answer is memoized: a cached future value is reused as long
-    /// as every tick since it was computed was *quiet* (see
-    /// [`ShaderCore::tick`]), because a quiet tick arms no timer and
-    /// the clamp terms (`now + 1` floors) only ever rise with `now`. A
-    /// cached value at or before `now`, or any non-quiet activity,
-    /// forces a recompute.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        if let Some(cached) = self.next_event_cache.get() {
-            match cached {
-                None => return None,
-                Some(c) if c > now => return Some(c),
-                Some(_) => {}
-            }
-        }
-        let fresh = self.compute_next_event_at(now);
-        self.next_event_cache.set(Some(fresh));
-        fresh
-    }
-
-    /// Drops the memoized next-event value, forcing the next
-    /// [`ShaderCore::next_event_at`] call to recompute. The core does
-    /// this itself wherever state changes; the public entry point exists
-    /// so the hot-path microbenchmark can measure the uncached scan.
-    pub fn invalidate_next_event_cache(&self) {
-        self.next_event_cache.set(None);
-    }
-
-    /// The computation behind [`ShaderCore::next_event_at`]: the
-    /// core-local timers plus the MMU's next timer.
-    fn compute_next_event_at(&self, now: Cycle) -> Option<Cycle> {
         let mut next = self.compute_core_timers(now)?;
         if let Some(c) = self.path.mmu.next_event_at() {
             next = next.min(c.max(now + 1));
@@ -995,8 +950,7 @@ impl ShaderCore {
     /// decay epoch that may release a throttled unit, and dispatch into
     /// a free slot. `None` when the core has no work at all. Every
     /// returned cycle exceeds `now` (timers beyond `now`, `now + 1`
-    /// floors), which is what lets the memoized value's staleness be
-    /// detected by comparison against the current cycle alone.
+    /// floors).
     fn compute_core_timers(&self, now: Cycle) -> Option<Cycle> {
         if !self.has_work() {
             return None;
@@ -1053,7 +1007,6 @@ impl ShaderCore {
     /// shootdown epoch bump; the resulting [`MmuEvent::Squashed`] events
     /// drain on this core's next tick.
     pub fn shootdown(&mut self, now: Cycle) {
-        self.invalidate_next_event_cache();
         self.path.mmu.shootdown(now);
     }
 
@@ -1061,7 +1014,6 @@ impl ShaderCore {
     /// flushes only its TLB entries (or, in flush-on-switch mode, the
     /// whole TLB when the victim is resident).
     pub fn shootdown_asid(&mut self, now: Cycle, asid: u16) {
-        self.invalidate_next_event_cache();
         self.path.mmu.shootdown_asid(now, asid);
     }
 
@@ -1094,9 +1046,6 @@ impl ShaderCore {
         else {
             return false;
         };
-        // This arms `ready_at` timers outside of a tick: the cached
-        // next-event value could otherwise skip straight past the wake.
-        self.invalidate_next_event_cache();
         for unit in waiters {
             match &mut self.exec {
                 ExecMode::Baseline { warps, set } => {
@@ -1251,7 +1200,7 @@ impl ShaderCore {
         obs: &mut Observer,
     ) -> u64 {
         obs.core = self.id as u32;
-        let dispatched = self.dispatch_blocks(ctx.kernels, now);
+        self.dispatch_blocks(ctx.kernels, now);
         let core = obs.core;
         let path = &mut self.path;
         // Catch up the decay epochs strictly before `now` first: a core
@@ -1262,7 +1211,6 @@ impl ShaderCore {
             cpm.tick(now.saturating_sub(1));
         }
         path.l1_mshrs.expire(now);
-        let mmu_was_idle = path.mmu.is_idle();
         path.mmu.advance_tenants(now, mem, ctx.spaces, obs);
         self.events.clear();
         self.events.extend(path.mmu.events());
@@ -1358,20 +1306,15 @@ impl ShaderCore {
             cpm.tick(now);
         }
 
-        // `could_issue` is whether any unit could act this cycle,
-        // captured against pre-issue state: a due-but-gated warp counts,
-        // as `issue_allowed` perturbs policy state even when it denies.
-        let (issued, could_issue, live): (u64, bool, bool) = match &mut self.exec {
+        let (issued, live) = match &mut self.exec {
             ExecMode::Baseline { warps, set } => {
                 set.advance(now);
-                let could = set.due != 0;
                 let issued = baseline_issue(path, warps, set, &mut self.rr_ptr, now, mem, ctx, obs)
                     .map_or(0, |asid| 1u64 << (asid as u32 & 63));
-                (issued, could, set.live != 0)
+                (issued, set.live != 0)
             }
             ExecMode::Tbc(t) => {
                 debug_assert_eq!(ctx.spaces.len(), 1, "TBC is single-tenant");
-                let could = t.has_ready_work(now);
                 let issued = u64::from(t.issue(
                     path,
                     now,
@@ -1381,17 +1324,9 @@ impl ShaderCore {
                     ctx.iters,
                     obs,
                 ));
-                (issued, could, t.has_work())
+                (issued, t.has_work())
             }
         };
-        // A quiet tick touched nothing `next_event_at` reads: no block
-        // dispatched, the MMU had nothing to advance, no events drained,
-        // and no unit could issue (so no executor or policy mutation
-        // either). Only then may the memoized value survive.
-        let quiet = !dispatched && mmu_was_idle && self.events.is_empty() && !could_issue;
-        if !quiet {
-            self.next_event_cache.set(None);
-        }
         if live {
             path.stats.live_cycles.inc();
             if issued == 0 {
@@ -1401,11 +1336,7 @@ impl ShaderCore {
                     .add(classify_stall(&self.exec, now), 1);
             }
         }
-        // Blocks can only finish on a tick that mutated unit state, so
-        // a quiet tick has nothing to reap.
-        if !quiet {
-            self.reap_blocks(now, obs);
-        }
+        self.reap_blocks(now, obs);
         #[cfg(debug_assertions)]
         self.check_warp_set(now);
         issued

@@ -403,29 +403,6 @@ fn settle(core: &mut ShaderCore, credited: &mut Cycle, to: Cycle) {
     }
 }
 
-/// How much work the drive loop did in the last run: the cycles it
-/// visited and the core ticks it made on them. Host-side bookkeeping,
-/// kept out of [`RunStats`] because those must match the per-cycle
-/// loop exactly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DriveCounts {
-    /// Cycles the loop stopped on.
-    pub visited_cycles: u64,
-    /// Core ticks summed over the visited cycles.
-    pub core_ticks: u64,
-}
-
-impl DriveCounts {
-    /// Mean core ticks per visited cycle (0 before any run).
-    pub fn core_ticks_per_visited_cycle(&self) -> f64 {
-        if self.visited_cycles == 0 {
-            0.0
-        } else {
-            self.core_ticks as f64 / self.visited_cycles as f64
-        }
-    }
-}
-
 /// A configured GPU ready to run kernels.
 ///
 /// # Examples
@@ -437,7 +414,6 @@ pub struct Gpu {
     config: GpuConfig,
     cores: Vec<ShaderCore>,
     mem: MemorySystem,
-    counts: DriveCounts,
 }
 
 impl Gpu {
@@ -447,22 +423,12 @@ impl Gpu {
             .map(|id| ShaderCore::new(id, &config))
             .collect();
         let mem = MemorySystem::new(config.mem);
-        Self {
-            config,
-            cores,
-            mem,
-            counts: DriveCounts::default(),
-        }
+        Self { config, cores, mem }
     }
 
     /// The configuration this GPU was built with.
     pub fn config(&self) -> &GpuConfig {
         &self.config
-    }
-
-    /// Visited cycles and core ticks of the last run.
-    pub fn drive_counts(&self) -> DriveCounts {
-        self.counts
     }
 
     /// Runs `kernel` to completion against `space` and returns the
@@ -713,9 +679,7 @@ impl Gpu {
         // idle accounting core `i` has not received.
         let mut wake: Vec<Cycle> = vec![0; self.cores.len()];
         let mut credited: Vec<Cycle> = vec![0; self.cores.len()];
-        let mut counts = DriveCounts::default();
         loop {
-            counts.visited_cycles += 1;
             // Injected shootdown storms: remap a deterministically-chosen
             // region of a deterministically-chosen victim tenant, bumping
             // the epoch the check below observes. Storm cycles are folded
@@ -817,7 +781,6 @@ impl Gpu {
                 settle(core, &mut credited[i], now);
                 let bits = core.tick_tenants(now, &mut self.mem, &mut ctx, obs);
                 credited[i] = now + 1;
-                counts.core_ticks += 1;
                 issued |= bits;
                 live |= core.has_work();
                 wake[i] = if legacy || bits != 0 {
@@ -967,7 +930,6 @@ impl Gpu {
         for (core, c) in self.cores.iter_mut().zip(&mut credited) {
             settle(core, c, end);
         }
-        self.counts = counts;
         if let Some(rec) = obs.intervals.as_mut() {
             rec.finish(now, Self::totals(&self.cores, &self.mem, &obs.metrics));
         }

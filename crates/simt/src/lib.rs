@@ -43,7 +43,7 @@ pub mod tbc;
 
 pub use config::{CoreTimings, FaultConfig, GpuConfig};
 pub use gmmu_sim::observe::{self, IntervalRecorder, IntervalSample, Observer};
-pub use gpu::{DriveCounts, Gpu, RunStats, TenantJob, TenantPolicy, TenantStats};
+pub use gpu::{Gpu, RunStats, TenantJob, TenantPolicy, TenantStats};
 pub use program::{Kernel, MemKind, Op, Program};
 pub use stack::SimtStack;
 pub use stall::{StallBreakdown, StallCause};

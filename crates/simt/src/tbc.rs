@@ -188,40 +188,6 @@ impl TbcState {
         (next != Cycle::MAX).then_some(next)
     }
 
-    /// Whether an [`TbcState::issue`] call at `now` would do anything:
-    /// some unit is schedulable, or barrier/completion maintenance is
-    /// pending on a block (a level whose units are all done or all at a
-    /// branch — popping or compacting arms new timers even though
-    /// nothing issues). The core's next-event cache treats a tick as
-    /// quiet only when this is false, so state the cache depends on
-    /// cannot change behind its back.
-    pub(crate) fn has_ready_work(&self, now: Cycle) -> bool {
-        for block in &self.blocks {
-            if !block.active {
-                continue;
-            }
-            let Some(top) = block.levels.last() else {
-                return true; // empty stack: the block finishes this tick
-            };
-            let mut all_done = true;
-            let mut all_at_branch = !top.units.is_empty();
-            let mut any_at_branch = false;
-            for &u in &top.units {
-                let unit = &self.units[u as usize];
-                if unit.schedulable(now) {
-                    return true;
-                }
-                all_done &= unit.done_at_rpc;
-                any_at_branch |= unit.at_branch;
-                all_at_branch &= unit.at_branch || unit.done_at_rpc;
-            }
-            if all_done || (all_at_branch && any_at_branch) {
-                return true;
-            }
-        }
-        false
-    }
-
     /// Maximum dynamic-warp contexts ever live (diagnostics).
     #[allow(dead_code)]
     pub(crate) fn peak_units(&self) -> usize {
@@ -397,23 +363,20 @@ impl TbcState {
         }
     }
 
-    /// Fills idle block slots from the queue; returns whether any block
-    /// was dispatched.
+    /// Fills idle block slots from the queue.
     pub(crate) fn dispatch_blocks(
         &mut self,
         queue: &mut VecDeque<BlockWork>,
         end_pc: u32,
         now: Cycle,
-    ) -> bool {
-        let mut dispatched = false;
+    ) {
         for b in 0..self.blocks.len() {
             if self.blocks[b].active {
                 continue;
             }
             let Some(work) = queue.pop_front() else {
-                return dispatched;
+                return;
             };
-            dispatched = true;
             let mut units = self.grab_units();
             for w in 0..self.warps_per_block {
                 let first = work.first_tid + (w as u32) * 32;
@@ -445,7 +408,6 @@ impl TbcState {
                 resume_pc: None,
             });
         }
-        dispatched
     }
 
     /// One issue attempt: barrier/completion maintenance, then execute

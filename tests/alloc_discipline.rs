@@ -17,8 +17,10 @@
 //! * run setup and teardown (kernel/space construction, stats).
 //!
 //! Anything not on that list that allocates per cycle is a regression
-//! the assertions below catch. The same counter backs the
-//! `allocs-per-kilocycle` section of the `hotpath` benchmark binary.
+//! the assertions below catch. The whole-run test also prints each
+//! run's allocations per simulated kilocycle (`cargo test --release
+//! --test alloc_discipline`); `ci/perf_trajectory.tsv` records that
+//! figure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -226,31 +228,44 @@ fn event_loop_is_allocation_free() {
     assert!(core.has_work(), "kernel drained inside the window");
 }
 
-/// Whole-run allocation budget under each drive loop: one tiny
-/// workload end to end, counting *everything* (construction, warm-up,
-/// teardown). The budget is deliberately loose — it documents the order
-/// of magnitude and catches a reintroduced per-cycle allocation, which
-/// would blow through it by 100x.
+/// Whole-run allocation budget under each drive loop: bfs at tiny
+/// scale end to end, counting *everything* (construction, warm-up,
+/// teardown), under the augmented MMU and under the naive blocking TLB
+/// (`designs::naive3`), whose reject-and-replay path the augmented run
+/// never takes. Today's rates are ~12 and ~5 allocations per simulated
+/// kilocycle; a reintroduced per-cycle allocation pushes a run past
+/// 1000, so a budget of 30 catches it without flaking on allocator
+/// noise.
 fn whole_run_allocation_budget_per_engine() {
+    use gmmu::experiments::designs;
     use gmmu::prelude::*;
     let w = build(Bench::Bfs, Scale::Tiny, 7);
-    let budget = 60u64;
-    for (label, tick_every_cycle) in [("skip", false), ("per-cycle", true)] {
-        let mut cfg = gmmu::ExperimentOpts::quick().gpu(MmuModel::augmented());
-        cfg.tick_every_cycle = tick_every_cycle;
-        // First run warms nothing across runs (each run builds a fresh
-        // GPU), so measure a single complete run.
-        let before = allocs();
-        let stats = gmmu_simt::gpu::run_kernel(cfg, w.kernel.as_ref(), &w.space);
-        let after = allocs();
-        let per_kcycle = (after - before) as f64 / (stats.cycles as f64 / 1000.0);
-        assert!(
-            per_kcycle <= budget as f64,
-            "{label}: {:.1} allocs per simulated kilocycle (budget {budget}) \
-             over {} cycles",
-            per_kcycle,
-            stats.cycles,
-        );
+    let budget = 30.0;
+    for (mmu_label, mmu) in [
+        ("augmented", designs::augmented()),
+        ("naive3", designs::naive3()),
+    ] {
+        for (loop_label, tick_every_cycle) in [("skip", false), ("per-cycle", true)] {
+            let mut cfg = gmmu::ExperimentOpts::quick().gpu(mmu);
+            cfg.tick_every_cycle = tick_every_cycle;
+            // First run warms nothing across runs (each run builds a
+            // fresh GPU), so measure a single complete run.
+            let before = allocs();
+            let stats = gmmu_simt::gpu::run_kernel(cfg, w.kernel.as_ref(), &w.space);
+            let after = allocs();
+            let per_kcycle = (after - before) as f64 / (stats.cycles as f64 / 1000.0);
+            println!(
+                "{mmu_label} {loop_label}: {per_kcycle:.1} allocs per simulated kilocycle \
+                 over {} cycles",
+                stats.cycles
+            );
+            assert!(
+                per_kcycle <= budget,
+                "{mmu_label} {loop_label}: {per_kcycle:.1} allocs per simulated kilocycle \
+                 (budget {budget}) over {} cycles",
+                stats.cycles,
+            );
+        }
     }
 }
 
