@@ -685,48 +685,7 @@ impl Mmu {
             return TranslateOutcome::AllHit { ready_at: now };
         };
 
-        // Injected transient queue-full rejection: the request bounces
-        // exactly as if an internal buffer were momentarily full. Drawn
-        // from the tenant's own stream (identical to the legacy stream
-        // for ASID 0).
-        if let Some(inj) = &self.inject {
-            if inj.reject_t(asid, now, requester as u64) {
-                self.rejects.inc();
-                return TranslateOutcome::Reject { retry_at: now + 8 };
-            }
-        }
-
-        // Blocking TLB: any outstanding walk blocks all memory
-        // instructions (Section 6.2).
-        if !tlb_cfg.mode.hits_under_miss() && !self.mshrs.is_empty() {
-            self.rejects.inc();
-            let earliest = self.mshrs.earliest_completion();
-            let retry_at = if earliest == gmmu_sim::NEVER {
-                now + 8
-            } else {
-                earliest.max(now + 1)
-            };
-            return TranslateOutcome::Reject { retry_at };
-        }
-
-        // If the MSHR file is completely full and this request needs a
-        // fresh walk, nothing can be registered: reject (probe-only, so
-        // no side effects). Partially free files accept what they can —
-        // the remaining pages stay pending and re-present on replay,
-        // like hardware splitting a wide request.
-        let tlb = self.tlb.as_ref().expect("real model has a TLB");
-        if self.mshrs.len() == self.mshrs.capacity()
-            && pages.iter().any(|p| {
-                !tlb.probe_asid(tag, p.vpn) && self.mshrs.lookup(tkey(asid, p.vpn)).is_none()
-            })
-        {
-            self.rejects.inc();
-            let earliest = self.mshrs.earliest_completion();
-            let retry_at = if earliest == gmmu_sim::NEVER {
-                now + 8
-            } else {
-                earliest.max(now + 1)
-            };
+        if let Some(retry_at) = self.reject(now, requester, asid, pages) {
             return TranslateOutcome::Reject { retry_at };
         }
 
@@ -807,6 +766,81 @@ impl Mmu {
             ready_at,
             misses: registered,
         }
+    }
+
+    /// Whether a request that needs no tenant switch is rejected at
+    /// `now`: by an injected transient rejection, by the blocking TLB
+    /// while any walk is outstanding, or by a full MSHR file that one of
+    /// its missing pages would need. A reject is counted and returns the
+    /// earliest cycle worth retrying; an accepted request returns `None`
+    /// and changes nothing. Rejects run before port arbitration and LRU
+    /// stamping, so counting is a reject's only side effect.
+    fn reject(
+        &mut self,
+        now: Cycle,
+        requester: u16,
+        asid: u16,
+        pages: &[PageReq],
+    ) -> Option<Cycle> {
+        let MmuModel::Real { tlb: tlb_cfg, .. } = self.model else {
+            return None;
+        };
+        // Injected transient queue-full rejection: the request bounces
+        // exactly as if an internal buffer were momentarily full. Drawn
+        // from the tenant's own stream (identical to the legacy stream
+        // for ASID 0).
+        if let Some(inj) = &self.inject {
+            if inj.reject_t(asid, now, requester as u64) {
+                self.rejects.inc();
+                return Some(now + 8);
+            }
+        }
+        // Blocking TLB: any outstanding walk blocks all memory
+        // instructions (Section 6.2).
+        let blocked = !tlb_cfg.mode.hits_under_miss() && !self.mshrs.is_empty();
+        // If the MSHR file is completely full and this request needs a
+        // fresh walk, nothing can be registered: reject (probe-only, so
+        // no side effects). Partially free files accept what they can —
+        // the remaining pages stay pending and re-present on replay,
+        // like hardware splitting a wide request.
+        let full = || {
+            let tag = if self.tagged { asid } else { 0 };
+            let tlb = self.tlb.as_ref().expect("real model has a TLB");
+            self.mshrs.len() == self.mshrs.capacity()
+                && pages.iter().any(|p| {
+                    !tlb.probe_asid(tag, p.vpn) && self.mshrs.lookup(tkey(asid, p.vpn)).is_none()
+                })
+        };
+        if !blocked && !full() {
+            return None;
+        }
+        self.rejects.inc();
+        let earliest = self.mshrs.earliest_completion();
+        Some(if earliest == gmmu_sim::NEVER {
+            now + 8
+        } else {
+            earliest.max(now + 1)
+        })
+    }
+
+    /// The reject half of [`Mmu::translate_tenant`] alone: when the
+    /// request would be rejected at `now`, counts the reject and returns
+    /// the same `retry_at`, leaving the MMU exactly as the rejected
+    /// translation would. Returns `None` with no side effect when the
+    /// request would be accepted, or would first flush an untagged TLB
+    /// on a tenant switch. The core uses it to commit a run of bounces
+    /// without ticking through them.
+    pub fn probe_reject(
+        &mut self,
+        now: Cycle,
+        requester: u16,
+        asid: u16,
+        pages: &[PageReq],
+    ) -> Option<Cycle> {
+        if !self.tagged && asid != self.current_asid {
+            return None;
+        }
+        self.reject(now, requester, asid, pages)
     }
 
     /// Flushes the TLB (shootdown from the launching CPU, Section 6.2).
@@ -1270,5 +1304,111 @@ mod tests {
         r.mmu.flush_tlb();
         let out = r.mmu.translate(now, 0, &[pr(p, 0)], &r.space, &mut r.buf);
         assert!(matches!(out, TranslateOutcome::Miss { .. }));
+    }
+
+    /// Everything an accepted translation or a tenant switch would move.
+    fn footprint(r: &Rig) -> (u64, u64, u64, Cycle, usize, u16, u64) {
+        let m = &r.mmu;
+        (
+            m.rejects.get(),
+            m.switch_flushes.get(),
+            m.stamp,
+            m.lookup_next_free,
+            m.mshrs.len(),
+            m.current_asid,
+            m.tlb.as_ref().map_or(0, |t| t.accesses.get()),
+        )
+    }
+
+    /// `probe_reject` is `translate_tenant`'s reject decision alone: on
+    /// each reject branch it returns the same `retry_at` and counts one
+    /// reject; on an accepted request, or a tenant switch that would
+    /// flush an untagged TLB, it returns `None` and moves nothing.
+    #[test]
+    fn probe_reject_matches_translate_rejects_and_is_inert_otherwise() {
+        let same_reject = |r: &mut Rig, now: Cycle, warp: u16, pages: &[PageReq]| {
+            let before = r.mmu.rejects.get();
+            let probed = r.mmu.probe_reject(now, warp, 0, pages);
+            assert_eq!(r.mmu.rejects.get(), before + 1, "probe counts one reject");
+            let out = r.mmu.translate(now, warp, pages, &r.space, &mut r.buf);
+            assert_eq!(r.mmu.rejects.get(), before + 2);
+            match (probed, out) {
+                (Some(a), TranslateOutcome::Reject { retry_at }) => assert_eq!(a, retry_at),
+                other => panic!("probe and translate disagree: {other:?}"),
+            }
+        };
+
+        // Injected rejection.
+        let mut r = rig(MmuModel::naive());
+        r.mmu.set_injection(Some(FaultInjectConfig {
+            seed: 3,
+            reject_rate: 1.0,
+            ..FaultInjectConfig::off()
+        }));
+        r.mmu.advance(0, &mut r.mem, &r.space);
+        let p0 = pr(page(&r, 0), 0);
+        same_reject(&mut r, 0, 0, &[p0]);
+
+        // Blocking TLB with a walk outstanding, before and after the
+        // walk's completion is known.
+        let mut r = rig(MmuModel::naive());
+        r.mmu.advance(0, &mut r.mem, &r.space);
+        let _ = r
+            .mmu
+            .translate(0, 0, &[pr(page(&r, 0), 0)], &r.space, &mut r.buf);
+        let p1 = pr(page(&r, 1), 1);
+        same_reject(&mut r, 1, 1, &[p1]);
+        for now in 2..=4 {
+            r.mmu.advance(now, &mut r.mem, &r.space);
+        }
+        same_reject(&mut r, 4, 1, &[p1]);
+
+        // Full MSHR file and a page that needs a fresh walk.
+        let model = MmuModel::Real {
+            tlb: TlbConfig {
+                mshrs: 2,
+                mode: TlbMode::HitUnderMiss,
+                ..TlbConfig::naive()
+            },
+            walker: WalkerConfig::serial(),
+        };
+        let mut r = rig(model);
+        r.mmu.advance(0, &mut r.mem, &r.space);
+        let two = [pr(page(&r, 0), 0), pr(page(&r, 1), 0)];
+        let _ = r.mmu.translate(0, 0, &two, &r.space, &mut r.buf);
+        let p2 = pr(page(&r, 2), 2);
+        same_reject(&mut r, 1, 2, &[p2]);
+
+        // Accepted: nothing moves, and the translation that follows is
+        // the one an unprobed MMU would make.
+        let mut r = rig(MmuModel::naive());
+        r.mmu.advance(0, &mut r.mem, &r.space);
+        let p = pr(page(&r, 5), 0);
+        let before = footprint(&r);
+        assert_eq!(r.mmu.probe_reject(0, 0, 0, &[p]), None);
+        assert_eq!(footprint(&r), before);
+        let out = r.mmu.translate(0, 0, &[p], &r.space, &mut r.buf);
+        assert!(matches!(out, TranslateOutcome::Miss { misses: 1, .. }));
+
+        // Flush-on-switch: another tenant's request while a walk blocks
+        // the TLB would flush before rejecting, so the probe declines.
+        let mut r = rig(MmuModel::naive());
+        r.mmu.set_tagging(false);
+        r.mmu.advance(0, &mut r.mem, &r.space);
+        let warm = page(&r, 7);
+        let _ = r.mmu.translate(0, 0, &[pr(warm, 0)], &r.space, &mut r.buf);
+        let (now, _) = settle(&mut r, 1);
+        let _ = r
+            .mmu
+            .translate(now, 0, &[pr(page(&r, 8), 0)], &r.space, &mut r.buf);
+        let before = footprint(&r);
+        assert_eq!(r.mmu.probe_reject(now + 1, 1, 1, &[pr(warm, 1)]), None);
+        assert_eq!(footprint(&r), before);
+        assert!(
+            r.mmu.tlb().unwrap().probe_asid(0, warm),
+            "the probe flushed the untagged TLB"
+        );
+        // The same tenant's request is still rejected as usual.
+        assert!(r.mmu.probe_reject(now + 1, 1, 0, &[pr(warm, 1)]).is_some());
     }
 }

@@ -698,6 +698,10 @@ pub struct ShaderCore {
     /// Faulted `(asid, page)` pairs not yet reported to the GPU's fault
     /// handler.
     pub(crate) pending_faults: Vec<(u16, Vpn)>,
+    /// Baseline mode: the ASID of the warp whose issue the MMU rejected
+    /// on the last tick, if it bounced; [`ShaderCore::bounce_ahead`]
+    /// runs only after such a tick.
+    bounced: Option<u16>,
 }
 
 impl ShaderCore {
@@ -747,6 +751,7 @@ impl ShaderCore {
             fault: cfg.fault,
             fault_waiters: std::collections::HashMap::new(),
             pending_faults: Vec::new(),
+            bounced: None,
         }
     }
 
@@ -1309,8 +1314,9 @@ impl ShaderCore {
         let (issued, live) = match &mut self.exec {
             ExecMode::Baseline { warps, set } => {
                 set.advance(now);
-                let issued = baseline_issue(path, warps, set, &mut self.rr_ptr, now, mem, ctx, obs)
-                    .map_or(0, |asid| 1u64 << (asid as u32 & 63));
+                let issue = baseline_issue(path, warps, set, &mut self.rr_ptr, now, mem, ctx, obs);
+                self.bounced = issue.and_then(|(asid, bounced)| bounced.then_some(asid));
+                let issued = issue.map_or(0, |(asid, _)| 1u64 << (asid as u32 & 63));
                 (issued, set.live != 0)
             }
             ExecMode::Tbc(t) => {
@@ -1341,6 +1347,69 @@ impl ShaderCore {
         self.check_warp_set(now);
         issued
     }
+
+    /// Runs a bounce storm ahead: after a tick at `now` whose issue the
+    /// MMU rejected, commits the bounces that ticking each following
+    /// cycle would make and returns the last cycle committed (`now` when
+    /// none). The drive loop then counts the core as ticked, and issuing,
+    /// through that cycle.
+    ///
+    /// Cycle `c` is a bounce when the first due warp in round-robin
+    /// order holds a pending access of the bounced warp's ASID that
+    /// [`Mmu::probe_reject`] rejects at `c`. It commits what `exec_one`
+    /// and the tick commit for one: a replay, a live cycle, the reject
+    /// count, the backoff timer, the warp set and `rr_ptr`. The run
+    /// stops before `limit` (the drive loop's global timers), before the
+    /// MMU's next fill or walk start and before the next decay epoch, and
+    /// does not start while a queued block has a free slot: nothing else
+    /// a tick reacts to can change inside it. TBC cores never run ahead.
+    pub fn bounce_ahead(&mut self, now: Cycle, limit: Cycle) -> Cycle {
+        let Some(asid) = self.bounced.take() else {
+            return now;
+        };
+        let ExecMode::Baseline { warps, set } = &mut self.exec else {
+            return now;
+        };
+        let wpb = self.warps_per_block;
+        if !self.block_queue.is_empty() && set.free_slots(wpb, warps.len() / wpb) != 0 {
+            return now;
+        }
+        // Baseline cores have no CPM; the policy's epoch is the only
+        // decay timer.
+        let path = &mut self.path;
+        let end = [path.mmu.next_event_at(), path.policy.next_event_at()]
+            .into_iter()
+            .flatten()
+            .fold(limit, Cycle::min);
+        let mut c = now + 1;
+        while c < end {
+            set.advance(c);
+            let Some(w) = rr_order(set.due, self.rr_ptr).next() else {
+                break;
+            };
+            let warp = &mut warps[w];
+            let Some(pending) = warp.pending.as_ref().filter(|_| warp.asid == asid) else {
+                break;
+            };
+            let Some(retry_at) = path
+                .mmu
+                .probe_reject(c, w as u16, asid, &pending.refs.pages)
+            else {
+                break;
+            };
+            path.stats.replays.inc();
+            path.stats.live_cycles.inc();
+            warp.ready_at = retry_at.max(c + 1);
+            warp.wait = WaitKind::Reject;
+            set.sync(w, warp, c);
+            self.rr_ptr = (w + 1) % warps.len();
+            c += 1;
+        }
+        // The set stands advanced to `c`, the cycle the core ticks next.
+        #[cfg(debug_assertions)]
+        self.check_warp_set(c);
+        c - 1
+    }
 }
 
 /// Names the dominant blocker of a live-but-idle cycle: every non-done
@@ -1363,7 +1432,8 @@ fn classify_stall(exec: &ExecMode, now: Cycle) -> StallCause {
 
 /// Picks and executes one instruction from the baseline warps: the
 /// first due warp in round-robin order from `rr_ptr` that the locality
-/// policy lets issue. Returns the issuing warp's ASID.
+/// policy lets issue. Returns the issuing warp's ASID and whether the
+/// MMU rejected its access.
 #[allow(clippy::too_many_arguments)]
 fn baseline_issue(
     path: &mut MemPath,
@@ -1374,7 +1444,7 @@ fn baseline_issue(
     mem: &mut MemorySystem,
     ctx: &mut RunCtx<'_, '_>,
     obs: &mut Observer,
-) -> Option<u16> {
+) -> Option<(u16, bool)> {
     for w in rr_order(set.due, *rr_ptr) {
         // CCWS-style throttling gates *memory* instructions: throttled
         // warps may still run ALU/branch work, and a warp with a pending
@@ -1393,16 +1463,17 @@ fn baseline_issue(
             }
         }
         let asid = warps[w].asid;
-        exec_one(path, warps, w, now, mem, ctx, obs);
+        let bounced = exec_one(path, warps, w, now, mem, ctx, obs);
         set.sync(w, &warps[w], now);
         *rr_ptr = (w + 1) % warps.len();
-        return Some(asid);
+        return Some((asid, bounced));
     }
     None
 }
 
 /// Executes the next instruction of baseline warp `w` against its
 /// tenant's kernel, address space, and iteration-counter slice.
+/// Returns whether the MMU rejected (bounced) a memory access.
 fn exec_one(
     path: &mut MemPath,
     warps: &mut [Warp],
@@ -1411,7 +1482,7 @@ fn exec_one(
     mem: &mut MemorySystem,
     ctx: &mut RunCtx<'_, '_>,
     obs: &mut Observer,
-) {
+) -> bool {
     let asid = warps[w].asid;
     let kernel = ctx.kernels[asid as usize];
     let space = ctx.spaces[asid as usize];
@@ -1428,6 +1499,7 @@ fn exec_one(
             stack.advance(pc + 1);
             path.stats.instructions.inc();
             CoreStats::tenant_counter(&mut path.stats.tenant_instructions, asid).inc();
+            false
         }
         Op::Branch {
             site,
@@ -1451,6 +1523,7 @@ fn exec_one(
             warp.wait = WaitKind::Pipeline;
             path.stats.instructions.inc();
             CoreStats::tenant_counter(&mut path.stats.tenant_instructions, asid).inc();
+            false
         }
         Op::Mem { site, kind } => {
             if warp.pending.is_none() {
@@ -1486,16 +1559,19 @@ fn exec_one(
                     };
                     warp.stack.as_mut().expect("live warp").advance(pc + 1);
                     path.stash_refs(pending.refs);
+                    false
                 }
                 MemIssue::WaitTlb(misses) => {
                     warp.waiting_pages = misses;
                     pending.slept_at = now;
                     warp.pending = Some(pending);
+                    false
                 }
                 MemIssue::Retry(at) => {
                     warp.ready_at = at;
                     warp.wait = WaitKind::Reject;
                     warp.pending = Some(pending);
+                    true
                 }
             }
         }

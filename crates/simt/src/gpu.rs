@@ -8,7 +8,7 @@
 //! metric is [`RunStats::speedup_vs`] against the ideal-MMU run of the
 //! same configuration.
 
-use crate::config::GpuConfig;
+use crate::config::{FaultConfig, GpuConfig};
 use crate::core::{RunCtx, ShaderCore};
 use crate::program::Kernel;
 use crate::stall::StallBreakdown;
@@ -403,6 +403,32 @@ fn settle(core: &mut ShaderCore, credited: &mut Cycle, to: Cycle) {
     }
 }
 
+/// The first cycle at which one of the drive loop's global timers could
+/// change what a core sees, so a bounce storm run ahead from `now`
+/// stops before it: the cycle cap, a queued fault-handler completion,
+/// under demand paging the earliest completion of a fault raised from
+/// `now` on, the next storm, and each tenant-watchdog deadline plus one
+/// (the watchdog fires after that cycle's ticks).
+fn bounce_limit(
+    now: Cycle,
+    max_cycles: Cycle,
+    fault_q: &[((u16, Vpn), Cycle)],
+    fault: &FaultConfig,
+    storm: Option<Cycle>,
+    tenant_deadlines: impl Iterator<Item = Cycle>,
+) -> Cycle {
+    let mut limit = fault_q
+        .iter()
+        .map(|&(_, at)| at)
+        .chain(storm)
+        .chain(tenant_deadlines)
+        .fold(max_cycles, Cycle::min);
+    if fault.demand_paging {
+        limit = limit.min(now + fault.minor_latency.min(fault.major_latency).max(1));
+    }
+    limit
+}
+
 /// A configured GPU ready to run kernels.
 ///
 /// # Examples
@@ -638,6 +664,8 @@ impl Gpu {
     ) -> RunStats {
         let n_t = tenants.len();
         let track_tenants = n_t > 1;
+        // The per-tenant starvation watchdog is armed.
+        let watch_tenants = track_tenants && policy.watchdog > 0;
         let kernels: Vec<&dyn Kernel> = tenants.iter().map(|t| t.kernel).collect();
         let owned = tenants.iter_mut().any(|t| t.space.get_mut().is_some());
         // Each core sleeps until its own next event and the loop jumps
@@ -648,9 +676,14 @@ impl Gpu {
         // boundary, or when the loop shoots it down or resolves one of
         // its faults (which wake it). Its skipped ticks would have been
         // quiet, and are credited to the same idle/stall counters when
-        // it next runs (`settle`). Under `tick_every_cycle` every wake
-        // is `now + 1`: the per-cycle referee.
+        // it next runs (`settle`). A core whose issue bounced off its
+        // MMU commits the following cycles' bounces in place
+        // (`ShaderCore::bounce_ahead`, up to the global timers' `limit`)
+        // and is woken, credited and counted as issuing through the last
+        // of them. Under `tick_every_cycle` nothing runs ahead and every
+        // wake is `now + 1`: the per-cycle referee.
         let legacy = self.config.tick_every_cycle;
+        let max_cycles = self.config.max_cycles;
         let fault_cfg = self.config.fault;
         let injector = self
             .config
@@ -769,10 +802,15 @@ impl Gpu {
                 iters: &mut *iters,
                 iters_base,
             };
+            // `bounce_limit`, worked out at this cycle's first bounce.
+            let mut limit = None;
             // Due cores tick in id order, so the shared memory system
             // sees the per-cycle loop's access order.
             let mut live = false;
             let mut issued = 0u64;
+            // The last cycle any core issued through (bounce storms run
+            // ahead of `now`).
+            let mut issued_through = now;
             for (i, core) in self.cores.iter_mut().enumerate() {
                 if wake[i] > now {
                     live |= wake[i] != Cycle::MAX;
@@ -780,11 +818,37 @@ impl Gpu {
                 }
                 settle(core, &mut credited[i], now);
                 let bits = core.tick_tenants(now, &mut self.mem, &mut ctx, obs);
-                credited[i] = now + 1;
+                let through = if legacy || bits == 0 {
+                    now
+                } else {
+                    let limit = *limit.get_or_insert_with(|| {
+                        let storm = injector.as_ref().filter(|_| owned);
+                        bounce_limit(
+                            now,
+                            max_cycles,
+                            &fault_q,
+                            &fault_cfg,
+                            storm.and_then(|inj| inj.storm_at(next_storm)),
+                            (0..n_t)
+                                .filter(|&t| watch_tenants && finished_at[t] == UNFINISHED)
+                                .map(|t| progress_t[t] + policy.watchdog + 1),
+                        )
+                    });
+                    core.bounce_ahead(now, limit)
+                };
+                credited[i] = through + 1;
                 issued |= bits;
+                issued_through = issued_through.max(through);
+                if watch_tenants {
+                    for (t, p) in progress_t.iter_mut().enumerate() {
+                        if bits & (1u64 << (t as u32 & 63)) != 0 {
+                            *p = (*p).max(through);
+                        }
+                    }
+                }
                 live |= core.has_work();
                 wake[i] = if legacy || bits != 0 {
-                    now + 1
+                    through + 1
                 } else {
                     core.next_event_at(now).unwrap_or(Cycle::MAX)
                 };
@@ -835,9 +899,13 @@ impl Gpu {
             if !live {
                 break;
             }
+            // A bounce storm run ahead is issue progress through its end,
+            // so `last_progress` may lie beyond `now`.
             if issued != 0 {
-                last_progress = now;
-            } else if fault_cfg.watchdog > 0 && now - last_progress >= fault_cfg.watchdog {
+                last_progress = last_progress.max(issued_through);
+            } else if fault_cfg.watchdog > 0
+                && now.saturating_sub(last_progress) >= fault_cfg.watchdog
+            {
                 eprintln!(
                     "gmmu watchdog: no instruction issued for {} cycles \
                      (last progress at cycle {last_progress}, now {now})",
@@ -858,14 +926,10 @@ impl Gpu {
             // work must issue at least once per window, no matter what
             // its co-runners do. Fires even on cycles where *other*
             // tenants made progress — that is the whole point.
-            if policy.watchdog > 0 && track_tenants {
-                for (t, p) in progress_t.iter_mut().enumerate() {
-                    if issued & (1u64 << (t as u32 & 63)) != 0 {
-                        *p = now;
-                    }
-                }
+            if watch_tenants {
                 if let Some(starved) = (0..n_t).find(|&t| {
-                    finished_at[t] == UNFINISHED && now - progress_t[t] >= policy.watchdog
+                    finished_at[t] == UNFINISHED
+                        && now.saturating_sub(progress_t[t]) >= policy.watchdog
                 }) {
                     eprintln!(
                         "gmmu tenant watchdog: tenant {starved} issued nothing for {} cycles \
@@ -902,14 +966,14 @@ impl Gpu {
             if fault_cfg.watchdog > 0 {
                 next = next.min(last_progress + fault_cfg.watchdog);
             }
-            if policy.watchdog > 0 && track_tenants {
+            if watch_tenants {
                 for t in 0..n_t {
                     if finished_at[t] == UNFINISHED {
                         next = next.min(progress_t[t] + policy.watchdog);
                     }
                 }
             }
-            now = next.min(self.config.max_cycles);
+            now = next.min(max_cycles);
             if let Some(rec) = obs.intervals.as_mut() {
                 // No observed counter moves while a core sleeps, so
                 // boundaries crossed by the jump record exactly what the
@@ -919,7 +983,7 @@ impl Gpu {
                     rec.sample(totals);
                 }
             }
-            if now >= self.config.max_cycles {
+            if now >= max_cycles {
                 completed = false;
                 break;
             }

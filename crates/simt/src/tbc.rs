@@ -188,12 +188,6 @@ impl TbcState {
         (next != Cycle::MAX).then_some(next)
     }
 
-    /// Maximum dynamic-warp contexts ever live (diagnostics).
-    #[allow(dead_code)]
-    pub(crate) fn peak_units(&self) -> usize {
-        self.units.len()
-    }
-
     /// Reports one [`StallCause`] per live unit to `note` (stall
     /// attribution; see `core::classify_stall`). Units parked at a
     /// branch barrier, done at their reconvergence point, or buried

@@ -214,11 +214,15 @@ fn execution_engines_are_observably_equivalent() {
 /// `ExperimentOpts::quick()` matrix above rarely reaches. The CCWS and
 /// TA-CCWS points run at experiment scale: tiny memcached finishes
 /// before a core ever wakes on a fill past a decay epoch, so only there
-/// would a decay applied after the fill's score bump show.
+/// would a decay applied after the fill's score bump show. The
+/// no-policy mummergpu points carry the longest runs of MMU rejects a
+/// core runs ahead through (`ShaderCore::bounce_ahead`); the capped one
+/// stops on cycle 40,119, inside a core's bounce storm, so both loops
+/// must also agree on a run the cap cuts short.
 #[test]
 fn sleeping_cores_match_the_per_cycle_referee() {
     type Configure = fn(&mut GpuConfig);
-    let matrix: [(Bench, Scale, &str, Configure); 4] = [
+    let matrix: [(Bench, Scale, &str, Configure); 6] = [
         (Bench::Memcached, Scale::Small, "ccws", |c| {
             c.policy = PolicyKind::Ccws
         }),
@@ -231,22 +235,34 @@ fn sleeping_cores_match_the_per_cycle_referee() {
         (Bench::Mummergpu, Scale::Tiny, "tbc", |c| {
             c.tbc = Some(TbcConfig::tlb_aware(3))
         }),
+        (Bench::Mummergpu, Scale::Small, "no policy", |_| {}),
+        (Bench::Mummergpu, Scale::Tiny, "capped", |c| {
+            c.max_cycles = 40_119
+        }),
     ];
     let opts = ExperimentOpts {
         n_cores: 8,
         ..ExperimentOpts::default()
     };
+    let uncapped = opts.gpu(designs::naive3()).max_cycles;
     for (bench, scale, name, configure) in matrix {
         let w = build(bench, scale, opts.seed);
         let run = |tick_every_cycle: bool| {
             let mut cfg = opts.gpu(designs::naive3());
             configure(&mut cfg);
             cfg.tick_every_cycle = tick_every_cycle;
-            run_kernel(cfg, w.kernel.as_ref(), &w.space)
+            let cap = cfg.max_cycles;
+            (run_kernel(cfg, w.kernel.as_ref(), &w.space), cap)
         };
-        let referee = run(true);
-        assert!(referee.completed, "{bench}/{name} hit the cycle cap");
-        assert_same(&referee, &run(false), &format!("{bench}/{name} 8 cores"));
+        let (referee, cap) = run(true);
+        if cap < uncapped {
+            assert!(!referee.completed, "{bench}/{name} finished before the cap");
+            assert_eq!(referee.cycles, cap, "{bench}/{name} stopped off the cap");
+        } else {
+            assert!(referee.completed, "{bench}/{name} hit the cycle cap");
+        }
+        let (skip, _) = run(false);
+        assert_same(&referee, &skip, &format!("{bench}/{name} 8 cores"));
     }
 }
 

@@ -131,29 +131,38 @@ fn shootdown_storms_flush_and_replay() {
 
 /// The mixed smoke configuration — demand faults, delayed walks,
 /// transient rejections, and storms at once — completes and exercises
-/// the demand-fault path.
+/// the demand-fault path, under the augmented MMU and under the naive
+/// blocking TLB. On the naive TLB an injected reject retries at
+/// `now + 8`, so a warp bounces again inside the storm a core runs
+/// ahead through; the per-cycle referee must see the same bounces.
 #[test]
 fn mixed_fault_smoke_completes() {
     let inject = FaultInjectConfig::smoke(0xfa57);
-    let (w, unmapped) = build_demand_paged(Bench::Pathfinder, Scale::Tiny, 7, &inject);
-    assert!(unmapped > 0);
-    let stats = run_faulted(w, faulting_cfg(Some(inject)));
-    assert!(stats.completed);
-    assert!(!stats.watchdog_fired);
-    assert!(stats.faults > 0);
+    for (name, mmu) in [
+        ("augmented", designs::augmented()),
+        ("naive3", designs::naive3()),
+    ] {
+        let run_with = |legacy: bool| {
+            let (w, unmapped) = build_demand_paged(Bench::Pathfinder, Scale::Tiny, 7, &inject);
+            assert!(unmapped > 0);
+            let mut cfg = faulting_cfg(Some(inject));
+            cfg.mmu = mmu;
+            cfg.tick_every_cycle = legacy;
+            run_faulted(w, cfg)
+        };
+        let stats = run_with(false);
+        assert!(stats.completed, "{name}: smoke hit the cycle cap");
+        assert!(!stats.watchdog_fired, "{name}: smoke tripped the watchdog");
+        assert!(stats.faults > 0, "{name}: nothing faulted");
 
-    // Same mixed-fault soup under the per-cycle referee.
-    let tick = {
-        let (w, _) = build_demand_paged(Bench::Pathfinder, Scale::Tiny, 7, &inject);
-        let mut cfg = faulting_cfg(Some(inject));
-        cfg.tick_every_cycle = true;
-        run_faulted(w, cfg)
-    };
-    let diff = stats.diff(&tick);
-    assert!(
-        diff.is_empty(),
-        "per-cycle loop disagrees on smoke in {diff:?}"
-    );
+        // Same mixed-fault soup under the per-cycle referee.
+        let tick = run_with(true);
+        let diff = stats.diff(&tick);
+        assert!(
+            diff.is_empty(),
+            "{name}: per-cycle loop disagrees on smoke in {diff:?}"
+        );
+    }
 }
 
 /// When a fault can never resolve — here, a read-only space the handler

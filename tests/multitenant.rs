@@ -66,41 +66,54 @@ fn run_scenario(
 /// memcached tenant, demand paging, walk delays, rejections, and
 /// cross-tenant shootdown storms — completing under both loops
 /// bit-identically (stats, per-tenant slice, and metrics snapshot) with
-/// no watchdog kill. A 2-tenant mix rides the same matrix.
+/// no watchdog kill. A 2-tenant mix rides the same matrix, once more on
+/// the naive blocking TLB with flush-on-switch: there a core runs ahead
+/// only through one tenant's bounces, since another tenant's request
+/// would flush the untagged TLB.
 #[test]
 fn tenant_storms_bit_identical_across_engines() {
-    for n_tenants in [2usize, 4] {
+    let flush_on_switch = TenantPolicy {
+        watchdog: generous_policy().watchdog,
+        ..TenantPolicy::flush_on_switch()
+    };
+    for (n_tenants, mmu, policy) in [
+        (2usize, designs::augmented(), generous_policy()),
+        (4, designs::augmented(), generous_policy()),
+        (2, designs::naive3(), flush_on_switch),
+    ] {
         let run_with = |legacy: bool| {
             let mut cfg = mt_cfg(Some(FaultInjectConfig::smoke(0xfa57)));
+            cfg.mmu = mmu;
             cfg.tick_every_cycle = legacy;
-            run_scenario(n_tenants, 7, &cfg, generous_policy())
+            run_scenario(n_tenants, 7, &cfg, policy)
         };
+        let what = format!("{n_tenants}T tagged={}", policy.tagged);
         let (skip, snap_skip) = run_with(false);
-        assert!(skip.completed, "{n_tenants}T hit the cycle cap");
-        assert!(!skip.watchdog_fired, "{n_tenants}T tripped the watchdog");
+        assert!(skip.completed, "{what} hit the cycle cap");
+        assert!(!skip.watchdog_fired, "{what} tripped the watchdog");
         assert_eq!(skip.tenants.len(), n_tenants);
-        assert!(skip.shootdowns > 0, "{n_tenants}T: no storms landed");
-        assert!(skip.faults > 0, "{n_tenants}T: nothing demand-faulted");
+        assert!(skip.shootdowns > 0, "{what}: no storms landed");
+        assert!(skip.faults > 0, "{what}: nothing demand-faulted");
         // `RunStats::faults` counts raised fault events per core;
         // `TenantStats::faults` counts pages the handler mapped (shared
         // pages dedup across cores), so mapped <= raised.
         let mapped: u64 = skip.tenants.iter().map(|t| t.faults).sum();
-        assert!(mapped > 0, "{n_tenants}T: no fault was attributed");
-        assert!(mapped <= skip.faults, "{n_tenants}T: attribution overflow");
+        assert!(mapped > 0, "{what}: no fault was attributed");
+        assert!(mapped <= skip.faults, "{what}: attribution overflow");
         for t in &skip.tenants {
             assert!(
                 t.instructions > 0 && t.blocks_done > 0,
-                "tenant {} did no work",
+                "{what}: tenant {} did no work",
                 t.asid
             );
             assert!(t.finished_at <= skip.cycles);
         }
 
         let (tick, snap_tick) = run_with(true);
-        assert_same(&skip, &tick, &format!("{n_tenants}T tick-every-cycle"));
+        assert_same(&skip, &tick, &format!("{what} tick-every-cycle"));
         assert_eq!(
             snap_skip, snap_tick,
-            "{n_tenants}T tick-every-cycle: metrics snapshot diverged"
+            "{what} tick-every-cycle: metrics snapshot diverged"
         );
     }
 }
