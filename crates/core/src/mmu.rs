@@ -19,7 +19,7 @@
 
 use crate::tlb::{Tlb, TlbConfig};
 use crate::walker::{WalkDone, Walker, WalkerConfig};
-use gmmu_mem::mshr::{MshrFile, MshrOutcome};
+use gmmu_mem::mshr::{KeyMap, MshrFile, MshrOutcome};
 use gmmu_mem::MemorySystem;
 use gmmu_sim::fault::{FaultInjectConfig, FaultInjector};
 use gmmu_sim::metrics::MetricsRegistry;
@@ -27,7 +27,6 @@ use gmmu_sim::observe::{Event, Observer};
 use gmmu_sim::stats::{Counter, Summary};
 use gmmu_sim::Cycle;
 use gmmu_vm::{AddressSpace, Ppn, Vpn};
-use std::collections::HashMap;
 
 /// Which address-translation hardware a shader core has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,7 +285,7 @@ pub struct Mmu {
     mshrs: MshrFile,
     /// Warps waiting on each in-flight page, keyed by
     /// [`gmmu_mem::mshr::tenant_key`] so pages never alias across ASIDs.
-    waiters: HashMap<u64, Vec<u16>>,
+    waiters: KeyMap<Vec<u16>>,
     /// Retired waiter lists, recycled by the next miss so steady-state
     /// fills never allocate. Bounded by the MSHR count. Not serialized —
     /// contents are dead (always cleared before reuse).
@@ -346,7 +345,7 @@ impl Mmu {
         // bounded by the MSHR capacity; double it so tombstone-driven
         // rehashes stay in place instead of allocating (see
         // `MshrFile::new`).
-        let waiters = HashMap::with_capacity(2 * mshrs.capacity());
+        let waiters = KeyMap::with_capacity_and_hasher(2 * mshrs.capacity(), Default::default());
         Self {
             model,
             tlb,

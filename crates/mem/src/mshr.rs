@@ -9,6 +9,7 @@
 use gmmu_sim::Cycle;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Bit position of the ASID tag inside a tenant-qualified MSHR key.
 pub const TENANT_KEY_SHIFT: u32 = 48;
@@ -27,6 +28,39 @@ pub fn tenant_key(asid: u16, key: u64) -> u64 {
     ((asid as u64) << TENANT_KEY_SHIFT) | key
 }
 
+/// A hasher for `u64` line and page keys: one multiply by an odd
+/// constant, then an xor-shift that folds the product's high half into
+/// its low bits. The multiply spreads each key bit upward only, so the
+/// fold is what lets the [`tenant_key`] ASID bits and the high bits of
+/// strided keys reach the low bits that pick a bucket. It is fixed, not
+/// seeded per process: the keys are simulator state, not adversarial
+/// input, and a map's iteration order never reaches any output.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let h = (self.0 ^ key).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> TENANT_KEY_SHIFT);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys are hashed here; anything else folds bytewise.
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by line or page numbers, hashed with [`KeyHasher`].
+pub type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
+
 /// Outcome of trying to register a miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrOutcome {
@@ -40,7 +74,7 @@ pub enum MshrOutcome {
 }
 
 /// A fixed-capacity MSHR file keyed by an opaque `u64` (cache line index
-/// or virtual page number).
+/// or virtual page number), hashed with [`KeyHasher`].
 ///
 /// # Examples
 ///
@@ -58,12 +92,15 @@ pub enum MshrOutcome {
 pub struct MshrFile {
     capacity: usize,
     // key → completion cycle (NEVER until known).
-    entries: HashMap<u64, Cycle>,
+    entries: KeyMap<Cycle>,
     // Known completions, lazily deleted: a heap element is live only
     // while `entries[key]` still holds the same cycle. [`MshrFile::expire`]
     // and [`MshrFile::earliest_completion`] pop (and discard) stale tops,
     // turning both from O(entries) scans into O(log n) per in-flight
-    // completion — they run every core cycle on the TLB hot path.
+    // completion — they run every core cycle on the TLB hot path. A file
+    // whose entries leave by `release` may never pop its stale elements,
+    // so [`MshrFile::set_completion`] rebuilds the heap from the live
+    // entries once it holds twice the capacity.
     heap: BinaryHeap<Reverse<(Cycle, u64)>>,
     /// Peak simultaneous occupancy (diagnostics).
     peak: usize,
@@ -85,9 +122,9 @@ impl MshrFile {
             // items fit in half the table, in which case it rehashes in
             // place. The headroom pins every such rehash to the
             // in-place path, keeping the steady state allocation-free
-            // regardless of the process's hash seed.
-            entries: HashMap::with_capacity(2 * capacity),
-            heap: BinaryHeap::with_capacity(capacity),
+            // whatever keys arrive and however they hash.
+            entries: KeyMap::with_capacity_and_hasher(2 * capacity, Default::default()),
+            heap: BinaryHeap::with_capacity(2 * capacity),
             peak: 0,
         }
     }
@@ -155,7 +192,18 @@ impl MshrFile {
         debug_assert!(entry.is_some(), "set_completion on unallocated MSHR");
         if let Some(e) = entry {
             *e = done;
-            if done != gmmu_sim::NEVER {
+            if self.heap.len() >= 2 * self.capacity {
+                // At most `capacity` elements are live (this entry's
+                // among them); dropping the stale rest keeps the heap
+                // inside its allocation.
+                self.heap.clear();
+                self.heap.extend(
+                    self.entries
+                        .iter()
+                        .filter(|&(_, &d)| d != gmmu_sim::NEVER)
+                        .map(|(&k, &d)| Reverse((d, k))),
+                );
+            } else if done != gmmu_sim::NEVER {
                 self.heap.push(Reverse((done, key)));
             }
         }
@@ -301,6 +349,24 @@ mod tests {
     }
 
     #[test]
+    fn released_entries_do_not_grow_the_heap() {
+        // Entries that leave by `release` (filled walks) leave stale
+        // heap elements no `expire` pops.
+        let mut m = MshrFile::new(4);
+        let room = m.heap.capacity();
+        for k in 0..1000u64 {
+            m.allocate(k);
+            m.set_completion(k, 10_000 + k);
+            m.release(k);
+            assert!(m.heap.len() <= 8, "heap holds {} elements", m.heap.len());
+        }
+        assert_eq!(m.heap.capacity(), room, "the heap reallocated");
+        m.allocate(7);
+        m.set_completion(7, 50);
+        assert_eq!(m.earliest_completion(), 50);
+    }
+
+    #[test]
     fn release_then_reallocate_ignores_stale_heap_elements() {
         let mut m = MshrFile::new(2);
         m.allocate(5);
@@ -319,40 +385,82 @@ mod tests {
     #[test]
     fn matches_linear_reference_under_mixed_traffic() {
         // Exhaustive cross-check of the heap against a straightforward
-        // map-scan implementation over a deterministic traffic pattern.
-        let mut m = MshrFile::new(8);
-        let mut reference: HashMap<u64, Cycle> = HashMap::new();
-        let mut x: u64 = 0x9e3779b97f4a7c15;
-        for step in 0..4096u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let key = (x >> 32) % 16;
-            match x % 4 {
-                0 => {
-                    if m.allocate(key) == MshrOutcome::Allocated {
-                        reference.insert(key, gmmu_sim::NEVER);
+        // map-scan implementation over a deterministic traffic pattern,
+        // for three key families: small integers, one page under four
+        // ASIDs ([`tenant_key`]) and 128-byte-strided line addresses.
+        type KeyOf = fn(u64) -> u64;
+        let families: [(&str, KeyOf); 3] = [
+            ("small", |k| k),
+            ("tenant", |k| tenant_key((k % 4) as u16, 0x4_2000 + k / 4)),
+            ("strided", |k| 0x4000_0000 + (k << 7)),
+        ];
+        for (family, key_of) in families {
+            let mut m = MshrFile::new(8);
+            let mut reference: HashMap<u64, Cycle> = HashMap::new();
+            let mut x: u64 = 0x9e3779b97f4a7c15;
+            for step in 0..4096u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let key = key_of((x >> 32) % 16);
+                match x % 4 {
+                    0 => {
+                        if m.allocate(key) == MshrOutcome::Allocated {
+                            reference.insert(key, gmmu_sim::NEVER);
+                        }
+                    }
+                    1 => {
+                        if reference.contains_key(&key) {
+                            let done = step + (x % 64);
+                            m.set_completion(key, done);
+                            reference.insert(key, done);
+                        }
+                    }
+                    2 => {
+                        m.release(key);
+                        reference.remove(&key);
+                    }
+                    _ => {
+                        m.expire(step);
+                        reference.retain(|_, done| *done > step);
                     }
                 }
-                1 => {
-                    if reference.contains_key(&key) {
-                        let done = step + (x % 64);
-                        m.set_completion(key, done);
-                        reference.insert(key, done);
-                    }
-                }
-                2 => {
-                    m.release(key);
-                    reference.remove(&key);
-                }
-                _ => {
-                    m.expire(step);
-                    reference.retain(|_, done| *done > step);
-                }
+                let want = reference.values().copied().min().unwrap_or(gmmu_sim::NEVER);
+                assert_eq!(m.earliest_completion(), want, "{family} step {step}");
+                assert_eq!(m.len(), reference.len(), "{family} step {step}");
+                assert_eq!(
+                    m.lookup(key),
+                    reference.get(&key).copied(),
+                    "{family} step {step}"
+                );
             }
-            let want = reference.values().copied().min().unwrap_or(gmmu_sim::NEVER);
-            assert_eq!(m.earliest_completion(), want, "step {step}");
-            assert_eq!(m.len(), reference.len(), "step {step}");
         }
+    }
+
+    #[test]
+    fn key_hasher_spreads_tagged_and_strided_keys_over_buckets() {
+        use std::hash::BuildHasher;
+        // The low 7 bits pick one of the 128 buckets of a 64-entry
+        // file's map. A plain multiply would leave every ASID of one
+        // page in one bucket and every 128-byte-strided key in a
+        // multiple of 128.
+        let hasher = BuildHasherDefault::<KeyHasher>::default();
+        let buckets = |keys: &mut dyn Iterator<Item = u64>| {
+            let mut seen = [false; 128];
+            for k in keys {
+                seen[(hasher.hash_one(k) & 127) as usize] = true;
+            }
+            seen.iter().filter(|&&b| b).count()
+        };
+        let tagged = buckets(&mut (0..64u16).map(|a| tenant_key(a, 0x4_2000)));
+        let strided = buckets(&mut (0..64u64).map(|i| 0x4000_0000 + (i << 7)));
+        assert!(
+            tagged >= 32,
+            "64 ASIDs of one page fill only {tagged} buckets"
+        );
+        assert!(
+            strided >= 32,
+            "64 strided lines fill only {strided} buckets"
+        );
     }
 }

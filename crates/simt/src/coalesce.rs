@@ -109,7 +109,9 @@ impl CoalesceBuf {
 ///
 /// `accesses` yields `(address, home_warp)` for each active lane.
 /// Linear-scan dedup: a warp has at most 32 lanes, so this is faster
-/// than hashing.
+/// than hashing. A lane on its predecessor's line adds nothing, and one
+/// on its predecessor's page reuses that page's index, so the common
+/// neighbouring-lane cases skip both scans.
 ///
 /// # Examples
 ///
@@ -139,23 +141,34 @@ pub fn coalesce_granule(
 ) {
     let shift = granule.shift();
     out.clear();
+    // The previous lane's `(line, page, page index)`: neighbouring lanes
+    // mostly share a line or a page, which then needs no search.
+    let mut prev: Option<(u64, Vpn, u32)> = None;
     for (va, home_warp) in accesses {
-        let vpn = Vpn::new((va.raw() >> shift) << (shift - 12));
-        let page_idx = match out.pages.iter().position(|p| p.vpn == vpn) {
-            Some(i) => i as u32,
-            None => {
-                out.pages.push(PageReq::new(vpn, home_warp));
-                (out.pages.len() - 1) as u32
-            }
-        };
         let vline = va.line(LINE_SHIFT);
-        if !out.lines.iter().any(|l| l.vline == vline) {
+        if prev.is_some_and(|(line, ..)| line == vline) {
+            continue;
+        }
+        let vpn = Vpn::new((va.raw() >> shift) << (shift - 12));
+        let (page_idx, new_page) = match prev {
+            Some((_, p, i)) if p == vpn => (i, false),
+            _ => match out.pages.iter().position(|p| p.vpn == vpn) {
+                Some(i) => (i as u32, false),
+                None => {
+                    out.pages.push(PageReq::new(vpn, home_warp));
+                    ((out.pages.len() - 1) as u32, true)
+                }
+            },
+        };
+        // No line of a page seen for the first time is recorded yet.
+        if new_page || !out.lines.iter().any(|l| l.vline == vline) {
             out.lines.push(LineRef {
                 vline,
                 page_idx,
                 warp: home_warp,
             });
         }
+        prev = Some((vline, vpn, page_idx));
     }
 }
 
@@ -267,6 +280,61 @@ mod tests {
             let granule_base = page.vpn.raw() << 12;
             assert!(line_base >= granule_base);
             assert!(line_base < granule_base + (2 << 20));
+        }
+    }
+
+    /// The reference the neighbour shortcuts must match: pages and lines
+    /// in first-seen order, each with its first lane's home warp.
+    fn first_seen(lanes: &[(VAddr, u16)], granule: PageSize) -> CoalesceBuf {
+        let shift = granule.shift();
+        let mut out = CoalesceBuf::new();
+        for &(va, warp) in lanes {
+            let vpn = Vpn::new((va.raw() >> shift) << (shift - 12));
+            if !out.pages.iter().any(|p| p.vpn == vpn) {
+                out.pages.push(PageReq::new(vpn, warp));
+            }
+            let vline = va.line(LINE_SHIFT);
+            if !out.lines.iter().any(|l| l.vline == vline) {
+                let page_idx = out.pages.iter().position(|p| p.vpn == vpn).unwrap() as u32;
+                out.lines.push(LineRef {
+                    vline,
+                    page_idx,
+                    warp,
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn neighbouring_lanes_match_the_first_seen_reference() {
+        let mut rng = gmmu_sim::rng::Xoshiro256::seed_from(0xc0a1);
+        let mut buf = CoalesceBuf::new();
+        for case in 0..2000 {
+            let granule = if case % 2 == 0 {
+                PageSize::Base4K
+            } else {
+                PageSize::Large2M
+            };
+            let page_bytes = 1u64 << granule.shift();
+            // Runs of lanes on one line or one page, revisits of earlier
+            // pages and lines, and fresh pages, as kernels generate.
+            let mut lanes: Vec<(VAddr, u16)> = Vec::new();
+            let mut va = 0x4000_0000u64;
+            for _ in 0..rng.gen_range(1..33) {
+                va = match rng.gen_range(0..5) {
+                    0 => va + rng.gen_range(0..8),
+                    1 => (va & !127) + 128,
+                    2 => (va & !(page_bytes - 1)) + rng.gen_range(0..page_bytes),
+                    3 => lanes.first().map_or(va, |l| l.0.raw()),
+                    _ => 0x4000_0000 + rng.gen_range(0..6) * page_bytes + rng.gen_range(0..4096),
+                };
+                lanes.push((VAddr::new(va), rng.gen_range(0..4) as u16));
+            }
+            coalesce_granule(lanes.iter().copied(), granule, &mut buf);
+            let want = first_seen(&lanes, granule);
+            assert_eq!(buf.pages, want.pages, "case {case}");
+            assert_eq!(buf.lines, want.lines, "case {case}");
         }
     }
 

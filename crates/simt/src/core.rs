@@ -264,16 +264,23 @@ impl WarpSet {
 
     /// `(due, sleeping, next_wake)` as of cycle `now`, which must not
     /// precede the last sync or advance. Sleepers whose timers expired
-    /// by `now` count as due; only then are the sleepers scanned.
+    /// by `now` count as due; only then are the sleepers scanned, once,
+    /// splitting them into the woken and the earliest still asleep.
     fn at(&self, now: Cycle) -> (u64, u64, Cycle) {
         if self.next_wake > now {
             return (self.due, self.sleeping, self.next_wake);
         }
-        let woke = Bits(self.sleeping)
-            .filter(|&i| self.ready_at[i] <= now)
-            .fold(0u64, |m, i| m | 1 << i);
-        let sleeping = self.sleeping & !woke;
-        (self.due | woke, sleeping, self.earliest(sleeping))
+        let mut woke = 0u64;
+        let mut next_wake = Cycle::MAX;
+        for i in Bits(self.sleeping) {
+            let at = self.ready_at[i];
+            if at <= now {
+                woke |= 1 << i;
+            } else {
+                next_wake = next_wake.min(at);
+            }
+        }
+        (self.due | woke, self.sleeping & !woke, next_wake)
     }
 
     /// Moves every sleeper whose timer expired by `now` to `due`.
@@ -702,6 +709,13 @@ pub struct ShaderCore {
     /// on the last tick, if it bounced; [`ShaderCore::bounce_ahead`]
     /// runs only after such a tick.
     bounced: Option<u16>,
+    /// Baseline mode: the warps live at the last reap plus every warp of
+    /// a block dispatched since. A slot can only have retired if one of
+    /// these is no longer live.
+    live_at_reap: u64,
+    /// Whether the last tick issued an instruction (see
+    /// [`ShaderCore::next_event_at`]).
+    issued: bool,
 }
 
 impl ShaderCore {
@@ -752,6 +766,8 @@ impl ShaderCore {
             fault_waiters: std::collections::HashMap::new(),
             pending_faults: Vec::new(),
             bounced: None,
+            live_at_reap: 0,
+            issued: false,
         }
     }
 
@@ -849,11 +865,25 @@ impl ShaderCore {
         }
     }
 
-    /// Marks finished baseline block slots as free and counts them.
+    /// Baseline mode: the block slots holding no block. Between ticks
+    /// these are exactly the slots with no live warp: a warp comes alive
+    /// only when its block is dispatched into an unoccupied slot, and the
+    /// tick that retires a slot's last warp reaps the slot.
+    fn free_slots(&self) -> u64 {
+        low_bits(self.slot_started.len()) & !self.slot_occupied
+    }
+
+    /// Marks finished baseline block slots as free and counts them. Only
+    /// a tick that retired a warp (or dispatched a block) can free one.
     fn reap_blocks(&mut self, now: Cycle, obs: &mut Observer) {
-        if let ExecMode::Baseline { warps, set } = &self.exec {
+        if let ExecMode::Baseline { set, .. } = &self.exec {
+            let lost = self.live_at_reap & !set.live;
+            self.live_at_reap = set.live;
+            if lost == 0 {
+                return;
+            }
             let wpb = self.warps_per_block;
-            let retired = set.free_slots(wpb, warps.len() / wpb) & self.slot_occupied;
+            let retired = set.free_slots(wpb, self.slot_started.len()) & self.slot_occupied;
             let core = self.id as u32;
             for slot in Bits(retired) {
                 self.slot_occupied &= !(1 << slot);
@@ -883,15 +913,18 @@ impl ShaderCore {
         if self.block_queue.is_empty() {
             return;
         }
+        let free = self.free_slots();
         match &mut self.exec {
             ExecMode::Baseline { warps, set } => {
                 let wpb = self.warps_per_block;
-                for slot in Bits(set.free_slots(wpb, warps.len() / wpb)) {
+                debug_assert_eq!(free, set.free_slots(wpb, warps.len() / wpb));
+                for slot in Bits(free) {
                     let Some(block) = self.block_queue.pop_front() else {
                         break;
                     };
                     let end_pc = kernels[block.asid as usize].program().end_pc();
                     self.slot_occupied |= 1 << slot;
+                    self.live_at_reap |= low_bits(wpb) << (slot * wpb);
                     self.slot_started[slot] = now;
                     self.slot_asid[slot] = block.asid;
                     for i in 0..wpb {
@@ -940,7 +973,9 @@ impl ShaderCore {
     /// warps' `ready_at` timers, the policy's next score-decay epoch
     /// (which can release throttled warps), and block dispatch into a
     /// free slot. Warps waiting on pages carry no timer of their own —
-    /// the MMU fill that wakes them is already a candidate.
+    /// the MMU fill that wakes them is already a candidate. A tick that
+    /// issued leaves a baseline core due again at `now + 1` only while a
+    /// warp is still due; a TBC core that issued always is.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         let mut next = self.compute_core_timers(now)?;
         if let Some(c) = self.path.mmu.next_event_at() {
@@ -962,18 +997,23 @@ impl ShaderCore {
         }
         let mut next = Cycle::MAX;
         match &self.exec {
-            ExecMode::Baseline { warps, set } => {
+            ExecMode::Baseline { set, .. } => {
                 let (due, _, next_wake) = set.at(now);
                 next = next_wake;
                 if due != 0 {
-                    // Schedulable yet nothing issued: the locality
-                    // policy gated it; the next decay epoch may
-                    // release it.
-                    let decay = self.path.policy.next_event_at().unwrap_or(now + 1);
-                    next = next.min(decay.max(now + 1));
+                    next = next.min(if self.issued {
+                        // A due warp lost the one issue slot, or the
+                        // issue may have opened the policy gate.
+                        now + 1
+                    } else {
+                        // Schedulable yet nothing issued: the locality
+                        // policy gated it; the next decay epoch may
+                        // release it.
+                        let decay = self.path.policy.next_event_at().unwrap_or(now + 1);
+                        decay.max(now + 1)
+                    });
                 }
-                let wpb = self.warps_per_block;
-                if !self.block_queue.is_empty() && set.free_slots(wpb, warps.len() / wpb) != 0 {
+                if !self.block_queue.is_empty() && self.free_slots() != 0 {
                     next = next.min(now + 1);
                 }
             }
@@ -981,7 +1021,7 @@ impl ShaderCore {
                 if let Some(c) = t.next_event_at(now) {
                     next = next.min(c);
                 }
-                if !self.block_queue.is_empty() && t.has_free_slot() {
+                if self.issued || (!self.block_queue.is_empty() && t.has_free_slot()) {
                     next = next.min(now + 1);
                 }
             }
@@ -1333,6 +1373,7 @@ impl ShaderCore {
                 (issued, t.has_work())
             }
         };
+        self.issued = issued != 0;
         if live {
             path.stats.live_cycles.inc();
             if issued == 0 {
@@ -1367,13 +1408,12 @@ impl ShaderCore {
         let Some(asid) = self.bounced.take() else {
             return now;
         };
+        if !self.block_queue.is_empty() && self.free_slots() != 0 {
+            return now;
+        }
         let ExecMode::Baseline { warps, set } = &mut self.exec else {
             return now;
         };
-        let wpb = self.warps_per_block;
-        if !self.block_queue.is_empty() && set.free_slots(wpb, warps.len() / wpb) != 0 {
-            return now;
-        }
         // Baseline cores have no CPM; the policy's epoch is the only
         // decay timer.
         let path = &mut self.path;

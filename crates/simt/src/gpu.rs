@@ -847,7 +847,7 @@ impl Gpu {
                     }
                 }
                 live |= core.has_work();
-                wake[i] = if legacy || bits != 0 {
+                wake[i] = if legacy || through > now {
                     through + 1
                 } else {
                     core.next_event_at(now).unwrap_or(Cycle::MAX)

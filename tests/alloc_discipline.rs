@@ -184,9 +184,9 @@ fn serial_tick_loop_is_allocation_free() {
     );
 }
 
-/// The idle-skipping loop's steady-state body — a tick, then on a
-/// cycle without issue `next_event_at` and `note_idle_skip` to jump
-/// straight to the core's next wake — is also allocation-free after
+/// The idle-skipping loop's steady-state body — a tick, then
+/// `next_event_at` and `note_idle_skip` to jump straight to the core's
+/// next wake, after an issue too — is also allocation-free after
 /// warm-up.
 fn event_loop_is_allocation_free() {
     let (space, kernel, cfg) = stream_setup(u32::MAX);
@@ -198,9 +198,7 @@ fn event_loop_is_allocation_free() {
 
     let mut step = |now: u64| -> u64 {
         let next = now + 1;
-        if core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut obs) {
-            return next;
-        }
+        core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut obs);
         match core.next_event_at(now) {
             Some(wake) if wake > next => {
                 core.note_idle_skip(next, wake - next);

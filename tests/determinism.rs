@@ -208,10 +208,13 @@ fn execution_engines_are_observably_equivalent() {
 }
 
 /// The per-cycle referee at 8 cores under the naive blocking TLB, one
-/// point per scheduling-policy family. With 8 cores most of them sleep
-/// on a fill, a replay timer or a decay epoch while others issue: the
-/// case per-core wake cycles exist for, which the 2-core
-/// `ExperimentOpts::quick()` matrix above rarely reaches. The CCWS and
+/// point per scheduling-policy family, plus one point each on the ideal
+/// and the augmented MMU. With 8 cores most of them sleep on a fill, a
+/// replay timer or a decay epoch while others issue: the case per-core
+/// wake cycles exist for, which the 2-core `ExperimentOpts::quick()`
+/// matrix above rarely reaches. On the ideal MMU a core most often
+/// sleeps straight after an issue, since every issued warp waits out a
+/// pipeline or memory timer while no other warp is due. The CCWS and
 /// TA-CCWS points run at experiment scale: tiny memcached finishes
 /// before a core ever wakes on a fill past a decay epoch, so only there
 /// would a decay applied after the fill's score bump show. The
@@ -222,7 +225,7 @@ fn execution_engines_are_observably_equivalent() {
 #[test]
 fn sleeping_cores_match_the_per_cycle_referee() {
     type Configure = fn(&mut GpuConfig);
-    let matrix: [(Bench, Scale, &str, Configure); 6] = [
+    let matrix: [(Bench, Scale, &str, Configure); 8] = [
         (Bench::Memcached, Scale::Small, "ccws", |c| {
             c.policy = PolicyKind::Ccws
         }),
@@ -238,6 +241,12 @@ fn sleeping_cores_match_the_per_cycle_referee() {
         (Bench::Mummergpu, Scale::Small, "no policy", |_| {}),
         (Bench::Mummergpu, Scale::Tiny, "capped", |c| {
             c.max_cycles = 40_119
+        }),
+        (Bench::Streamcluster, Scale::Small, "ideal", |c| {
+            c.mmu = MmuModel::Ideal
+        }),
+        (Bench::Bfs, Scale::Small, "augmented", |c| {
+            c.mmu = designs::augmented()
         }),
     ];
     let opts = ExperimentOpts {

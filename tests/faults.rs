@@ -131,20 +131,24 @@ fn shootdown_storms_flush_and_replay() {
 
 /// The mixed smoke configuration — demand faults, delayed walks,
 /// transient rejections, and storms at once — completes and exercises
-/// the demand-fault path, under the augmented MMU and under the naive
-/// blocking TLB. On the naive TLB an injected reject retries at
-/// `now + 8`, so a warp bounces again inside the storm a core runs
-/// ahead through; the per-cycle referee must see the same bounces.
+/// the demand-fault path on every benchmark, under the augmented MMU and
+/// under the naive blocking TLB. On the naive TLB an injected reject
+/// retries at `now + 8`, so a warp bounces again inside the storm a core
+/// runs ahead through; and a resolved fault wakes a core that slept
+/// straight after an issue. The per-cycle referee must see the same.
 #[test]
 fn mixed_fault_smoke_completes() {
     let inject = FaultInjectConfig::smoke(0xfa57);
-    for (name, mmu) in [
-        ("augmented", designs::augmented()),
-        ("naive3", designs::naive3()),
-    ] {
+    for (bench, design, mmu) in Bench::all().into_iter().flat_map(|b| {
+        [
+            (b, "augmented", designs::augmented()),
+            (b, "naive3", designs::naive3()),
+        ]
+    }) {
+        let name = format!("{bench}/{design}");
         let run_with = |legacy: bool| {
-            let (w, unmapped) = build_demand_paged(Bench::Pathfinder, Scale::Tiny, 7, &inject);
-            assert!(unmapped > 0);
+            let (w, unmapped) = build_demand_paged(bench, Scale::Tiny, 7, &inject);
+            assert!(unmapped > 0, "{name}: nothing was unmapped");
             let mut cfg = faulting_cfg(Some(inject));
             cfg.mmu = mmu;
             cfg.tick_every_cycle = legacy;
