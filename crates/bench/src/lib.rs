@@ -10,8 +10,9 @@
 //! ```
 //!
 //! `fig` and `all` run the entries of [`gmmu::figures::REGISTRY`];
-//! `validate`, `replay` and `fault-inject` are the trace-conformance,
-//! trace-replay and fault-injection harnesses. `gmmu all` also writes
+//! `replay` re-runs a captured GMTR trace and diffs its statistics.
+//! Conformance (capture/replay, fault injection, golden fixtures) is
+//! checked by `cargo test`, not by this binary. `gmmu all` also writes
 //! `BENCH_all_figures.json`, the per-point wall times and sim-cycles/s
 //! that CI's throughput floors read (`ci/figure_floors.txt`).
 //! `EXPERIMENTS.md` in the repository root records paper-reported vs.

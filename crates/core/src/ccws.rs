@@ -103,8 +103,8 @@ impl Default for PolicyConfig {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for PolicyKind {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for PolicyKind {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         match *self {
             PolicyKind::None => w.u8(0),
             PolicyKind::Ccws => w.u8(1),
@@ -126,8 +126,8 @@ impl gmmu_sim::ckpt::Ckpt for PolicyKind {
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         *self = match r.u8()? {
             0 => PolicyKind::None,
             1 => PolicyKind::Ccws,
@@ -145,21 +145,21 @@ impl gmmu_sim::ckpt::Ckpt for PolicyKind {
                     lru_weights,
                 }
             }
-            _ => return Err(gmmu_sim::ckpt::CkptError::Corrupt("unknown policy kind")),
+            _ => return Err(gmmu_sim::codec::CodecError::Corrupt("unknown policy kind")),
         };
         Ok(())
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for PolicyConfig {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for PolicyConfig {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         w.u32(self.unit);
         self.lls.save(w);
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         self.unit = r.u32()?;
         self.lls.load(r)
     }

@@ -32,15 +32,15 @@ impl Default for CpmConfig {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for CpmConfig {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for CpmConfig {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         w.u8(self.counter_bits);
         w.u64(self.flush_interval);
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         self.counter_bits = r.u8()?;
         self.flush_interval = r.u64()?;
         Ok(())

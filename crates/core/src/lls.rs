@@ -37,8 +37,8 @@ impl Default for LlsConfig {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for LlsConfig {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for LlsConfig {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         w.u32(self.cutoff_unit);
         w.u64(self.decay_interval);
         w.u32(self.decay_shift);
@@ -46,8 +46,8 @@ impl gmmu_sim::ckpt::Ckpt for LlsConfig {
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         self.cutoff_unit = r.u32()?;
         self.decay_interval = r.u64()?;
         self.decay_shift = r.u32()?;

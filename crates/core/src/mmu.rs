@@ -43,8 +43,8 @@ pub enum MmuModel {
     },
 }
 
-impl gmmu_sim::ckpt::Ckpt for MmuModel {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for MmuModel {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         match self {
             MmuModel::Ideal => w.u8(0),
             MmuModel::Real { tlb, walker } => {
@@ -56,8 +56,8 @@ impl gmmu_sim::ckpt::Ckpt for MmuModel {
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         *self = match r.u8()? {
             0 => MmuModel::Ideal,
             1 => {
@@ -67,7 +67,7 @@ impl gmmu_sim::ckpt::Ckpt for MmuModel {
                 walker.load(r)?;
                 MmuModel::Real { tlb, walker }
             }
-            _ => return Err(gmmu_sim::ckpt::CkptError::Corrupt("unknown MMU model")),
+            _ => return Err(gmmu_sim::codec::CodecError::Corrupt("unknown MMU model")),
         };
         Ok(())
     }

@@ -130,8 +130,8 @@ impl Default for TlbConfig {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for TlbMode {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for TlbMode {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         w.u8(match self {
             TlbMode::Blocking => 0,
             TlbMode::HitUnderMiss => 1,
@@ -140,20 +140,20 @@ impl gmmu_sim::ckpt::Ckpt for TlbMode {
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         *self = match r.u8()? {
             0 => TlbMode::Blocking,
             1 => TlbMode::HitUnderMiss,
             2 => TlbMode::HitUnderMissOverlap,
-            _ => return Err(gmmu_sim::ckpt::CkptError::Corrupt("unknown TLB mode")),
+            _ => return Err(gmmu_sim::codec::CodecError::Corrupt("unknown TLB mode")),
         };
         Ok(())
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for TlbConfig {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for TlbConfig {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         w.usize(self.entries);
         w.usize(self.ways);
         w.usize(self.ports);
@@ -163,8 +163,8 @@ impl gmmu_sim::ckpt::Ckpt for TlbConfig {
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         self.entries = r.usize()?;
         self.ways = r.usize()?;
         self.ports = r.usize()?;

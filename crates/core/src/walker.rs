@@ -102,8 +102,8 @@ impl WalkerConfig {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for WalkerKind {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for WalkerKind {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         match *self {
             WalkerKind::Serial { count } => {
                 w.u8(0);
@@ -118,30 +118,30 @@ impl gmmu_sim::ckpt::Ckpt for WalkerKind {
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         *self = match r.u8()? {
             0 => WalkerKind::Serial { count: r.usize()? },
             1 => WalkerKind::Coalesced,
             2 => WalkerKind::Software {
                 trap_cycles: r.u64()?,
             },
-            _ => return Err(gmmu_sim::ckpt::CkptError::Corrupt("unknown walker kind")),
+            _ => return Err(gmmu_sim::codec::CodecError::Corrupt("unknown walker kind")),
         };
         Ok(())
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for WalkerConfig {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for WalkerConfig {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         self.kind.save(w);
         w.u64(self.issue_spacing);
         w.usize(self.pwc_entries);
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         self.kind.load(r)?;
         self.issue_spacing = r.u64()?;
         self.pwc_entries = r.usize()?;

@@ -36,15 +36,15 @@ impl CacheConfig {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for CacheConfig {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for CacheConfig {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         w.usize(self.sets);
         w.usize(self.ways);
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         self.sets = r.usize()?;
         self.ways = r.usize()?;
         Ok(())

@@ -28,15 +28,15 @@ impl Default for DramConfig {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for DramConfig {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for DramConfig {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         w.u64(self.latency);
         w.u64(self.service);
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         self.latency = r.u64()?;
         self.service = r.u64()?;
         Ok(())

@@ -64,8 +64,8 @@ impl Default for MemConfig {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for MemConfig {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for MemConfig {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         w.usize(self.channels);
         self.l2_slice.save(w);
         w.u64(self.icnt_latency);
@@ -75,8 +75,8 @@ impl gmmu_sim::ckpt::Ckpt for MemConfig {
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         self.channels = r.usize()?;
         self.l2_slice.load(r)?;
         self.icnt_latency = r.u64()?;

@@ -98,8 +98,9 @@ impl FaultInjectConfig {
         }
     }
 
-    /// The smoke configuration `gmmu fault-inject` runs: moderate rates of
-    /// every fault class at once, so each recovery path is exercised.
+    /// The mixed-fault smoke configuration `tests/faults.rs` and
+    /// `tests/trace.rs` run on every workload: moderate rates of every
+    /// fault class at once, so each recovery path is exercised.
     pub fn smoke(seed: u64) -> Self {
         Self {
             seed,
@@ -138,8 +139,8 @@ impl Default for FaultInjectConfig {
     }
 }
 
-impl crate::ckpt::Ckpt for FaultInjectConfig {
-    fn save(&self, w: &mut crate::ckpt::Saver) {
+impl crate::codec::Codec for FaultInjectConfig {
+    fn save(&self, w: &mut crate::codec::Saver) {
         w.u64(self.seed);
         w.f64(self.unmap_fraction);
         w.f64(self.walk_delay_rate);
@@ -148,7 +149,7 @@ impl crate::ckpt::Ckpt for FaultInjectConfig {
         w.u64(self.storm_period);
         w.u32(self.storms);
     }
-    fn load(&mut self, r: &mut crate::ckpt::Loader<'_>) -> Result<(), crate::ckpt::CkptError> {
+    fn load(&mut self, r: &mut crate::codec::Loader<'_>) -> Result<(), crate::codec::CodecError> {
         self.seed = r.u64()?;
         self.unmap_fraction = r.f64()?;
         self.walk_delay_rate = r.f64()?;

@@ -6,7 +6,7 @@
 //! cycle-level architecture simulator needs to be *deterministic and
 //! reproducible* lives here.
 //!
-//! * [`ckpt`] — the hand-rolled binary codec (versioned, compact) that
+//! * [`codec`] — the hand-rolled binary codec (versioned, compact) that
 //!   GMTR/GMTM traces and the sweep journal are written in.
 //! * [`rng`] — counter-based and xoshiro PRNGs plus distributions
 //!   (uniform, Zipf, permutations) that behave identically on every
@@ -38,7 +38,7 @@
 //! assert!(hist.mean() > 10.0 && hist.mean() < 21.0);
 //! ```
 
-pub mod ckpt;
+pub mod codec;
 pub mod fault;
 pub mod metrics;
 pub mod observe;

@@ -327,25 +327,25 @@ pub struct HistSummary {
     pub max: u64,
 }
 
-impl crate::ckpt::Ckpt for Counter {
-    fn save(&self, w: &mut crate::ckpt::Saver) {
+impl crate::codec::Codec for Counter {
+    fn save(&self, w: &mut crate::codec::Saver) {
         w.u64(self.0);
     }
-    fn load(&mut self, r: &mut crate::ckpt::Loader<'_>) -> Result<(), crate::ckpt::CkptError> {
+    fn load(&mut self, r: &mut crate::codec::Loader<'_>) -> Result<(), crate::codec::CodecError> {
         self.0 = r.u64()?;
         Ok(())
     }
 }
 
-impl crate::ckpt::Ckpt for Summary {
-    fn save(&self, w: &mut crate::ckpt::Saver) {
+impl crate::codec::Codec for Summary {
+    fn save(&self, w: &mut crate::codec::Saver) {
         w.u64(self.count);
         w.u64(self.sum);
         w.u128(self.sum_sq);
         w.u64(self.min);
         w.u64(self.max);
     }
-    fn load(&mut self, r: &mut crate::ckpt::Loader<'_>) -> Result<(), crate::ckpt::CkptError> {
+    fn load(&mut self, r: &mut crate::codec::Loader<'_>) -> Result<(), crate::codec::CodecError> {
         self.count = r.u64()?;
         self.sum = r.u64()?;
         self.sum_sq = r.u128()?;
@@ -355,14 +355,14 @@ impl crate::ckpt::Ckpt for Summary {
     }
 }
 
-impl crate::ckpt::Ckpt for Histogram {
-    fn save(&self, w: &mut crate::ckpt::Saver) {
+impl crate::codec::Codec for Histogram {
+    fn save(&self, w: &mut crate::codec::Saver) {
         self.buckets.save(w);
         w.u64(self.count);
         w.u64(self.sum);
         w.u64(self.max);
     }
-    fn load(&mut self, r: &mut crate::ckpt::Loader<'_>) -> Result<(), crate::ckpt::CkptError> {
+    fn load(&mut self, r: &mut crate::codec::Loader<'_>) -> Result<(), crate::codec::CodecError> {
         self.buckets.load(r)?;
         self.count = r.u64()?;
         self.sum = r.u64()?;

@@ -245,9 +245,9 @@ impl GpuConfig {
     pub const WARP_SIZE: usize = 32;
 }
 
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
+use gmmu_sim::codec::{Codec, CodecError, Loader, Saver};
 
-impl Ckpt for CoreTimings {
+impl Codec for CoreTimings {
     fn save(&self, w: &mut Saver) {
         w.u64(self.alu_latency);
         w.u64(self.branch_latency);
@@ -255,7 +255,7 @@ impl Ckpt for CoreTimings {
         w.u64(self.store_issue);
         w.u64(self.store_window);
     }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         self.alu_latency = r.u64()?;
         self.branch_latency = r.u64()?;
         self.l1_hit_latency = r.u64()?;
@@ -265,18 +265,18 @@ impl Ckpt for CoreTimings {
     }
 }
 
-impl Ckpt for TbcConfig {
+impl Codec for TbcConfig {
     fn save(&self, w: &mut Saver) {
         w.bool(self.tlb_aware);
         self.cpm.save(w);
     }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         self.tlb_aware = r.bool()?;
         self.cpm.load(r)
     }
 }
 
-impl Ckpt for FaultConfig {
+impl Codec for FaultConfig {
     fn save(&self, w: &mut Saver) {
         w.bool(self.demand_paging);
         w.u64(self.minor_latency);
@@ -285,7 +285,7 @@ impl Ckpt for FaultConfig {
         w.u64(self.shootdown_backoff);
         w.u64(self.watchdog);
     }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         self.demand_paging = r.bool()?;
         self.minor_latency = r.u64()?;
         self.major_latency = r.u64()?;
@@ -296,7 +296,7 @@ impl Ckpt for FaultConfig {
     }
 }
 
-impl Ckpt for GpuConfig {
+impl Codec for GpuConfig {
     /// Serializes every field results depend on — all but
     /// `tick_every_cycle` — so a trace carrying a `GpuConfig` can
     /// rebuild the exact machine in another process. Loading leaves
@@ -327,15 +327,15 @@ impl Ckpt for GpuConfig {
         self.fault.save(w);
         self.inject.save(w);
     }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         self.n_cores = r.usize()?;
         self.warps_per_core = r.usize()?;
         if !(1..=MAX_WARPS_PER_CORE).contains(&self.warps_per_core) {
-            return Err(CkptError::Corrupt("warps_per_core outside 1..=64"));
+            return Err(CodecError::Corrupt("warps_per_core outside 1..=64"));
         }
         self.warps_per_block = r.usize()?;
         if self.warps_per_block == 0 {
-            return Err(CkptError::Corrupt("warps_per_block is zero"));
+            return Err(CodecError::Corrupt("warps_per_block is zero"));
         }
         self.mmu.load(r)?;
         self.policy.load(r)?;
@@ -382,7 +382,7 @@ mod tests {
         assert!(fast.n_cores < full.n_cores);
     }
 
-    fn reload(cfg: &GpuConfig) -> Result<GpuConfig, CkptError> {
+    fn reload(cfg: &GpuConfig) -> Result<GpuConfig, CodecError> {
         let mut w = Saver::new();
         cfg.save(&mut w);
         let bytes = w.into_bytes();
@@ -399,7 +399,7 @@ mod tests {
                 ..GpuConfig::default()
             };
             assert!(
-                matches!(reload(&cfg), Err(CkptError::Corrupt(_))),
+                matches!(reload(&cfg), Err(CodecError::Corrupt(_))),
                 "warps_per_core = {bad} must be refused"
             );
         }
@@ -407,7 +407,7 @@ mod tests {
             warps_per_block: 0,
             ..GpuConfig::default()
         };
-        assert!(matches!(reload(&cfg), Err(CkptError::Corrupt(_))));
+        assert!(matches!(reload(&cfg), Err(CodecError::Corrupt(_))));
         let max = GpuConfig {
             warps_per_core: MAX_WARPS_PER_CORE,
             ..GpuConfig::default()

@@ -13,7 +13,7 @@ use crate::core::{RunCtx, ShaderCore};
 use crate::program::Kernel;
 use crate::stall::StallBreakdown;
 use gmmu_mem::MemorySystem;
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
+use gmmu_sim::codec::{Codec, CodecError, Loader, Saver};
 use gmmu_sim::fault::{major_fault, FaultInjector};
 use gmmu_sim::metrics::{Metrics, MetricsRegistry};
 use gmmu_sim::observe::{CounterSnapshot, Observer};
@@ -82,7 +82,7 @@ pub struct RunStats {
     /// Per-tenant results, populated by multi-tenant runs
     /// ([`Gpu::run_tenants`] with two or more jobs) and empty otherwise.
     /// Deterministic like every other field, but excluded from the
-    /// pinned [`Ckpt`] layout — cached single-tenant records predate it.
+    /// pinned [`Codec`] layout — cached single-tenant records predate it.
     pub tenants: Vec<TenantStats>,
     /// Wall-clock seconds the run took on the host. The only
     /// nondeterministic field: every other field is bit-identical
@@ -1162,7 +1162,7 @@ pub fn run_kernel(config: GpuConfig, kernel: &dyn Kernel, space: &AddressSpace) 
     Gpu::new(config).run(kernel, space)
 }
 
-impl Ckpt for RunStats {
+impl Codec for RunStats {
     fn save(&self, w: &mut Saver) {
         w.u64(self.cycles);
         w.bool(self.completed);
@@ -1192,7 +1192,7 @@ impl Ckpt for RunStats {
         w.bool(self.watchdog_fired);
         w.f64(self.wall_s);
     }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         self.cycles = r.u64()?;
         self.completed = r.bool()?;
         self.instructions = r.u64()?;

@@ -167,26 +167,26 @@ pub trait Kernel: Sync {
     fn branch_taken(&self, tid: ThreadId, site: u16, iter: u32) -> bool;
 }
 
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
+use gmmu_sim::codec::{Codec, CodecError, Loader, Saver};
 
-impl Ckpt for MemKind {
+impl Codec for MemKind {
     fn save(&self, w: &mut Saver) {
         w.u8(match self {
             MemKind::Load => 0,
             MemKind::Store => 1,
         });
     }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         *self = match r.u8()? {
             0 => MemKind::Load,
             1 => MemKind::Store,
-            _ => return Err(CkptError::Corrupt("unknown memory-op tag")),
+            _ => return Err(CodecError::Corrupt("unknown memory-op tag")),
         };
         Ok(())
     }
 }
 
-impl Ckpt for Op {
+impl Codec for Op {
     fn save(&self, w: &mut Saver) {
         match *self {
             Op::Alu { cycles } => {
@@ -210,7 +210,7 @@ impl Ckpt for Op {
             }
         }
     }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         *self = match r.u8()? {
             0 => Op::Alu { cycles: r.u32()? },
             1 => {
@@ -224,13 +224,13 @@ impl Ckpt for Op {
                 taken_pc: r.u32()?,
                 reconv_pc: r.u32()?,
             },
-            _ => return Err(CkptError::Corrupt("unknown opcode")),
+            _ => return Err(CodecError::Corrupt("unknown opcode")),
         };
         Ok(())
     }
 }
 
-impl Ckpt for Program {
+impl Codec for Program {
     fn save(&self, w: &mut Saver) {
         w.usize(self.ops.len());
         for op in &self.ops {
@@ -238,9 +238,9 @@ impl Ckpt for Program {
         }
     }
     /// Re-checks the structural invariants [`Program::new`] asserts, so a
-    /// corrupt stream surfaces as [`CkptError::Corrupt`] instead of a
+    /// corrupt stream surfaces as [`CodecError::Corrupt`] instead of a
     /// panic.
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         let len = r.usize()?;
         let mut ops = Vec::with_capacity(len.min(1 << 16));
         for _ in 0..len {
@@ -257,7 +257,7 @@ impl Ckpt for Program {
             } = *op
             {
                 if taken_pc > end || reconv_pc > end || reconv_pc <= pc as u32 {
-                    return Err(CkptError::Corrupt("malformed branch targets"));
+                    return Err(CodecError::Corrupt("malformed branch targets"));
                 }
             }
         }

@@ -123,15 +123,15 @@ impl StallBreakdown {
     }
 }
 
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
+use gmmu_sim::codec::{Codec, CodecError, Loader, Saver};
 
-impl Ckpt for StallBreakdown {
+impl Codec for StallBreakdown {
     fn save(&self, w: &mut Saver) {
         for v in &self.0 {
             w.u64(*v);
         }
     }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         for v in &mut self.0 {
             *v = r.u64()?;
         }

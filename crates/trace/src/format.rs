@@ -8,8 +8,7 @@
 //! but the file — no workload builder, no seed, no matching binary
 //! version.
 //!
-//! Layout (all integers LEB128 varints via the [`gmmu_sim::ckpt`]
-//! codec):
+//! Layout (all integers LEB128 varints via [`gmmu_sim::codec`]):
 //!
 //! ```text
 //! header   := magic "GMTR" · version · fingerprint
@@ -23,12 +22,12 @@
 //!
 //! The header fingerprint covers the *launch section bytes*, not a
 //! machine fingerprint: any flipped bit in the launch block is refused
-//! as [`CkptError::ConfigMismatch`] before the reader interprets a
+//! as [`CodecError::ConfigMismatch`] before the reader interprets a
 //! single field. Foreign magic, unknown versions, truncation, and
 //! trailing garbage are each refused with their own typed error (see
 //! DESIGN.md §11).
 
-use gmmu_sim::ckpt::{fnv1a64, Ckpt, CkptError, Loader, Saver};
+use gmmu_sim::codec::{fnv1a64, Codec, CodecError, Loader, Saver};
 use gmmu_simt::gpu::RunStats;
 use gmmu_simt::program::Program;
 use gmmu_simt::GpuConfig;
@@ -167,7 +166,7 @@ pub(crate) fn save_launch(launch: &TraceLaunch, w: &mut Saver) {
     w.str(&launch.source);
 }
 
-pub(crate) fn load_launch(r: &mut Loader<'_>) -> Result<TraceLaunch, CkptError> {
+pub(crate) fn load_launch(r: &mut Loader<'_>) -> Result<TraceLaunch, CodecError> {
     let kernel_name = r.str()?.to_owned();
     let num_threads = r.u32()?;
     let block_threads = r.u32()?;
@@ -247,7 +246,7 @@ pub(crate) fn save_record(rec: &TraceRecord, w: &mut Saver) {
     }
 }
 
-pub(crate) fn load_record(tag: u8, r: &mut Loader<'_>) -> Result<TraceRecord, CkptError> {
+pub(crate) fn load_record(tag: u8, r: &mut Loader<'_>) -> Result<TraceRecord, CodecError> {
     match tag {
         TAG_MEM => {
             let site = r.u16()?;
@@ -279,7 +278,7 @@ pub(crate) fn load_record(tag: u8, r: &mut Loader<'_>) -> Result<TraceRecord, Ck
             let eval = r.u32()?;
             let taken = r.u32()?;
             if taken & !eval != 0 {
-                return Err(CkptError::Corrupt("branch takes lanes it never evaluated"));
+                return Err(CodecError::Corrupt("branch takes lanes it never evaluated"));
             }
             Ok(TraceRecord::Branch {
                 site,
@@ -293,7 +292,7 @@ pub(crate) fn load_record(tag: u8, r: &mut Loader<'_>) -> Result<TraceRecord, Ck
             warp: r.u32()?,
             kind: r.u8()?,
         }),
-        _ => Err(CkptError::Corrupt("unknown trace record tag")),
+        _ => Err(CodecError::Corrupt("unknown trace record tag")),
     }
 }
 
@@ -323,26 +322,26 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// * [`CkptError::BadMagic`] — not a GMTR file.
-    /// * [`CkptError::BadVersion`] — written by a newer format revision.
-    /// * [`CkptError::ConfigMismatch`] — launch section does not hash to
+    /// * [`CodecError::BadMagic`] — not a GMTR file.
+    /// * [`CodecError::BadVersion`] — written by a newer format revision.
+    /// * [`CodecError::ConfigMismatch`] — launch section does not hash to
     ///   the header fingerprint (bit rot, truncated copy, hand edit).
-    /// * [`CkptError::Truncated`] — the byte stream ends mid-value,
+    /// * [`CodecError::Truncated`] — the byte stream ends mid-value,
     ///   including a missing end-of-records marker.
-    /// * [`CkptError::Corrupt`] — structurally invalid contents
+    /// * [`CodecError::Corrupt`] — structurally invalid contents
     ///   (unknown tags, record-count mismatch, trailing bytes).
-    pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = Loader::new(bytes);
         let found = r.header(&TRACE_MAGIC, TRACE_VERSION)?;
         let launch_bytes = r.bytes()?;
         let expected = fnv1a64(launch_bytes);
         if expected != found {
-            return Err(CkptError::ConfigMismatch { expected, found });
+            return Err(CodecError::ConfigMismatch { expected, found });
         }
         let mut lr = Loader::new(launch_bytes);
         let launch = load_launch(&mut lr)?;
         if lr.remaining() != 0 {
-            return Err(CkptError::Corrupt("trailing bytes in launch section"));
+            return Err(CodecError::Corrupt("trailing bytes in launch section"));
         }
         let mut records = Vec::new();
         loop {
@@ -354,12 +353,12 @@ impl Trace {
         }
         let count = r.u64()?;
         if count != records.len() as u64 {
-            return Err(CkptError::Corrupt("record count mismatch"));
+            return Err(CodecError::Corrupt("record count mismatch"));
         }
         let mut stats = RunStats::zeroed();
         stats.load(&mut r)?;
         if r.remaining() != 0 {
-            return Err(CkptError::Corrupt("trailing bytes after trace"));
+            return Err(CodecError::Corrupt("trailing bytes after trace"));
         }
         Ok(Trace {
             launch,
@@ -445,7 +444,7 @@ mod tests {
     fn foreign_magic_is_refused() {
         let mut bytes = tiny_trace().encode();
         bytes[..4].copy_from_slice(b"GMCK");
-        assert_eq!(Trace::decode(&bytes).unwrap_err(), CkptError::BadMagic);
+        assert_eq!(Trace::decode(&bytes).unwrap_err(), CodecError::BadMagic);
     }
 
     #[test]
@@ -454,7 +453,10 @@ mod tests {
         // The version encodes as the single varint byte at offset 4.
         assert_eq!(bytes[4], TRACE_VERSION as u8);
         bytes[4] = 3;
-        assert_eq!(Trace::decode(&bytes).unwrap_err(), CkptError::BadVersion(3));
+        assert_eq!(
+            Trace::decode(&bytes).unwrap_err(),
+            CodecError::BadVersion(3)
+        );
     }
 
     #[test]
@@ -471,7 +473,7 @@ mod tests {
         bad[idx] ^= 0x20;
         assert!(matches!(
             Trace::decode(&bad),
-            Err(CkptError::ConfigMismatch { .. })
+            Err(CodecError::ConfigMismatch { .. })
         ));
     }
 
@@ -481,7 +483,10 @@ mod tests {
         for cut in [1, 4, 8, bytes.len() / 2, bytes.len() - 1] {
             let err = Trace::decode(&bytes[..cut]).unwrap_err();
             assert!(
-                matches!(err, CkptError::Truncated | CkptError::ConfigMismatch { .. }),
+                matches!(
+                    err,
+                    CodecError::Truncated | CodecError::ConfigMismatch { .. }
+                ),
                 "cut at {cut}: {err:?}"
             );
         }
@@ -493,7 +498,7 @@ mod tests {
         bytes.push(0);
         assert_eq!(
             Trace::decode(&bytes).unwrap_err(),
-            CkptError::Corrupt("trailing bytes after trace")
+            CodecError::Corrupt("trailing bytes after trace")
         );
     }
 
@@ -510,7 +515,7 @@ mod tests {
         let bytes = t.encode();
         assert_eq!(
             Trace::decode(&bytes).unwrap_err(),
-            CkptError::Corrupt("branch takes lanes it never evaluated")
+            CodecError::Corrupt("branch takes lanes it never evaluated")
         );
     }
 }

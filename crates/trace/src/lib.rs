@@ -9,13 +9,13 @@
 //! ([`capture::Recorder`]), and a kernel reconstructed from those
 //! answers ([`replay::TraceKernel`]) is indistinguishable to the
 //! simulator — either drive loop replays the captured run bit-identically,
-//! which the `validate` bench harness and `tests/trace.rs` enforce.
+//! which `tests/trace.rs` enforces.
 //!
 //! The on-disk format (`GMTR` v2, [`format`]) is self-contained: one
 //! file carries the machine configuration, program, address-space
 //! layout, record stream, and the captured run's statistics, and the
 //! reader refuses foreign, truncated, corrupt, or future-versioned
-//! files with a typed [`gmmu_sim::ckpt::CkptError`], never a panic.
+//! files with a typed [`gmmu_sim::codec::CodecError`], never a panic.
 
 pub mod capture;
 pub mod format;

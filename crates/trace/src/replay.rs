@@ -12,7 +12,7 @@
 //! re-unmapping the pages that were demand-paged out at capture time.
 
 use crate::format::{Trace, TraceLaunch, TraceRecord, WARP_LANES};
-use gmmu_sim::ckpt::CkptError;
+use gmmu_sim::codec::CodecError;
 use gmmu_simt::gpu::RunStats;
 use gmmu_simt::observe::Observer;
 use gmmu_simt::program::{Kernel, Program, ThreadId};
@@ -63,12 +63,12 @@ pub fn snapshot_space(space: &AddressSpace) -> SpaceSnapshot {
 ///
 /// # Errors
 ///
-/// [`CkptError::Corrupt`] when the recorded regions cannot be remapped
+/// [`CodecError::Corrupt`] when the recorded regions cannot be remapped
 /// (frame exhaustion under the recorded `SpaceConfig`) or when a
 /// rebuilt region lands at a different base than the trace recorded —
 /// either means the launch section does not describe a space this
 /// library could have produced.
-pub fn rebuild_space(launch: &TraceLaunch) -> Result<AddressSpace, CkptError> {
+pub fn rebuild_space(launch: &TraceLaunch) -> Result<AddressSpace, CodecError> {
     rebuild_space_asid(launch, 0)
 }
 
@@ -79,15 +79,15 @@ pub fn rebuild_space(launch: &TraceLaunch) -> Result<AddressSpace, CkptError> {
 /// # Errors
 ///
 /// Same conditions as [`rebuild_space`].
-pub fn rebuild_space_asid(launch: &TraceLaunch, asid: u16) -> Result<AddressSpace, CkptError> {
+pub fn rebuild_space_asid(launch: &TraceLaunch, asid: u16) -> Result<AddressSpace, CodecError> {
     let mut space = AddressSpace::try_with_asid(launch.space, asid)
-        .map_err(|_| CkptError::Corrupt("space config cannot hold a page-table root"))?;
+        .map_err(|_| CodecError::Corrupt("space config cannot hold a page-table root"))?;
     for want in &launch.regions {
         let got = space
             .map_region(&want.name, want.bytes, want.page_size)
-            .map_err(|_| CkptError::Corrupt("recorded regions exhaust physical frames"))?;
+            .map_err(|_| CodecError::Corrupt("recorded regions exhaust physical frames"))?;
         if got.base != want.base || got.bytes != want.bytes {
-            return Err(CkptError::Corrupt("rebuilt region layout diverged"));
+            return Err(CodecError::Corrupt("rebuilt region layout diverged"));
         }
     }
     if !launch.unmapped_vpns.is_empty() {
@@ -114,10 +114,10 @@ impl TraceKernel {
     ///
     /// # Errors
     ///
-    /// [`CkptError::Corrupt`] on records that reference threads or
+    /// [`CodecError::Corrupt`] on records that reference threads or
     /// sites outside the launch bounds, or whose iterations arrive out
     /// of order (the canonical stream is iteration-ascending per lane).
-    pub fn from_trace(trace: &Trace) -> Result<Self, CkptError> {
+    pub fn from_trace(trace: &Trace) -> Result<Self, CodecError> {
         Self::from_parts(&trace.launch, &trace.records)
     }
 
@@ -128,15 +128,15 @@ impl TraceKernel {
     /// # Errors
     ///
     /// Same conditions as [`TraceKernel::from_trace`].
-    pub fn from_parts(launch: &TraceLaunch, records: &[TraceRecord]) -> Result<Self, CkptError> {
+    pub fn from_parts(launch: &TraceLaunch, records: &[TraceRecord]) -> Result<Self, CodecError> {
         let num_threads = launch.num_threads as usize;
         let num_sites = launch.program.num_sites();
         let mut mem = vec![Vec::new(); num_sites * num_threads];
         let mut branch = vec![Vec::new(); num_sites * num_threads];
-        let lane_tid = |warp: u32, lane: u32| -> Result<usize, CkptError> {
+        let lane_tid = |warp: u32, lane: u32| -> Result<usize, CodecError> {
             let tid = (warp * WARP_LANES + lane) as usize;
             if tid >= num_threads {
-                return Err(CkptError::Corrupt(
+                return Err(CodecError::Corrupt(
                     "trace record names a thread out of range",
                 ));
             }
@@ -152,7 +152,7 @@ impl TraceKernel {
                     addrs,
                 } => {
                     if *site as usize >= num_sites {
-                        return Err(CkptError::Corrupt("trace record names an unknown site"));
+                        return Err(CodecError::Corrupt("trace record names an unknown site"));
                     }
                     let mut next = 0usize;
                     for lane in 0..WARP_LANES {
@@ -162,7 +162,7 @@ impl TraceKernel {
                         let tid = lane_tid(*warp, lane)?;
                         let seq = &mut mem[*site as usize * num_threads + tid];
                         if seq.len() != *iter as usize {
-                            return Err(CkptError::Corrupt("memory records out of order"));
+                            return Err(CodecError::Corrupt("memory records out of order"));
                         }
                         seq.push(addrs[next]);
                         next += 1;
@@ -176,7 +176,7 @@ impl TraceKernel {
                     taken,
                 } => {
                     if *site as usize >= num_sites {
-                        return Err(CkptError::Corrupt("trace record names an unknown site"));
+                        return Err(CodecError::Corrupt("trace record names an unknown site"));
                     }
                     for lane in 0..WARP_LANES {
                         if eval & (1 << lane) == 0 {
@@ -185,7 +185,7 @@ impl TraceKernel {
                         let tid = lane_tid(*warp, lane)?;
                         let seq = &mut branch[*site as usize * num_threads + tid];
                         if seq.len() != *iter as usize {
-                            return Err(CkptError::Corrupt("branch records out of order"));
+                            return Err(CodecError::Corrupt("branch records out of order"));
                         }
                         seq.push(taken & (1 << lane) != 0);
                     }
@@ -254,10 +254,10 @@ impl Kernel for TraceKernel {
 ///
 /// # Errors
 ///
-/// [`CkptError::Corrupt`] when the trace's launch section cannot be
+/// [`CodecError::Corrupt`] when the trace's launch section cannot be
 /// rebuilt or its records are inconsistent (see
 /// [`TraceKernel::from_trace`] / [`rebuild_space`]).
-pub fn replay_run(trace: &Trace, config: &GpuConfig) -> Result<RunStats, CkptError> {
+pub fn replay_run(trace: &Trace, config: &GpuConfig) -> Result<RunStats, CodecError> {
     let (stats, _) = replay_run_observed(trace, config, &mut Observer::off())?;
     Ok(stats)
 }
@@ -277,7 +277,7 @@ pub fn replay_run_observed(
     trace: &Trace,
     config: &GpuConfig,
     obs: &mut Observer,
-) -> Result<(RunStats, Option<String>), CkptError> {
+) -> Result<(RunStats, Option<String>), CodecError> {
     let kernel = TraceKernel::from_trace(trace)?;
     let mut space = rebuild_space(&trace.launch)?;
     let mut gpu = Gpu::new(config.clone());

@@ -9,8 +9,7 @@
 //! stream stays pinned by the golden fixtures while `GMTM` evolves
 //! independently.
 //!
-//! Layout (all integers LEB128 varints via the [`gmmu_sim::ckpt`]
-//! codec):
+//! Layout (all integers LEB128 varints via [`gmmu_sim::codec`]):
 //!
 //! ```text
 //! header   := magic "GMTM" · version · fingerprint
@@ -30,7 +29,7 @@ use crate::format::{
     load_launch, load_record, save_launch, save_record, TraceLaunch, TraceRecord, TAG_END,
 };
 use crate::replay::TraceKernel;
-use gmmu_sim::ckpt::{fnv1a64, Ckpt, CkptError, Loader, Saver};
+use gmmu_sim::codec::{fnv1a64, Codec, CodecError, Loader, Saver};
 use gmmu_sim::Cycle;
 use gmmu_simt::gpu::RunStats;
 use gmmu_simt::observe::Observer;
@@ -74,7 +73,7 @@ fn save_policy(p: &TenantPolicy, w: &mut Saver) {
     w.u64(p.watchdog);
 }
 
-fn load_policy(r: &mut Loader<'_>) -> Result<TenantPolicy, CkptError> {
+fn load_policy(r: &mut Loader<'_>) -> Result<TenantPolicy, CodecError> {
     Ok(TenantPolicy {
         tagged: r.bool()?,
         walker_tokens: r.u32()?,
@@ -94,7 +93,7 @@ fn save_tenant_stats(ts: &[TenantStats], w: &mut Saver) {
     }
 }
 
-fn load_tenant_stats(r: &mut Loader<'_>) -> Result<Vec<TenantStats>, CkptError> {
+fn load_tenant_stats(r: &mut Loader<'_>) -> Result<Vec<TenantStats>, CodecError> {
     let n = r.usize()?;
     let mut out = Vec::with_capacity(n.min(1 << 10));
     for _ in 0..n {
@@ -148,19 +147,19 @@ impl MultiTrace {
     ///
     /// # Errors
     ///
-    /// Same taxonomy as [`crate::Trace::decode`]: [`CkptError::BadMagic`]
+    /// Same taxonomy as [`crate::Trace::decode`]: [`CodecError::BadMagic`]
     /// for foreign files (including single-tenant `GMTR` files),
-    /// [`CkptError::BadVersion`] for future revisions,
-    /// [`CkptError::ConfigMismatch`] when the launch blocks do not hash
-    /// to the header fingerprint, [`CkptError::Truncated`] and
-    /// [`CkptError::Corrupt`] for structural damage.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
+    /// [`CodecError::BadVersion`] for future revisions,
+    /// [`CodecError::ConfigMismatch`] when the launch blocks do not hash
+    /// to the header fingerprint, [`CodecError::Truncated`] and
+    /// [`CodecError::Corrupt`] for structural damage.
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = Loader::new(bytes);
         let found = r.header(&MT_TRACE_MAGIC, MT_TRACE_VERSION)?;
         let policy = load_policy(&mut r)?;
         let n = r.usize()?;
         if n == 0 {
-            return Err(CkptError::Corrupt("multi-tenant trace with zero tenants"));
+            return Err(CodecError::Corrupt("multi-tenant trace with zero tenants"));
         }
         let mut blocks: Vec<&[u8]> = Vec::with_capacity(n.min(1 << 10));
         for _ in 0..n {
@@ -172,14 +171,14 @@ impl MultiTrace {
         }
         let expected = fnv1a64(&all);
         if expected != found {
-            return Err(CkptError::ConfigMismatch { expected, found });
+            return Err(CodecError::ConfigMismatch { expected, found });
         }
         let mut tenants = Vec::with_capacity(n);
         for b in blocks {
             let mut lr = Loader::new(b);
             let launch = load_launch(&mut lr)?;
             if lr.remaining() != 0 {
-                return Err(CkptError::Corrupt("trailing bytes in launch section"));
+                return Err(CodecError::Corrupt("trailing bytes in launch section"));
             }
             tenants.push(TenantSection {
                 launch,
@@ -196,14 +195,14 @@ impl MultiTrace {
             }
             let count = r.u64()?;
             if count != t.records.len() as u64 {
-                return Err(CkptError::Corrupt("record count mismatch"));
+                return Err(CodecError::Corrupt("record count mismatch"));
             }
         }
         let mut stats = RunStats::zeroed();
         stats.load(&mut r)?;
         stats.tenants = load_tenant_stats(&mut r)?;
         if r.remaining() != 0 {
-            return Err(CkptError::Corrupt("trailing bytes after trace"));
+            return Err(CodecError::Corrupt("trailing bytes after trace"));
         }
         Ok(MultiTrace {
             policy,
@@ -274,13 +273,13 @@ pub fn capture_tenants(
 ///
 /// # Errors
 ///
-/// [`CkptError::Corrupt`] when a tenant's launch section cannot be
+/// [`CodecError::Corrupt`] when a tenant's launch section cannot be
 /// rebuilt at its ASID or its records are inconsistent.
 pub fn replay_tenants(
     trace: &MultiTrace,
     config: &GpuConfig,
     obs: &mut Observer,
-) -> Result<(RunStats, Option<String>), CkptError> {
+) -> Result<(RunStats, Option<String>), CodecError> {
     let kernels: Vec<TraceKernel> = trace
         .tenants
         .iter()
@@ -387,7 +386,10 @@ mod tests {
     fn gmtr_magic_is_refused() {
         let mut bytes = tiny_multi().encode();
         bytes[..4].copy_from_slice(b"GMTR");
-        assert_eq!(MultiTrace::decode(&bytes).unwrap_err(), CkptError::BadMagic);
+        assert_eq!(
+            MultiTrace::decode(&bytes).unwrap_err(),
+            CodecError::BadMagic
+        );
     }
 
     #[test]
@@ -397,7 +399,7 @@ mod tests {
         bytes[4] = 9;
         assert_eq!(
             MultiTrace::decode(&bytes).unwrap_err(),
-            CkptError::BadVersion(9)
+            CodecError::BadVersion(9)
         );
     }
 
@@ -412,7 +414,7 @@ mod tests {
         bad[idx] ^= 0x20;
         assert!(matches!(
             MultiTrace::decode(&bad),
-            Err(CkptError::ConfigMismatch { .. })
+            Err(CodecError::ConfigMismatch { .. })
         ));
     }
 
@@ -422,7 +424,10 @@ mod tests {
         for cut in [1, 5, bytes.len() / 2, bytes.len() - 1] {
             let err = MultiTrace::decode(&bytes[..cut]).unwrap_err();
             assert!(
-                matches!(err, CkptError::Truncated | CkptError::ConfigMismatch { .. }),
+                matches!(
+                    err,
+                    CodecError::Truncated | CodecError::ConfigMismatch { .. }
+                ),
                 "cut at {cut}: {err:?}"
             );
         }
@@ -436,7 +441,7 @@ mod tests {
         let bytes = t.encode();
         assert_eq!(
             MultiTrace::decode(&bytes).unwrap_err(),
-            CkptError::Corrupt("multi-tenant trace with zero tenants")
+            CodecError::Corrupt("multi-tenant trace with zero tenants")
         );
     }
 }

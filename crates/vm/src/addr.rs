@@ -225,15 +225,15 @@ impl fmt::Display for Ppn {
     }
 }
 
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
+use gmmu_sim::codec::{Codec, CodecError, Loader, Saver};
 
-macro_rules! ckpt_addr {
+macro_rules! codec_addr {
     ($($t:ty),*) => {$(
-        impl Ckpt for $t {
+        impl Codec for $t {
             fn save(&self, w: &mut Saver) {
                 w.u64(self.0);
             }
-            fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+            fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
                 self.0 = r.u64()?;
                 Ok(())
             }
@@ -241,20 +241,20 @@ macro_rules! ckpt_addr {
     )*};
 }
 
-ckpt_addr!(VAddr, PAddr, Vpn, Ppn);
+codec_addr!(VAddr, PAddr, Vpn, Ppn);
 
-impl Ckpt for PageSize {
+impl Codec for PageSize {
     fn save(&self, w: &mut Saver) {
         w.u8(match self {
             PageSize::Base4K => 0,
             PageSize::Large2M => 1,
         });
     }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         *self = match r.u8()? {
             0 => PageSize::Base4K,
             1 => PageSize::Large2M,
-            _ => return Err(CkptError::Corrupt("unknown page size tag")),
+            _ => return Err(CodecError::Corrupt("unknown page size tag")),
         };
         Ok(())
     }

@@ -157,8 +157,8 @@ impl FrameAlloc {
     }
 }
 
-impl gmmu_sim::ckpt::Ckpt for FramePolicy {
-    fn save(&self, w: &mut gmmu_sim::ckpt::Saver) {
+impl gmmu_sim::codec::Codec for FramePolicy {
+    fn save(&self, w: &mut gmmu_sim::codec::Saver) {
         w.u8(match self {
             FramePolicy::Sequential => 0,
             FramePolicy::Scrambled => 1,
@@ -166,12 +166,12 @@ impl gmmu_sim::ckpt::Ckpt for FramePolicy {
     }
     fn load(
         &mut self,
-        r: &mut gmmu_sim::ckpt::Loader<'_>,
-    ) -> Result<(), gmmu_sim::ckpt::CkptError> {
+        r: &mut gmmu_sim::codec::Loader<'_>,
+    ) -> Result<(), gmmu_sim::codec::CodecError> {
         *self = match r.u8()? {
             0 => FramePolicy::Sequential,
             1 => FramePolicy::Scrambled,
-            _ => return Err(gmmu_sim::ckpt::CkptError::Corrupt("unknown frame policy")),
+            _ => return Err(gmmu_sim::codec::CodecError::Corrupt("unknown frame policy")),
         };
         Ok(())
     }

@@ -449,15 +449,15 @@ impl AddressSpace {
     }
 }
 
-use gmmu_sim::ckpt::{Ckpt, CkptError, Loader, Saver};
+use gmmu_sim::codec::{Codec, CodecError, Loader, Saver};
 
-impl Ckpt for SpaceConfig {
+impl Codec for SpaceConfig {
     fn save(&self, w: &mut Saver) {
         w.u64(self.phys_frames);
         self.policy.save(w);
         w.u64(self.vbase);
     }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         self.phys_frames = r.u64()?;
         self.policy.load(r)?;
         self.vbase = r.u64()?;
@@ -465,14 +465,14 @@ impl Ckpt for SpaceConfig {
     }
 }
 
-impl Ckpt for Region {
+impl Codec for Region {
     fn save(&self, w: &mut Saver) {
         w.str(&self.name);
         self.base.save(w);
         w.u64(self.bytes);
         self.page_size.save(w);
     }
-    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CkptError> {
+    fn load(&mut self, r: &mut Loader<'_>) -> Result<(), CodecError> {
         self.name = r.str()?.to_owned();
         self.base.load(r)?;
         self.bytes = r.u64()?;

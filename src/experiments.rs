@@ -19,7 +19,7 @@
 
 use crate::figures::Figure;
 use crate::prelude::*;
-use gmmu_sim::ckpt::{Ckpt, Loader, Saver};
+use gmmu_sim::codec::{Codec, Loader, Saver};
 use gmmu_sim::metrics::Metrics;
 use gmmu_sim::rng::fnv1a64;
 use gmmu_sim::trace::Tracer;
@@ -41,18 +41,10 @@ commands:
   all           every figure in paper order (all but ablations), its
                 design points run as one deduplicated batch; writes
                 BENCH_all_figures.json
-  validate      capture/replay conformance matrix: six workloads x
-                skip/per-cycle loop x plain/fault-injected; writes
-                BENCH_validate.json
   replay PATH   replay a GMTR trace: rebuild the captured machine, drive
                 it from the recorded behaviour, and diff the result
                 against the stats embedded in the trace; exits non-zero
                 on any difference
-  fault-inject  every workload executes a fully demand-paged run (zero
-                pre-mapped pages) and a mixed-fault run (partial unmap,
-                delayed walks, transient rejects, shootdown storms);
-                exits non-zero if any run panics, hangs, or trips the
-                forward-progress watchdog
 options (every option also takes the form --flag=value):
   --quick    tiny workloads on a 2-core machine (CI/smoke scope)
   --full     the paper's full 30-core machine (slow; final numbers)
@@ -77,17 +69,13 @@ options (every option also takes the form --flag=value):
              when the file exists (exit non-zero on any difference),
              write it otherwise
   --fault-seed N
-             seed for the deterministic fault schedules (default 0xfa57)
+             seed for the deterministic fault schedule, read by
+             `fig multitenant --metrics` (default 0xfa57)
   --journal PATH
              restartable sweeps: append every completed design point
              (key, wall time, full stats) to PATH and, on start, serve
              points already journaled from PATH without recompute — a
              killed sweep resumes where it left off
-  --shard I/N
-             run only every N-th design point starting at I (0-based)
-             of the deduplicated sweep; combine with a shared --journal
-             to split one sweep across N processes or machines, then
-             merge with a final unsharded run on the same journal
   --kill-after N
              stop after N freshly simulated design points with exit
              status 3, journal intact (exercises the resume path)
@@ -108,13 +96,8 @@ pub enum Command {
     Fig(&'static Figure),
     /// `all`: every registry entry `gmmu all` prints.
     All,
-    /// `validate`: the capture/replay conformance matrix.
-    Validate,
     /// `replay PATH`: replay and verify one GMTR trace ([`run_replay`]).
     Replay(&'static str),
-    /// `fault-inject`: the fault-injection harness
-    /// ([`run_fault_injection`]).
-    FaultInject,
 }
 
 /// A parsed command line: the subcommand, the experiment scope every
@@ -189,7 +172,6 @@ impl Cli {
                 "--metrics" => opts.metrics = Some(leak_path(value()?)),
                 "--fault-seed" => opts.fault_seed = parse_seed(&value()?)?,
                 "--journal" => opts.journal = Some(leak_path(value()?)),
-                "--shard" => opts.shard = Some(parse_shard(&value()?)?),
                 "--kill-after" => opts.kill_after = Some(positive(flag, &value()?)?),
                 "--capture-trace" => opts.capture_trace = Some(leak_path(value()?)),
                 "--help" | "-h" => return Err(ArgError::Help),
@@ -208,13 +190,11 @@ impl Cli {
                 )
             }
             Some("all") => Command::All,
-            Some("validate") => Command::Validate,
             Some("replay") => Command::Replay(leak_path(
                 positional
                     .next()
                     .ok_or_else(|| bad("`replay` needs a trace path".into()))?,
             )),
-            Some("fault-inject") => Command::FaultInject,
             Some(other) => return Err(bad(format!("unknown command `{other}`"))),
             None => return Err(bad("missing command".into())),
         };
@@ -271,14 +251,12 @@ pub struct ExperimentOpts {
     /// (`--metrics`); under `gmmu replay`, diff against the file when it
     /// exists and write it otherwise.
     pub metrics: Option<&'static str>,
-    /// Seed for the deterministic fault schedules (`--fault-seed`).
+    /// Seed for the deterministic fault schedule of the multi-tenant
+    /// metrics snapshot (`--fault-seed`).
     pub fault_seed: u64,
     /// Journal completed design points to this path and replay it on
     /// start (`--journal`): the restartable-sweep mechanism.
     pub journal: Option<&'static str>,
-    /// Run only design points `i % n == shard.0` of the deduplicated
-    /// sweep (`--shard I/N`).
-    pub shard: Option<(usize, usize)>,
     /// Exit with status 3 after this many freshly simulated points
     /// (`--kill-after`; exercises journal resume).
     pub kill_after: Option<usize>,
@@ -300,7 +278,6 @@ impl Default for ExperimentOpts {
             metrics: None,
             fault_seed: 0xfa57,
             journal: None,
-            shard: None,
             kill_after: None,
             capture_trace: None,
         }
@@ -363,16 +340,6 @@ fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
             "`{flag}` needs a positive integer, got `{v}`"
         ))),
     }
-}
-
-fn parse_shard(v: &str) -> Result<(usize, usize), ArgError> {
-    v.split_once('/')
-        .and_then(|(i, n)| {
-            let i = i.parse::<usize>().ok()?;
-            let n = n.parse::<usize>().ok()?;
-            (n >= 1 && i < n).then_some((i, n))
-        })
-        .ok_or_else(|| ArgError::Usage(format!("`--shard` needs I/N with 0 <= I < N, got `{v}`")))
 }
 
 fn parse_seed(v: &str) -> Result<u64, ArgError> {
@@ -499,8 +466,9 @@ fn hex_decode(s: &str) -> Option<Vec<u8>> {
 }
 
 /// Simulates one design point with the observation instruments the
-/// options ask for, writing the trace / interval / GMTR capture files
-/// as a side effect. Results are bit-identical to the unobserved run.
+/// options ask for, writing the trace / interval / metrics / GMTR
+/// capture files as a side effect (a file that cannot be written exits
+/// 1). Results are bit-identical to the unobserved run.
 fn observed_run(opts: ExperimentOpts, spec: &PointSpec, w: &Workload) -> RunStats {
     let mut obs = Observer::off();
     if opts.trace.is_some() {
@@ -531,28 +499,24 @@ fn observed_run(opts: ExperimentOpts, spec: &PointSpec, w: &Workload) -> RunStat
     if let (Some(path), Some(launch), Some(rec)) = (opts.capture_trace, launch, recorder) {
         let trace = assemble(launch, rec, &stats);
         let bytes = trace.encode();
-        match std::fs::write(path, &bytes) {
-            Ok(()) => eprintln!(
-                "capture: {} record(s) from {:?} written to {path} ({} bytes)",
-                trace.records.len(),
-                spec.bench,
-                bytes.len()
-            ),
-            Err(e) => eprintln!("capture: failed to write {path}: {e}"),
-        }
+        write_or_exit("capture", path, &bytes);
+        eprintln!(
+            "capture: {} record(s) from {:?} written to {path} ({} bytes)",
+            trace.records.len(),
+            spec.bench,
+            bytes.len()
+        );
     }
     if let (Some(path), Some(buf)) = (opts.trace, obs.tracer.buffer()) {
         // With the metrics channel and interval recorder both on, the
         // span trace gains a counter track of per-stage walk cycles.
         let counters = metrics_counter_rows(&obs);
-        match std::fs::write(path, buf.to_chrome_json_with(&counters)) {
-            Ok(()) => eprintln!(
-                "trace: {} events from {:?} written to {path}",
-                buf.len(),
-                spec.bench
-            ),
-            Err(e) => eprintln!("trace: failed to write {path}: {e}"),
-        }
+        write_or_exit("trace", path, buf.to_chrome_json_with(&counters));
+        eprintln!(
+            "trace: {} events from {:?} written to {path}",
+            buf.len(),
+            spec.bench
+        );
     }
     if let (Some(path), Some(rec)) = (opts.intervals, obs.intervals.as_ref()) {
         let body = if path.ends_with(".json") {
@@ -560,26 +524,32 @@ fn observed_run(opts: ExperimentOpts, spec: &PointSpec, w: &Workload) -> RunStat
         } else {
             rec.to_csv()
         };
-        match std::fs::write(path, body) {
-            Ok(()) => eprintln!(
-                "intervals: {} samples from {:?} written to {path}",
-                rec.samples().len(),
-                spec.bench
-            ),
-            Err(e) => eprintln!("intervals: failed to write {path}: {e}"),
-        }
+        write_or_exit("intervals", path, body);
+        eprintln!(
+            "intervals: {} samples from {:?} written to {path}",
+            rec.samples().len(),
+            spec.bench
+        );
     }
     if let (Some(path), Some(body)) = (opts.metrics, snapshot) {
-        match std::fs::write(path, &body) {
-            Ok(()) => eprintln!(
-                "metrics: snapshot from {:?} written to {path} ({} bytes)",
-                spec.bench,
-                body.len()
-            ),
-            Err(e) => eprintln!("metrics: failed to write {path}: {e}"),
-        }
+        write_or_exit("metrics", path, &body);
+        eprintln!(
+            "metrics: snapshot from {:?} written to {path} ({} bytes)",
+            spec.bench,
+            body.len()
+        );
     }
     stats
+}
+
+/// Writes one output file the command line asked for. A requested file
+/// that cannot be written ends the process with status 1, so a run never
+/// succeeds with one of its outputs missing.
+fn write_or_exit(what: &str, path: &str, body: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("{what}: failed to write {path}: {e}");
+        std::process::exit(1)
+    }
 }
 
 /// Renders the interval time-series' per-stage walk columns as Chrome
@@ -779,7 +749,7 @@ impl Runner {
                 continue;
             };
             if self.cache.contains_key(&key) {
-                continue; // duplicate point (e.g. overlapping shards)
+                continue; // duplicate point (e.g. a journal appended twice)
             }
             self.journal_hits += 1;
             self.point_log.push(run);
@@ -940,20 +910,6 @@ impl Runner {
                 todo.push((key, spec));
             }
         }
-        // Shard the deduplicated, deterministically ordered queue:
-        // worker `i` of `n` takes every n-th point. Journaled points
-        // were already dropped above, so resumed shards skip straight
-        // to their remaining work.
-        if let Some((shard, n)) = self.opts.shard {
-            if n > 1 {
-                let mut i = 0usize;
-                todo.retain(|_| {
-                    let keep = i % n == shard;
-                    i += 1;
-                    keep
-                });
-            }
-        }
         // `--kill-after N`: simulate a mid-sweep kill at a clean point
         // boundary — run N fresh points, journal them, exit(3).
         let mut kill = false;
@@ -1028,71 +984,6 @@ impl Runner {
             std::process::exit(3)
         }
     }
-}
-
-/// `gmmu fault-inject`: proves every recovery path survives on all six
-/// workloads, then exits. Each benchmark executes twice —
-///
-/// 1. **demand-paged**: every data page starts unmapped, so the whole
-///    footprint arrives through page faults serviced by the modeled CPU
-///    fault handler;
-/// 2. **mixed-fault**: [`FaultInjectConfig::smoke`] — a quarter of the
-///    pages unmapped plus delayed walks, transient rejections, and
-///    TLB-shootdown storms that remap live regions mid-run.
-///
-/// The forward-progress watchdog is armed throughout; any panic, hang,
-/// watchdog trip, or fault-free demand-paged run exits non-zero.
-pub fn run_fault_injection(opts: ExperimentOpts) -> ! {
-    println!(
-        "fault-injection harness: seed {:#x}, {:?} scale, augmented MMU",
-        opts.fault_seed, opts.scale
-    );
-    println!(
-        "{:<14} {:<13} {:>12} {:>8} {:>10} {:>9}  status",
-        "bench", "run", "cycles", "faults", "shootdowns", "squashed"
-    );
-    let mut failures = 0u32;
-    for bench in Bench::all() {
-        for (label, inject) in [
-            (
-                "demand-paged",
-                FaultInjectConfig::demand_paged(opts.fault_seed),
-            ),
-            ("mixed-fault", FaultInjectConfig::smoke(opts.fault_seed)),
-        ] {
-            let (mut w, unmapped) = build_demand_paged(bench, opts.scale, opts.seed, &inject);
-            let mut cfg = opts.gpu(designs::augmented());
-            cfg.fault = FaultConfig::demand();
-            cfg.inject = Some(inject);
-            let stats =
-                Gpu::new(cfg).run_faulted(w.kernel.as_ref(), &mut w.space, &mut Observer::off());
-            let ok = stats.completed && (unmapped == 0 || stats.faults > 0);
-            let status = if stats.watchdog_fired {
-                "WATCHDOG"
-            } else if !ok {
-                "FAILED"
-            } else {
-                "ok"
-            };
-            if !ok {
-                failures += 1;
-            }
-            println!(
-                "{:<14} {:<13} {:>12} {:>8} {:>10} {:>9}  {status}",
-                bench.name(),
-                label,
-                stats.cycles,
-                stats.faults,
-                stats.shootdowns,
-                stats.squashed_walks
-            );
-        }
-    }
-    if failures > 0 {
-        eprintln!("fault injection: {failures} run(s) failed");
-        std::process::exit(1)
-    }
-    std::process::exit(0)
 }
 
 /// `gmmu replay`: replays a GMTR trace captured with `--capture-trace`.
@@ -1254,11 +1145,11 @@ mod tests {
 
     #[test]
     fn flag_values_parse_inline_or_separate() {
-        let spaced = parse("all --jobs 4 --shard 1/2 --fault-seed 0x10").unwrap();
-        let inline = parse("all --jobs=4 --shard=1/2 --fault-seed=0x10").unwrap();
+        let spaced = parse("all --jobs 4 --kill-after 3 --fault-seed 0x10").unwrap();
+        let inline = parse("all --jobs=4 --kill-after=3 --fault-seed=0x10").unwrap();
         assert_eq!(spaced.opts, inline.opts);
         assert_eq!(inline.opts.jobs, 4);
-        assert_eq!(inline.opts.shard, Some((1, 2)));
+        assert_eq!(inline.opts.kill_after, Some(3));
         assert_eq!(inline.opts.fault_seed, 16);
         // A path may itself contain `=`; only the first one splits.
         let cli = parse("replay t.gmtr --metrics=a=b.json").unwrap();
@@ -1272,13 +1163,9 @@ mod tests {
         assert!(matches!(cli.command, Command::Fig(f) if f.name == "fig10"));
         assert!(cli.csv);
         assert_eq!(cli.opts, ExperimentOpts::quick());
-        let cli = parse("--full fault-inject").unwrap();
-        assert!(matches!(cli.command, Command::FaultInject));
+        let cli = parse("--full all").unwrap();
+        assert!(matches!(cli.command, Command::All));
         assert_eq!((cli.opts.scale, cli.opts.n_cores), (Scale::Full, 30));
-        assert!(matches!(
-            parse("validate").unwrap().command,
-            Command::Validate
-        ));
         assert_eq!(parse("all --help").err(), Some(ArgError::Help));
     }
 
@@ -1299,7 +1186,9 @@ mod tests {
     #[test]
     fn bad_command_lines_are_refused_not_exited() {
         assert!(refused("all --jobs 0").contains("--jobs"));
-        assert!(refused("all --shard 2/2").contains("--shard"));
+        assert!(refused("all --shard 0/1").contains("--shard"));
+        assert!(refused("validate").contains("validate"));
+        assert!(refused("fault-inject").contains("fault-inject"));
         assert!(refused("all --jobs").contains("needs a value"));
         assert!(refused("all --bogus").contains("--bogus"));
         assert!(refused("all --quick=1").contains("takes no value"));

@@ -1,18 +1,24 @@
 //! Trace capture/replay conformance: a run recorded to a GMTR trace and
 //! replayed under either drive loop (idle-skipping or per-cycle) must
 //! reproduce the captured run's statistics bit-identically — with and
-//! without fault injection — and the format must refuse foreign,
-//! truncated, tampered, or other-versioned files. Committed golden fixtures pin the byte format
-//! itself: re-capturing a replayed golden run must reproduce the
-//! committed file byte for byte.
+//! without fault injection — with the two loops' metrics snapshots
+//! byte-identical, and the format must refuse foreign, truncated,
+//! tampered, or other-versioned files. Committed golden fixtures pin the
+//! byte format itself: a fresh capture from the workload builders, and a
+//! re-capture of a replayed golden run, must both reproduce the
+//! committed file byte for byte. `emit_golden_fixtures` (ignored by
+//! default) re-records them after a deliberate change:
+//!
+//! ```text
+//! cargo test --test trace -- --ignored emit_golden_fixtures
+//! ```
 
 use gmmu::experiments::{designs, ExperimentOpts};
 use gmmu::prelude::*;
-use gmmu_sim::ckpt::CkptError;
+use gmmu_sim::codec::CodecError;
 use gmmu_sim::metrics::Metrics;
 use gmmu_trace::{
-    assemble, capture_launch, rebuild_space, replay_run, replay_run_observed, Recorder, Trace,
-    TraceKernel,
+    assemble, capture_launch, rebuild_space, replay_run_observed, Recorder, Trace, TraceKernel,
 };
 
 /// Captures `bench` (Tiny scale, seed 7) under `cfg`, returning the
@@ -33,29 +39,67 @@ fn capture(bench: Bench, cfg: &GpuConfig) -> (Vec<u8>, RunStats) {
 /// The two drive loops every replay runs under.
 const LOOPS: [(&str, bool); 2] = [("skip", false), ("per-cycle", true)];
 
-/// Replays `bytes` under each drive loop; every replay must match the
-/// stats embedded in the trace exactly (ignoring `wall_s`).
-fn assert_replays_match(bytes: &[u8], what: &str) {
+/// Where the golden fixtures live.
+const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+
+/// The committed golden traces: quick scope (Tiny scale), seed 7,
+/// augmented MMU, captured by [`capture`].
+const GOLDEN: [(Bench, &str); 2] = [
+    (Bench::Pathfinder, "pathfinder_tiny"),
+    (Bench::Kmeans, "kmeans_tiny"),
+];
+
+/// Replays `bytes` under each drive loop with the metrics channel on.
+/// Every replay must match the stats embedded in the trace exactly
+/// (ignoring `wall_s`), and the two loops must render byte-identical
+/// metrics snapshots: the snapshot is a pure fold of the run's events.
+/// Returns that snapshot.
+fn assert_replays_match(bytes: &[u8], what: &str) -> String {
     let trace = Trace::decode(bytes).expect("trace decodes");
+    let mut snapshots = Vec::with_capacity(LOOPS.len());
     for (name, tick_every_cycle) in LOOPS {
         let mut cfg = trace.launch.config.clone();
         cfg.tick_every_cycle = tick_every_cycle;
-        let replayed = replay_run(&trace, &cfg).expect("replay runs");
+        let mut obs = Observer::off();
+        obs.metrics = Metrics::recording();
+        let (replayed, snapshot) =
+            replay_run_observed(&trace, &cfg, &mut obs).expect("replay runs");
         let diff = trace.stats.diff(&replayed);
         assert!(
             diff.is_empty(),
             "{what}/{name}: replay diverged from capture in {diff:?}"
         );
+        snapshots.push(snapshot.expect("the metrics channel was on"));
     }
+    assert_eq!(
+        snapshots[0], snapshots[1],
+        "{what}: metrics snapshots diverged across loops"
+    );
+    snapshots.swap_remove(0)
 }
 
+/// Every benchmark, plain and under demand paging with the mixed fault
+/// soup, round-trips through a trace under both loops.
 #[test]
 fn capture_replay_round_trips_on_every_bench_and_engine() {
-    let cfg = ExperimentOpts::quick().gpu(designs::augmented());
+    let plain = ExperimentOpts::quick().gpu(designs::augmented());
+    let mut faulted = plain.clone();
+    faulted.fault = FaultConfig::demand();
+    faulted.inject = Some(FaultInjectConfig::smoke(0xfa57));
     for bench in Bench::all() {
-        let (bytes, stats) = capture(bench, &cfg);
-        assert!(stats.completed, "{bench} capture hit the cycle cap");
-        assert_replays_match(&bytes, &format!("{bench}"));
+        for (variant, cfg) in [("plain", &plain), ("fault", &faulted)] {
+            let what = format!("{bench}/{variant}");
+            let (bytes, stats) = capture(bench, cfg);
+            assert!(stats.completed, "{what}: capture hit the cycle cap");
+            assert!(
+                !stats.watchdog_fired,
+                "{what}: capture tripped the watchdog"
+            );
+            if cfg.inject.is_some() {
+                assert!(stats.faults > 0, "{what}: nothing demand-faulted");
+            }
+            assert_replays_match(&bytes, &what);
+        }
     }
 }
 
@@ -89,17 +133,6 @@ fn recapturing_a_replay_is_byte_identical() {
 }
 
 #[test]
-fn replay_under_fault_injection_matches_capture() {
-    let mut cfg = ExperimentOpts::quick().gpu(designs::augmented());
-    cfg.fault = FaultConfig::demand();
-    cfg.inject = Some(FaultInjectConfig::smoke(0xfa57));
-    let (bytes, stats) = capture(Bench::Bfs, &cfg);
-    assert!(stats.completed, "faulted capture hit the cycle cap");
-    assert!(stats.faults > 0, "nothing demand-faulted");
-    assert_replays_match(&bytes, "bfs/smoke");
-}
-
-#[test]
 fn trace_refuses_foreign_truncated_or_tampered_files() {
     let cfg = ExperimentOpts::quick().gpu(designs::naive3());
     let (bytes, _) = capture(Bench::Kmeans, &cfg);
@@ -107,7 +140,7 @@ fn trace_refuses_foreign_truncated_or_tampered_files() {
     // Foreign magic.
     let mut foreign = bytes.clone();
     foreign[..4].copy_from_slice(b"GMCK");
-    assert_eq!(Trace::decode(&foreign).unwrap_err(), CkptError::BadMagic);
+    assert_eq!(Trace::decode(&foreign).unwrap_err(), CodecError::BadMagic);
 
     // Any other format version is refused before the payload is read
     // (the version is the single varint byte at offset 4): a GMTR v1
@@ -119,7 +152,7 @@ fn trace_refuses_foreign_truncated_or_tampered_files() {
         other[4] = version;
         assert_eq!(
             Trace::decode(&other).unwrap_err(),
-            CkptError::BadVersion(version as u32)
+            CodecError::BadVersion(version as u32)
         );
     }
 
@@ -128,7 +161,7 @@ fn trace_refuses_foreign_truncated_or_tampered_files() {
     tampered[40] ^= 0x01;
     assert!(matches!(
         Trace::decode(&tampered).unwrap_err(),
-        CkptError::ConfigMismatch { .. }
+        CodecError::ConfigMismatch { .. }
     ));
 
     // Truncation anywhere in the body.
@@ -148,8 +181,8 @@ fn trace_refuses_foreign_truncated_or_tampered_files() {
 /// pass against the changed code.
 #[test]
 fn golden_fixtures_replay_and_recapture_byte_identically() {
-    for name in ["pathfinder_tiny", "kmeans_tiny"] {
-        let path = format!("{}/tests/fixtures/{name}.gmtr", env!("CARGO_MANIFEST_DIR"));
+    for (_, name) in GOLDEN {
+        let path = format!("{FIXTURES}/{name}.gmtr");
         let bytes =
             std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture {path}: {e}"));
         let trace = Trace::decode(&bytes).expect("golden fixture decodes");
@@ -175,18 +208,58 @@ fn golden_fixtures_replay_and_recapture_byte_identically() {
     }
 }
 
+/// The committed traces equal a fresh capture from the workload
+/// builders. Re-capturing a replay (above) drives the kernel from the
+/// fixture's own records, so only this test sees a change in how a
+/// workload is built.
+#[test]
+fn golden_fixtures_match_a_fresh_capture() {
+    let cfg = ExperimentOpts::quick().gpu(designs::augmented());
+    for (bench, name) in GOLDEN {
+        let path = format!("{FIXTURES}/{name}.gmtr");
+        let golden =
+            std::fs::read(&path).unwrap_or_else(|e| panic!("missing golden fixture {path}: {e}"));
+        let (fresh, _) = capture(bench, &cfg);
+        assert!(
+            fresh == golden,
+            "{name}: a fresh capture ({} bytes) differs from the committed fixture ({} bytes)",
+            fresh.len(),
+            golden.len()
+        );
+    }
+}
+
+/// Re-records the golden traces and `metrics_pathfinder_tiny.json` (the
+/// metrics-on replay snapshot of the pathfinder trace) into
+/// `tests/fixtures/`. Run it by hand after a deliberate format, schema
+/// or model change, and commit the result.
+#[test]
+#[ignore = "rewrites tests/fixtures"]
+fn emit_golden_fixtures() {
+    let cfg = ExperimentOpts::quick().gpu(designs::augmented());
+    for (bench, name) in GOLDEN {
+        let (bytes, _) = capture(bench, &cfg);
+        let path = format!("{FIXTURES}/{name}.gmtr");
+        std::fs::write(&path, &bytes).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        if bench == Bench::Pathfinder {
+            let snapshot = assert_replays_match(&bytes, name);
+            let path = format!("{FIXTURES}/metrics_{name}.json");
+            std::fs::write(&path, snapshot).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        }
+    }
+}
+
 /// The committed metrics snapshot fixture pins the snapshot JSON schema:
 /// replaying the golden pathfinder trace with the metrics channel on
 /// must reproduce `metrics_pathfinder_tiny.json` byte for byte, under
 /// both loops. A schema change (new field, renamed instrument, different
 /// float formatting) fails here and forces a deliberate fixture bump via
-/// `GMMU_EMIT_GOLDEN`.
+/// `emit_golden_fixtures`.
 #[test]
 fn golden_metrics_snapshot_matches_committed_fixture() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
-    let bytes = std::fs::read(format!("{dir}/pathfinder_tiny.gmtr"))
+    let bytes = std::fs::read(format!("{FIXTURES}/pathfinder_tiny.gmtr"))
         .expect("missing golden fixture pathfinder_tiny.gmtr");
-    let golden = std::fs::read_to_string(format!("{dir}/metrics_pathfinder_tiny.json"))
+    let golden = std::fs::read_to_string(format!("{FIXTURES}/metrics_pathfinder_tiny.json"))
         .expect("missing golden fixture metrics_pathfinder_tiny.json");
     let trace = Trace::decode(&bytes).expect("golden fixture decodes");
     for (name, tick_every_cycle) in LOOPS {
@@ -218,8 +291,7 @@ fn golden_trace_and_interval_bytes_match_pinned_digests() {
     const CHROME_FNV: u64 = 0x1cdc_829a_4e6a_0a45;
     const INTERVALS_FNV: u64 = 0x0919_ee11_473e_e705;
 
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
-    let bytes = std::fs::read(format!("{dir}/pathfinder_tiny.gmtr"))
+    let bytes = std::fs::read(format!("{FIXTURES}/pathfinder_tiny.gmtr"))
         .expect("missing golden fixture pathfinder_tiny.gmtr");
     let trace = Trace::decode(&bytes).expect("golden fixture decodes");
     for (name, tick_every_cycle) in LOOPS {
@@ -297,7 +369,7 @@ fn multitenant_capture_replay_round_trips() {
     v1[4] = 1;
     assert_eq!(
         MultiTrace::decode(&v1).unwrap_err(),
-        CkptError::BadVersion(1)
+        CodecError::BadVersion(1)
     );
 
     for (name, tick_every_cycle) in LOOPS {
@@ -373,7 +445,7 @@ fn refusals<T, E>(what: &str, inputs: &[&[u8]], decode: fn(&[u8]) -> Result<T, E
 /// corrupt bytes.
 #[test]
 fn gmtr_loader_survives_seeded_byte_mutations() {
-    use gmmu_sim::ckpt::{Loader, Saver};
+    use gmmu_sim::codec::{Loader, Saver};
     use gmmu_sim::rng::{fnv1a64, Xoshiro256};
     use gmmu_trace::{TRACE_MAGIC, TRACE_VERSION};
 
@@ -385,11 +457,10 @@ fn gmtr_loader_survives_seeded_byte_mutations() {
         (bytes.len() - r.remaining() - len, len)
     }
 
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
     let mut rng = Xoshiro256::seed_from(0x6d75_7461);
     let mut mutations = 0;
     for name in ["pathfinder_tiny", "kmeans_tiny"] {
-        let full = std::fs::read(format!("{dir}/{name}.gmtr")).expect("golden fixture");
+        let full = std::fs::read(format!("{FIXTURES}/{name}.gmtr")).expect("golden fixture");
         let trace = Trace::decode(&full).expect("golden fixture decodes");
         let short = Trace {
             records: trace.records[..300].to_vec(),
@@ -442,11 +513,10 @@ fn gmtm_loader_survives_seeded_byte_mutations() {
     use gmmu_simt::{TenantPolicy, TenantStats};
     use gmmu_trace::{MultiTrace, TenantSection};
 
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
     let traces: Vec<Trace> = ["pathfinder_tiny", "kmeans_tiny"]
         .iter()
         .map(|name| {
-            let bytes = std::fs::read(format!("{dir}/{name}.gmtr")).expect("golden fixture");
+            let bytes = std::fs::read(format!("{FIXTURES}/{name}.gmtr")).expect("golden fixture");
             Trace::decode(&bytes).expect("golden fixture decodes")
         })
         .collect();
