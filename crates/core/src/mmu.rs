@@ -842,46 +842,19 @@ impl Mmu {
         self.reject(now, requester, asid, pages)
     }
 
-    /// Flushes the TLB (shootdown from the launching CPU, Section 6.2).
-    /// In-flight walks complete and refill naturally, mirroring hardware.
-    pub fn flush_tlb(&mut self) {
-        if let Some(tlb) = self.tlb.as_mut() {
-            tlb.flush();
-        }
-    }
-
-    /// Services a full TLB shootdown (the owning CPU changed the page
-    /// table): flushes the TLB and the walker's page-walk cache, squashes
-    /// every in-flight walk — queued requests *and* fills computed
-    /// against the old table but not yet applied — releases their MSHRs,
-    /// and emits one [`MmuEvent::Squashed`] per waiting warp so the core
-    /// retries the access with bounded backoff against the new table.
-    pub fn shootdown(&mut self, now: Cycle) {
-        let _ = now;
-        self.shootdowns.inc();
-        self.flush_tlb();
-        let Some(walker) = self.walker.as_mut() else {
-            return;
-        };
-        let mut squashed: Vec<(u16, Vpn)> = walker
-            .shootdown()
-            .into_iter()
-            .map(|r| (r.asid, r.vpn))
-            .collect();
-        squashed.extend(self.pending_fills.drain(..).map(|d| (d.asid, d.vpn)));
-        self.squash(squashed);
-    }
-
-    /// ASID-scoped shootdown (the tagged design's whole point): flushes
-    /// only `asid`'s TLB entries and squashes only its in-flight walks,
-    /// leaving co-tenants' entries, queued walks, and pending fills
-    /// untouched. On single-tenant state `shootdown_asid(now, 0)` is
-    /// byte-identical to the full [`Mmu::shootdown`]. With tagging
-    /// disabled the TLB cannot discriminate, so the whole TLB is flushed
-    /// whenever the victim is the tenant it currently holds (other
-    /// tenants have no entries in it by construction).
-    pub fn shootdown_asid(&mut self, now: Cycle, asid: u16) {
-        let _ = now;
+    /// Services a TLB shootdown for tenant `asid` (the owning CPU changed
+    /// its page table, Section 6.2): flushes `asid`'s TLB entries and the
+    /// walker's page-walk cache, squashes `asid`'s in-flight walks —
+    /// queued requests *and* fills computed against the old table but
+    /// not yet applied — releases their MSHRs, and emits one
+    /// [`MmuEvent::Squashed`] per waiting warp so the core retries the
+    /// access with bounded backoff against the new table. Co-tenants'
+    /// entries, queued walks and pending fills are untouched, in order;
+    /// single-tenant state is all ASID 0, so there this is a full flush.
+    /// With tagging disabled the TLB cannot discriminate, so the whole
+    /// TLB is flushed whenever the victim is the tenant it currently
+    /// holds (other tenants have no entries in it by construction).
+    pub fn shootdown(&mut self, asid: u16) {
         self.shootdowns.inc();
         if let Some(tlb) = self.tlb.as_mut() {
             if self.tagged {
@@ -894,7 +867,7 @@ impl Mmu {
             return;
         };
         let mut squashed: Vec<(u16, Vpn)> = walker
-            .shootdown_asid(asid)
+            .shootdown(asid)
             .into_iter()
             .map(|r| (r.asid, r.vpn))
             .collect();
@@ -1244,7 +1217,7 @@ mod tests {
         r.mmu.advance(0, &mut r.mem, &r.space);
         let out = r.mmu.translate(0, 4, &[pr(p, 4)], &r.space, &mut r.buf);
         assert!(matches!(out, TranslateOutcome::Miss { .. }));
-        r.mmu.shootdown(1);
+        r.mmu.shootdown(0);
         let events: Vec<MmuEvent> = r.mmu.events().collect();
         assert!(events
             .iter()
@@ -1300,7 +1273,7 @@ mod tests {
         r.mmu.advance(0, &mut r.mem, &r.space);
         let _ = r.mmu.translate(0, 0, &[pr(p, 0)], &r.space, &mut r.buf);
         let (now, _) = settle(&mut r, 1);
-        r.mmu.flush_tlb();
+        r.mmu.shootdown(0);
         let out = r.mmu.translate(now, 0, &[pr(p, 0)], &r.space, &mut r.buf);
         assert!(matches!(out, TranslateOutcome::Miss { .. }));
     }

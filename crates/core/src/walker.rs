@@ -483,29 +483,17 @@ impl Walker {
         self.pending.iter().filter(|r| r.asid == asid).count()
     }
 
-    /// The per-walker half of a TLB shootdown: squashes every queued
-    /// (not yet started) walk and flushes the page-walk cache, whose
-    /// cached upper-level PTEs may now be stale. Lanes keep their busy
-    /// reservations — hardware lanes finish the PTE loads they already
-    /// issued; the MMU drops the results. Returns the squashed requests
-    /// so the MMU can re-disposition their waiters.
-    pub fn shootdown(&mut self) -> Vec<WalkRequest> {
-        if let Some(pwc) = self.pwc.as_mut() {
-            pwc.flush();
-        }
-        // `Vec::from` rotates the deque's buffer in place — the queue's
-        // allocation is handed to the caller rather than copied.
-        Vec::from(std::mem::take(&mut self.pending))
-    }
-
-    /// ASID-scoped shootdown: squashes only the queued walks belonging
-    /// to `asid`, leaving other tenants' requests queued in order. The
-    /// page-walk cache is still flushed — its entries are tagged by
-    /// physical PTE address only, and a conservative full flush is what
-    /// the hardware would do (it costs refetches, never correctness).
-    /// On single-tenant state `shootdown_asid(0)` is byte-identical to
-    /// [`Walker::shootdown`].
-    pub fn shootdown_asid(&mut self, asid: u16) -> Vec<WalkRequest> {
+    /// The per-walker half of a TLB shootdown: squashes the queued (not
+    /// yet started) walks belonging to `asid`, leaving other tenants'
+    /// requests queued in order, and flushes the page-walk cache, whose
+    /// cached upper-level PTEs may now be stale. The cache is flushed
+    /// whole: its entries are tagged by physical PTE address only, and a
+    /// conservative full flush is what the hardware would do (it costs
+    /// refetches, never correctness). Lanes keep their busy reservations
+    /// — hardware lanes finish the PTE loads they already issued; the
+    /// MMU drops the results. Returns the squashed requests so the MMU
+    /// can re-disposition their waiters.
+    pub fn shootdown(&mut self, asid: u16) -> Vec<WalkRequest> {
         if let Some(pwc) = self.pwc.as_mut() {
             pwc.flush();
         }
@@ -1137,13 +1125,13 @@ mod tests {
             w.enqueue_asid(0, Vpn::new(base0 + i), 0, 0);
             w.enqueue_asid(1, Vpn::new(base1 + i), 0, 0);
         }
-        let squashed = w.shootdown_asid(0);
+        let squashed = w.shootdown(0);
         assert_eq!(squashed.len(), 4);
         assert!(squashed.iter().all(|r| r.asid == 0));
         assert_eq!(w.queue_len(), 4);
         assert_eq!(w.queue_len_asid(1), 4);
-        // Scoped shootdown of the only tenant == the legacy full one.
-        let rest = w.shootdown_asid(1);
+        // Shooting down the only tenant left empties the queue.
+        let rest = w.shootdown(1);
         assert_eq!(rest.len(), 4);
         assert_eq!(w.queue_len(), 0);
     }

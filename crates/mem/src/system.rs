@@ -208,13 +208,6 @@ impl MemorySystem {
         MemResult { complete, l2_hit }
     }
 
-    /// Whether `line` is currently resident in its L2 slice (no side
-    /// effects).
-    pub fn probe_l2(&self, line: u64) -> bool {
-        let slice_idx = (line % self.config.channels as u64) as usize;
-        self.slices[slice_idx].probe(line)
-    }
-
     /// Aggregate L2 statistics across slices: (accesses, hits).
     pub fn l2_totals(&self) -> (u64, u64) {
         let acc = self.slices.iter().map(|s| s.accesses.get()).sum();

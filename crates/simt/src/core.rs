@@ -844,11 +844,6 @@ impl ShaderCore {
         &mut self.path.policy
     }
 
-    /// Read-only access to the locality policy.
-    pub fn policy_ref(&self) -> &LocalityPolicy {
-        &self.path.policy
-    }
-
     /// Whether the core still has work (live units or queued blocks).
     pub fn has_work(&self) -> bool {
         if !self.block_queue.is_empty() {
@@ -1048,18 +1043,13 @@ impl ShaderCore {
         }
     }
 
-    /// Squashes in-flight walks and flushes the TLB in response to a
-    /// shootdown epoch bump; the resulting [`MmuEvent::Squashed`] events
-    /// drain on this core's next tick.
-    pub fn shootdown(&mut self, now: Cycle) {
-        self.path.mmu.shootdown(now);
-    }
-
-    /// Scoped shootdown: squashes tenant `asid`'s in-flight walks and
-    /// flushes only its TLB entries (or, in flush-on-switch mode, the
-    /// whole TLB when the victim is resident).
-    pub fn shootdown_asid(&mut self, now: Cycle, asid: u16) {
-        self.path.mmu.shootdown_asid(now, asid);
+    /// Squashes tenant `asid`'s in-flight walks and flushes its TLB
+    /// entries (or, in flush-on-switch mode, the whole TLB when the
+    /// victim is resident) in response to a shootdown epoch bump; the
+    /// resulting [`MmuEvent::Squashed`] events drain on this core's next
+    /// tick.
+    pub fn shootdown(&mut self, asid: u16) {
+        self.path.mmu.shootdown(asid);
     }
 
     /// Selects ASID-tagged TLB entries (`true`, the default) or the

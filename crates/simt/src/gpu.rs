@@ -226,15 +226,6 @@ impl RunStats {
         }
     }
 
-    /// L1 miss rate in `[0, 1]`.
-    pub fn l1_miss_rate(&self) -> f64 {
-        if self.l1_accesses == 0 {
-            0.0
-        } else {
-            (self.l1_accesses - self.l1_hits) as f64 / self.l1_accesses as f64
-        }
-    }
-
     /// Memory instructions as a fraction of all instructions (Figure 3
     /// left).
     pub fn mem_insn_fraction(&self) -> f64 {
@@ -746,11 +737,7 @@ impl Gpu {
                     for (i, core) in self.cores.iter_mut().enumerate() {
                         settle(core, &mut credited[i], now);
                         wake[i] = wake[i].min(now);
-                        if track_tenants {
-                            core.shootdown_asid(now, t as u16);
-                        } else {
-                            core.shootdown(now);
-                        }
+                        core.shootdown(t as u16);
                     }
                 }
             }

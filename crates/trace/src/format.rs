@@ -46,7 +46,7 @@ pub const TRACE_VERSION: u32 = 2;
 /// Warp width, which fixes the lane-mask geometry of trace records.
 pub const WARP_LANES: u32 = 32;
 
-pub(crate) const TAG_END: u8 = 0;
+const TAG_END: u8 = 0;
 const TAG_MEM: u8 = 1;
 const TAG_BRANCH: u8 = 2;
 const TAG_SYNC: u8 = 3;
@@ -147,7 +147,7 @@ pub struct Trace {
     pub stats: RunStats,
 }
 
-pub(crate) fn save_launch(launch: &TraceLaunch, w: &mut Saver) {
+fn save_launch(launch: &TraceLaunch, w: &mut Saver) {
     w.str(&launch.kernel_name);
     w.u32(launch.num_threads);
     w.u32(launch.block_threads);
@@ -166,7 +166,7 @@ pub(crate) fn save_launch(launch: &TraceLaunch, w: &mut Saver) {
     w.str(&launch.source);
 }
 
-pub(crate) fn load_launch(r: &mut Loader<'_>) -> Result<TraceLaunch, CodecError> {
+fn load_launch(r: &mut Loader<'_>) -> Result<TraceLaunch, CodecError> {
     let kernel_name = r.str()?.to_owned();
     let num_threads = r.u32()?;
     let block_threads = r.u32()?;
@@ -199,7 +199,7 @@ pub(crate) fn load_launch(r: &mut Loader<'_>) -> Result<TraceLaunch, CodecError>
     })
 }
 
-pub(crate) fn save_record(rec: &TraceRecord, w: &mut Saver) {
+fn save_record(rec: &TraceRecord, w: &mut Saver) {
     match rec {
         TraceRecord::Mem {
             site,
@@ -246,7 +246,7 @@ pub(crate) fn save_record(rec: &TraceRecord, w: &mut Saver) {
     }
 }
 
-pub(crate) fn load_record(tag: u8, r: &mut Loader<'_>) -> Result<TraceRecord, CodecError> {
+fn load_record(tag: u8, r: &mut Loader<'_>) -> Result<TraceRecord, CodecError> {
     match tag {
         TAG_MEM => {
             let site = r.u16()?;

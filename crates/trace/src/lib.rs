@@ -20,14 +20,9 @@
 pub mod capture;
 pub mod format;
 pub mod replay;
-pub mod tenant;
 
 pub use capture::{assemble, capture_launch, Recorder};
 pub use format::{Trace, TraceLaunch, TraceRecord, TRACE_MAGIC, TRACE_VERSION, WARP_LANES};
 pub use replay::{
-    rebuild_space, rebuild_space_asid, replay_run, replay_run_observed, snapshot_space,
-    SpaceSnapshot, TraceKernel,
-};
-pub use tenant::{
-    capture_tenants, replay_tenants, MultiTrace, TenantSection, MT_TRACE_MAGIC, MT_TRACE_VERSION,
+    rebuild_space, replay_run, replay_run_observed, snapshot_space, SpaceSnapshot, TraceKernel,
 };

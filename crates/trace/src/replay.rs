@@ -69,18 +69,7 @@ pub fn snapshot_space(space: &AddressSpace) -> SpaceSnapshot {
 /// either means the launch section does not describe a space this
 /// library could have produced.
 pub fn rebuild_space(launch: &TraceLaunch) -> Result<AddressSpace, CodecError> {
-    rebuild_space_asid(launch, 0)
-}
-
-/// [`rebuild_space`] into the `asid`-th physical window (multi-tenant
-/// replay rebuilds tenant `t`'s space at ASID `t`). ASID 0 is
-/// byte-identical to [`rebuild_space`].
-///
-/// # Errors
-///
-/// Same conditions as [`rebuild_space`].
-pub fn rebuild_space_asid(launch: &TraceLaunch, asid: u16) -> Result<AddressSpace, CodecError> {
-    let mut space = AddressSpace::try_with_asid(launch.space, asid)
+    let mut space = AddressSpace::try_new(launch.space)
         .map_err(|_| CodecError::Corrupt("space config cannot hold a page-table root"))?;
     for want in &launch.regions {
         let got = space
@@ -118,17 +107,7 @@ impl TraceKernel {
     /// sites outside the launch bounds, or whose iterations arrive out
     /// of order (the canonical stream is iteration-ascending per lane).
     pub fn from_trace(trace: &Trace) -> Result<Self, CodecError> {
-        Self::from_parts(&trace.launch, &trace.records)
-    }
-
-    /// [`TraceKernel::from_trace`] from a launch and record stream held
-    /// outside a [`Trace`] (multi-tenant traces carry one such pair per
-    /// tenant).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TraceKernel::from_trace`].
-    pub fn from_parts(launch: &TraceLaunch, records: &[TraceRecord]) -> Result<Self, CodecError> {
+        let launch = &trace.launch;
         let num_threads = launch.num_threads as usize;
         let num_sites = launch.program.num_sites();
         let mut mem = vec![Vec::new(); num_sites * num_threads];
@@ -142,7 +121,7 @@ impl TraceKernel {
             }
             Ok(tid)
         };
-        for rec in records {
+        for rec in &trace.records {
             match rec {
                 TraceRecord::Mem {
                     site,

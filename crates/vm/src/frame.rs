@@ -102,12 +102,6 @@ impl FrameAlloc {
         self.base
     }
 
-    /// Frames currently allocated (small-region sequential high-water
-    /// minus freed, ignoring large runs).
-    pub fn allocated_small(&self) -> u64 {
-        self.next_small - 1 - self.free_list.len() as u64
-    }
-
     /// Allocates one 4 KiB frame.
     ///
     /// Returns `None` when physical memory is exhausted (small and large

@@ -246,11 +246,6 @@ impl PageTable {
         })
     }
 
-    /// The physical frame of the root node (the CR3 value).
-    pub fn root_frame(&self) -> Ppn {
-        self.node_frames[0]
-    }
-
     /// Number of table nodes allocated (all levels).
     pub fn node_count(&self) -> usize {
         self.node_frames.len()

@@ -381,7 +381,7 @@ fn shootdown_replay_never_yields_stale_translations() {
                 space.shootdown_epoch() > epoch,
                 "remap must bump the shootdown epoch"
             );
-            mmu.shootdown(now);
+            mmu.shootdown(0);
             now += 1;
         }
     });

@@ -324,68 +324,6 @@ fn golden_trace_and_interval_bytes_match_pinned_digests() {
     }
 }
 
-/// Multi-tenant capture/replay conformance: a 2-tenant Zipf scenario
-/// under the mixed fault soup, captured to a GMTM container, must
-/// replay bit-identically (combined stats *and* per-tenant slice) under
-/// both loops, and re-encoding the decoded trace reproduces the bytes.
-/// A GMTM v1 container is refused by version.
-#[test]
-fn multitenant_capture_replay_round_trips() {
-    use gmmu_simt::TenantPolicy;
-    use gmmu_trace::{capture_tenants, replay_tenants, MultiTrace};
-    use gmmu_workloads::tenants::scenario;
-
-    let mut cfg = ExperimentOpts::quick().gpu(designs::augmented());
-    cfg.fault = FaultConfig::demand();
-    cfg.inject = Some(FaultInjectConfig::smoke(0xfa57));
-    let policy = TenantPolicy {
-        watchdog: 2_000_000,
-        ..TenantPolicy::default()
-    };
-
-    let sc = scenario(2, Scale::Tiny, 7, true);
-    let (built, unmapped) = sc.build_demand_paged(cfg.inject.as_ref().unwrap());
-    assert!(
-        unmapped.iter().all(|&u| u > 0),
-        "a tenant started fully mapped"
-    );
-    let (owned, mut spaces): (Vec<_>, Vec<_>) =
-        built.into_iter().map(|w| (w.kernel, w.space)).unzip();
-    let kernels: Vec<&dyn gmmu_simt::Kernel> = owned
-        .iter()
-        .map(|k| k.as_ref() as &dyn gmmu_simt::Kernel)
-        .collect();
-    let (trace, stats) = capture_tenants(&kernels, &mut spaces, &cfg, policy, "mt conformance");
-    assert!(stats.completed, "capture hit the cycle cap");
-    assert!(!stats.watchdog_fired);
-    assert_eq!(stats.tenants.len(), 2);
-
-    let bytes = trace.encode();
-    let back = MultiTrace::decode(&bytes).expect("GMTM decodes");
-    assert_eq!(back.encode(), bytes, "re-encode is not byte-identical");
-    assert_eq!(back.stats.tenants, stats.tenants);
-    let mut v1 = bytes.clone();
-    assert_eq!(v1[4], 2);
-    v1[4] = 1;
-    assert_eq!(
-        MultiTrace::decode(&v1).unwrap_err(),
-        CodecError::BadVersion(1)
-    );
-
-    for (name, tick_every_cycle) in LOOPS {
-        let mut rcfg = back.tenants[0].launch.config.clone();
-        rcfg.tick_every_cycle = tick_every_cycle;
-        let (replayed, _) =
-            replay_tenants(&back, &rcfg, &mut Observer::off()).expect("GMTM replays");
-        let diff = back.stats.diff(&replayed);
-        assert!(diff.is_empty(), "{name}: replay diverged in {diff:?}");
-        assert_eq!(
-            back.stats.tenants, replayed.tenants,
-            "{name}: per-tenant slice diverged"
-        );
-    }
-}
-
 /// Seeded single-byte corruptions: each mutant XORs a nonzero byte into
 /// one position drawn uniformly from `range`.
 fn byte_mutants(
@@ -502,70 +440,4 @@ fn gmtr_loader_survives_seeded_byte_mutations() {
         );
     }
     assert!(mutations >= 1_000, "only {mutations} mutations");
-}
-
-/// The same damage sweep over a GMTM container holding two tenants
-/// (the committed pathfinder and kmeans launches, first 300 records
-/// each): never a panic, and every truncation is refused.
-#[test]
-fn gmtm_loader_survives_seeded_byte_mutations() {
-    use gmmu_sim::rng::Xoshiro256;
-    use gmmu_simt::{TenantPolicy, TenantStats};
-    use gmmu_trace::{MultiTrace, TenantSection};
-
-    let traces: Vec<Trace> = ["pathfinder_tiny", "kmeans_tiny"]
-        .iter()
-        .map(|name| {
-            let bytes = std::fs::read(format!("{FIXTURES}/{name}.gmtr")).expect("golden fixture");
-            Trace::decode(&bytes).expect("golden fixture decodes")
-        })
-        .collect();
-    let mut stats = traces[0].stats.clone();
-    stats.tenants = (0..2)
-        .map(|asid| TenantStats {
-            asid,
-            instructions: 1_000 + asid as u64,
-            blocks_done: 4,
-            finished_at: 20_000,
-            faults: 3,
-        })
-        .collect();
-    let trace = MultiTrace {
-        policy: TenantPolicy::default(),
-        tenants: traces
-            .iter()
-            .map(|t| TenantSection {
-                launch: t.launch.clone(),
-                records: t.records.iter().take(300).cloned().collect(),
-            })
-            .collect(),
-        stats,
-    };
-    let bytes = trace.encode();
-    let back = MultiTrace::decode(&bytes).expect("GMTM decodes");
-    assert_eq!(back.encode(), bytes);
-
-    let mut rng = Xoshiro256::seed_from(0x6d75_7462);
-    let mut mutants = byte_mutants(&bytes, 0..bytes.len(), 400, &mut rng);
-    mutants.extend(byte_mutants(
-        &bytes,
-        bytes.len() / 2..bytes.len(),
-        400,
-        &mut rng,
-    ));
-    mutants.extend(byte_mutants(
-        &bytes,
-        bytes.len() - 256..bytes.len(),
-        400,
-        &mut rng,
-    ));
-    let inputs: Vec<&[u8]> = mutants.iter().map(Vec::as_slice).collect();
-    assert!(refusals("GMTM", &inputs, MultiTrace::decode) > 0);
-
-    let cuts = truncations(&bytes, 200, &mut rng);
-    assert_eq!(
-        refusals("GMTM", &cuts, MultiTrace::decode),
-        cuts.len(),
-        "a truncated GMTM container decoded"
-    );
 }
