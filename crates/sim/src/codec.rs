@@ -1,6 +1,6 @@
 //! Hand-rolled binary codec: a versioned, compact format for the
-//! files the simulator writes and reads back — GMTR kernel traces and
-//! the sweep journal's per-point stats.
+//! files the simulator writes and reads back — GMTR kernel traces,
+//! which embed the captured run's final stats.
 //!
 //! The workspace has no external dependencies, so instead of serde each
 //! encoded type implements [`Codec`]: `save` appends its state to a

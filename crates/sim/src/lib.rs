@@ -7,7 +7,7 @@
 //! reproducible* lives here.
 //!
 //! * [`codec`] — the hand-rolled binary codec (versioned, compact) that
-//!   GMTR traces and the sweep journal are written in.
+//!   GMTR traces are written in.
 //! * [`rng`] — counter-based and xoshiro PRNGs plus distributions
 //!   (uniform, Zipf, permutations) that behave identically on every
 //!   platform and toolchain.

@@ -1,6 +1,6 @@
 //! Plain-text and CSV table rendering for the figure harnesses.
 //!
-//! Every `fig*` binary in `gmmu-bench` produces one or more [`Table`]s:
+//! Every figure `gmmu fig NAME` prints is one or more [`Table`]s:
 //! the same rows/series the paper's figure plots, printed in a form that
 //! is easy to eyeball and to diff against `EXPERIMENTS.md`.
 

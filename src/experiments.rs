@@ -19,7 +19,6 @@
 
 use crate::figures::Figure;
 use crate::prelude::*;
-use gmmu_sim::codec::{Codec, Loader, Saver};
 use gmmu_sim::metrics::Metrics;
 use gmmu_sim::rng::fnv1a64;
 use gmmu_sim::trace::Tracer;
@@ -27,7 +26,6 @@ use gmmu_simt::gpu::run_kernel;
 use gmmu_simt::{IntervalRecorder, Kernel, Observer};
 use gmmu_trace::{assemble, capture_launch, replay_run_observed, Recorder, Trace};
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -71,14 +69,6 @@ options (every option also takes the form --flag=value):
   --fault-seed N
              seed for the deterministic fault schedule, read by
              `fig multitenant --metrics` (default 0xfa57)
-  --journal PATH
-             restartable sweeps: append every completed design point
-             (key, wall time, full stats) to PATH and, on start, serve
-             points already journaled from PATH without recompute — a
-             killed sweep resumes where it left off
-  --kill-after N
-             stop after N freshly simulated design points with exit
-             status 3, journal intact (exercises the resume path)
   --capture-trace PATH
              record the first simulated design point to a GMTR trace
              file: the kernel's full data-dependent behaviour plus the
@@ -106,7 +96,7 @@ pub enum Command {
 pub struct Cli {
     /// The subcommand.
     pub command: Command,
-    /// Scope, observability and journal options.
+    /// Scope and observability options.
     pub opts: ExperimentOpts,
     /// Print each table again as CSV (`--csv`).
     pub csv: bool,
@@ -171,8 +161,6 @@ impl Cli {
                 "--interval-stride" => opts.interval_stride = positive(flag, &value()?)?,
                 "--metrics" => opts.metrics = Some(leak_path(value()?)),
                 "--fault-seed" => opts.fault_seed = parse_seed(&value()?)?,
-                "--journal" => opts.journal = Some(leak_path(value()?)),
-                "--kill-after" => opts.kill_after = Some(positive(flag, &value()?)?),
                 "--capture-trace" => opts.capture_trace = Some(leak_path(value()?)),
                 "--help" | "-h" => return Err(ArgError::Help),
                 _ => return Err(bad(format!("unknown argument `{arg}`"))),
@@ -254,12 +242,6 @@ pub struct ExperimentOpts {
     /// Seed for the deterministic fault schedule of the multi-tenant
     /// metrics snapshot (`--fault-seed`).
     pub fault_seed: u64,
-    /// Journal completed design points to this path and replay it on
-    /// start (`--journal`): the restartable-sweep mechanism.
-    pub journal: Option<&'static str>,
-    /// Exit with status 3 after this many freshly simulated points
-    /// (`--kill-after`; exercises journal resume).
-    pub kill_after: Option<usize>,
     /// Record the first simulated design point to this GMTR trace file
     /// (`--capture-trace`).
     pub capture_trace: Option<&'static str>,
@@ -277,8 +259,6 @@ impl Default for ExperimentOpts {
             interval_stride: 10_000,
             metrics: None,
             fault_seed: 0xfa57,
-            journal: None,
-            kill_after: None,
             capture_trace: None,
         }
     }
@@ -431,40 +411,6 @@ fn engine_label(cfg: &GpuConfig) -> &'static str {
     }
 }
 
-/// Maps a journaled loop label back to the static string
-/// [`engine_label`] would have produced.
-fn engine_label_from_journal(v: &str) -> &'static str {
-    match v {
-        "tick_every_cycle" => "tick_every_cycle",
-        "event_skip" => "event_skip",
-        _ => "journal",
-    }
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(s, "{b:02x}");
-    }
-    s
-}
-
-/// Inverse of [`hex_encode`]. Works on bytes, so a damaged field with
-/// non-ASCII text is refused rather than sliced mid-character.
-fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    s.as_bytes()
-        .chunks_exact(2)
-        .map(|pair| {
-            let hi = (pair[0] as char).to_digit(16)?;
-            let lo = (pair[1] as char).to_digit(16)?;
-            Some((hi << 4 | lo) as u8)
-        })
-        .collect()
-}
-
 /// Simulates one design point with the observation instruments the
 /// options ask for, writing the trace / interval / metrics / GMTR
 /// capture files as a side effect (a file that cannot be written exits
@@ -578,86 +524,6 @@ pub fn metrics_counter_rows(obs: &Observer) -> Vec<String> {
         .collect()
 }
 
-/// Renders one completed design point as a sweep-journal line: version
-/// tag, key fingerprint, engine label, wall seconds, the full
-/// [`RunStats`] as hex-encoded codec bytes, and the memo key itself.
-fn journal_line(key: &str, run: &PointRun, stats: &RunStats) -> String {
-    let mut w = Saver::new();
-    stats.save(&mut w);
-    format!(
-        "v1\t{:016x}\t{}\t{:.6}\t{}\t{}\n",
-        run.fingerprint,
-        run.engine,
-        run.wall_s,
-        hex_encode(&w.into_bytes()),
-        key
-    )
-}
-
-/// Appends [`journal_line`] to the sweep journal. One line per point; a
-/// line is only ever appended after its stats are final, so a killed
-/// sweep leaves a valid journal.
-fn journal_append(
-    journal: &Option<Mutex<std::fs::File>>,
-    key: &str,
-    run: &PointRun,
-    stats: &RunStats,
-) {
-    let Some(file) = journal else { return };
-    let line = journal_line(key, run, stats);
-    use std::io::Write as _;
-    let mut f = file.lock().unwrap();
-    if f.write_all(line.as_bytes())
-        .and_then(|()| f.flush())
-        .is_err()
-    {
-        eprintln!("journal: append failed for {:016x}", run.fingerprint);
-    }
-}
-
-/// Parses one journal line back into the point it recorded. Returns
-/// `None` (the caller skips the line) on any malformed field, a
-/// fingerprint that does not match the key, or stats bytes that do not
-/// decode exactly.
-fn parse_journal_line(line: &str) -> Option<(String, PointRun, RunStats)> {
-    let mut fields = line.splitn(6, '\t');
-    if fields.next()? != "v1" {
-        return None;
-    }
-    let fingerprint = u64::from_str_radix(fields.next()?, 16).ok()?;
-    let engine = engine_label_from_journal(fields.next()?);
-    let wall_s = fields.next()?.parse::<f64>().ok()?;
-    let bytes = hex_decode(fields.next()?)?;
-    let key = fields.next()?.to_string();
-    if fnv1a64(key.as_bytes()) != fingerprint {
-        return None;
-    }
-    let mut r = Loader::new(&bytes);
-    let mut stats = RunStats::zeroed();
-    stats.load(&mut r).ok()?;
-    if r.remaining() != 0 {
-        return None;
-    }
-    // The key is `{large_pages}:{bench:?}:{cfg:?}`.
-    let (large, rest) = key.split_once(':')?;
-    let (bench, _) = rest.split_once(':')?;
-    let large_pages = large.parse::<bool>().ok()?;
-    let bench = Bench::all()
-        .into_iter()
-        .find(|b| format!("{b:?}") == bench)?;
-    let run = PointRun {
-        bench,
-        large_pages,
-        fingerprint,
-        engine,
-        wall_s,
-        cycles: stats.cycles,
-        sim_cycles_per_sec: stats.cycles_per_sec(),
-        observed: false,
-    };
-    Some((key, run, stats))
-}
-
 /// How [`Runner::run`] services a design point (see [`Runner::sweep`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -681,37 +547,17 @@ pub struct Runner {
     /// The first fresh simulation still owes the `--trace`/`--intervals`/
     /// `--metrics` outputs and/or the `--capture-trace` recording.
     observe_pending: bool,
-    /// Open journal (`--journal`); completed points append here.
-    journal_file: Option<Mutex<std::fs::File>>,
     /// Simulations executed (diagnostics; cache hits don't count).
     pub runs: usize,
-    /// Design points served from the journal without recompute.
-    pub journal_hits: usize,
     /// Metadata for every simulation executed, in a deterministic order
-    /// (spec order for parallel sweeps, execution order otherwise;
-    /// journal-replayed points lead in journal order).
+    /// (spec order for parallel sweeps, execution order otherwise).
     pub point_log: Vec<PointRun>,
 }
 
 impl Runner {
-    /// Creates an empty runner. With `opts.journal` set, the journal is
-    /// opened for append and every point it already records is loaded
-    /// into the memo cache — those points replay without recompute.
+    /// Creates an empty runner.
     pub fn new(opts: ExperimentOpts) -> Self {
-        let journal_file = opts.journal.map(|path| {
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path);
-            match file {
-                Ok(f) => Mutex::new(f),
-                Err(e) => {
-                    eprintln!("journal: cannot open {path}: {e}");
-                    std::process::exit(2)
-                }
-            }
-        });
-        let mut runner = Self {
+        Self {
             opts,
             workloads: HashMap::new(),
             large_page_workloads: HashMap::new(),
@@ -719,47 +565,8 @@ impl Runner {
             recorded: Vec::new(),
             mode: Mode::Direct,
             observe_pending: opts.observes() || opts.captures(),
-            journal_file,
             runs: 0,
-            journal_hits: 0,
             point_log: Vec::new(),
-        };
-        runner.load_journal();
-        runner
-    }
-
-    /// Replays every valid line of the journal into the memo cache and
-    /// the point log; malformed or stale lines are skipped with a note.
-    fn load_journal(&mut self) {
-        let Some(path) = self.opts.journal else {
-            return;
-        };
-        let Ok(body) = std::fs::read(path) else {
-            return; // fresh journal: nothing to replay
-        };
-        // Lines are decoded one at a time, so a damaged byte costs its
-        // own line rather than the whole journal.
-        for line in body.split(|&b| b == b'\n') {
-            if line.is_empty() {
-                continue;
-            }
-            let parsed = std::str::from_utf8(line).ok().and_then(parse_journal_line);
-            let Some((key, run, stats)) = parsed else {
-                eprintln!("journal: skipping a malformed line in {path}");
-                continue;
-            };
-            if self.cache.contains_key(&key) {
-                continue; // duplicate point (e.g. a journal appended twice)
-            }
-            self.journal_hits += 1;
-            self.point_log.push(run);
-            self.cache.insert(key, stats);
-        }
-        if self.journal_hits > 0 {
-            eprintln!(
-                "[journal] {} point(s) replayed from {path}",
-                self.journal_hits
-            );
         }
     }
 
@@ -812,7 +619,6 @@ impl Runner {
         };
         self.runs += 1;
         let run = PointRun::simulated(&key, &spec, started, &stats, observe && opts.observes());
-        journal_append(&self.journal_file, &key, &run, &stats);
         self.point_log.push(run);
         self.cache.insert(key, stats.clone());
         stats
@@ -910,15 +716,6 @@ impl Runner {
                 todo.push((key, spec));
             }
         }
-        // `--kill-after N`: simulate a mid-sweep kill at a clean point
-        // boundary — run N fresh points, journal them, exit(3).
-        let mut kill = false;
-        if let Some(n) = self.opts.kill_after {
-            if todo.len() > n {
-                todo.truncate(n);
-                kill = true;
-            }
-        }
         if todo.is_empty() {
             return;
         }
@@ -933,7 +730,6 @@ impl Runner {
             let (_, spec) = todo.remove(0);
             self.point(spec);
             if todo.is_empty() {
-                self.exit_if_killed(kill);
                 return;
             }
         }
@@ -953,9 +749,6 @@ impl Runner {
                     let w = runner.workload(spec);
                     let stats = run_kernel(spec.cfg.clone(), w.kernel.as_ref(), &w.space);
                     let run = PointRun::simulated(key, spec, started, &stats, false);
-                    // Journaled the moment it completes, so a real kill
-                    // loses at most the in-flight points.
-                    journal_append(&runner.journal_file, key, &run, &stats);
                     done.lock().unwrap().push((i, run, stats));
                 });
             }
@@ -967,21 +760,6 @@ impl Runner {
             let (key, _) = &todo[i];
             self.point_log.push(run);
             self.cache.insert(key.clone(), stats);
-        }
-        self.exit_if_killed(kill);
-    }
-
-    /// Terminates a `--kill-after` run once its point budget is spent:
-    /// the journal already holds every completed point, so the next run
-    /// with the same `--journal` resumes without recompute.
-    fn exit_if_killed(&self, kill: bool) {
-        if kill {
-            eprintln!(
-                "[journal] stopping after {} fresh point(s) (--kill-after); \
-                 rerun with the same --journal to resume",
-                self.runs
-            );
-            std::process::exit(3)
         }
     }
 }
@@ -1145,11 +923,11 @@ mod tests {
 
     #[test]
     fn flag_values_parse_inline_or_separate() {
-        let spaced = parse("all --jobs 4 --kill-after 3 --fault-seed 0x10").unwrap();
-        let inline = parse("all --jobs=4 --kill-after=3 --fault-seed=0x10").unwrap();
+        let spaced = parse("all --jobs 4 --interval-stride 3 --fault-seed 0x10").unwrap();
+        let inline = parse("all --jobs=4 --interval-stride=3 --fault-seed=0x10").unwrap();
         assert_eq!(spaced.opts, inline.opts);
         assert_eq!(inline.opts.jobs, 4);
-        assert_eq!(inline.opts.kill_after, Some(3));
+        assert_eq!(inline.opts.interval_stride, 3);
         assert_eq!(inline.opts.fault_seed, 16);
         // A path may itself contain `=`; only the first one splits.
         let cli = parse("replay t.gmtr --metrics=a=b.json").unwrap();
@@ -1169,8 +947,8 @@ mod tests {
         assert_eq!(parse("all --help").err(), Some(ArgError::Help));
     }
 
-    /// The usage text is where `gmmu --help` readers (and the CI slice
-    /// check) find the figure names.
+    /// The usage text is where `gmmu --help` readers find the figure
+    /// names.
     #[test]
     fn usage_lists_every_registered_figure() {
         let listed = USAGE.split_once("is one of").unwrap().1;
@@ -1269,124 +1047,5 @@ mod tests {
         let b = r.sweep(f);
         assert_eq!(a, b);
         assert_eq!(r.runs, executed, "second sweep must be all cache hits");
-    }
-
-    /// One real design point, as the journal would record it: its memo
-    /// key, run metadata (wall time pinned to a value the journal's
-    /// six-decimal field holds exactly) and stats.
-    fn real_point() -> (String, PointRun, RunStats) {
-        let mut r = Runner::new(ExperimentOpts::quick());
-        r.run(Bench::Kmeans, |c| c.mmu = designs::naive3());
-        let (key, stats) = r.cache.drain().next().expect("one simulated point");
-        let mut run = r.point_log.pop().expect("one logged point");
-        run.wall_s = 0.125;
-        (key, run, stats)
-    }
-
-    #[test]
-    fn journal_line_parses_back_to_the_same_point() {
-        let (key, run, stats) = real_point();
-        let line = journal_line(&key, &run, &stats);
-        let (k, back_run, back) = parse_journal_line(line.trim_end()).expect("line parses");
-        assert_eq!(k, key);
-        assert!(back.diff(&stats).is_empty(), "{:?}", back.diff(&stats));
-        assert_eq!(back.wall_s.to_bits(), stats.wall_s.to_bits());
-        assert_eq!(
-            (back_run.bench, back_run.large_pages, back_run.fingerprint),
-            (run.bench, run.large_pages, run.fingerprint)
-        );
-        assert_eq!((back_run.engine, back_run.wall_s), (run.engine, run.wall_s));
-        assert_eq!(back_run.cycles, stats.cycles);
-    }
-
-    #[test]
-    fn journal_refuses_damaged_lines() {
-        let (key, run, stats) = real_point();
-        let line = journal_line(&key, &run, &stats);
-        let line = line.trim_end();
-        let fields: Vec<&str> = line.splitn(6, '\t').collect();
-        let with = |i: usize, v: &str| {
-            let mut f = fields.clone();
-            f[i] = v;
-            f.join("\t")
-        };
-        let other_fp = format!("{:016x}", run.fingerprint ^ 1);
-        let hex = fields[4];
-        let damaged = [
-            ("version tag", with(0, "v2")),
-            ("fingerprint", with(1, &other_fp)),
-            ("odd-length stats", with(4, &hex[1..])),
-            ("non-hex stats", with(4, &format!("zz{}", &hex[2..]))),
-            ("trailing stats bytes", with(4, &format!("{hex}00"))),
-        ];
-        for (what, bad) in &damaged {
-            assert!(parse_journal_line(bad).is_none(), "{what} was accepted");
-        }
-        // A writer killed mid-append leaves a strict prefix of the line.
-        for cut in 0..line.len() {
-            assert!(
-                parse_journal_line(&line[..cut]).is_none(),
-                "a line cut at byte {cut} was accepted"
-            );
-        }
-    }
-
-    /// A journal byte that is not UTF-8 costs only its own line: the
-    /// intact line after it still replays.
-    #[test]
-    fn journal_keeps_good_lines_around_a_damaged_one() {
-        let (key, run, stats) = real_point();
-        let mut body = b"v1\t\xff damaged\n".to_vec();
-        body.extend_from_slice(journal_line(&key, &run, &stats).as_bytes());
-        let path = std::env::temp_dir().join(format!("gmmu-journal-{}", std::process::id()));
-        std::fs::write(&path, &body).expect("write journal");
-        let r = Runner::new(ExperimentOpts {
-            journal: Some(leak_path(path.display().to_string())),
-            ..ExperimentOpts::quick()
-        });
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(r.journal_hits, 1);
-        assert!(r.cache.contains_key(&key));
-    }
-
-    /// A damaged line whose stats field holds a multi-byte character at
-    /// an even length once sliced the hex decoder mid-character.
-    #[test]
-    fn journal_refuses_non_ascii_stats_without_panicking() {
-        let line = include_str!("../tests/fixtures/journal_line_non_ascii_stats.txt");
-        assert!(!line.is_ascii());
-        assert!(parse_journal_line(line).is_none());
-    }
-
-    /// Seeded single-byte damage and truncation of a real journal line:
-    /// the parser may refuse it or (for a damaged wall time or engine
-    /// label) accept it, but never panics. Damaged bytes are read back
-    /// lossily, so non-ASCII text reaches the parser too.
-    #[test]
-    fn journal_parser_survives_seeded_byte_mutations() {
-        use gmmu_sim::rng::Xoshiro256;
-        let (key, run, stats) = real_point();
-        let line = journal_line(&key, &run, &stats)
-            .trim_end()
-            .as_bytes()
-            .to_vec();
-        let mut rng = Xoshiro256::seed_from(0x6a6f_7572);
-        let mut inputs: Vec<Vec<u8>> = (0..1_200)
-            .map(|_| {
-                let mut m = line.clone();
-                let at = rng.gen_range(0..line.len() as u64) as usize;
-                m[at] ^= rng.gen_range(1..256) as u8;
-                m
-            })
-            .collect();
-        inputs.extend((0..200).map(|_| {
-            let cut = rng.gen_range(0..line.len() as u64) as usize;
-            line[..cut].to_vec()
-        }));
-        for (i, bytes) in inputs.iter().enumerate() {
-            let text = String::from_utf8_lossy(bytes);
-            let parsed = std::panic::catch_unwind(|| parse_journal_line(&text).is_some());
-            assert!(parsed.is_ok(), "input {i} panicked the journal parser");
-        }
     }
 }

@@ -770,10 +770,11 @@ pub fn ablations(r: &mut Runner) -> Vec<Table> {
 /// §13): per-tenant slowdown and unfairness as co-runner count grows,
 /// ASID-tagged translation vs the flush-on-switch baseline.
 ///
-/// Runs [`Gpu::run_tenants`] directly rather than through a [`Runner`]:
-/// the runner's journal stores the pinned `RunStats` codec layout,
-/// which deliberately excludes the per-tenant slice this figure is
-/// about.
+/// Runs [`Gpu::run_faulted`] and [`Gpu::run_tenants`] directly rather
+/// than through a [`Runner`]: the solo runs and co-runs are not
+/// [`PointSpec`](crate::experiments::PointSpec)s. Each builds its own
+/// tenant workloads and runs on `&mut` address spaces, while a runner's
+/// points share one immutable prebuilt workload per benchmark.
 pub fn fig_multitenant(opts: &crate::ExperimentOpts) -> Vec<Table> {
     use gmmu_workloads::tenants::scenario;
     use gmmu_workloads::{build_tenant_paged, tenants::TenantSpec};
@@ -932,8 +933,8 @@ pub const REGISTRY: &[Figure] = &[
     sweep("fig20", fig20),
     sweep("fig22", fig22),
     sweep("sec9", sec9),
-    // Runs outside the memo cache: the journal stores the pinned
-    // `RunStats` layout, which has no per-tenant slice.
+    // Runs outside the memo cache: its runs build tenant workloads and
+    // mutate their address spaces, so they are not `PointSpec`s.
     Figure {
         metrics: Some(multitenant_metrics_snapshot),
         ..scope("multitenant", fig_multitenant)
