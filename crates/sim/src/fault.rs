@@ -46,7 +46,7 @@ pub fn major_fault(seed: u64, vpn: u64, fraction: f64) -> bool {
 /// Rates and magnitudes for deterministic fault injection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultInjectConfig {
-    /// Seed for every injection decision (`--fault-seed`).
+    /// Seed for every injection decision.
     pub seed: u64,
     /// Fraction of data pages left unmapped before launch, so first
     /// touches demand-fault (1.0 = zero pre-mapped pages).

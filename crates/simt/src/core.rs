@@ -52,10 +52,12 @@ pub struct CoreStats {
     /// Thread blocks completed.
     pub blocks_done: Counter,
     /// Per-ASID slice of `instructions` (index = ASID, grown on
-    /// demand). Feeds the per-tenant watchdog and slowdown accounting.
-    /// TBC runs are single-tenant and leave these empty.
+    /// demand). Feeds the per-tenant watchdog and slowdown accounting,
+    /// which only multi-tenant runs read; a (single-tenant) TBC core
+    /// counts everything under ASID 0.
     pub tenant_instructions: Vec<Counter>,
-    /// Per-ASID slice of `blocks_done` (index = ASID).
+    /// Per-ASID slice of `blocks_done` (index = ASID); TBC cores leave
+    /// it empty.
     pub tenant_blocks_done: Vec<Counter>,
 }
 
@@ -132,47 +134,215 @@ pub(crate) enum MemIssue {
     Retry(Cycle),
 }
 
+/// The wait state of one scheduling unit — a baseline warp or a TBC
+/// dynamic warp. Both modes present pages to the MMU and react to its
+/// events through these fields and the transitions below; each mode
+/// only adds how its unit steps past a committed instruction.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct UnitState {
+    pub ready_at: Cycle,
+    pub pending: Option<Pending>,
+    /// Pages whose walks are in flight; the unit sleeps until each wakes
+    /// it (or faults, or is squashed).
+    pub waiting_pages: usize,
+    /// Pages whose walks ended in a page fault; the unit is parked until
+    /// the modeled CPU fault handler maps them all.
+    pub faulted_pages: usize,
+    pub wait: WaitKind,
+}
+
+impl UnitState {
+    /// Arms the issue timer: the unit may issue again at `at`, and until
+    /// then `wait` names what holds it.
+    pub(crate) fn arm(&mut self, at: Cycle, wait: WaitKind) {
+        self.ready_at = at;
+        self.wait = wait;
+    }
+
+    /// Whether the unit waits on pages (walks or faults), which carry no
+    /// timer of their own.
+    pub(crate) fn on_pages(&self) -> bool {
+        self.waiting_pages > 0 || self.faulted_pages > 0
+    }
+
+    /// Whether the unit's own wait state lets it issue at `now`.
+    pub(crate) fn runnable(&self, now: Cycle) -> bool {
+        !self.on_pages() && self.ready_at <= now
+    }
+
+    /// What holds the unit at `now`, or `None` when it is runnable.
+    pub(crate) fn stall_cause(&self, now: Cycle) -> Option<StallCause> {
+        if self.faulted_pages > 0 {
+            Some(StallCause::FaultService)
+        } else if self.waiting_pages > 0 {
+            Some(StallCause::TlbFill)
+        } else {
+            (self.ready_at > now).then(|| self.wait.cause())
+        }
+    }
+
+    /// Builds (or, on a replay, reuses) the pending memory instruction
+    /// of unit `requester`, presents it to the MMU and applies the
+    /// outcome. `lanes` — `(address, home static warp)` per active lane,
+    /// in lane order — is only drawn on first presentation, which also
+    /// counts the instruction. On [`MemIssue::Done`] the caller steps
+    /// past the instruction; a [`MemIssue::Retry`] is a bounce.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn issue_mem(
+        &mut self,
+        path: &mut MemPath,
+        now: Cycle,
+        kind: MemKind,
+        lanes: impl Iterator<Item = (VAddr, u16)>,
+        requester: u16,
+        asid: u16,
+        mem: &mut MemorySystem,
+        space: &AddressSpace,
+        obs: &mut Observer,
+    ) -> MemIssue {
+        let mut pending = match self.pending.take() {
+            Some(p) => {
+                path.stats.replays.inc();
+                p
+            }
+            None => {
+                path.count_instruction(asid);
+                path.stats.mem_instructions.inc();
+                Pending {
+                    kind,
+                    refs: path.coalesce_new(lanes),
+                    ..Pending::default()
+                }
+            }
+        };
+        let issue = path.issue_mem(now, requester, asid, &mut pending, mem, space, obs);
+        match issue {
+            MemIssue::Done(ready) => {
+                let dram = pending.touched_dram;
+                self.arm(ready, WaitKind::MemData { dram });
+                path.stash_refs(pending.refs);
+            }
+            MemIssue::WaitTlb(misses) => {
+                self.waiting_pages = misses;
+                pending.slept_at = now;
+                self.pending = Some(pending);
+            }
+            MemIssue::Retry(at) => {
+                self.arm(at, WaitKind::Reject);
+                self.pending = Some(pending);
+            }
+        }
+        issue
+    }
+
+    /// The walk for `vpn` delivered `ppn` to unit `unit`: its lines run
+    /// now (fill bypass). Once no page is outstanding the instruction
+    /// either commits — `true`, and the caller steps past it — or
+    /// re-presents its remaining (TLB-hit) pages next cycle.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn wake(
+        &mut self,
+        unit: u16,
+        vpn: Vpn,
+        ppn: Ppn,
+        path: &mut MemPath,
+        now: Cycle,
+        mem: &mut MemorySystem,
+        obs: &mut Observer,
+    ) -> bool {
+        debug_assert!(self.waiting_pages > 0);
+        if let Some(pending) = self.pending.as_mut() {
+            path.service_page(now, pending, vpn, ppn, mem);
+        }
+        self.waiting_pages = self.waiting_pages.saturating_sub(1);
+        if self.waiting_pages > 0 {
+            return false;
+        }
+        let core = obs.core;
+        let slept = self.pending.as_ref().map_or(now, |p| p.slept_at);
+        obs.record(|| Event::WarpSleep {
+            core,
+            warp: unit,
+            vpn: vpn.raw(),
+            start: slept,
+            end: now,
+        });
+        match self.pending.take_if(|p| p.refs.pages.is_empty()) {
+            Some(p) => {
+                let dram = p.touched_dram;
+                self.arm(p.overlap_done_at.max(now + 1), WaitKind::MemData { dram });
+                path.stash_refs(p.refs);
+                true
+            }
+            None => {
+                self.arm(now + 1, WaitKind::Replay);
+                false
+            }
+        }
+    }
+
+    /// A walk ended in a page fault: the page moves from the waiting
+    /// count to the faulted count, parking the unit until the CPU fault
+    /// handler maps it.
+    pub(crate) fn fault(&mut self) {
+        debug_assert!(self.waiting_pages > 0);
+        self.waiting_pages = self.waiting_pages.saturating_sub(1);
+        self.faulted_pages += 1;
+    }
+
+    /// A TLB shootdown squashed one in-flight walk; with nothing else
+    /// outstanding the retained accesses re-present against the flushed
+    /// TLB after `backoff`.
+    pub(crate) fn squash(&mut self, now: Cycle, backoff: Cycle) {
+        self.waiting_pages = self.waiting_pages.saturating_sub(1);
+        if !self.on_pages() {
+            self.arm(now + backoff.max(1), WaitKind::Reject);
+        }
+    }
+
+    /// The CPU fault handler mapped one faulted page; with nothing else
+    /// outstanding the unit replays its access next cycle.
+    pub(crate) fn resolve_fault(&mut self, now: Cycle) {
+        debug_assert!(self.faulted_pages > 0);
+        self.faulted_pages = self.faulted_pages.saturating_sub(1);
+        if !self.on_pages() {
+            self.arm(now + 1, WaitKind::Replay);
+        }
+    }
+
+    /// The wait-state part of the watchdog's per-unit diagnostics line.
+    pub(crate) fn describe(&self, now: Cycle) -> String {
+        format!(
+            "waiting_pages={} faulted_pages={} ready_at={} (now {now}) wait={:?} \
+             pending_lines={}",
+            self.waiting_pages,
+            self.faulted_pages,
+            self.ready_at,
+            self.wait,
+            self.pending.as_ref().map_or(0, |p| p.refs.lines.len()),
+        )
+    }
+}
+
 /// A baseline (non-TBC) warp context.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Warp {
     /// The tenant this warp's block belongs to (selects the address
     /// space, kernel, and iteration-slot base in the [`RunCtx`]).
     pub asid: u16,
     pub first_tid: ThreadId,
     pub stack: Option<SimtStack>,
-    pub ready_at: Cycle,
-    pub pending: Option<Pending>,
-    pub waiting_pages: usize,
-    /// Pages whose walks ended in a page fault; the warp is parked until
-    /// the modeled CPU fault handler maps them all.
-    pub faulted_pages: usize,
-    pub wait: WaitKind,
+    pub state: UnitState,
 }
 
 impl Warp {
-    fn empty() -> Self {
-        Self {
-            asid: 0,
-            first_tid: 0,
-            stack: None,
-            ready_at: 0,
-            pending: None,
-            waiting_pages: 0,
-            faulted_pages: 0,
-            wait: WaitKind::default(),
-        }
-    }
-
     pub(crate) fn is_done(&self) -> bool {
         self.stack.as_ref().is_none_or(|s| s.is_done())
     }
 
     #[cfg(any(test, debug_assertions))]
     fn schedulable(&self, now: Cycle) -> bool {
-        !self.is_done()
-            && self.waiting_pages == 0
-            && self.faulted_pages == 0
-            && self.ready_at <= now
+        !self.is_done() && self.state.runnable(now)
     }
 }
 
@@ -230,22 +400,23 @@ impl WarpSet {
         for m in &mut self.wait {
             *m &= !bit;
         }
-        self.ready_at[i] = w.ready_at;
+        let st = &w.state;
+        self.ready_at[i] = st.ready_at;
         if !w.is_done() {
             self.live |= bit;
-            self.wait[w.wait.cause() as usize] |= bit;
-            if w.waiting_pages > 0 {
+            self.wait[st.wait.cause() as usize] |= bit;
+            if st.waiting_pages > 0 {
                 self.waiting |= bit;
             }
-            if w.faulted_pages > 0 {
+            if st.faulted_pages > 0 {
                 self.faulted |= bit;
             }
-            if w.waiting_pages == 0 && w.faulted_pages == 0 {
-                if w.ready_at <= now {
+            if !st.on_pages() {
+                if st.ready_at <= now {
                     self.due |= bit;
                 } else {
                     self.sleeping |= bit;
-                    self.next_wake = self.next_wake.min(w.ready_at);
+                    self.next_wake = self.next_wake.min(st.ready_at);
                 }
             }
         }
@@ -329,24 +500,25 @@ impl WarpSet {
     fn recompute(warps: &[Warp], now: Cycle) -> Self {
         let mut s = Self::new();
         for (i, w) in warps.iter().enumerate() {
-            s.ready_at[i] = w.ready_at;
+            let st = &w.state;
+            s.ready_at[i] = st.ready_at;
             if w.is_done() {
                 continue;
             }
             let bit = 1u64 << i;
             s.live |= bit;
-            s.wait[w.wait.cause() as usize] |= bit;
-            if w.faulted_pages > 0 {
+            s.wait[st.wait.cause() as usize] |= bit;
+            if st.faulted_pages > 0 {
                 s.faulted |= bit;
             }
-            if w.waiting_pages > 0 {
+            if st.waiting_pages > 0 {
                 s.waiting |= bit;
             }
             if w.schedulable(now) {
                 s.due |= bit;
-            } else if w.waiting_pages == 0 && w.faulted_pages == 0 {
+            } else if !st.on_pages() {
                 s.sleeping |= bit;
-                s.next_wake = s.next_wake.min(w.ready_at);
+                s.next_wake = s.next_wake.min(st.ready_at);
             }
         }
         s
@@ -396,6 +568,21 @@ fn rr_order(mask: u64, start: usize) -> impl Iterator<Item = usize> {
 pub(crate) enum ExecMode {
     Baseline { warps: Vec<Warp>, set: WarpSet },
     Tbc(TbcState),
+}
+
+impl ExecMode {
+    /// Applies an MMU-driven transition to unit `i`'s wait state at
+    /// `now` (and re-syncs the baseline warp set).
+    fn with_unit(&mut self, i: u16, now: Cycle, f: impl FnOnce(&mut UnitState)) {
+        match self {
+            ExecMode::Baseline { warps, set } => {
+                let w = &mut warps[i as usize];
+                f(&mut w.state);
+                set.sync(i as usize, w, now);
+            }
+            ExecMode::Tbc(t) => f(&mut t.units[i as usize].state),
+        }
+    }
 }
 
 /// Everything the executors need to run warps from several tenants in
@@ -453,6 +640,12 @@ impl MemPath {
     /// Parks a committed instruction's buffer for reuse.
     pub(crate) fn stash_refs(&mut self, refs: CoalesceBuf) {
         self.refs_pool.push(refs);
+    }
+
+    /// Counts one committed instruction of tenant `asid`.
+    pub(crate) fn count_instruction(&mut self, asid: u16) {
+        self.stats.instructions.inc();
+        CoreStats::tenant_counter(&mut self.stats.tenant_instructions, asid).inc();
     }
 
     /// Accesses the L1 (and below) for one physical line; returns the
@@ -733,7 +926,7 @@ impl ShaderCore {
         });
         let exec = match &cfg.tbc {
             None => ExecMode::Baseline {
-                warps: (0..cfg.warps_per_core).map(|_| Warp::empty()).collect(),
+                warps: vec![Warp::default(); cfg.warps_per_core],
                 set: WarpSet::new(),
             },
             Some(t) => ExecMode::Tbc(TbcState::new(cfg, *t)),
@@ -936,11 +1129,7 @@ impl ShaderCore {
                                 };
                                 SimtStack::new(mask, end_pc)
                             }),
-                            ready_at: 0,
-                            pending: None,
-                            waiting_pages: 0,
-                            faulted_pages: 0,
-                            wait: WaitKind::default(),
+                            state: UnitState::default(),
                         };
                         set.sync(slot * wpb + i, &w, now);
                         warps[slot * wpb + i] = w;
@@ -1082,19 +1271,7 @@ impl ShaderCore {
             return false;
         };
         for unit in waiters {
-            match &mut self.exec {
-                ExecMode::Baseline { warps, set } => {
-                    let w = &mut warps[unit as usize];
-                    debug_assert!(w.faulted_pages > 0);
-                    w.faulted_pages = w.faulted_pages.saturating_sub(1);
-                    if w.faulted_pages == 0 && w.waiting_pages == 0 {
-                        w.ready_at = now + 1;
-                        w.wait = WaitKind::Replay;
-                    }
-                    set.sync(unit as usize, w, now);
-                }
-                ExecMode::Tbc(t) => t.resolve_fault(unit, now),
-            }
+            self.exec.with_unit(unit, now, |u| u.resolve_fault(now));
         }
         #[cfg(debug_assertions)]
         self.check_warp_set(now);
@@ -1182,17 +1359,7 @@ impl ShaderCore {
                     if w.is_done() {
                         continue;
                     }
-                    let _ = writeln!(
-                        s,
-                        "  warp {i} (asid {}): waiting_pages={} faulted_pages={} ready_at={} \
-                         (now {now}) wait={:?} pending_lines={}",
-                        w.asid,
-                        w.waiting_pages,
-                        w.faulted_pages,
-                        w.ready_at,
-                        w.wait,
-                        w.pending.as_ref().map_or(0, |p| p.refs.lines.len()),
-                    );
+                    let _ = writeln!(s, "  warp {i} (asid {}): {}", w.asid, w.state.describe(now));
                 }
             }
             ExecMode::Tbc(t) => t.stall_diagnostics(&mut s, now),
@@ -1236,7 +1403,6 @@ impl ShaderCore {
     ) -> u64 {
         obs.core = self.id as u32;
         self.dispatch_blocks(ctx.kernels, now);
-        let core = obs.core;
         let path = &mut self.path;
         // Catch up the decay epochs strictly before `now` first: a core
         // that slept across an epoch must decay its scores before this
@@ -1255,62 +1421,25 @@ impl ShaderCore {
                 MmuEvent::Wake { warp, vpn, ppn, .. } => match &mut self.exec {
                     ExecMode::Baseline { warps, set } => {
                         let w = &mut warps[warp as usize];
-                        debug_assert!(w.waiting_pages > 0);
-                        if let Some(pending) = w.pending.as_mut() {
-                            path.service_page(now, pending, vpn, ppn, mem);
-                        }
-                        w.waiting_pages = w.waiting_pages.saturating_sub(1);
-                        if w.waiting_pages == 0 {
-                            let slept = w.pending.as_ref().map_or(now, |p| p.slept_at);
-                            obs.record(|| Event::WarpSleep {
-                                core,
-                                warp,
-                                vpn: vpn.raw(),
-                                start: slept,
-                                end: now,
-                            });
-                            let all_serviced =
-                                w.pending.as_ref().is_some_and(|p| p.refs.pages.is_empty());
-                            if all_serviced {
-                                // Instruction complete: commit it.
-                                let p = w.pending.take().expect("checked");
-                                w.ready_at = p.overlap_done_at.max(now + 1);
-                                w.wait = WaitKind::MemData {
-                                    dram: p.touched_dram,
-                                };
-                                path.stash_refs(p.refs);
-                                let stack = w.stack.as_mut().expect("waiting warp is live");
-                                let (pc, _) = stack.current().expect("live");
-                                stack.advance(pc + 1);
-                            } else {
-                                // Re-present the remaining (TLB-hit)
-                                // pages.
-                                w.ready_at = now + 1;
-                                w.wait = WaitKind::Replay;
-                            }
+                        if w.state.wake(warp, vpn, ppn, path, now, mem, obs) {
+                            let stack = w.stack.as_mut().expect("waiting warp is live");
+                            let (pc, _) = stack.current().expect("live");
+                            stack.advance(pc + 1);
                         }
                         set.sync(warp as usize, w, now);
                     }
-                    ExecMode::Tbc(t) => t.wake(warp, vpn, ppn, path, now, mem, obs),
+                    ExecMode::Tbc(t) => {
+                        let u = &mut t.units[warp as usize];
+                        if u.state.wake(warp, vpn, ppn, path, now, mem, obs) {
+                            t.step_woken(warp);
+                        }
+                    }
                 },
                 MmuEvent::Fault { asid, vpn, warp } => {
                     if !self.fault.demand_paging {
                         panic!("GPU page fault on {vpn}: workloads must pre-map their regions")
                     }
-                    // Park the unit: the walk concluded (without a
-                    // translation), so the page moves from the waiting
-                    // count to the faulted count and the warp sleeps
-                    // until the CPU fault handler maps it.
-                    match &mut self.exec {
-                        ExecMode::Baseline { warps, set } => {
-                            let w = &mut warps[warp as usize];
-                            debug_assert!(w.waiting_pages > 0);
-                            w.waiting_pages = w.waiting_pages.saturating_sub(1);
-                            w.faulted_pages += 1;
-                            set.sync(warp as usize, w, now);
-                        }
-                        ExecMode::Tbc(t) => t.fault(warp),
-                    }
+                    self.exec.with_unit(warp, now, UnitState::fault);
                     let waiters = self
                         .fault_waiters
                         .entry(gmmu_mem::mshr::tenant_key(asid, vpn.raw()))
@@ -1320,20 +1449,10 @@ impl ShaderCore {
                     }
                     waiters.push(warp);
                 }
-                MmuEvent::Squashed { warp, .. } => match &mut self.exec {
-                    ExecMode::Baseline { warps, set } => {
-                        let w = &mut warps[warp as usize];
-                        w.waiting_pages = w.waiting_pages.saturating_sub(1);
-                        if w.waiting_pages == 0 && w.faulted_pages == 0 {
-                            // Retained accesses re-present against the
-                            // flushed TLB after a bounded backoff.
-                            w.ready_at = now + self.fault.shootdown_backoff.max(1);
-                            w.wait = WaitKind::Reject;
-                        }
-                        set.sync(warp as usize, w, now);
-                    }
-                    ExecMode::Tbc(t) => t.squash(warp, now, self.fault.shootdown_backoff),
-                },
+                MmuEvent::Squashed { warp, .. } => {
+                    let backoff = self.fault.shootdown_backoff;
+                    self.exec.with_unit(warp, now, |u| u.squash(now, backoff));
+                }
             }
         }
         path.policy.tick(now);
@@ -1418,7 +1537,7 @@ impl ShaderCore {
                 break;
             };
             let warp = &mut warps[w];
-            let Some(pending) = warp.pending.as_ref().filter(|_| warp.asid == asid) else {
+            let Some(pending) = warp.state.pending.as_ref().filter(|_| warp.asid == asid) else {
                 break;
             };
             let Some(retry_at) = path
@@ -1429,8 +1548,7 @@ impl ShaderCore {
             };
             path.stats.replays.inc();
             path.stats.live_cycles.inc();
-            warp.ready_at = retry_at.max(c + 1);
-            warp.wait = WaitKind::Reject;
+            warp.state.arm(retry_at.max(c + 1), WaitKind::Reject);
             set.sync(w, warp, c);
             self.rr_ptr = (w + 1) % warps.len();
             c += 1;
@@ -1451,12 +1569,7 @@ impl ShaderCore {
 fn classify_stall(exec: &ExecMode, now: Cycle) -> StallCause {
     match exec {
         ExecMode::Baseline { set, .. } => set.classify(now),
-        ExecMode::Tbc(t) => {
-            let mut best: Option<StallCause> = None;
-            t.classify_stall(now, &mut |c| best = Some(best.map_or(c, |b| b.min(c))));
-            // No live unit at all: a dispatch drought.
-            best.unwrap_or(StallCause::Dispatch)
-        }
+        ExecMode::Tbc(t) => t.classify_stall(now),
     }
 }
 
@@ -1479,7 +1592,7 @@ fn baseline_issue(
         // CCWS-style throttling gates *memory* instructions: throttled
         // warps may still run ALU/branch work, and a warp with a pending
         // memory instruction replays regardless (it holds MSHRs).
-        if warps[w].pending.is_none() && !path.policy.issue_allowed(w as u16) {
+        if warps[w].state.pending.is_none() && !path.policy.issue_allowed(w as u16) {
             let (pc, _) = warps[w]
                 .stack
                 .as_ref()
@@ -1524,11 +1637,9 @@ fn exec_one(
     let (pc, mask) = stack.current().expect("schedulable implies live");
     match kernel.program().op(pc) {
         Op::Alu { cycles } => {
-            warp.ready_at = now + cycles as u64;
-            warp.wait = WaitKind::Pipeline;
+            warp.state.arm(now + cycles as u64, WaitKind::Pipeline);
             stack.advance(pc + 1);
-            path.stats.instructions.inc();
-            CoreStats::tenant_counter(&mut path.stats.tenant_instructions, asid).inc();
+            path.count_instruction(asid);
             false
         }
         Op::Branch {
@@ -1549,61 +1660,27 @@ fn exec_one(
                 }
             }
             stack.branch(taken, taken_pc, pc + 1, reconv_pc);
-            warp.ready_at = now + path.timings.branch_latency;
-            warp.wait = WaitKind::Pipeline;
-            path.stats.instructions.inc();
-            CoreStats::tenant_counter(&mut path.stats.tenant_instructions, asid).inc();
+            warp.state
+                .arm(now + path.timings.branch_latency, WaitKind::Pipeline);
+            path.count_instruction(asid);
             false
         }
         Op::Mem { site, kind } => {
-            if warp.pending.is_none() {
-                let first_tid = warp.first_tid;
-                let lanes = (0..32).filter(|lane| mask & (1 << lane) != 0).map(|lane| {
-                    let tid = first_tid + lane;
-                    let slot = base + tid as usize * num_sites + site as usize;
-                    let iter = iters[slot];
-                    iters[slot] += 1;
-                    (kernel.mem_addr(tid, site, iter), w as u16)
-                });
-                let refs = path.coalesce_new(lanes);
-                warp.pending = Some(Pending {
-                    kind,
-                    refs,
-                    tlb_missed: false,
-                    overlap_done_at: 0,
-                    touched_dram: false,
-                    slept_at: 0,
-                });
-                path.stats.instructions.inc();
-                CoreStats::tenant_counter(&mut path.stats.tenant_instructions, asid).inc();
-                path.stats.mem_instructions.inc();
-            } else {
-                path.stats.replays.inc();
+            let first_tid = warp.first_tid;
+            let lanes = (0..32).filter(|lane| mask & (1 << lane) != 0).map(|lane| {
+                let tid = first_tid + lane;
+                let slot = base + tid as usize * num_sites + site as usize;
+                let iter = iters[slot];
+                iters[slot] += 1;
+                (kernel.mem_addr(tid, site, iter), w as u16)
+            });
+            let issue = warp
+                .state
+                .issue_mem(path, now, kind, lanes, w as u16, asid, mem, space, obs);
+            if let MemIssue::Done(_) = issue {
+                stack.advance(pc + 1);
             }
-            let mut pending = warp.pending.take().expect("just set");
-            match path.issue_mem(now, w as u16, asid, &mut pending, mem, space, obs) {
-                MemIssue::Done(ready) => {
-                    warp.ready_at = ready;
-                    warp.wait = WaitKind::MemData {
-                        dram: pending.touched_dram,
-                    };
-                    warp.stack.as_mut().expect("live warp").advance(pc + 1);
-                    path.stash_refs(pending.refs);
-                    false
-                }
-                MemIssue::WaitTlb(misses) => {
-                    warp.waiting_pages = misses;
-                    pending.slept_at = now;
-                    warp.pending = Some(pending);
-                    false
-                }
-                MemIssue::Retry(at) => {
-                    warp.ready_at = at;
-                    warp.wait = WaitKind::Reject;
-                    warp.pending = Some(pending);
-                    true
-                }
-            }
+            matches!(issue, MemIssue::Retry(_))
         }
     }
 }
@@ -1784,14 +1861,17 @@ mod tests {
     fn live_warp(ready_at: Cycle) -> Warp {
         Warp {
             stack: Some(SimtStack::new(u32::MAX, 4)),
-            ready_at,
-            ..Warp::empty()
+            state: UnitState {
+                ready_at,
+                ..UnitState::default()
+            },
+            ..Warp::default()
         }
     }
 
     #[test]
     fn next_wake_follows_the_earliest_sleeper() {
-        let mut warps: Vec<Warp> = (0..48).map(|_| Warp::empty()).collect();
+        let mut warps: Vec<Warp> = vec![Warp::default(); 48];
         let mut set = WarpSet::new();
         for (i, at) in [(3, 10), (17, 20), (40, 30)] {
             warps[i] = live_warp(at);
@@ -1807,7 +1887,7 @@ mod tests {
         assert_eq!(set, WarpSet::recompute(&warps, 10));
 
         // The earliest sleeper is re-armed past the next one.
-        warps[17].ready_at = 50;
+        warps[17].state.ready_at = 50;
         set.sync(17, &warps[17], 11);
         assert_eq!(set.next_wake, 30);
         assert_eq!(set, WarpSet::recompute(&warps, 11));
@@ -1820,7 +1900,7 @@ mod tests {
         assert_eq!(set, WarpSet::recompute(&warps, 12));
 
         // The earliest sleeper starts waiting on a fill; none is left.
-        warps[17].waiting_pages = 1;
+        warps[17].state.waiting_pages = 1;
         set.sync(17, &warps[17], 13);
         assert_eq!(set.next_wake, Cycle::MAX);
         assert_eq!(set, WarpSet::recompute(&warps, 13));

@@ -82,7 +82,8 @@ pub struct RunStats {
     /// Per-tenant results, populated by multi-tenant runs
     /// ([`Gpu::run_tenants`] with two or more jobs) and empty otherwise.
     /// Deterministic like every other field, but excluded from the
-    /// pinned [`Codec`] layout — cached single-tenant records predate it.
+    /// pinned [`Codec`] layout: GMTR traces, its only user, capture
+    /// single-tenant runs.
     pub tenants: Vec<TenantStats>,
     /// Wall-clock seconds the run took on the host. The only
     /// nondeterministic field: every other field is bit-identical

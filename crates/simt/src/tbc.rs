@@ -15,7 +15,7 @@
 //! page divergence at a possible cost of more dynamic warps (Figure 19).
 
 use crate::config::{GpuConfig, TbcConfig};
-use crate::core::{BlockWork, MemIssue, MemPath, Pending, WaitKind};
+use crate::core::{BlockWork, MemIssue, MemPath, UnitState, WaitKind};
 use crate::program::{Kernel, Op, ThreadId};
 use crate::stall::StallCause;
 use gmmu_mem::MemorySystem;
@@ -25,47 +25,26 @@ use gmmu_vm::AddressSpace;
 use std::collections::VecDeque;
 
 /// A dynamic warp: up to 32 threads, one per home lane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Dwarp {
     pub lanes: [Option<ThreadId>; 32],
     pub block: u16,
     pub pc: u32,
-    pub ready_at: Cycle,
-    pub pending: Option<Pending>,
-    pub waiting_pages: usize,
-    /// Pages whose walks ended in a page fault; the unit is parked until
-    /// the modeled CPU fault handler maps them all.
-    pub faulted_pages: usize,
     pub at_branch: bool,
     pub done_at_rpc: bool,
     pub alive: bool,
-    pub wait: WaitKind,
+    pub state: UnitState,
 }
 
 impl Dwarp {
-    fn dead() -> Self {
-        Self {
-            lanes: [None; 32],
-            block: 0,
-            pc: 0,
-            ready_at: 0,
-            pending: None,
-            waiting_pages: 0,
-            faulted_pages: 0,
-            at_branch: false,
-            done_at_rpc: false,
-            alive: false,
-            wait: WaitKind::default(),
-        }
+    /// Whether the unit takes part in scheduling: alive, and neither
+    /// parked at a branch barrier nor done at its reconvergence point.
+    fn active(&self) -> bool {
+        self.alive && !self.at_branch && !self.done_at_rpc
     }
 
     fn schedulable(&self, now: Cycle) -> bool {
-        self.alive
-            && !self.at_branch
-            && !self.done_at_rpc
-            && self.waiting_pages == 0
-            && self.faulted_pages == 0
-            && self.ready_at <= now
+        self.active() && self.state.runnable(now)
     }
 }
 
@@ -105,7 +84,7 @@ pub(crate) struct TbcState {
     cfg: TbcConfig,
     warps_per_block: usize,
     blocks: Vec<TbcBlock>,
-    units: Vec<Dwarp>,
+    pub(crate) units: Vec<Dwarp>,
     free_units: Vec<u16>,
     rr: usize,
     cand_scratch: Vec<u16>,
@@ -160,69 +139,41 @@ impl TbcState {
         self.blocks.iter().any(|b| !b.active)
     }
 
+    /// The units on top of each active block's reconvergence stack —
+    /// the only ones that can be scheduled — in block order.
+    fn top_units(&self) -> impl Iterator<Item = (u16, &Dwarp)> + '_ {
+        self.blocks
+            .iter()
+            .filter(|b| b.active)
+            .filter_map(|b| b.levels.last())
+            .flat_map(|top| top.units.iter().map(|&u| (u, &self.units[u as usize])))
+    }
+
     /// The earliest cycle after `now` at which a currently-idle dynamic
     /// warp could issue. Only top-of-stack units can be scheduled;
     /// units at a branch or done at their reconvergence point wait on
     /// siblings (whose own timers, or the MMU's, bound the skip), and
     /// page-waiting units are woken by MMU fills.
     pub(crate) fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        let mut next = Cycle::MAX;
-        for block in &self.blocks {
-            if !block.active {
-                continue;
-            }
-            if let Some(top) = block.levels.last() {
-                for &u in &top.units {
-                    let unit = &self.units[u as usize];
-                    if unit.alive
-                        && !unit.at_branch
-                        && !unit.done_at_rpc
-                        && unit.waiting_pages == 0
-                        && unit.faulted_pages == 0
-                    {
-                        next = next.min(unit.ready_at.max(now + 1));
-                    }
-                }
-            }
-        }
-        (next != Cycle::MAX).then_some(next)
+        self.top_units()
+            .filter(|(_, d)| d.active() && !d.state.on_pages())
+            .map(|(_, d)| d.state.ready_at.max(now + 1))
+            .min()
     }
 
-    /// Reports one [`StallCause`] per live unit to `note` (stall
-    /// attribution; see `core::classify_stall`). Units parked at a
+    /// The dominant stall cause at `now` of a core that issued nothing
+    /// (see `core::classify_stall`): the highest-priority wait among the
+    /// top-level units waiting on pages or timers. Units parked at a
     /// branch barrier, done at their reconvergence point, or buried
     /// below the top of their block's stack are dispatch/barrier
-    /// droughts; top-level units waiting on pages or timers report
-    /// their wait kind.
-    pub(crate) fn classify_stall(&self, now: Cycle, note: &mut dyn FnMut(StallCause)) {
-        for block in &self.blocks {
-            if !block.active {
-                continue;
-            }
-            let n_levels = block.levels.len();
-            for (li, level) in block.levels.iter().enumerate() {
-                let top = li + 1 == n_levels;
-                for &u in &level.units {
-                    let unit = &self.units[u as usize];
-                    if !unit.alive {
-                        continue;
-                    }
-                    if !top || unit.at_branch || unit.done_at_rpc {
-                        note(StallCause::Dispatch);
-                    } else if unit.faulted_pages > 0 {
-                        note(StallCause::FaultService);
-                    } else if unit.waiting_pages > 0 {
-                        note(StallCause::TlbFill);
-                    } else if unit.ready_at > now {
-                        note(unit.wait.cause());
-                    } else {
-                        // Schedulable yet nothing issued anywhere: only
-                        // possible transiently; count as a drought.
-                        note(StallCause::Dispatch);
-                    }
-                }
-            }
-        }
+    /// droughts, and so is a schedulable unit (only possible
+    /// transiently) or no live unit at all.
+    pub(crate) fn classify_stall(&self, now: Cycle) -> StallCause {
+        self.top_units()
+            .filter(|(_, d)| d.active())
+            .filter_map(|(_, d)| d.state.stall_cause(now))
+            .min()
+            .unwrap_or(StallCause::Dispatch)
     }
 
     fn alloc_unit(&mut self, d: Dwarp) -> u16 {
@@ -236,118 +187,33 @@ impl TbcState {
     }
 
     fn free_unit(&mut self, id: u16) {
-        self.units[id as usize] = Dwarp::dead();
+        self.units[id as usize] = Dwarp::default();
         self.free_units.push(id);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn wake(
-        &mut self,
-        unit: u16,
-        vpn: gmmu_vm::Vpn,
-        ppn: gmmu_vm::Ppn,
-        path: &mut MemPath,
-        now: Cycle,
-        mem: &mut MemorySystem,
-        obs: &mut Observer,
-    ) {
-        let u = &mut self.units[unit as usize];
-        debug_assert!(u.alive && u.waiting_pages > 0);
-        if let Some(pending) = u.pending.as_mut() {
-            path.service_page(now, pending, vpn, ppn, mem);
-        }
-        u.waiting_pages = u.waiting_pages.saturating_sub(1);
-        if u.waiting_pages == 0 {
-            let slept = u.pending.as_ref().map_or(now, |p| p.slept_at);
-            let core = obs.core;
-            obs.record(|| Event::WarpSleep {
-                core,
-                warp: unit,
-                vpn: vpn.raw(),
-                start: slept,
-                end: now,
-            });
-            let all_serviced = u.pending.as_ref().is_some_and(|p| p.refs.pages.is_empty());
-            if all_serviced {
-                let p = u.pending.take().expect("checked");
-                u.ready_at = p.overlap_done_at.max(now + 1);
-                u.wait = WaitKind::MemData {
-                    dram: p.touched_dram,
-                };
-                path.stash_refs(p.refs);
-                u.pc += 1;
-                // done_at_rpc is fixed up against the unit's level by
-                // maintain_block via the rpc check below.
-                u.done_at_rpc = false;
-                self.fixup_done(unit);
-            } else {
-                u.ready_at = now + 1;
-                u.wait = WaitKind::Replay;
-            }
-        }
-    }
-
-    /// A walk for one of `unit`'s pages ended in a page fault: move the
-    /// page from the waiting count to the faulted count (the core tracks
-    /// which units each faulted page parks).
-    pub(crate) fn fault(&mut self, unit: u16) {
-        let u = &mut self.units[unit as usize];
-        debug_assert!(u.alive && u.waiting_pages > 0);
-        u.waiting_pages = u.waiting_pages.saturating_sub(1);
-        u.faulted_pages += 1;
-    }
-
-    /// One of `unit`'s in-flight walks was squashed by a TLB shootdown;
-    /// with nothing else outstanding the unit retries after `backoff`.
-    pub(crate) fn squash(&mut self, unit: u16, now: Cycle, backoff: Cycle) {
-        let u = &mut self.units[unit as usize];
-        u.waiting_pages = u.waiting_pages.saturating_sub(1);
-        if u.waiting_pages == 0 && u.faulted_pages == 0 {
-            u.ready_at = now + backoff.max(1);
-            u.wait = WaitKind::Reject;
-        }
-    }
-
-    /// The CPU fault handler mapped one of `unit`'s faulted pages; with
-    /// nothing else outstanding the unit replays next cycle.
-    pub(crate) fn resolve_fault(&mut self, unit: u16, now: Cycle) {
-        let u = &mut self.units[unit as usize];
-        debug_assert!(u.faulted_pages > 0);
-        u.faulted_pages = u.faulted_pages.saturating_sub(1);
-        if u.faulted_pages == 0 && u.waiting_pages == 0 {
-            u.ready_at = now + 1;
-            u.wait = WaitKind::Replay;
-        }
     }
 
     /// Appends per-unit state to the watchdog's diagnostic dump.
     pub(crate) fn stall_diagnostics(&self, s: &mut String, now: Cycle) {
         use std::fmt::Write as _;
-        for (i, u) in self.units.iter().enumerate() {
-            if !u.alive {
-                continue;
-            }
+        for (i, u) in self.units.iter().enumerate().filter(|(_, u)| u.alive) {
             let _ = writeln!(
                 s,
-                "  dwarp {i}: block={} pc={} waiting_pages={} faulted_pages={} ready_at={} \
-                 (now {now}) wait={:?} at_branch={} done_at_rpc={} pending_lines={}",
+                "  dwarp {i}: block={} pc={} at_branch={} done_at_rpc={} {}",
                 u.block,
                 u.pc,
-                u.waiting_pages,
-                u.faulted_pages,
-                u.ready_at,
-                u.wait,
                 u.at_branch,
                 u.done_at_rpc,
-                u.pending.as_ref().map_or(0, |p| p.refs.lines.len()),
+                u.state.describe(now),
             );
         }
     }
 
-    /// After a wake-completed instruction advanced a unit's pc, check it
-    /// against its level's rpc.
-    fn fixup_done(&mut self, unit: u16) {
-        let b = self.units[unit as usize].block as usize;
+    /// A woken unit's memory instruction committed: step past it, and
+    /// mark the unit done if that reaches its level's rpc.
+    pub(crate) fn step_woken(&mut self, unit: u16) {
+        let u = &mut self.units[unit as usize];
+        u.pc += 1;
+        u.done_at_rpc = false;
+        let b = u.block as usize;
         if let Some(top) = self.blocks[b].levels.last() {
             if top.units.contains(&unit) {
                 let rpc = top.rpc;
@@ -385,9 +251,8 @@ impl TbcState {
                 let id = self.alloc_unit(Dwarp {
                     lanes,
                     block: b as u16,
-                    pc: 0,
                     alive: true,
-                    ..Dwarp::dead()
+                    ..Dwarp::default()
                 });
                 units.push(id);
             }
@@ -420,21 +285,13 @@ impl TbcState {
         for b in 0..self.blocks.len() {
             self.maintain_block(b, path, now, kernel, iters, obs);
         }
-        // Collect schedulable units (top level of each active block).
         let mut cands = std::mem::take(&mut self.cand_scratch);
         cands.clear();
-        for block in &self.blocks {
-            if !block.active {
-                continue;
-            }
-            if let Some(top) = block.levels.last() {
-                for &u in &top.units {
-                    if self.units[u as usize].schedulable(now) {
-                        cands.push(u);
-                    }
-                }
-            }
-        }
+        cands.extend(
+            self.top_units()
+                .filter(|(_, d)| d.schedulable(now))
+                .map(|(u, _)| u),
+        );
         let issued = if cands.is_empty() {
             false
         } else {
@@ -516,18 +373,23 @@ impl TbcState {
         self.stash_units(level.units);
         // If the new top is a paused parent, its children have all
         // popped (children always sit above their parent): resume it.
+        // An empty stack is left for maintain_block to notice.
+        self.resume_top(b, now + 1);
+    }
+
+    /// Resumes the top level of block `b` at its reconvergence point if
+    /// it is paused; its units may issue again at `at`.
+    fn resume_top(&mut self, b: usize, at: Cycle) {
         let Some(top) = self.blocks[b].levels.last_mut() else {
-            return; // maintain_block notices the empty stack
+            return;
         };
         if let Some(resume) = top.resume_pc.take() {
-            let rpc = top.rpc;
             for &u in &top.units {
                 let unit = &mut self.units[u as usize];
                 unit.pc = resume;
                 unit.at_branch = false;
-                unit.done_at_rpc = resume == rpc;
-                unit.ready_at = now + 1;
-                unit.wait = WaitKind::Pipeline;
+                unit.done_at_rpc = resume == top.rpc;
+                unit.state.arm(at, WaitKind::Pipeline);
             }
         }
     }
@@ -651,17 +513,7 @@ impl TbcState {
         // Degenerate branch with both targets at the reconvergence
         // point: no children were pushed, so resume immediately.
         if fall_pc == reconv_pc && taken_pc == reconv_pc {
-            let top = self.blocks[b].levels.last_mut().expect("non-empty");
-            if let Some(resume) = top.resume_pc.take() {
-                let rpc = top.rpc;
-                for &u in &top.units {
-                    let unit = &mut self.units[u as usize];
-                    unit.pc = resume;
-                    unit.done_at_rpc = resume == rpc;
-                    unit.ready_at = now + path.timings.branch_latency;
-                    unit.wait = WaitKind::Pipeline;
-                }
-            }
+            self.resume_top(b, now + path.timings.branch_latency);
         }
         self.taken_scratch = taken_threads;
         self.fall_scratch = fall_threads;
@@ -760,9 +612,12 @@ impl TbcState {
                 lanes,
                 block: b as u16,
                 pc,
-                ready_at: ready,
                 alive: true,
-                ..Dwarp::dead()
+                state: UnitState {
+                    ready_at: ready,
+                    ..UnitState::default()
+                },
+                ..Dwarp::default()
             });
             out.push(id);
         }
@@ -792,71 +647,36 @@ impl TbcState {
             .rpc;
         let pc = self.units[u as usize].pc;
         debug_assert!(pc != level_rpc, "done unit scheduled");
+        let unit = &mut self.units[u as usize];
         match kernel.program().op(pc) {
             Op::Alu { cycles } => {
-                let unit = &mut self.units[u as usize];
-                unit.ready_at = now + cycles as u64;
-                unit.wait = WaitKind::Pipeline;
+                unit.state.arm(now + cycles as u64, WaitKind::Pipeline);
                 unit.pc = pc + 1;
                 unit.done_at_rpc = unit.pc == level_rpc;
-                path.stats.instructions.inc();
+                path.count_instruction(0);
             }
             Op::Branch { .. } => {
-                let unit = &mut self.units[u as usize];
                 unit.at_branch = true;
-                unit.ready_at = now + path.timings.branch_latency;
-                unit.wait = WaitKind::Pipeline;
-                path.stats.instructions.inc();
+                unit.state
+                    .arm(now + path.timings.branch_latency, WaitKind::Pipeline);
+                path.count_instruction(0);
             }
             Op::Mem { site, kind } => {
-                let block_first = self.blocks[block_idx].first_tid;
-                let base_warp = self.blocks[block_idx].base_warp;
-                if self.units[u as usize].pending.is_none() {
-                    let lanes = self.units[u as usize].lanes.iter().flatten().map(|&tid| {
-                        let slot = tid as usize * num_sites + site as usize;
-                        let iter = iters[slot];
-                        iters[slot] += 1;
-                        let home = base_warp + ((tid - block_first) / 32) as u16;
-                        (kernel.mem_addr(tid, site, iter), home)
-                    });
-                    let refs = path.coalesce_new(lanes);
-                    self.units[u as usize].pending = Some(Pending {
-                        kind,
-                        refs,
-                        tlb_missed: false,
-                        overlap_done_at: 0,
-                        touched_dram: false,
-                        slept_at: 0,
-                    });
-                    path.stats.instructions.inc();
-                    path.stats.mem_instructions.inc();
-                } else {
-                    path.stats.replays.inc();
-                }
-                let mut pending = self.units[u as usize].pending.take().expect("just set");
-                match path.issue_mem(now, u, 0, &mut pending, mem, space, obs) {
-                    MemIssue::Done(ready) => {
-                        let unit = &mut self.units[u as usize];
-                        unit.ready_at = ready;
-                        unit.wait = WaitKind::MemData {
-                            dram: pending.touched_dram,
-                        };
-                        unit.pc = pc + 1;
-                        unit.done_at_rpc = unit.pc == level_rpc;
-                        path.stash_refs(pending.refs);
-                    }
-                    MemIssue::WaitTlb(misses) => {
-                        let unit = &mut self.units[u as usize];
-                        unit.waiting_pages = misses;
-                        pending.slept_at = now;
-                        unit.pending = Some(pending);
-                    }
-                    MemIssue::Retry(at) => {
-                        let unit = &mut self.units[u as usize];
-                        unit.ready_at = at;
-                        unit.wait = WaitKind::Reject;
-                        unit.pending = Some(pending);
-                    }
+                let block = &self.blocks[block_idx];
+                let (block_first, base_warp) = (block.first_tid, block.base_warp);
+                let lanes = unit.lanes.iter().flatten().map(|&tid| {
+                    let slot = tid as usize * num_sites + site as usize;
+                    let iter = iters[slot];
+                    iters[slot] += 1;
+                    let home = base_warp + ((tid - block_first) / 32) as u16;
+                    (kernel.mem_addr(tid, site, iter), home)
+                });
+                let issue = unit
+                    .state
+                    .issue_mem(path, now, kind, lanes, u, 0, mem, space, obs);
+                if let MemIssue::Done(_) = issue {
+                    unit.pc = pc + 1;
+                    unit.done_at_rpc = unit.pc == level_rpc;
                 }
             }
         }
@@ -1002,7 +822,7 @@ mod tests {
     /// the L1 each line's own first-lane home warp, not the page's.
     #[test]
     fn fill_bypass_hands_each_line_its_home_warp() {
-        use crate::core::{phys_line, ExecMode, Pending, ShaderCore};
+        use crate::core::{phys_line, ExecMode, Pending, ShaderCore, UnitState};
         use gmmu_mem::{MemConfig, MemorySystem};
         use gmmu_sim::observe::Observer;
         use gmmu_vm::Ppn;
@@ -1035,19 +855,23 @@ mod tests {
         };
         tbc.units.push(super::Dwarp {
             alive: true,
-            waiting_pages: 2,
-            pending: Some(Pending {
-                kind: MemKind::Load,
-                refs,
-                ..Pending::default()
-            }),
-            ..super::Dwarp::dead()
+            state: UnitState {
+                waiting_pages: 2,
+                pending: Some(Pending {
+                    kind: MemKind::Load,
+                    refs,
+                    ..Pending::default()
+                }),
+                ..UnitState::default()
+            },
+            ..super::Dwarp::default()
         });
         let unit = (tbc.units.len() - 1) as u16;
         let mut mem = MemorySystem::new(MemConfig::default());
         let vpn = VAddr::new(page).vpn();
         let ppn = Ppn::new(0x77);
-        tbc.wake(
+        let u = &mut tbc.units[unit as usize];
+        let committed = u.state.wake(
             unit,
             vpn,
             ppn,
@@ -1056,6 +880,7 @@ mod tests {
             &mut mem,
             &mut Observer::off(),
         );
+        assert!(!committed, "the other page is still in flight");
 
         let owner = |va: u64| {
             let pl = phys_line(ppn, VAddr::new(va).line(7), PageSize::Base4K);
@@ -1064,7 +889,7 @@ mod tests {
         assert_eq!(owner(page), Some(3));
         assert_eq!(owner(page + 0x80), Some(5));
         // Only the other page is left pending.
-        let u = &tbc.units[unit as usize];
+        let u = &tbc.units[unit as usize].state;
         assert_eq!(u.waiting_pages, 1);
         let refs = &u.pending.as_ref().expect("still pending").refs;
         assert_eq!(refs.pages.len(), 1);

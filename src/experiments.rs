@@ -66,9 +66,6 @@ options (every option also takes the form --flag=value):
              Under `replay`: diff the replayed snapshot against PATH
              when the file exists (exit non-zero on any difference),
              write it otherwise
-  --fault-seed N
-             seed for the deterministic fault schedule, read by
-             `fig multitenant --metrics` (default 0xfa57)
   --capture-trace PATH
              record the first simulated design point to a GMTR trace
              file: the kernel's full data-dependent behaviour plus the
@@ -160,7 +157,6 @@ impl Cli {
                 "--intervals" => opts.intervals = Some(leak_path(value()?)),
                 "--interval-stride" => opts.interval_stride = positive(flag, &value()?)?,
                 "--metrics" => opts.metrics = Some(leak_path(value()?)),
-                "--fault-seed" => opts.fault_seed = parse_seed(&value()?)?,
                 "--capture-trace" => opts.capture_trace = Some(leak_path(value()?)),
                 "--help" | "-h" => return Err(ArgError::Help),
                 _ => return Err(bad(format!("unknown argument `{arg}`"))),
@@ -239,9 +235,6 @@ pub struct ExperimentOpts {
     /// (`--metrics`); under `gmmu replay`, diff against the file when it
     /// exists and write it otherwise.
     pub metrics: Option<&'static str>,
-    /// Seed for the deterministic fault schedule of the multi-tenant
-    /// metrics snapshot (`--fault-seed`).
-    pub fault_seed: u64,
     /// Record the first simulated design point to this GMTR trace file
     /// (`--capture-trace`).
     pub capture_trace: Option<&'static str>,
@@ -258,7 +251,6 @@ impl Default for ExperimentOpts {
             intervals: None,
             interval_stride: 10_000,
             metrics: None,
-            fault_seed: 0xfa57,
             capture_trace: None,
         }
     }
@@ -320,12 +312,6 @@ fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
             "`{flag}` needs a positive integer, got `{v}`"
         ))),
     }
-}
-
-fn parse_seed(v: &str) -> Result<u64, ArgError> {
-    v.strip_prefix("0x")
-        .map_or_else(|| v.parse::<u64>(), |h| u64::from_str_radix(h, 16))
-        .map_err(|_| ArgError::Usage(format!("`--fault-seed` needs an integer, got `{v}`")))
 }
 
 /// Output paths live for the whole process (they came from argv), which
@@ -524,18 +510,6 @@ pub fn metrics_counter_rows(obs: &Observer) -> Vec<String> {
         .collect()
 }
 
-/// How [`Runner::run`] services a design point (see [`Runner::sweep`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Simulate on the calling thread (memoized).
-    Direct,
-    /// Record the point and return placeholder stats.
-    Record,
-    /// Serve from the memo cache (falling back to direct execution for
-    /// any point the recording pass did not see).
-    Replay,
-}
-
 /// Runs design points against cached workloads and memoized results.
 pub struct Runner {
     opts: ExperimentOpts,
@@ -543,7 +517,10 @@ pub struct Runner {
     large_page_workloads: HashMap<Bench, Workload>,
     cache: HashMap<String, RunStats>,
     recorded: Vec<PointSpec>,
-    mode: Mode,
+    /// Inside [`Runner::record`]: design points are captured and answered
+    /// with placeholder stats. Otherwise each point is served from the
+    /// memo cache, or simulated on the calling thread and memoized.
+    recording: bool,
     /// The first fresh simulation still owes the `--trace`/`--intervals`/
     /// `--metrics` outputs and/or the `--capture-trace` recording.
     observe_pending: bool,
@@ -563,7 +540,7 @@ impl Runner {
             large_page_workloads: HashMap::new(),
             cache: HashMap::new(),
             recorded: Vec::new(),
-            mode: Mode::Direct,
+            recording: false,
             observe_pending: opts.observes() || opts.captures(),
             runs: 0,
             point_log: Vec::new(),
@@ -598,7 +575,7 @@ impl Runner {
     }
 
     fn point(&mut self, spec: PointSpec) -> RunStats {
-        if self.mode == Mode::Record {
+        if self.recording {
             self.recorded.push(spec);
             return RunStats::zeroed();
         }
@@ -680,10 +657,7 @@ impl Runner {
     pub fn sweep<T>(&mut self, f: impl Fn(&mut Runner) -> T) -> T {
         let (_, specs) = self.record(&f);
         self.run_points_parallel(specs);
-        self.mode = Mode::Replay;
-        let out = f(self);
-        self.mode = Mode::Direct;
-        out
+        f(self)
     }
 
     /// Runs `f` in recording mode: every design point it asks for is
@@ -691,10 +665,10 @@ impl Runner {
     /// placeholder stats). Lets a caller batch the points of several
     /// figure functions into one [`Runner::run_points_parallel`] call.
     pub fn record<T>(&mut self, f: impl FnOnce(&mut Runner) -> T) -> (T, Vec<PointSpec>) {
-        self.mode = Mode::Record;
+        self.recording = true;
         self.recorded.clear();
         let out = f(self);
-        self.mode = Mode::Direct;
+        self.recording = false;
         (out, std::mem::take(&mut self.recorded))
     }
 
@@ -923,12 +897,11 @@ mod tests {
 
     #[test]
     fn flag_values_parse_inline_or_separate() {
-        let spaced = parse("all --jobs 4 --interval-stride 3 --fault-seed 0x10").unwrap();
-        let inline = parse("all --jobs=4 --interval-stride=3 --fault-seed=0x10").unwrap();
+        let spaced = parse("all --jobs 4 --interval-stride 3").unwrap();
+        let inline = parse("all --jobs=4 --interval-stride=3").unwrap();
         assert_eq!(spaced.opts, inline.opts);
         assert_eq!(inline.opts.jobs, 4);
         assert_eq!(inline.opts.interval_stride, 3);
-        assert_eq!(inline.opts.fault_seed, 16);
         // A path may itself contain `=`; only the first one splits.
         let cli = parse("replay t.gmtr --metrics=a=b.json").unwrap();
         assert_eq!(cli.opts.metrics, Some("a=b.json"));

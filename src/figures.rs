@@ -837,8 +837,8 @@ pub fn fig_multitenant(opts: &crate::ExperimentOpts) -> Vec<Table> {
 }
 
 /// Metrics snapshot of the 4-tenant mixed-fault acceptance scenario:
-/// demand faults, delayed walks, rejections, and cross-tenant storms on
-/// the augmented MMU, with the per-ASID walk-stage histograms and
+/// demand faults, delayed walks, rejections, and cross-tenant storms
+/// (fault seed `0xfa57`) on the augmented MMU, with the per-ASID walk-stage histograms and
 /// per-ASID hot-page keys the snapshot's `tenants` section carries
 /// (DESIGN.md §13). Deterministic and loop-invariant like every
 /// snapshot; backs `gmmu fig multitenant --metrics PATH`.
@@ -848,7 +848,7 @@ pub fn multitenant_metrics_snapshot(opts: &crate::ExperimentOpts) -> String {
 
     let mut cfg = opts.gpu(designs::augmented());
     cfg.fault = FaultConfig::demand();
-    let inject = FaultInjectConfig::smoke(opts.fault_seed);
+    let inject = FaultInjectConfig::smoke(0xfa57);
     cfg.inject = Some(inject);
     let sc = scenario(4, opts.scale, opts.seed, true);
     let (mut built, _) = sc.build_demand_paged(&inject);

@@ -145,6 +145,60 @@ fn shootdown_storms_flush_and_replay() {
     }
 }
 
+/// TLB-aware thread block compaction parks, squashes and replays its
+/// dynamic warps through the same fault path as baseline warps: a
+/// mixed-fault bfs run (demand faults, rejects, storms) and a
+/// demand-only mummergpu run complete on the naive MMU, agree with the
+/// per-cycle referee, and keep their pinned `(cycles, faults,
+/// shootdowns, squashed_walks, replays)`. Committed work is not
+/// compared with a fault-free run: TLB-aware compaction forms dynamic
+/// warps from timing-dependent CPM counters.
+#[test]
+fn tbc_units_fault_squash_and_replay() {
+    for (bench, inject, pinned) in [
+        (
+            Bench::Bfs,
+            FaultInjectConfig::smoke(0xfa57),
+            (326_896, 144, 8, 3, 4_814),
+        ),
+        (
+            Bench::Mummergpu,
+            FaultInjectConfig::demand_paged(0xfa57),
+            (939_791, 796, 0, 0, 5_670),
+        ),
+    ] {
+        let run_with = |legacy: bool| {
+            let (w, unmapped) = build_demand_paged(bench, Scale::Tiny, 7, &inject);
+            assert!(unmapped > 0, "{bench}: nothing was unmapped");
+            let mut cfg = ExperimentOpts::quick().gpu(designs::naive3());
+            cfg.fault = FaultConfig::demand();
+            cfg.inject = Some(inject);
+            cfg.tbc = Some(TbcConfig::tlb_aware(3));
+            cfg.tick_every_cycle = legacy;
+            run_faulted(w, cfg)
+        };
+        let stats = run_with(false);
+        assert!(stats.completed, "{bench}: TBC fault run hit the cycle cap");
+        assert!(!stats.watchdog_fired, "{bench}: TBC tripped the watchdog");
+        assert_eq!(
+            (
+                stats.cycles,
+                stats.faults,
+                stats.shootdowns,
+                stats.squashed_walks,
+                stats.replays
+            ),
+            pinned,
+            "{bench}: TBC fault run moved off its pinned figures"
+        );
+        let diff = stats.diff(&run_with(true));
+        assert!(
+            diff.is_empty(),
+            "{bench}: per-cycle loop disagrees on TBC faults in {diff:?}"
+        );
+    }
+}
+
 /// The mixed smoke configuration — demand faults, delayed walks,
 /// transient rejections, and storms at once — completes and exercises
 /// the demand-fault path on every benchmark, under the augmented MMU and

@@ -248,3 +248,32 @@ fn metrics_snapshot_has_per_tenant_dimensions() {
         "snapshot never mentions ASID 1"
     );
 }
+
+/// The 4-tenant mixed-fault snapshot `gmmu fig multitenant --metrics`
+/// writes lists every tenant in its `tenants` section, and its hot-page
+/// table reaches past ASID 0.
+#[test]
+fn multitenant_snapshot_lists_every_tenant() {
+    let snap = gmmu::figures::multitenant_metrics_snapshot(&ExperimentOpts::quick());
+    let asids = |section: &str| -> Vec<u64> {
+        section
+            .split("\"asid\": ")
+            .skip(1)
+            .map(|s| {
+                s[..s.find(|c: char| !c.is_ascii_digit()).unwrap()]
+                    .parse()
+                    .unwrap()
+            })
+            .collect()
+    };
+    let (_, rest) = snap
+        .split_once("\"tenants\": [")
+        .expect("no tenants section");
+    let (tenants, rest) = rest.split_once(']').expect("unterminated tenants section");
+    assert_eq!(asids(tenants), [0, 1, 2, 3]);
+    let (_, hot) = rest.split_once("\"pages\": [").expect("no hot-page table");
+    assert!(
+        asids(hot).iter().any(|&a| a > 0),
+        "hot pages never left ASID 0"
+    );
+}
