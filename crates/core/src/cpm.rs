@@ -143,6 +143,12 @@ impl CommonPageMatrix {
             .all(|m| m == candidate || self.counter(candidate, m) == self.max)
     }
 
+    /// The cycle of the next table flush: the next multiple of the
+    /// flush interval after the last one applied.
+    pub fn next_event_at(&self) -> Cycle {
+        self.last_flush + self.config.flush_interval.max(1)
+    }
+
     /// Flushes the table when the flush interval has elapsed. Flush
     /// epochs are anchored at exact multiples of the interval, so the
     /// method may be called at any subset of cycles (the drive loop

@@ -166,19 +166,9 @@ impl UnitState {
     }
 
     /// Whether the unit's own wait state lets it issue at `now`.
-    pub(crate) fn runnable(&self, now: Cycle) -> bool {
+    #[cfg(any(test, debug_assertions))]
+    fn runnable(&self, now: Cycle) -> bool {
         !self.on_pages() && self.ready_at <= now
-    }
-
-    /// What holds the unit at `now`, or `None` when it is runnable.
-    pub(crate) fn stall_cause(&self, now: Cycle) -> Option<StallCause> {
-        if self.faulted_pages > 0 {
-            Some(StallCause::FaultService)
-        } else if self.waiting_pages > 0 {
-            Some(StallCause::TlbFill)
-        } else {
-            (self.ready_at > now).then(|| self.wait.cause())
-        }
     }
 
     /// Builds (or, on a replay, reuses) the pending memory instruction
@@ -340,20 +330,37 @@ impl Warp {
         self.stack.as_ref().is_none_or(|s| s.is_done())
     }
 
+    /// The warp's wait state while it is live.
+    fn live_state(&self) -> Option<&UnitState> {
+        (!self.is_done()).then_some(&self.state)
+    }
+
+    /// The set a from-scratch scan of `warps` at `now` yields.
     #[cfg(any(test, debug_assertions))]
-    fn schedulable(&self, now: Cycle) -> bool {
-        !self.is_done() && self.state.runnable(now)
+    fn scan(warps: &[Warp], now: Cycle) -> WarpSet {
+        WarpSet::recompute(
+            warps
+                .iter()
+                .enumerate()
+                .filter_map(|(i, w)| Some((i, w.live_state()?))),
+            now,
+        )
     }
 }
 
-/// The baseline warps' scheduling state as `u64` bitsets (bit `i` is
-/// warp `i`), so the issue, stall and timer queries of a tick are bit
-/// operations instead of scans over the warp array. [`WarpSet::sync`]
-/// re-reads one warp and must run wherever a warp's liveness, page
-/// counts, wait kind or `ready_at` change: block dispatch, `exec_one`,
-/// the MMU's `Wake`/`Fault`/`Squashed` events and fault resolution.
+/// The scheduling state of a core's units as `u64` bitsets over slots,
+/// so the issue, stall and timer queries of a tick are bit operations
+/// instead of scans over the units. A baseline core's slot `i` is warp
+/// `i`; a TBC core's slot `b * warps_per_block + p` is the `p`-th unit
+/// of block `b`'s top level ([`crate::tbc`]). In both, ascending slot
+/// order is issue order. [`WarpSet::sync`] re-reads one slot and must
+/// run wherever its unit's liveness, page counts, wait kind or
+/// `ready_at` change: block dispatch, the issue step, the MMU's
+/// `Wake`/`Fault`/`Squashed` events and fault resolution (TBC also
+/// re-reads a block's slots when compaction or a pop changes its top
+/// level).
 ///
-/// Runnable warps (live, not waiting on a fill, not faulted) split into
+/// Runnable units (live, not waiting on a fill, not faulted) split into
 /// `due` (`ready_at` reached) and `sleeping`; a sleeper moves to `due`
 /// when [`WarpSet::advance`] passes its `ready_at`, and `next_wake` is
 /// the earliest sleeper's `ready_at` (`Cycle::MAX` with none).
@@ -364,18 +371,19 @@ pub(crate) struct WarpSet {
     waiting: u64,
     /// Parked on page faults.
     faulted: u64,
-    due: u64,
+    pub(crate) due: u64,
     sleeping: u64,
     next_wake: Cycle,
-    /// Live warps by [`WaitKind`], indexed by the [`StallCause`] each
+    /// Live units by [`WaitKind`], indexed by the [`StallCause`] each
     /// kind maps to.
     wait: [u64; StallCause::COUNT],
-    /// Each warp's `ready_at`, as of its last sync.
+    /// Each live unit's `ready_at`, as of its last sync (0 for a slot
+    /// holding no live unit).
     ready_at: [Cycle; MAX_WARPS_PER_CORE],
 }
 
 impl WarpSet {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             live: 0,
             waiting: 0,
@@ -388,8 +396,9 @@ impl WarpSet {
         }
     }
 
-    /// Re-reads warp `i`'s state at cycle `now`.
-    fn sync(&mut self, i: usize, w: &Warp, now: Cycle) {
+    /// Re-reads slot `i` at cycle `now`: `unit` is the wait state of
+    /// its live unit, `None` when the slot holds none.
+    pub(crate) fn sync(&mut self, i: usize, unit: Option<&UnitState>, now: Cycle) {
         let bit = 1u64 << i;
         let was_earliest = self.sleeping & bit != 0 && self.ready_at[i] == self.next_wake;
         self.live &= !bit;
@@ -400,9 +409,8 @@ impl WarpSet {
         for m in &mut self.wait {
             *m &= !bit;
         }
-        let st = &w.state;
-        self.ready_at[i] = st.ready_at;
-        if !w.is_done() {
+        self.ready_at[i] = unit.map_or(0, |st| st.ready_at);
+        if let Some(st) = unit {
             self.live |= bit;
             self.wait[st.wait.cause() as usize] |= bit;
             if st.waiting_pages > 0 {
@@ -437,7 +445,7 @@ impl WarpSet {
     /// precede the last sync or advance. Sleepers whose timers expired
     /// by `now` count as due; only then are the sleepers scanned, once,
     /// splitting them into the woken and the earliest still asleep.
-    fn at(&self, now: Cycle) -> (u64, u64, Cycle) {
+    pub(crate) fn at(&self, now: Cycle) -> (u64, u64, Cycle) {
         if self.next_wake > now {
             return (self.due, self.sleeping, self.next_wake);
         }
@@ -455,16 +463,17 @@ impl WarpSet {
     }
 
     /// Moves every sleeper whose timer expired by `now` to `due`.
-    fn advance(&mut self, now: Cycle) {
+    pub(crate) fn advance(&mut self, now: Cycle) {
         (self.due, self.sleeping, self.next_wake) = self.at(now);
     }
 
     /// The dominant stall cause at `now` of a core that issued nothing
     /// (see [`classify_stall`]): the highest-priority [`StallCause`]
-    /// present among the live warps. A due warp can only have been
+    /// present among the live units. A due warp can only have been
     /// gated by the locality policy, since `baseline_issue` issues the
-    /// first due warp that passes the gate.
-    fn classify(&self, now: Cycle) -> StallCause {
+    /// first due warp that passes the gate; TBC has no gate, so a TBC
+    /// core that issued nothing has no due unit.
+    pub(crate) fn classify(&self, now: Cycle) -> StallCause {
         let (due, sleeping, _) = self.at(now);
         let by = |c: StallCause| self.wait[c as usize] & sleeping;
         let present = [
@@ -494,17 +503,17 @@ impl WarpSet {
             .fold(0, |m, s| m | 1 << s)
     }
 
-    /// The set a from-scratch scan of `warps` at `now` yields; the
-    /// debug-build referee for the incremental [`WarpSet::sync`].
+    /// The set a from-scratch scan of the live units — `(slot, wait
+    /// state)` each — at `now` yields; the debug-build referee for the
+    /// incremental [`WarpSet::sync`].
     #[cfg(any(test, debug_assertions))]
-    fn recompute(warps: &[Warp], now: Cycle) -> Self {
+    pub(crate) fn recompute<'a>(
+        units: impl Iterator<Item = (usize, &'a UnitState)>,
+        now: Cycle,
+    ) -> Self {
         let mut s = Self::new();
-        for (i, w) in warps.iter().enumerate() {
-            let st = &w.state;
+        for (i, st) in units {
             s.ready_at[i] = st.ready_at;
-            if w.is_done() {
-                continue;
-            }
             let bit = 1u64 << i;
             s.live |= bit;
             s.wait[st.wait.cause() as usize] |= bit;
@@ -514,7 +523,7 @@ impl WarpSet {
             if st.waiting_pages > 0 {
                 s.waiting |= bit;
             }
-            if w.schedulable(now) {
+            if st.runnable(now) {
                 s.due |= bit;
             } else if !st.on_pages() {
                 s.sleeping |= bit;
@@ -526,7 +535,7 @@ impl WarpSet {
 }
 
 /// The low `n` bits set (`n <= 64`).
-fn low_bits(n: usize) -> u64 {
+pub(crate) fn low_bits(n: usize) -> u64 {
     if n >= 64 {
         u64::MAX
     } else {
@@ -535,7 +544,7 @@ fn low_bits(n: usize) -> u64 {
 }
 
 /// The indices of a bitmask's set bits, ascending.
-struct Bits(u64);
+pub(crate) struct Bits(pub(crate) u64);
 
 impl Iterator for Bits {
     type Item = usize;
@@ -572,15 +581,18 @@ pub(crate) enum ExecMode {
 
 impl ExecMode {
     /// Applies an MMU-driven transition to unit `i`'s wait state at
-    /// `now` (and re-syncs the baseline warp set).
+    /// `now` and re-syncs the unit's slot in its mode's [`WarpSet`].
     fn with_unit(&mut self, i: u16, now: Cycle, f: impl FnOnce(&mut UnitState)) {
         match self {
             ExecMode::Baseline { warps, set } => {
                 let w = &mut warps[i as usize];
                 f(&mut w.state);
-                set.sync(i as usize, w, now);
+                set.sync(i as usize, w.live_state(), now);
             }
-            ExecMode::Tbc(t) => f(&mut t.units[i as usize].state),
+            ExecMode::Tbc(t) => {
+                f(&mut t.units[i as usize].state);
+                t.sync_unit(i, now);
+            }
         }
     }
 }
@@ -898,15 +910,15 @@ pub struct ShaderCore {
     /// Faulted `(asid, page)` pairs not yet reported to the GPU's fault
     /// handler.
     pub(crate) pending_faults: Vec<(u16, Vpn)>,
-    /// Baseline mode: the ASID of the warp whose issue the MMU rejected
-    /// on the last tick, if it bounced; [`ShaderCore::bounce_ahead`]
-    /// runs only after such a tick.
+    /// The ASID of the unit whose issue the MMU rejected on the last
+    /// tick, if it bounced (0 on a TBC core);
+    /// [`ShaderCore::bounce_ahead`] runs only after such a tick.
     bounced: Option<u16>,
     /// Baseline mode: the warps live at the last reap plus every warp of
     /// a block dispatched since. A slot can only have retired if one of
     /// these is no longer live.
     live_at_reap: u64,
-    /// Whether the last tick issued an instruction (see
+    /// Baseline mode: whether the last tick issued an instruction (see
     /// [`ShaderCore::next_event_at`]).
     issued: bool,
 }
@@ -1092,6 +1104,16 @@ impl ShaderCore {
         }
     }
 
+    /// Whether a queued block has a free slot to go to: the next tick
+    /// dispatches it.
+    fn can_dispatch(&self) -> bool {
+        !self.block_queue.is_empty()
+            && match &self.exec {
+                ExecMode::Baseline { .. } => self.free_slots() != 0,
+                ExecMode::Tbc(t) => t.has_free_slot(),
+            }
+    }
+
     /// Fills free block slots from the queue. `kernels` is indexed by
     /// each queued block's ASID.
     fn dispatch_blocks(&mut self, kernels: &[&dyn Kernel], now: Cycle) {
@@ -1131,7 +1153,7 @@ impl ShaderCore {
                             }),
                             state: UnitState::default(),
                         };
-                        set.sync(slot * wpb + i, &w, now);
+                        set.sync(slot * wpb + i, w.live_state(), now);
                         warps[slot * wpb + i] = w;
                     }
                 }
@@ -1158,8 +1180,9 @@ impl ShaderCore {
     /// (which can release throttled warps), and block dispatch into a
     /// free slot. Warps waiting on pages carry no timer of their own —
     /// the MMU fill that wakes them is already a candidate. A tick that
-    /// issued leaves a baseline core due again at `now + 1` only while a
-    /// warp is still due; a TBC core that issued always is.
+    /// issued leaves a core due again at `now + 1` only while a unit is
+    /// still due, or, on a TBC core, while a block's maintenance would
+    /// pop or compact on the next tick.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         let mut next = self.compute_core_timers(now)?;
         if let Some(c) = self.path.mmu.next_event_at() {
@@ -1171,44 +1194,51 @@ impl ShaderCore {
     }
 
     /// The core-local timer sources: unit `ready_at` timers, the policy
-    /// decay epoch that may release a throttled unit, and dispatch into
-    /// a free slot. `None` when the core has no work at all. Every
-    /// returned cycle exceeds `now` (timers beyond `now`, `now + 1`
-    /// floors).
+    /// decay epoch that may release a throttled unit, TBC block
+    /// maintenance, and dispatch into a free slot. `None` when the core
+    /// has no work at all. Every returned cycle exceeds `now` (timers
+    /// beyond `now`, `now + 1` floors).
+    ///
+    /// A TBC core that issued sleeps like a baseline core: its issue
+    /// changed one unit, which its slot mirrors, and marked that unit's
+    /// block dirty. Maintenance state changes only in an issuing tick or
+    /// a `Wake` step, and a tick handles its wakes before it maintains,
+    /// so unless the dirty block would pop or compact on the next tick,
+    /// no tick before the next unit or MMU timer can act.
     fn compute_core_timers(&self, now: Cycle) -> Option<Cycle> {
         if !self.has_work() {
             return None;
         }
-        let mut next = Cycle::MAX;
-        match &self.exec {
+        let mut next = match &self.exec {
             ExecMode::Baseline { set, .. } => {
                 let (due, _, next_wake) = set.at(now);
-                next = next_wake;
-                if due != 0 {
-                    next = next.min(if self.issued {
-                        // A due warp lost the one issue slot, or the
-                        // issue may have opened the policy gate.
-                        now + 1
-                    } else {
-                        // Schedulable yet nothing issued: the locality
-                        // policy gated it; the next decay epoch may
-                        // release it.
-                        let decay = self.path.policy.next_event_at().unwrap_or(now + 1);
-                        decay.max(now + 1)
-                    });
-                }
-                if !self.block_queue.is_empty() && self.free_slots() != 0 {
-                    next = next.min(now + 1);
+                if due == 0 {
+                    next_wake
+                } else if self.issued {
+                    // A due warp lost the one issue slot, or the issue
+                    // may have opened the policy gate.
+                    now + 1
+                } else {
+                    // Schedulable yet nothing issued: the locality
+                    // policy gated it; the next decay epoch may release
+                    // it.
+                    let decay = self.path.policy.next_event_at().unwrap_or(now + 1);
+                    next_wake.min(decay.max(now + 1))
                 }
             }
             ExecMode::Tbc(t) => {
-                if let Some(c) = t.next_event_at(now) {
-                    next = next.min(c);
-                }
-                if self.issued || (!self.block_queue.is_empty() && t.has_free_slot()) {
-                    next = next.min(now + 1);
+                let (due, _, next_wake) = t.set.at(now);
+                // A due unit lost the one issue slot, or a dirty block
+                // pops or compacts on the next tick.
+                if due != 0 || t.upkeep_due() {
+                    now + 1
+                } else {
+                    next_wake
                 }
             }
+        };
+        if self.can_dispatch() {
+            next = now + 1;
         }
         Some(next)
     }
@@ -1279,21 +1309,23 @@ impl ShaderCore {
     }
 
     /// Debug builds: asserts the incremental [`WarpSet`], advanced to
-    /// `now`, equals a from-scratch scan of the warps at `now`. The
-    /// per-cycle referee shares the set with the skip loop, so loop
-    /// agreement alone cannot catch a stale bit.
+    /// `now`, equals a from-scratch scan of the units at `now` (TBC:
+    /// of the blocks' top levels, with every clean block needing no
+    /// maintenance). The per-cycle referee shares the set with the skip
+    /// loop, so loop agreement alone cannot catch a stale bit.
     #[cfg(debug_assertions)]
     fn check_warp_set(&self, now: Cycle) {
-        if let ExecMode::Baseline { warps, set } = &self.exec {
-            let mut advanced = set.clone();
-            advanced.advance(now);
-            assert_eq!(
-                advanced,
-                WarpSet::recompute(warps, now),
-                "core {}: warp-set mirror went stale at cycle {now}",
-                self.id
-            );
-        }
+        let (set, scan) = match &self.exec {
+            ExecMode::Baseline { warps, set } => (set, Warp::scan(warps, now)),
+            ExecMode::Tbc(t) => (&t.set, t.scan(now)),
+        };
+        let mut advanced = set.clone();
+        advanced.advance(now);
+        assert_eq!(
+            advanced, scan,
+            "core {}: warp-set mirror went stale at cycle {now}",
+            self.id
+        );
     }
 
     /// A human-readable dump of everything that could explain a stuck
@@ -1426,13 +1458,14 @@ impl ShaderCore {
                             let (pc, _) = stack.current().expect("live");
                             stack.advance(pc + 1);
                         }
-                        set.sync(warp as usize, w, now);
+                        set.sync(warp as usize, w.live_state(), now);
                     }
                     ExecMode::Tbc(t) => {
                         let u = &mut t.units[warp as usize];
                         if u.state.wake(warp, vpn, ppn, path, now, mem, obs) {
                             t.step_woken(warp);
                         }
+                        t.sync_unit(warp, now);
                     }
                 },
                 MmuEvent::Fault { asid, vpn, warp } => {
@@ -1470,7 +1503,7 @@ impl ShaderCore {
             }
             ExecMode::Tbc(t) => {
                 debug_assert_eq!(ctx.spaces.len(), 1, "TBC is single-tenant");
-                let issued = u64::from(t.issue(
+                let bounced = t.issue(
                     path,
                     now,
                     mem,
@@ -1478,8 +1511,9 @@ impl ShaderCore {
                     ctx.kernels[0],
                     ctx.iters,
                     obs,
-                ));
-                (issued, t.has_work())
+                );
+                self.bounced = (bounced == Some(true)).then_some(0);
+                (u64::from(bounced.is_some()), t.has_work())
             }
         };
         self.issued = issued != 0;
@@ -1504,59 +1538,45 @@ impl ShaderCore {
     /// none). The drive loop then counts the core as ticked, and issuing,
     /// through that cycle.
     ///
-    /// Cycle `c` is a bounce when the first due warp in round-robin
-    /// order holds a pending access of the bounced warp's ASID that
-    /// [`Mmu::probe_reject`] rejects at `c`. It commits what `exec_one`
-    /// and the tick commit for one: a replay, a live cycle, the reject
-    /// count, the backoff timer, the warp set and `rr_ptr`. The run
-    /// stops before `limit` (the drive loop's global timers), before the
-    /// MMU's next fill or walk start and before the next decay epoch, and
-    /// does not start while a queued block has a free slot: nothing else
-    /// a tick reacts to can change inside it. TBC cores never run ahead.
+    /// Cycle `c` is a bounce when the unit the tick would pick — the
+    /// first due warp in round-robin order, or TBC's `rr`-th due unit
+    /// in slot order — holds a pending access of the bounced unit's
+    /// ASID that [`Mmu::probe_reject`] rejects at `c`. It commits what
+    /// the issue step and the tick commit for one: a replay, a live
+    /// cycle, the reject count, the backoff timer, the unit's slot and
+    /// the round-robin pointer. The run stops before `limit` (the drive
+    /// loop's global timers), before the MMU's next fill or walk start
+    /// and before the next policy decay or CPM flush epoch. It does not
+    /// start while a queued block has a free slot or, on a TBC core,
+    /// while a dirty block would pop or compact: nothing else a tick
+    /// reacts to can change inside it.
     pub fn bounce_ahead(&mut self, now: Cycle, limit: Cycle) -> Cycle {
         let Some(asid) = self.bounced.take() else {
             return now;
         };
-        if !self.block_queue.is_empty() && self.free_slots() != 0 {
+        if self.can_dispatch() {
             return now;
         }
-        let ExecMode::Baseline { warps, set } = &mut self.exec else {
-            return now;
-        };
-        // Baseline cores have no CPM; the policy's epoch is the only
-        // decay timer.
         let path = &mut self.path;
-        let end = [path.mmu.next_event_at(), path.policy.next_event_at()]
-            .into_iter()
-            .flatten()
-            .fold(limit, Cycle::min);
-        let mut c = now + 1;
-        while c < end {
-            set.advance(c);
-            let Some(w) = rr_order(set.due, self.rr_ptr).next() else {
-                break;
-            };
-            let warp = &mut warps[w];
-            let Some(pending) = warp.state.pending.as_ref().filter(|_| warp.asid == asid) else {
-                break;
-            };
-            let Some(retry_at) = path
-                .mmu
-                .probe_reject(c, w as u16, asid, &pending.refs.pages)
-            else {
-                break;
-            };
-            path.stats.replays.inc();
-            path.stats.live_cycles.inc();
-            warp.state.arm(retry_at.max(c + 1), WaitKind::Reject);
-            set.sync(w, warp, c);
-            self.rr_ptr = (w + 1) % warps.len();
-            c += 1;
-        }
-        // The set stands advanced to `c`, the cycle the core ticks next.
+        let end = [
+            path.mmu.next_event_at(),
+            path.policy.next_event_at(),
+            path.cpm.as_ref().map(CommonPageMatrix::next_event_at),
+        ]
+        .into_iter()
+        .flatten()
+        .fold(limit, Cycle::min);
+        let last = match &mut self.exec {
+            ExecMode::Baseline { warps, set } => {
+                baseline_bounce_ahead(path, warps, set, &mut self.rr_ptr, asid, now, end)
+            }
+            ExecMode::Tbc(t) => t.bounce_ahead(path, now, end),
+        };
+        // The set stands advanced to `last + 1`, the cycle the core
+        // ticks next.
         #[cfg(debug_assertions)]
-        self.check_warp_set(c);
-        c - 1
+        self.check_warp_set(last + 1);
+        last
     }
 }
 
@@ -1569,7 +1589,10 @@ impl ShaderCore {
 fn classify_stall(exec: &ExecMode, now: Cycle) -> StallCause {
     match exec {
         ExecMode::Baseline { set, .. } => set.classify(now),
-        ExecMode::Tbc(t) => t.classify_stall(now),
+        ExecMode::Tbc(t) => {
+            debug_assert_eq!(t.set.at(now).0, 0, "a due TBC unit always issues");
+            t.set.classify(now)
+        }
     }
 }
 
@@ -1607,11 +1630,51 @@ fn baseline_issue(
         }
         let asid = warps[w].asid;
         let bounced = exec_one(path, warps, w, now, mem, ctx, obs);
-        set.sync(w, &warps[w], now);
+        set.sync(w, warps[w].live_state(), now);
         *rr_ptr = (w + 1) % warps.len();
         return Some((asid, bounced));
     }
     None
+}
+
+/// The baseline half of [`ShaderCore::bounce_ahead`]: commits each
+/// cycle before `end` whose first due warp in round-robin order holds a
+/// pending access of tenant `asid` that [`Mmu::probe_reject`] rejects,
+/// and returns the last cycle committed (`now` when none).
+#[allow(clippy::too_many_arguments)]
+fn baseline_bounce_ahead(
+    path: &mut MemPath,
+    warps: &mut [Warp],
+    set: &mut WarpSet,
+    rr_ptr: &mut usize,
+    asid: u16,
+    now: Cycle,
+    end: Cycle,
+) -> Cycle {
+    let mut c = now + 1;
+    while c < end {
+        set.advance(c);
+        let Some(w) = rr_order(set.due, *rr_ptr).next() else {
+            break;
+        };
+        let warp = &mut warps[w];
+        let Some(pending) = warp.state.pending.as_ref().filter(|_| warp.asid == asid) else {
+            break;
+        };
+        let Some(retry_at) = path
+            .mmu
+            .probe_reject(c, w as u16, asid, &pending.refs.pages)
+        else {
+            break;
+        };
+        path.stats.replays.inc();
+        path.stats.live_cycles.inc();
+        warp.state.arm(retry_at.max(c + 1), WaitKind::Reject);
+        set.sync(w, warp.live_state(), c);
+        *rr_ptr = (w + 1) % warps.len();
+        c += 1;
+    }
+    c - 1
 }
 
 /// Executes the next instruction of baseline warp `w` against its
@@ -1875,35 +1938,35 @@ mod tests {
         let mut set = WarpSet::new();
         for (i, at) in [(3, 10), (17, 20), (40, 30)] {
             warps[i] = live_warp(at);
-            set.sync(i, &warps[i], 0);
+            set.sync(i, warps[i].live_state(), 0);
         }
-        assert_eq!(set, WarpSet::recompute(&warps, 0));
+        assert_eq!(set, Warp::scan(&warps, 0));
         assert_eq!(set.next_wake, 10);
 
         // The earliest sleeper wakes.
         set.advance(10);
         assert_eq!(set.due, 1 << 3);
         assert_eq!(set.next_wake, 20);
-        assert_eq!(set, WarpSet::recompute(&warps, 10));
+        assert_eq!(set, Warp::scan(&warps, 10));
 
         // The earliest sleeper is re-armed past the next one.
         warps[17].state.ready_at = 50;
-        set.sync(17, &warps[17], 11);
+        set.sync(17, warps[17].live_state(), 11);
         assert_eq!(set.next_wake, 30);
-        assert_eq!(set, WarpSet::recompute(&warps, 11));
+        assert_eq!(set, Warp::scan(&warps, 11));
 
         // The earliest sleeper retires.
         warps[40].stack = None;
-        set.sync(40, &warps[40], 12);
+        set.sync(40, warps[40].live_state(), 12);
         assert_eq!(set.next_wake, 50);
         assert_eq!(set.live, 1 << 3 | 1 << 17);
-        assert_eq!(set, WarpSet::recompute(&warps, 12));
+        assert_eq!(set, Warp::scan(&warps, 12));
 
         // The earliest sleeper starts waiting on a fill; none is left.
         warps[17].state.waiting_pages = 1;
-        set.sync(17, &warps[17], 13);
+        set.sync(17, warps[17].live_state(), 13);
         assert_eq!(set.next_wake, Cycle::MAX);
-        assert_eq!(set, WarpSet::recompute(&warps, 13));
+        assert_eq!(set, Warp::scan(&warps, 13));
         assert_eq!(set.classify(13), StallCause::TlbFill);
     }
 

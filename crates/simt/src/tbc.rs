@@ -15,9 +15,8 @@
 //! page divergence at a possible cost of more dynamic warps (Figure 19).
 
 use crate::config::{GpuConfig, TbcConfig};
-use crate::core::{BlockWork, MemIssue, MemPath, UnitState, WaitKind};
+use crate::core::{low_bits, Bits, BlockWork, MemIssue, MemPath, UnitState, WaitKind, WarpSet};
 use crate::program::{Kernel, Op, ThreadId};
-use crate::stall::StallCause;
 use gmmu_mem::MemorySystem;
 use gmmu_sim::observe::{Event, Observer};
 use gmmu_sim::Cycle;
@@ -37,14 +36,11 @@ pub(crate) struct Dwarp {
 }
 
 impl Dwarp {
-    /// Whether the unit takes part in scheduling: alive, and neither
-    /// parked at a branch barrier nor done at its reconvergence point.
-    fn active(&self) -> bool {
-        self.alive && !self.at_branch && !self.done_at_rpc
-    }
-
-    fn schedulable(&self, now: Cycle) -> bool {
-        self.active() && self.state.runnable(now)
+    /// The unit's wait state while it takes part in scheduling: alive,
+    /// and neither parked at a branch barrier nor done at its
+    /// reconvergence point.
+    fn live_state(&self) -> Option<&UnitState> {
+        (self.alive && !self.at_branch && !self.done_at_rpc).then_some(&self.state)
     }
 }
 
@@ -62,13 +58,23 @@ struct TbcLevel {
 /// Per-block compaction state.
 #[derive(Debug, Clone)]
 struct TbcBlock {
-    active: bool,
     first_tid: ThreadId,
     /// Core-local static warp id of the block's first warp.
     base_warp: u16,
     levels: Vec<TbcLevel>,
     /// Cycle the block was dispatched (the `block` trace span's start).
     started: Cycle,
+}
+
+/// What a block's maintenance does next.
+#[derive(Debug, Clone, Copy)]
+enum Upkeep {
+    /// The stack is empty: the block is finished.
+    Retire,
+    /// Every top-level unit is done at the level's rpc.
+    Pop,
+    /// Every top-level unit not done at the rpc waits at the branch.
+    Compact,
 }
 
 /// A dynamic warp being assembled by [`TbcState::compact_threads`].
@@ -87,7 +93,20 @@ pub(crate) struct TbcState {
     pub(crate) units: Vec<Dwarp>,
     free_units: Vec<u16>,
     rr: usize,
-    cand_scratch: Vec<u16>,
+    /// The top-level units' scheduling state. Slot
+    /// `b * warps_per_block + p` mirrors the `p`-th unit of block `b`'s
+    /// top level, so ascending slot order is issue order. A level holds
+    /// at most `warps_per_block` units: lane-preserving compaction
+    /// starts a new dynamic warp only for a thread no earlier one takes,
+    /// and each home warp starts at most one, since its threads arrive
+    /// together in thread order, one per lane, and the warp it starts
+    /// takes the rest of them (with the CPM or without, cold or warm).
+    pub(crate) set: WarpSet,
+    /// Blocks holding work (bit = block slot).
+    active: u64,
+    /// Blocks whose top level changed since their last maintenance. A
+    /// clean block's maintenance has nothing to do.
+    dirty: u64,
     /// Recycled unit-list allocations: retired [`TbcLevel::units`]
     /// vectors parked here for the next dispatch or compaction, so
     /// block/branch events stop heap-allocating in steady state.
@@ -111,7 +130,6 @@ impl TbcState {
             warps_per_block: cfg.warps_per_block,
             blocks: (0..slots)
                 .map(|s| TbcBlock {
-                    active: false,
                     first_tid: 0,
                     base_warp: (s * cfg.warps_per_block) as u16,
                     levels: Vec::new(),
@@ -121,7 +139,9 @@ impl TbcState {
             units: Vec::new(),
             free_units: Vec::new(),
             rr: 0,
-            cand_scratch: Vec::new(),
+            set: WarpSet::new(),
+            active: 0,
+            dirty: 0,
             u16_pool: Vec::new(),
             taken_scratch: Vec::new(),
             fall_scratch: Vec::new(),
@@ -131,49 +151,107 @@ impl TbcState {
     }
 
     pub(crate) fn has_work(&self) -> bool {
-        self.blocks.iter().any(|b| b.active)
+        self.active != 0
     }
 
     /// Whether an inactive block slot could accept a queued block.
     pub(crate) fn has_free_slot(&self) -> bool {
-        self.blocks.iter().any(|b| !b.active)
+        self.active != low_bits(self.blocks.len())
     }
 
-    /// The units on top of each active block's reconvergence stack —
-    /// the only ones that can be scheduled — in block order.
-    fn top_units(&self) -> impl Iterator<Item = (u16, &Dwarp)> + '_ {
-        self.blocks
-            .iter()
-            .filter(|b| b.active)
-            .filter_map(|b| b.levels.last())
-            .flat_map(|top| top.units.iter().map(|&u| (u, &self.units[u as usize])))
+    /// The top-level unit in slot `slot` of the set.
+    fn slot_unit(&self, slot: usize) -> u16 {
+        let top = self.blocks[slot / self.warps_per_block]
+            .levels
+            .last()
+            .expect("a live slot's block has a level");
+        top.units[slot % self.warps_per_block]
     }
 
-    /// The earliest cycle after `now` at which a currently-idle dynamic
-    /// warp could issue. Only top-of-stack units can be scheduled;
-    /// units at a branch or done at their reconvergence point wait on
-    /// siblings (whose own timers, or the MMU's, bound the skip), and
-    /// page-waiting units are woken by MMU fills.
-    pub(crate) fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        self.top_units()
-            .filter(|(_, d)| d.active() && !d.state.on_pages())
-            .map(|(_, d)| d.state.ready_at.max(now + 1))
-            .min()
+    /// The slot of `unit` if it is in its block's top level.
+    fn top_slot(&self, unit: u16) -> Option<usize> {
+        let b = self.units[unit as usize].block as usize;
+        let top = self.blocks[b].levels.last()?;
+        let p = top.units.iter().position(|&u| u == unit)?;
+        Some(b * self.warps_per_block + p)
     }
 
-    /// The dominant stall cause at `now` of a core that issued nothing
-    /// (see `core::classify_stall`): the highest-priority wait among the
-    /// top-level units waiting on pages or timers. Units parked at a
-    /// branch barrier, done at their reconvergence point, or buried
-    /// below the top of their block's stack are dispatch/barrier
-    /// droughts, and so is a schedulable unit (only possible
-    /// transiently) or no live unit at all.
-    pub(crate) fn classify_stall(&self, now: Cycle) -> StallCause {
-        self.top_units()
-            .filter(|(_, d)| d.active())
-            .filter_map(|(_, d)| d.state.stall_cause(now))
-            .min()
-            .unwrap_or(StallCause::Dispatch)
+    /// Re-reads `unit`'s slot (if it is a top-level unit) at `now`.
+    pub(crate) fn sync_unit(&mut self, unit: u16, now: Cycle) {
+        if let Some(slot) = self.top_slot(unit) {
+            self.set
+                .sync(slot, self.units[unit as usize].live_state(), now);
+        }
+    }
+
+    /// Re-reads all of block `b`'s slots at `now`, after its top level
+    /// changed.
+    fn sync_block(&mut self, b: usize, now: Cycle) {
+        let wpb = self.warps_per_block;
+        // A retired block's stack is empty, so its slots all clear.
+        let top = self.blocks[b].levels.last().map_or(&[][..], |l| &l.units);
+        debug_assert!(
+            top.len() <= wpb,
+            "a top level of {} units overflows its block's {wpb} slots",
+            top.len()
+        );
+        for p in 0..wpb {
+            let unit = top.get(p).map(|&u| &self.units[u as usize]);
+            self.set
+                .sync(b * wpb + p, unit.and_then(Dwarp::live_state), now);
+        }
+    }
+
+    /// The set a from-scratch scan of the blocks' top levels at `now`
+    /// yields; the debug-build referee for the incremental syncs. It
+    /// also asserts that every clean block needs no maintenance.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn scan(&self, now: Cycle) -> WarpSet {
+        for b in Bits(self.active & !self.dirty) {
+            assert!(self.upkeep(b).is_none(), "clean block {b} needs upkeep");
+        }
+        let wpb = self.warps_per_block;
+        WarpSet::recompute(
+            Bits(self.active).flat_map(|b| {
+                let top = self.blocks[b].levels.last().map_or(&[][..], |l| &l.units);
+                top.iter().enumerate().filter_map(move |(p, &u)| {
+                    Some((b * wpb + p, self.units[u as usize].live_state()?))
+                })
+            }),
+            now,
+        )
+    }
+
+    /// The slot round-robin issues from at the set's current cycle: the
+    /// `rr`-th due slot (modulo their count) in ascending order.
+    fn pick(&self) -> Option<usize> {
+        let due = self.set.due;
+        let n = due.count_ones() as usize;
+        (n > 0).then(|| Bits(due).nth(self.rr % n).expect("rr % n < n"))
+    }
+
+    /// What block `b`'s maintenance would do now, if anything.
+    fn upkeep(&self, b: usize) -> Option<Upkeep> {
+        if self.active & (1 << b) == 0 {
+            return None;
+        }
+        let Some(top) = self.blocks[b].levels.last() else {
+            return Some(Upkeep::Retire);
+        };
+        let units = || top.units.iter().map(|&u| &self.units[u as usize]);
+        if units().all(|d| d.done_at_rpc) {
+            Some(Upkeep::Pop)
+        } else if units().all(|d| d.at_branch || d.done_at_rpc) {
+            // Not all done, so at least one unit is at the branch.
+            Some(Upkeep::Compact)
+        } else {
+            None
+        }
+    }
+
+    /// Whether a dirty block's maintenance would act on the next tick.
+    pub(crate) fn upkeep_due(&self) -> bool {
+        Bits(self.dirty).any(|b| self.upkeep(b).is_some())
     }
 
     fn alloc_unit(&mut self, d: Dwarp) -> u16 {
@@ -214,6 +292,7 @@ impl TbcState {
         u.pc += 1;
         u.done_at_rpc = false;
         let b = u.block as usize;
+        self.dirty |= 1 << b;
         if let Some(top) = self.blocks[b].levels.last() {
             if top.units.contains(&unit) {
                 let rpc = top.rpc;
@@ -230,10 +309,7 @@ impl TbcState {
         end_pc: u32,
         now: Cycle,
     ) {
-        for b in 0..self.blocks.len() {
-            if self.blocks[b].active {
-                continue;
-            }
+        for b in Bits(low_bits(self.blocks.len()) & !self.active) {
             let Some(work) = queue.pop_front() else {
                 return;
             };
@@ -257,7 +333,6 @@ impl TbcState {
                 units.push(id);
             }
             let block = &mut self.blocks[b];
-            block.active = true;
             block.first_tid = work.first_tid;
             block.started = now;
             block.levels.clear();
@@ -266,11 +341,16 @@ impl TbcState {
                 units,
                 resume_pc: None,
             });
+            self.active |= 1 << b;
+            self.dirty |= 1 << b;
+            self.sync_block(b, now);
         }
     }
 
-    /// One issue attempt: barrier/completion maintenance, then execute
-    /// one instruction from a schedulable dynamic warp.
+    /// One issue attempt: maintenance of the dirty blocks, then execute
+    /// one instruction from the round-robin pick among the due units.
+    /// Returns whether the MMU rejected (bounced) the issue, or `None`
+    /// when nothing issued.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn issue(
         &mut self,
@@ -281,31 +361,59 @@ impl TbcState {
         kernel: &dyn Kernel,
         iters: &mut [u32],
         obs: &mut Observer,
-    ) -> bool {
-        for b in 0..self.blocks.len() {
+    ) -> Option<bool> {
+        for b in Bits(std::mem::take(&mut self.dirty)) {
             self.maintain_block(b, path, now, kernel, iters, obs);
         }
-        let mut cands = std::mem::take(&mut self.cand_scratch);
-        cands.clear();
-        cands.extend(
-            self.top_units()
-                .filter(|(_, d)| d.schedulable(now))
-                .map(|(u, _)| u),
-        );
-        let issued = if cands.is_empty() {
-            false
-        } else {
-            let pick = cands[self.rr % cands.len()];
-            self.rr = self.rr.wrapping_add(1);
-            self.exec_unit(pick, path, now, mem, space, kernel, iters, obs);
-            true
-        };
-        self.cand_scratch = cands;
-        issued
+        self.set.advance(now);
+        let slot = self.pick()?;
+        self.rr = self.rr.wrapping_add(1);
+        let unit = self.slot_unit(slot);
+        let bounced = self.exec_unit(unit, path, now, mem, space, kernel, iters, obs);
+        self.set
+            .sync(slot, self.units[unit as usize].live_state(), now);
+        self.dirty |= 1 << (slot / self.warps_per_block);
+        Some(bounced)
     }
 
-    /// Handles barrier-complete (compaction) and level-complete (pop)
-    /// conditions for one block.
+    /// Runs a bounce storm ahead after a tick at `now` whose issue the
+    /// MMU rejected (see `ShaderCore::bounce_ahead`): commits each cycle
+    /// before `end` whose round-robin pick holds a pending access that
+    /// [`gmmu_core::mmu::Mmu::probe_reject`] rejects, and returns the
+    /// last cycle committed (`now` when none). A dirty block that would
+    /// pop or compact on the next tick stops it before it starts; the
+    /// bounces themselves change no maintenance state.
+    pub(crate) fn bounce_ahead(&mut self, path: &mut MemPath, now: Cycle, end: Cycle) -> Cycle {
+        if self.upkeep_due() {
+            return now;
+        }
+        let mut c = now + 1;
+        while c < end {
+            self.set.advance(c);
+            let Some(slot) = self.pick() else {
+                break;
+            };
+            let unit = self.slot_unit(slot);
+            let d = &mut self.units[unit as usize];
+            let Some(pending) = d.state.pending.as_ref() else {
+                break;
+            };
+            let Some(retry_at) = path.mmu.probe_reject(c, unit, 0, &pending.refs.pages) else {
+                break;
+            };
+            path.stats.replays.inc();
+            path.stats.live_cycles.inc();
+            d.state.arm(retry_at.max(c + 1), WaitKind::Reject);
+            self.set.sync(slot, d.live_state(), c);
+            self.rr = self.rr.wrapping_add(1);
+            c += 1;
+        }
+        c - 1
+    }
+
+    /// Handles barrier-complete (compaction), level-complete (pop) and
+    /// block-complete (retire) conditions for one block, then re-reads
+    /// its slots if anything changed.
     fn maintain_block(
         &mut self,
         b: usize,
@@ -315,42 +423,28 @@ impl TbcState {
         iters: &mut [u32],
         obs: &mut Observer,
     ) {
-        loop {
-            if !self.blocks[b].active {
-                return;
+        let mut acted = false;
+        while let Some(step) = self.upkeep(b) {
+            acted = true;
+            match step {
+                Upkeep::Retire => {
+                    self.active &= !(1 << b);
+                    path.stats.blocks_done.inc();
+                    let started = self.blocks[b].started;
+                    let core = obs.core;
+                    obs.record(|| Event::BlockRetire {
+                        core,
+                        slot: b as u32,
+                        start: started,
+                        end: now,
+                    });
+                }
+                Upkeep::Pop => self.pop_level(b, now),
+                Upkeep::Compact => self.compact_at_branch(b, path, now, kernel, iters),
             }
-            let Some(top) = self.blocks[b].levels.last() else {
-                // Block finished.
-                self.blocks[b].active = false;
-                path.stats.blocks_done.inc();
-                let started = self.blocks[b].started;
-                let core = obs.core;
-                obs.record(|| Event::BlockRetire {
-                    core,
-                    slot: b as u32,
-                    start: started,
-                    end: now,
-                });
-                return;
-            };
-            let all_done = top
-                .units
-                .iter()
-                .all(|&u| self.units[u as usize].done_at_rpc);
-            if all_done {
-                self.pop_level(b, now);
-                continue;
-            }
-            let all_at_branch = !top.units.is_empty()
-                && top.units.iter().all(|&u| {
-                    self.units[u as usize].at_branch || self.units[u as usize].done_at_rpc
-                });
-            let any_at_branch = top.units.iter().any(|&u| self.units[u as usize].at_branch);
-            if all_at_branch && any_at_branch {
-                self.compact_at_branch(b, path, now, kernel, iters);
-                continue;
-            }
-            return;
+        }
+        if acted {
+            self.sync_block(b, now);
         }
     }
 
@@ -625,7 +719,8 @@ impl TbcState {
         out
     }
 
-    /// Executes one instruction of dynamic warp `u`.
+    /// Executes one instruction of dynamic warp `u`. Returns whether the
+    /// MMU rejected (bounced) a memory access.
     #[allow(clippy::too_many_arguments)]
     fn exec_unit(
         &mut self,
@@ -637,7 +732,7 @@ impl TbcState {
         kernel: &dyn Kernel,
         iters: &mut [u32],
         obs: &mut Observer,
-    ) {
+    ) -> bool {
         let num_sites = kernel.program().num_sites().max(1);
         let block_idx = self.units[u as usize].block as usize;
         let level_rpc = self.blocks[block_idx]
@@ -654,12 +749,14 @@ impl TbcState {
                 unit.pc = pc + 1;
                 unit.done_at_rpc = unit.pc == level_rpc;
                 path.count_instruction(0);
+                false
             }
             Op::Branch { .. } => {
                 unit.at_branch = true;
                 unit.state
                     .arm(now + path.timings.branch_latency, WaitKind::Pipeline);
                 path.count_instruction(0);
+                false
             }
             Op::Mem { site, kind } => {
                 let block = &self.blocks[block_idx];
@@ -678,6 +775,7 @@ impl TbcState {
                     unit.pc = pc + 1;
                     unit.done_at_rpc = unit.pc == level_rpc;
                 }
+                matches!(issue, MemIssue::Retry(_))
             }
         }
     }

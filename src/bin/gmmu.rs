@@ -150,12 +150,15 @@ fn all(opts: ExperimentOpts, csv: bool) {
             json,
             "    {{\"bench\": \"{:?}\", \"large_pages\": {}, \
              \"fingerprint\": \"{:016x}\", \"engine\": \"{}\", \
+             \"scheduler\": \"{}\", \"tlb\": \"{}\", \
              \"wall_s\": {:.4}, \"cycles\": {}, \
              \"sim_cycles_per_sec\": {:.0}, \"observed\": {}}}{}",
             p.bench,
             p.large_pages,
             p.fingerprint,
             p.engine,
+            p.scheduler,
+            p.tlb,
             p.wall_s,
             p.cycles,
             p.sim_cycles_per_sec,

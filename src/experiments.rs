@@ -355,6 +355,11 @@ pub struct PointRun {
     /// Drive loop that executed the point: `event_skip` or
     /// `tick_every_cycle`.
     pub engine: &'static str,
+    /// Scheduler of the point: `baseline` (per-warp stacks, under any
+    /// locality policy), `tbc` or `tbc-tlb-aware`.
+    pub scheduler: &'static str,
+    /// TLB of the point: `ideal` (no TLB), `blocking` or `nonblocking`.
+    pub tlb: &'static str,
     /// Wall-clock seconds the simulation took.
     pub wall_s: f64,
     /// Simulated cycles of the run.
@@ -380,6 +385,16 @@ impl PointRun {
             large_pages: spec.large_pages,
             fingerprint: fnv1a64(key.as_bytes()),
             engine: engine_label(&spec.cfg),
+            scheduler: match spec.cfg.tbc {
+                None => "baseline",
+                Some(t) if t.tlb_aware => "tbc-tlb-aware",
+                Some(_) => "tbc",
+            },
+            tlb: match spec.cfg.mmu {
+                MmuModel::Ideal => "ideal",
+                MmuModel::Real { tlb, .. } if tlb.mode.hits_under_miss() => "nonblocking",
+                MmuModel::Real { .. } => "blocking",
+            },
             wall_s: started.elapsed().as_secs_f64(),
             cycles: stats.cycles,
             sim_cycles_per_sec: stats.cycles_per_sec(),

@@ -74,6 +74,7 @@ fn allocs() -> u64 {
 use gmmu_core::mmu::MmuModel;
 use gmmu_mem::{MemConfig, MemorySystem};
 use gmmu_sim::observe::Observer;
+use gmmu_simt::config::TbcConfig;
 use gmmu_simt::core::ShaderCore;
 use gmmu_simt::program::{MemKind, Op, Program, ThreadId};
 use gmmu_simt::{GpuConfig, Kernel};
@@ -187,9 +188,17 @@ fn serial_tick_loop_is_allocation_free() {
 /// The idle-skipping loop's steady-state body — a tick, then
 /// `next_event_at` and `note_idle_skip` to jump straight to the core's
 /// next wake, after an issue too — is also allocation-free after
-/// warm-up.
+/// warm-up, with per-warp stacks and under thread block compaction
+/// (whose every loop trip recompacts the block onto the branch target).
 fn event_loop_is_allocation_free() {
-    let (space, kernel, cfg) = stream_setup(u32::MAX);
+    for tbc in [None, Some(TbcConfig::baseline())] {
+        event_loop_window(tbc);
+    }
+}
+
+fn event_loop_window(tbc: Option<TbcConfig>) {
+    let (space, kernel, mut cfg) = stream_setup(u32::MAX);
+    cfg.tbc = tbc;
     let mut core = ShaderCore::new(0, &cfg);
     core.push_block(0, 128);
     let mut mem = MemorySystem::new(MemConfig::default());
@@ -220,7 +229,7 @@ fn event_loop_is_allocation_free() {
     assert_eq!(
         after - before,
         0,
-        "skip-loop steady state allocated {} times over 15000 steps",
+        "skip-loop steady state (tbc: {tbc:?}) allocated {} times over 15000 steps",
         after - before
     );
     assert!(core.has_work(), "kernel drained inside the window");

@@ -221,11 +221,16 @@ fn execution_engines_are_observably_equivalent() {
 /// no-policy mummergpu points carry the longest runs of MMU rejects a
 /// core runs ahead through (`ShaderCore::bounce_ahead`); the capped one
 /// stops on cycle 40,119, inside a core's bounce storm, so both loops
-/// must also agree on a run the cap cuts short.
+/// must also agree on a run the cap cuts short. The TBC points cover
+/// thread block compaction on the same machinery: bfs and memcached
+/// bounce storms on the blocking TLB (plain and TLB-aware compaction),
+/// streamcluster on the augmented MMU, where a TBC core most often
+/// sleeps straight after an issue, and a mummergpu run capped on cycle
+/// 40,342, inside a TBC core's bounce storm.
 #[test]
 fn sleeping_cores_match_the_per_cycle_referee() {
     type Configure = fn(&mut GpuConfig);
-    let matrix: [(Bench, Scale, &str, Configure); 8] = [
+    let matrix: [(Bench, Scale, &str, Configure); 12] = [
         (Bench::Memcached, Scale::Small, "ccws", |c| {
             c.policy = PolicyKind::Ccws
         }),
@@ -247,6 +252,20 @@ fn sleeping_cores_match_the_per_cycle_referee() {
         }),
         (Bench::Bfs, Scale::Small, "augmented", |c| {
             c.mmu = designs::augmented()
+        }),
+        (Bench::Bfs, Scale::Small, "tbc", |c| {
+            c.tbc = Some(TbcConfig::baseline())
+        }),
+        (Bench::Memcached, Scale::Small, "tlb-aware tbc", |c| {
+            c.tbc = Some(TbcConfig::tlb_aware(3))
+        }),
+        (Bench::Streamcluster, Scale::Small, "augmented tbc", |c| {
+            c.mmu = designs::augmented();
+            c.tbc = Some(TbcConfig::baseline());
+        }),
+        (Bench::Mummergpu, Scale::Tiny, "capped tbc", |c| {
+            c.tbc = Some(TbcConfig::baseline());
+            c.max_cycles = 40_342;
         }),
     ];
     let opts = ExperimentOpts {
