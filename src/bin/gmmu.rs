@@ -16,11 +16,10 @@
 //! `EXPERIMENTS.md` records paper-reported vs. measured values.
 
 use gmmu::experiments::{run_replay, Cli, Command};
-use gmmu::figures::{Figure, Source, REGISTRY};
+use gmmu::figures::{Figure, REGISTRY};
 use gmmu::prelude::*;
 use gmmu::{ExperimentOpts, Runner};
 use std::collections::HashSet;
-use std::fmt::Write as _;
 use std::time::Instant;
 
 fn main() {
@@ -43,40 +42,27 @@ fn print_tables(tables: Vec<Table>, csv: bool) {
 }
 
 /// `gmmu fig NAME`: one registry entry, its design points swept on the
-/// worker pool.
+/// worker pool. A figure that simulates nothing has no point to observe,
+/// so an observation output asked of it exits 1 rather than going
+/// missing.
 fn fig(figure: &Figure, opts: ExperimentOpts, csv: bool) {
     let started = Instant::now();
-    let (tables, sims) = match figure.source {
-        Source::Sweep(f) => {
-            let mut runner = Runner::new(opts);
-            let tables = runner.sweep(f);
-            (tables, Some(runner.runs))
-        }
-        Source::Scope(f) => (f(&opts), None),
-    };
+    let mut runner = Runner::new(opts);
+    let tables = runner.sweep(figure.tables);
+    if runner.runs == 0 && opts.observes() {
+        eprintln!("[{}] has no design point to observe", figure.name);
+        std::process::exit(1);
+    }
     print_tables(tables, csv);
-    if let (Some(path), Some(snapshot)) = (opts.metrics, figure.metrics) {
-        match std::fs::write(path, snapshot(&opts)) {
-            Ok(()) => eprintln!("[{}] wrote metrics to {path}", figure.name),
-            Err(e) => {
-                eprintln!("[{}] cannot write {path}: {e}", figure.name);
-                std::process::exit(1);
-            }
-        }
-    }
-    let wall = started.elapsed();
-    match sims {
-        Some(n) => eprintln!("[{}] {n} simulations in {wall:.1?}", figure.name),
-        None => eprintln!("[{}] done in {wall:.1?}", figure.name),
-    }
+    let (name, runs, wall) = (figure.name, runner.runs, started.elapsed());
+    eprintln!("[{name}] {runs} simulations in {wall:.1?}");
 }
 
 /// `gmmu all`: every registry entry `in_all`, in order, in three passes.
-/// A *recording* pass asks each swept figure for its design points
-/// without simulating anything, the union of those points (deduplicated
-/// across figures) runs as one parallel batch, and a *print* pass
-/// regenerates each figure from the warm memo cache. Scope entries run
-/// only in the print pass. A timing report goes to
+/// A *recording* pass asks each figure for its design points without
+/// simulating anything, the union of those points (deduplicated across
+/// figures) runs as one parallel batch, and a *print* pass regenerates
+/// each figure from the warm memo cache. A timing report goes to
 /// `BENCH_all_figures.json`.
 fn all(opts: ExperimentOpts, csv: bool) {
     let mut runner = Runner::new(opts);
@@ -89,13 +75,9 @@ fn all(opts: ExperimentOpts, csv: bool) {
     let mut seen = HashSet::new();
     let mut sims_per_fig = Vec::new();
     for figure in &figs {
-        let mut fresh = 0;
-        if let Source::Sweep(f) = figure.source {
-            let (_, specs) = runner.record(f);
-            fresh = specs.iter().filter(|s| seen.insert(s.key())).count();
-            union.extend(specs);
-        }
-        sims_per_fig.push(fresh);
+        let (_, specs) = runner.record(figure.tables);
+        sims_per_fig.push(specs.iter().filter(|s| seen.insert(s.key())).count());
+        union.extend(specs);
     }
 
     // One parallel batch over the whole evaluation.
@@ -103,18 +85,18 @@ fn all(opts: ExperimentOpts, csv: bool) {
     runner.run_points_parallel(union);
     let batch_wall = t_batch.elapsed();
 
-    // Print pass: swept figures from the warm cache.
-    let mut fig_walls = Vec::new();
-    for figure in &figs {
+    // Print pass: every figure from the warm cache.
+    let mut figures = Vec::new();
+    for (figure, sims) in figs.iter().zip(sims_per_fig) {
         let t0 = Instant::now();
-        let tables = match figure.source {
-            Source::Sweep(f) => f(&mut runner),
-            Source::Scope(f) => f(&opts),
-        };
-        print_tables(tables, csv);
+        print_tables((figure.tables)(&mut runner), csv);
         let wall = t0.elapsed();
         eprintln!("[{}] done in {wall:.1?}", figure.name);
-        fig_walls.push(wall);
+        figures.push(format!(
+            "    {{\"name\": \"{}\", \"sims\": {sims}, \"replay_wall_s\": {:.3}}}",
+            figure.name,
+            wall.as_secs_f64()
+        ));
     }
 
     let total_wall = started.elapsed();
@@ -124,54 +106,42 @@ fn all(opts: ExperimentOpts, csv: bool) {
         runner.runs, total_wall, opts.jobs, sims_per_sec,
     );
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"scale\": \"{:?}\",", opts.scale);
-    let _ = writeln!(json, "  \"jobs\": {},", opts.jobs);
-    let _ = writeln!(json, "  \"total_sims\": {},", runner.runs);
-    let _ = writeln!(json, "  \"batch_wall_s\": {:.3},", batch_wall.as_secs_f64());
-    let _ = writeln!(json, "  \"wall_s\": {:.3},", total_wall.as_secs_f64());
-    let _ = writeln!(json, "  \"sims_per_sec\": {sims_per_sec:.3},");
-    let _ = writeln!(json, "  \"figures\": [");
-    for (i, figure) in figs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"sims\": {}, \"replay_wall_s\": {:.3}}}{}",
-            figure.name,
-            sims_per_fig[i],
-            fig_walls[i].as_secs_f64(),
-            if i + 1 < figs.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, p) in runner.point_log.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"bench\": \"{:?}\", \"large_pages\": {}, \
-             \"fingerprint\": \"{:016x}\", \"engine\": \"{}\", \
-             \"scheduler\": \"{}\", \"tlb\": \"{}\", \
-             \"wall_s\": {:.4}, \"cycles\": {}, \
-             \"sim_cycles_per_sec\": {:.0}, \"observed\": {}}}{}",
-            p.bench,
-            p.large_pages,
-            p.fingerprint,
-            p.engine,
-            p.scheduler,
-            p.tlb,
-            p.wall_s,
-            p.cycles,
-            p.sim_cycles_per_sec,
-            p.observed,
-            if i + 1 < runner.point_log.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
+    let points: Vec<String> = runner
+        .point_log
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\"bench\": \"{}\", \"large_pages\": {}, \
+                 \"fingerprint\": \"{:016x}\", \"engine\": \"{}\", \
+                 \"scheduler\": \"{}\", \"tlb\": \"{}\", \
+                 \"wall_s\": {:.4}, \"cycles\": {}, \
+                 \"sim_cycles_per_sec\": {:.0}, \"observed\": {}}}",
+                p.bench,
+                p.large_pages,
+                p.fingerprint,
+                p.engine,
+                p.scheduler,
+                p.tlb,
+                p.wall_s,
+                p.cycles,
+                p.sim_cycles_per_sec,
+                p.observed,
+            )
+        })
+        .collect();
+    let json = format!(
+        "{{\n  \"scale\": \"{:?}\",\n  \"jobs\": {},\n  \"total_sims\": {},\n  \
+         \"batch_wall_s\": {:.3},\n  \"wall_s\": {:.3},\n  \"sims_per_sec\": {:.3},\n  \
+         \"figures\": [\n{}\n  ],\n  \"points\": [\n{}\n  ]\n}}\n",
+        opts.scale,
+        opts.jobs,
+        runner.runs,
+        batch_wall.as_secs_f64(),
+        total_wall.as_secs_f64(),
+        sims_per_sec,
+        figures.join(",\n"),
+        points.join(",\n"),
+    );
     match std::fs::write("BENCH_all_figures.json", &json) {
         Ok(()) => eprintln!("[all] wrote BENCH_all_figures.json"),
         Err(e) => eprintln!("[all] could not write BENCH_all_figures.json: {e}"),

@@ -4,7 +4,9 @@
 //! without TLBs* (perfect, free translation). A [`Runner`] owns the
 //! built workloads and memoizes every design point it has simulated, so
 //! a figure sweep pays for workload construction and each distinct
-//! configuration once.
+//! configuration once. A point runs one workload build or several
+//! co-running tenants ([`Input`]); both kinds are memoized and batched
+//! alike.
 //!
 //! Design points are independent simulations, so a sweep can execute
 //! them on a pool of worker threads. [`Runner::sweep`] does this
@@ -13,18 +15,18 @@
 //! (returning placeholder stats), executes the distinct points on
 //! [`Runner::run_points_parallel`], then replays the figure function
 //! against the now-warm memo cache. Workloads and results are shared
-//! immutably across workers; every simulation still starts from its
-//! own freshly-built [`Gpu`], so results are bit-identical to a serial
-//! sweep in any thread count.
+//! immutably across workers (a co-run builds its own tenant workloads);
+//! every simulation still starts from its own freshly-built [`Gpu`], so
+//! results are bit-identical to a serial sweep in any thread count.
 
 use crate::figures::Figure;
 use crate::prelude::*;
 use gmmu_sim::metrics::Metrics;
 use gmmu_sim::rng::fnv1a64;
 use gmmu_sim::trace::Tracer;
-use gmmu_simt::gpu::run_kernel;
-use gmmu_simt::{IntervalRecorder, Kernel, Observer};
+use gmmu_simt::{IntervalRecorder, Observer, TenantJob, TenantPolicy};
 use gmmu_trace::{assemble, capture_launch, replay_run_observed, Recorder, Trace};
+use gmmu_workloads::build_tenant_paged;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -60,17 +62,18 @@ options (every option also takes the form --flag=value):
   --metrics PATH
              write the first design point's versioned metrics snapshot
              (instrument registry, per-stage walk latency histograms,
-             hot-page table) to PATH as JSON; snapshots do not
-             depend on the drive loop. Under `fig multitenant`: the
-             4-tenant mixed-fault snapshot with per-tenant sections.
+             hot-page table; per-tenant sections for a co-run) to
+             PATH as JSON; snapshots do not depend on the drive loop.
              Under `replay`: diff the replayed snapshot against PATH
              when the file exists (exit non-zero on any difference),
              write it otherwise
   --capture-trace PATH
-             record the first simulated design point to a GMTR trace
-             file: the kernel's full data-dependent behaviour plus the
-             machine configuration and final stats. Recording does not
-             perturb the run
+             record the first simulated design point, which must run
+             one workload, to a GMTR trace file: the kernel's full
+             data-dependent behaviour plus the machine configuration
+             and final stats. Recording does not perturb the run
+  table_config and fig09 simulate nothing, so --trace, --intervals,
+  --metrics and --capture-trace make them exit 1
 environment:
   GMMU_TICK_EVERY_CYCLE
              when set, visit every cycle instead of skipping idle
@@ -290,14 +293,11 @@ impl ExperimentOpts {
     }
 
     /// Whether any observation output (`--trace` / `--intervals` /
-    /// `--metrics`) was requested.
+    /// `--metrics` / `--capture-trace`) was requested.
     pub fn observes(&self) -> bool {
-        self.trace.is_some() || self.intervals.is_some() || self.metrics.is_some()
-    }
-
-    /// Whether trace capture (`--capture-trace`) was requested.
-    pub fn captures(&self) -> bool {
-        self.capture_trace.is_some()
+        [self.trace, self.intervals, self.metrics, self.capture_trace]
+            .iter()
+            .any(Option::is_some)
     }
 }
 
@@ -320,24 +320,59 @@ fn leak_path(v: String) -> &'static str {
     Box::leak(v.into_boxed_str())
 }
 
-/// One design point a sweep will simulate: which workload build and the
-/// full GPU configuration to run it under.
+/// The inputs of one workload build: benchmark, scale, data seed and
+/// page size. A build is a pure function of them, so a [`Runner`] builds
+/// each single-workload input once and shares it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Build {
+    /// Benchmark to build.
+    pub bench: Bench,
+    /// Scale to build it at.
+    pub scale: Scale,
+    /// Data seed of the build.
+    pub seed: u64,
+    /// Page size of its mappings (2 MB in Section 9).
+    pub pages: PageSize,
+}
+
+impl Build {
+    /// The workload, its address space owning the `asid`-th physical
+    /// window (ASID 0 is the plain single-workload build).
+    fn workload(&self, asid: u16) -> Workload {
+        build_tenant_paged(self.bench, self.scale, self.seed, self.pages, asid)
+    }
+}
+
+/// What a design point runs.
+#[derive(Debug, Clone)]
+pub enum Input {
+    /// One workload on its shared, prebuilt address space.
+    Workload(Build),
+    /// Co-running tenants in ASID order under a tenant policy
+    /// ([`Gpu::run_tenants`]). Each run builds its tenants' workloads
+    /// itself, because a tenant run mutates their address spaces.
+    Tenants(Vec<Build>, TenantPolicy),
+}
+
+/// One design point a sweep will simulate: what it runs and the full
+/// GPU configuration to run it under.
 #[derive(Debug, Clone)]
 pub struct PointSpec {
-    /// Workload to run.
-    pub bench: Bench,
-    /// Use the 2 MB-page build of the workload (Section 9).
-    pub large_pages: bool,
+    /// The workload build or co-running tenants to run.
+    pub input: Input,
     /// Complete GPU configuration (figure adjustments already applied).
     pub cfg: GpuConfig,
 }
 
 impl PointSpec {
     /// Memo-cache key. `GpuConfig`'s `Debug` output covers every field
-    /// (all plain integers/enums), so two points with equal keys are
-    /// the same simulation.
+    /// (all plain integers/enums), as does the input's, so two points
+    /// with equal keys are the same simulation.
     pub fn key(&self) -> String {
-        format!("{}:{:?}:{:?}", self.large_pages, self.bench, self.cfg)
+        let mut key = format!("{:?}:{:?}", self.input, self.cfg);
+        // Keys live as long as the runner: drop `format!`'s growth slack.
+        key.shrink_to_fit();
+        key
     }
 }
 
@@ -345,11 +380,12 @@ impl PointSpec {
 /// folded into `BENCH_all_figures.json` alongside the tables.
 #[derive(Debug, Clone)]
 pub struct PointRun {
-    /// Workload simulated.
-    pub bench: Bench,
-    /// Whether the 2 MB-page workload build ran.
+    /// Workload simulated: the benchmark (`Bfs`, ...) or `Tenants` for a
+    /// co-run.
+    pub bench: String,
+    /// Whether a 2 MB-page workload build ran.
     pub large_pages: bool,
-    /// FNV-1a 64 hash of the full memo key (bench + complete
+    /// FNV-1a 64 hash of the full memo key (input + complete
     /// `GpuConfig`): a stable fingerprint of the configuration.
     pub fingerprint: u64,
     /// Drive loop that executed the point: `event_skip` or
@@ -367,7 +403,8 @@ pub struct PointRun {
     /// Simulated cycles per wall-clock second
     /// ([`RunStats::cycles_per_sec`]), the throughput metric.
     pub sim_cycles_per_sec: f64,
-    /// Whether this was the observed run (`--trace` / `--intervals`).
+    /// Whether this was the observed run (`--trace` / `--intervals` /
+    /// `--metrics` / `--capture-trace`).
     pub observed: bool,
 }
 
@@ -381,10 +418,17 @@ impl PointRun {
         observed: bool,
     ) -> Self {
         Self {
-            bench: spec.bench,
-            large_pages: spec.large_pages,
+            bench: match &spec.input {
+                Input::Workload(b) => format!("{:?}", b.bench),
+                Input::Tenants(..) => "Tenants".into(),
+            },
+            large_pages: matches!(spec.input, Input::Workload(b) if b.pages == PageSize::Large2M),
             fingerprint: fnv1a64(key.as_bytes()),
-            engine: engine_label(&spec.cfg),
+            engine: if spec.cfg.tick_every_cycle {
+                "tick_every_cycle"
+            } else {
+                "event_skip"
+            },
             scheduler: match spec.cfg.tbc {
                 None => "baseline",
                 Some(t) if t.tlb_aware => "tbc-tlb-aware",
@@ -403,67 +447,37 @@ impl PointRun {
     }
 }
 
-/// Drive-loop label for run metadata.
-fn engine_label(cfg: &GpuConfig) -> &'static str {
-    if cfg.tick_every_cycle {
-        "tick_every_cycle"
-    } else {
-        "event_skip"
-    }
+/// Runs workload `w` (build `b`) on `gpu` with its kernel wrapped in a
+/// GMTR recorder and writes the trace to `path`. The launch is
+/// snapshotted *before* the run, so a replay rebuilds the same initial
+/// address space; recording every kernel answer does not perturb the
+/// simulation (the recorder delegates to the pure kernel).
+fn capture_run(path: &str, gpu: &mut Gpu, b: &Build, w: &Workload, obs: &mut Observer) -> RunStats {
+    let source = format!("{:?} {:?} seed={}", b.bench, b.scale, b.seed);
+    let launch = capture_launch(w.kernel.as_ref(), &w.space, gpu.config(), &source);
+    let recorder = Recorder::new(w.kernel.as_ref());
+    let stats = gpu.run_observed(&recorder, &w.space, obs);
+    let trace = assemble(launch, recorder, &stats);
+    let bytes = trace.encode();
+    write_or_exit("capture", path, &bytes);
+    eprintln!(
+        "capture: {} record(s) from {:?} written to {path} ({} bytes)",
+        trace.records.len(),
+        b.bench,
+        bytes.len()
+    );
+    stats
 }
 
-/// Simulates one design point with the observation instruments the
-/// options ask for, writing the trace / interval / metrics / GMTR
-/// capture files as a side effect (a file that cannot be written exits
-/// 1). Results are bit-identical to the unobserved run.
-fn observed_run(opts: ExperimentOpts, spec: &PointSpec, w: &Workload) -> RunStats {
-    let mut obs = Observer::off();
-    if opts.trace.is_some() {
-        obs.tracer = Tracer::recording();
-    }
-    if opts.intervals.is_some() {
-        obs.intervals = Some(IntervalRecorder::new(opts.interval_stride));
-    }
-    if opts.metrics.is_some() {
-        obs.metrics = Metrics::recording();
-    }
-    // Trace capture wraps the kernel in a recorder and snapshots the
-    // launch *before* the run, so a replay rebuilds the same initial
-    // address space. Recording every kernel answer does not perturb the
-    // simulation (the recorder delegates to the pure kernel).
-    let launch = opts.capture_trace.map(|_| {
-        let source = format!("{:?} {:?} seed={}", spec.bench, opts.scale, opts.seed);
-        capture_launch(w.kernel.as_ref(), &w.space, &spec.cfg, &source)
-    });
-    let recorder = opts.capture_trace.map(|_| Recorder::new(w.kernel.as_ref()));
-    let kernel: &dyn Kernel = match &recorder {
-        Some(rec) => rec,
-        None => w.kernel.as_ref(),
-    };
-    let mut gpu = Gpu::new(spec.cfg.clone());
-    let stats = gpu.run_observed(kernel, &w.space, &mut obs);
-    let snapshot = gpu.metrics_snapshot(&obs);
-    if let (Some(path), Some(launch), Some(rec)) = (opts.capture_trace, launch, recorder) {
-        let trace = assemble(launch, rec, &stats);
-        let bytes = trace.encode();
-        write_or_exit("capture", path, &bytes);
-        eprintln!(
-            "capture: {} record(s) from {:?} written to {path} ({} bytes)",
-            trace.records.len(),
-            spec.bench,
-            bytes.len()
-        );
-    }
+/// Writes the trace / interval / metrics files the options ask for from
+/// an observed run of `label` on `gpu`.
+fn write_observations(opts: ExperimentOpts, label: &str, gpu: &Gpu, obs: &Observer) {
     if let (Some(path), Some(buf)) = (opts.trace, obs.tracer.buffer()) {
         // With the metrics channel and interval recorder both on, the
         // span trace gains a counter track of per-stage walk cycles.
-        let counters = metrics_counter_rows(&obs);
+        let counters = metrics_counter_rows(obs);
         write_or_exit("trace", path, buf.to_chrome_json_with(&counters));
-        eprintln!(
-            "trace: {} events from {:?} written to {path}",
-            buf.len(),
-            spec.bench
-        );
+        eprintln!("trace: {} events from {label} written to {path}", buf.len());
     }
     if let (Some(path), Some(rec)) = (opts.intervals, obs.intervals.as_ref()) {
         let body = if path.ends_with(".json") {
@@ -473,20 +487,17 @@ fn observed_run(opts: ExperimentOpts, spec: &PointSpec, w: &Workload) -> RunStat
         };
         write_or_exit("intervals", path, body);
         eprintln!(
-            "intervals: {} samples from {:?} written to {path}",
-            rec.samples().len(),
-            spec.bench
+            "intervals: {} samples from {label} written to {path}",
+            rec.samples().len()
         );
     }
-    if let (Some(path), Some(body)) = (opts.metrics, snapshot) {
+    if let (Some(path), Some(body)) = (opts.metrics, gpu.metrics_snapshot(obs)) {
         write_or_exit("metrics", path, &body);
         eprintln!(
-            "metrics: snapshot from {:?} written to {path} ({} bytes)",
-            spec.bench,
+            "metrics: snapshot from {label} written to {path} ({} bytes)",
             body.len()
         );
     }
-    stats
 }
 
 /// Writes one output file the command line asked for. A requested file
@@ -528,8 +539,8 @@ pub fn metrics_counter_rows(obs: &Observer) -> Vec<String> {
 /// Runs design points against cached workloads and memoized results.
 pub struct Runner {
     opts: ExperimentOpts,
-    workloads: HashMap<Bench, Workload>,
-    large_page_workloads: HashMap<Bench, Workload>,
+    /// Every single-workload input's build, made once and shared.
+    workloads: HashMap<Build, Workload>,
     cache: HashMap<String, RunStats>,
     recorded: Vec<PointSpec>,
     /// Inside [`Runner::record`]: design points are captured and answered
@@ -552,11 +563,10 @@ impl Runner {
         Self {
             opts,
             workloads: HashMap::new(),
-            large_page_workloads: HashMap::new(),
             cache: HashMap::new(),
             recorded: Vec::new(),
             recording: false,
-            observe_pending: opts.observes() || opts.captures(),
+            observe_pending: opts.observes(),
             runs: 0,
             point_log: Vec::new(),
         }
@@ -567,29 +577,74 @@ impl Runner {
         self.opts
     }
 
-    fn ensure_workload(&mut self, bench: Bench, large_pages: bool) {
+    fn ensure_workload(&mut self, spec: &PointSpec) {
+        if let Input::Workload(b) = spec.input {
+            self.workloads.entry(b).or_insert_with(|| b.workload(0));
+        }
+    }
+
+    /// The one simulate step of [`Runner::point`] and of the workers of
+    /// [`Runner::run_points_parallel`]: simulates `spec` on a fresh
+    /// [`Gpu`] and times it. A single workload runs on its shared build
+    /// (after [`Runner::ensure_workload`]); a co-run builds its tenants'
+    /// workloads here. With `observe` set (the first fresh point), the
+    /// run carries the instruments the options ask for and writes their
+    /// files; results are bit-identical to the unobserved run.
+    fn execute(&self, key: &str, spec: &PointSpec, observe: bool) -> (PointRun, RunStats) {
+        let started = Instant::now();
         let opts = self.opts;
-        if large_pages {
-            self.large_page_workloads
-                .entry(bench)
-                .or_insert_with(|| build_paged(bench, opts.scale, opts.seed, PageSize::Large2M));
-        } else {
-            self.workloads
-                .entry(bench)
-                .or_insert_with(|| build(bench, opts.scale, opts.seed));
+        let mut obs = Observer::off();
+        if observe && opts.trace.is_some() {
+            obs.tracer = Tracer::recording();
         }
+        if observe && opts.intervals.is_some() {
+            obs.intervals = Some(IntervalRecorder::new(opts.interval_stride));
+        }
+        if observe && opts.metrics.is_some() {
+            obs.metrics = Metrics::recording();
+        }
+        let capture = opts.capture_trace.filter(|_| observe);
+        let mut gpu = Gpu::new(spec.cfg.clone());
+        let stats = match &spec.input {
+            Input::Workload(b) => {
+                let w = &self.workloads[b];
+                match capture {
+                    Some(path) => capture_run(path, &mut gpu, b, w, &mut obs),
+                    None => gpu.run_observed(w.kernel.as_ref(), &w.space, &mut obs),
+                }
+            }
+            Input::Tenants(builds, policy) => {
+                if let Some(path) = capture {
+                    eprintln!("capture: {path}: GMTR records one workload, not a co-run");
+                    std::process::exit(1)
+                }
+                let mut built: Vec<Workload> = builds
+                    .iter()
+                    .zip(0..)
+                    .map(|(b, asid)| b.workload(asid))
+                    .collect();
+                let mut jobs: Vec<TenantJob<'_>> = built
+                    .iter_mut()
+                    .map(|w| TenantJob {
+                        kernel: w.kernel.as_ref(),
+                        space: &mut w.space,
+                    })
+                    .collect();
+                gpu.run_tenants(&mut jobs, *policy, &mut obs)
+            }
+        };
+        let run = PointRun::simulated(key, spec, started, &stats, observe);
+        if observe {
+            write_observations(opts, &run.bench, &gpu, &obs);
+        }
+        (run, stats)
     }
 
-    /// The built workload `spec` runs on (after [`Runner::ensure_workload`]).
-    fn workload(&self, spec: &PointSpec) -> &Workload {
-        if spec.large_pages {
-            &self.large_page_workloads[&spec.bench]
-        } else {
-            &self.workloads[&spec.bench]
-        }
-    }
-
-    fn point(&mut self, spec: PointSpec) -> RunStats {
+    /// Serves one design point: recorded inside [`Runner::record`],
+    /// otherwise answered from the memo cache or simulated and memoized.
+    /// Figures call it directly for points other than the scope's own
+    /// workload builds, such as co-runs and their tenants run alone.
+    pub fn point(&mut self, spec: PointSpec) -> RunStats {
         if self.recording {
             self.recorded.push(spec);
             return RunStats::zeroed();
@@ -598,19 +653,10 @@ impl Runner {
         if let Some(hit) = self.cache.get(&key) {
             return hit.clone();
         }
-        self.ensure_workload(spec.bench, spec.large_pages);
-        let observe = self.observe_pending;
-        self.observe_pending = false;
-        let opts = self.opts;
-        let started = Instant::now();
-        let w = self.workload(&spec);
-        let stats = if observe {
-            observed_run(opts, &spec, w)
-        } else {
-            run_kernel(spec.cfg.clone(), w.kernel.as_ref(), &w.space)
-        };
+        self.ensure_workload(&spec);
+        let observe = std::mem::take(&mut self.observe_pending);
+        let (run, stats) = self.execute(&key, &spec, observe);
         self.runs += 1;
-        let run = PointRun::simulated(&key, &spec, started, &stats, observe && opts.observes());
         self.point_log.push(run);
         self.cache.insert(key, stats.clone());
         stats
@@ -619,30 +665,29 @@ impl Runner {
     /// Runs one design point: the base configuration is the scope's GPU
     /// with an ideal MMU; `configure` applies the figure's changes.
     pub fn run(&mut self, bench: Bench, configure: impl FnOnce(&mut GpuConfig)) -> RunStats {
-        let mut cfg = self.opts.gpu(MmuModel::Ideal);
-        configure(&mut cfg);
-        self.point(PointSpec {
-            bench,
-            large_pages: false,
-            cfg,
-        })
+        self.run_paged(bench, PageSize::Base4K, configure)
     }
 
-    /// Same as [`Runner::run`] but on the 2 MB-page build of the
-    /// workload (Section 9); sets the 2 MB translation granule.
-    pub fn run_large_pages(
+    /// [`Runner::run`] on the scope's build of `bench` with `pages`-sized
+    /// pages, translated at that granule (2 MB pages in Section 9).
+    pub fn run_paged(
         &mut self,
         bench: Bench,
+        pages: PageSize,
         configure: impl FnOnce(&mut GpuConfig),
     ) -> RunStats {
+        let ExperimentOpts { scale, seed, .. } = self.opts;
         let mut cfg = self.opts.gpu(MmuModel::Ideal);
-        cfg.granule = PageSize::Large2M;
+        cfg.granule = pages;
         configure(&mut cfg);
-        self.point(PointSpec {
+        let build = Build {
             bench,
-            large_pages: true,
-            cfg,
-        })
+            scale,
+            seed,
+            pages,
+        };
+        let input = Input::Workload(build);
+        self.point(PointSpec { input, cfg })
     }
 
     /// The plain no-TLB baseline every figure normalizes against
@@ -690,12 +735,11 @@ impl Runner {
     /// Simulates every not-yet-cached design point in `specs` on a pool
     /// of `opts.jobs` worker threads and memoizes the results.
     ///
-    /// Workloads are built once (serially, so construction order and
-    /// RNG streams match the serial path) and shared immutably across
-    /// the workers; each worker picks the next point off a shared
-    /// atomic index. Scheduling order cannot affect results: a design
-    /// point's simulation reads only its own `GpuConfig` and the
-    /// immutable workload.
+    /// Single-workload builds are made once, serially, and shared
+    /// immutably across the workers; each worker picks the next point off
+    /// a shared atomic index. Scheduling order cannot affect results: a
+    /// design point's simulation reads only its own `GpuConfig` and
+    /// immutable workloads, or tenant workloads it builds itself.
     pub fn run_points_parallel(&mut self, specs: Vec<PointSpec>) {
         let mut seen = HashSet::new();
         let mut todo: Vec<(String, PointSpec)> = Vec::new();
@@ -709,7 +753,7 @@ impl Runner {
             return;
         }
         for (_, spec) in &todo {
-            self.ensure_workload(spec.bench, spec.large_pages);
+            self.ensure_workload(spec);
         }
         if self.observe_pending {
             // The observed/captured point runs serially (its file
@@ -734,10 +778,7 @@ impl Runner {
                     let Some((key, spec)) = todo.get(i) else {
                         break;
                     };
-                    let started = Instant::now();
-                    let w = runner.workload(spec);
-                    let stats = run_kernel(spec.cfg.clone(), w.kernel.as_ref(), &w.space);
-                    let run = PointRun::simulated(key, spec, started, &stats, false);
+                    let (run, stats) = runner.execute(key, spec, false);
                     done.lock().unwrap().push((i, run, stats));
                 });
             }
@@ -999,31 +1040,63 @@ mod tests {
     }
 
     /// A parallel sweep must be invisible: same tables, and the same
-    /// stats for any point asked for afterwards.
+    /// stats for any point asked for afterwards, co-runs' per-tenant
+    /// slices included. The serial runner also observes its first point,
+    /// a co-run, which must not perturb it either.
     #[test]
     fn sweep_matches_serial_execution() {
         let points = |r: &mut Runner| {
+            let cfg = r.opts().gpu(designs::augmented());
+            let tiny = |bench, seed| Build {
+                bench,
+                scale: Scale::Tiny,
+                seed,
+                pages: PageSize::Base4K,
+            };
+            let builds = vec![tiny(Bench::Bfs, 3), tiny(Bench::Kmeans, 5)];
+            let co_run = r.point(PointSpec {
+                input: Input::Tenants(builds.clone(), TenantPolicy::default()),
+                cfg: cfg.clone(),
+            });
+            let solo = r.point(PointSpec {
+                input: Input::Workload(builds[0]),
+                cfg,
+            });
             let mut out = Vec::new();
             for bench in [Bench::Bfs, Bench::Memcached] {
                 out.push(r.speedup(bench, |c| c.mmu = designs::naive3()));
                 out.push(r.speedup(bench, |c| c.mmu = designs::augmented()));
             }
-            out
+            (out, [co_run, solo])
         };
+        let path = std::env::temp_dir().join(format!("gmmu-co-run-{}.json", std::process::id()));
         let mut serial = Runner::new(ExperimentOpts {
             jobs: 1,
+            metrics: Some(leak_path(path.to_str().unwrap().into())),
             ..ExperimentOpts::quick()
         });
-        let a = points(&mut serial);
+        let (a, a_stats) = points(&mut serial);
+        let snapshot = std::fs::read_to_string(&path);
+        let _ = std::fs::remove_file(&path);
         let mut parallel = Runner::new(ExperimentOpts {
             jobs: 4,
             ..ExperimentOpts::quick()
         });
-        let b = parallel.sweep(points);
+        let (b, b_stats) = parallel.sweep(points);
         assert_eq!(a, b);
-        // 2 benches x (baseline + 2 designs), each simulated once.
-        assert_eq!(serial.runs, 6);
-        assert_eq!(parallel.runs, 6);
+        for (x, y) in a_stats.iter().zip(&b_stats) {
+            assert!(x.diff(y).is_empty(), "fields differ: {:?}", x.diff(y));
+            assert_eq!(x.tenants, y.tenants);
+        }
+        assert_eq!(b_stats[0].tenants.len(), 2, "a co-run reports each tenant");
+        // A co-run, a solo run and 2 benches x (baseline + 2 designs),
+        // each simulated once.
+        assert_eq!(serial.runs, 8);
+        assert_eq!(parallel.runs, 8);
+        let observed = &serial.point_log[0];
+        assert!(observed.observed && observed.bench == "Tenants");
+        let snapshot = snapshot.expect("the co-run's snapshot was written");
+        assert!(snapshot.contains("\"asid\": 1"), "no per-tenant section");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! placeholder stats) so they can run on a worker pool, and once to
 //! build the real tables from the memoized results.
 
-use crate::experiments::{designs, mmu, tlb, Runner};
+use crate::experiments::{designs, mmu, tlb, Build, Input, PointSpec, Runner};
 use crate::prelude::*;
 use gmmu_sim::table::Table;
 
@@ -607,7 +607,7 @@ pub fn sec9(r: &mut Runner) -> Vec<Table> {
     );
     for b in Bench::all() {
         let small = r.run(b, |c| c.mmu = designs::naive4());
-        let large = r.run_large_pages(b, |c| c.mmu = designs::naive4());
+        let large = r.run_paged(b, PageSize::Large2M, |c| c.mmu = designs::naive4());
         t.row(vec![
             bench_cell(b),
             small.page_divergence.mean().into(),
@@ -770,21 +770,17 @@ pub fn ablations(r: &mut Runner) -> Vec<Table> {
 /// §13): per-tenant slowdown and unfairness as co-runner count grows,
 /// ASID-tagged translation vs the flush-on-switch baseline.
 ///
-/// Runs [`Gpu::run_faulted`] and [`Gpu::run_tenants`] directly rather
-/// than through a [`Runner`]: the solo runs and co-runs are not
-/// [`PointSpec`](crate::experiments::PointSpec)s. Each builds its own
-/// tenant workloads and runs on `&mut` address spaces, while a runner's
-/// points share one immutable prebuilt workload per benchmark.
-pub fn fig_multitenant(opts: &crate::ExperimentOpts) -> Vec<Table> {
+/// Each scenario's tenants run alone first (single-workload points on
+/// their own builds, so a tenant shared by two scenarios runs once),
+/// then together as co-run points under each policy. Asking for the solo
+/// runs first makes the figure's first point, the one `--trace` or
+/// `--capture-trace` observes, a single-workload run.
+pub fn fig_multitenant(r: &mut Runner) -> Vec<Table> {
+    use gmmu_simt::TenantPolicy;
     use gmmu_workloads::tenants::scenario;
-    use gmmu_workloads::{build_tenant_paged, tenants::TenantSpec};
 
+    let opts = r.opts();
     let cfg = opts.gpu(designs::augmented());
-    let solo = |spec: &TenantSpec| -> RunStats {
-        let mut w = build_tenant_paged(spec.bench, spec.scale, spec.seed, PageSize::Base4K, 0);
-        Gpu::new(cfg.clone()).run_faulted(w.kernel.as_ref(), &mut w.space, &mut Observer::off())
-    };
-
     let mut t = Table::new(
         "Multi-tenant — slowdown vs co-runner count (augmented MMU, Zipf tenant mix \
          with thrasher; ASID-tagged vs flush-on-switch)",
@@ -799,23 +795,29 @@ pub fn fig_multitenant(opts: &crate::ExperimentOpts) -> Vec<Table> {
     );
     for n in [2usize, 4] {
         let sc = scenario(n, opts.scale, opts.seed, true);
-        let solos: Vec<RunStats> = sc.tenants.iter().map(solo).collect();
+        let builds: Vec<Build> = sc
+            .tenants
+            .iter()
+            .map(|spec| Build {
+                bench: spec.bench,
+                scale: spec.scale,
+                seed: spec.seed,
+                pages: PageSize::Base4K,
+            })
+            .collect();
+        let point = |input| PointSpec {
+            input,
+            cfg: cfg.clone(),
+        };
+        let solos: Vec<RunStats> = builds
+            .iter()
+            .map(|&b| r.point(point(Input::Workload(b))))
+            .collect();
         for (name, policy) in [
-            ("asid-tagged", gmmu_simt::TenantPolicy::default()),
-            (
-                "flush-on-switch",
-                gmmu_simt::TenantPolicy::flush_on_switch(),
-            ),
+            ("asid-tagged", TenantPolicy::default()),
+            ("flush-on-switch", TenantPolicy::flush_on_switch()),
         ] {
-            let mut built = sc.build();
-            let mut jobs: Vec<gmmu_simt::TenantJob<'_>> = built
-                .iter_mut()
-                .map(|w| gmmu_simt::TenantJob {
-                    kernel: w.kernel.as_ref(),
-                    space: &mut w.space,
-                })
-                .collect();
-            let stats = Gpu::new(cfg.clone()).run_tenants(&mut jobs, policy, &mut Observer::off());
+            let stats = r.point(point(Input::Tenants(builds.clone(), policy)));
             let slow = stats.tenant_slowdowns(&solos);
             let worst = slow.iter().copied().fold(0.0f64, f64::max);
             let mean = if slow.is_empty() {
@@ -836,112 +838,50 @@ pub fn fig_multitenant(opts: &crate::ExperimentOpts) -> Vec<Table> {
     vec![t]
 }
 
-/// Metrics snapshot of the 4-tenant mixed-fault acceptance scenario:
-/// demand faults, delayed walks, rejections, and cross-tenant storms
-/// (fault seed `0xfa57`) on the augmented MMU, with the per-ASID walk-stage histograms and
-/// per-ASID hot-page keys the snapshot's `tenants` section carries
-/// (DESIGN.md §13). Deterministic and loop-invariant like every
-/// snapshot; backs `gmmu fig multitenant --metrics PATH`.
-pub fn multitenant_metrics_snapshot(opts: &crate::ExperimentOpts) -> String {
-    use gmmu_sim::metrics::Metrics;
-    use gmmu_workloads::tenants::scenario;
-
-    let mut cfg = opts.gpu(designs::augmented());
-    cfg.fault = FaultConfig::demand();
-    let inject = FaultInjectConfig::smoke(0xfa57);
-    cfg.inject = Some(inject);
-    let sc = scenario(4, opts.scale, opts.seed, true);
-    let (mut built, _) = sc.build_demand_paged(&inject);
-    let mut jobs: Vec<gmmu_simt::TenantJob<'_>> = built
-        .iter_mut()
-        .map(|w| gmmu_simt::TenantJob {
-            kernel: w.kernel.as_ref(),
-            space: &mut w.space,
-        })
-        .collect();
-    let policy = gmmu_simt::TenantPolicy {
-        watchdog: 2_000_000,
-        ..gmmu_simt::TenantPolicy::default()
-    };
-    let mut obs = Observer::off();
-    obs.metrics = Metrics::recording();
-    let mut gpu = Gpu::new(cfg);
-    let stats = gpu.run_tenants(&mut jobs, policy, &mut obs);
-    assert!(stats.completed, "metrics scenario hit the cycle cap");
-    gpu.metrics_snapshot(&obs).expect("metrics channel was on")
-}
-
-/// Where a registry entry's tables come from.
-#[derive(Clone, Copy)]
-pub enum Source {
-    /// Design points served through the [`Runner`]'s memo cache: `gmmu
-    /// fig` sweeps them, `gmmu all` records them and runs the union of
-    /// every entry's points as one batch.
-    Sweep(fn(&mut Runner) -> Vec<Table>),
-    /// A function of the scope alone that never touches the memo cache;
-    /// `gmmu all` calls it once, in its print pass.
-    Scope(fn(&crate::ExperimentOpts) -> Vec<Table>),
-}
-
 /// One named entry of [`REGISTRY`].
 pub struct Figure {
     /// Name `gmmu fig NAME` looks up.
     pub name: &'static str,
-    /// How the tables are produced.
-    pub source: Source,
+    /// The figure's tables, built from design points the [`Runner`]
+    /// serves: `gmmu fig` sweeps them, `gmmu all` records them and runs
+    /// the union of every entry's points as one batch.
+    pub tables: fn(&mut Runner) -> Vec<Table>,
     /// Whether `gmmu all` prints this entry.
     pub in_all: bool,
-    /// What `--metrics PATH` writes for a [`Source::Scope`] entry, which
-    /// has no runner to observe a design point of.
-    pub metrics: Option<fn(&crate::ExperimentOpts) -> String>,
 }
 
-const fn sweep(name: &'static str, f: fn(&mut Runner) -> Vec<Table>) -> Figure {
+const fn figure(name: &'static str, tables: fn(&mut Runner) -> Vec<Table>) -> Figure {
     Figure {
         name,
-        source: Source::Sweep(f),
+        tables,
         in_all: true,
-        metrics: None,
-    }
-}
-
-const fn scope(name: &'static str, f: fn(&crate::ExperimentOpts) -> Vec<Table>) -> Figure {
-    Figure {
-        name,
-        source: Source::Scope(f),
-        in_all: true,
-        metrics: None,
     }
 }
 
 /// Every figure and table of the evaluation, in the order `gmmu all`
 /// prints them, followed by the ablations (`gmmu fig ablations` only).
+/// `table_config` and `fig09` simulate nothing.
 pub const REGISTRY: &[Figure] = &[
-    scope("table_config", |o| table_config(*o)),
-    scope("fig09", |_| fig09()),
-    sweep("fig02", fig02),
-    sweep("fig03", fig03),
-    sweep("fig04", fig04),
-    sweep("fig06", fig06),
-    sweep("fig07", fig07),
-    sweep("fig10", |r| [fig10(r), fig10_stalls(r)].concat()),
-    sweep("fig11", fig11),
-    sweep("fig13", fig13),
-    sweep("fig16", fig16),
-    sweep("fig17", fig17),
-    sweep("fig18", fig18),
-    sweep("fig20", fig20),
-    sweep("fig22", fig22),
-    sweep("sec9", sec9),
-    // Runs outside the memo cache: its runs build tenant workloads and
-    // mutate their address spaces, so they are not `PointSpec`s.
-    Figure {
-        metrics: Some(multitenant_metrics_snapshot),
-        ..scope("multitenant", fig_multitenant)
-    },
+    figure("table_config", |r| table_config(r.opts())),
+    figure("fig09", |_| fig09()),
+    figure("fig02", fig02),
+    figure("fig03", fig03),
+    figure("fig04", fig04),
+    figure("fig06", fig06),
+    figure("fig07", fig07),
+    figure("fig10", |r| [fig10(r), fig10_stalls(r)].concat()),
+    figure("fig11", fig11),
+    figure("fig13", fig13),
+    figure("fig16", fig16),
+    figure("fig17", fig17),
+    figure("fig18", fig18),
+    figure("fig20", fig20),
+    figure("fig22", fig22),
+    figure("sec9", sec9),
+    figure("multitenant", fig_multitenant),
     Figure {
         in_all: false,
-        ..sweep("ablations", ablations)
+        ..figure("ablations", ablations)
     },
 ];
 
@@ -975,6 +915,17 @@ mod tests {
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].len(), 6);
         assert_eq!(tables[1].len(), 6);
+    }
+
+    /// The study's 6 solo runs and 4 co-runs are 9 distinct points (its
+    /// 2- and 4-tenant mixes share their first tenant), all memoized.
+    #[test]
+    fn multitenant_points_are_memoized() {
+        let mut r = Runner::new(ExperimentOpts::quick());
+        let tables = r.sweep(fig_multitenant);
+        assert_eq!(r.runs, 9);
+        assert_eq!(r.sweep(fig_multitenant), tables);
+        assert_eq!(r.runs, 9, "second sweep must be all cache hits");
     }
 
     #[test]

@@ -205,7 +205,7 @@ fn large_pages_collapse_divergence_for_coalesced_kernels() {
     let mut r = quick();
     for b in [Bench::Kmeans, Bench::Pathfinder] {
         let small = r.run(b, |c| c.mmu = designs::naive4());
-        let large = r.run_large_pages(b, |c| c.mmu = designs::naive4());
+        let large = r.run_paged(b, PageSize::Large2M, |c| c.mmu = designs::naive4());
         assert!(large.page_divergence.mean() <= small.page_divergence.mean());
         assert!(
             large.page_divergence.mean() < 1.2,
@@ -215,7 +215,9 @@ fn large_pages_collapse_divergence_for_coalesced_kernels() {
     }
     // The far-flung pair keeps residual divergence even at 2 MB
     // (Section 9's observation).
-    let mummer = r.run_large_pages(Bench::Mummergpu, |c| c.mmu = designs::naive4());
+    let mummer = r.run_paged(Bench::Mummergpu, PageSize::Large2M, |c| {
+        c.mmu = designs::naive4()
+    });
     assert!(
         mummer.page_divergence.mean() > 1.5,
         "mummergpu should keep 2MB divergence, got {:.2}",

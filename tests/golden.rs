@@ -100,3 +100,24 @@ fn each_figure_alone_prints_a_slice_of_the_golden_tables() {
         assert_tables_eq(&what, &expected, &out);
     }
 }
+
+/// A requested observation output is never silently missing: a figure
+/// that simulates nothing refuses it, and the multi-tenant figure writes
+/// its first point's snapshot without changing its tables.
+#[test]
+fn observation_outputs_are_written_or_refused() {
+    let path = std::env::temp_dir().join(format!("gmmu-golden-{}.json", std::process::id()));
+    let metrics = path.to_str().expect("UTF-8 temp path");
+    let refused = Command::new(env!("CARGO_BIN_EXE_gmmu"))
+        .args(["fig", "fig09", "--quick", "--metrics", metrics])
+        .output()
+        .expect("spawn gmmu");
+    assert!(!refused.status.success(), "fig09 --metrics succeeded");
+    assert!(!path.exists(), "fig09 wrote a snapshot");
+    let tables = gmmu_quick(&["fig", "multitenant", "--metrics", metrics], false);
+    let snapshot = std::fs::read_to_string(&path);
+    let _ = std::fs::remove_file(&path);
+    assert!(ALL_QUICK.contains(&tables), "--metrics changed the tables");
+    let snapshot = snapshot.expect("fig multitenant --metrics wrote no snapshot");
+    assert!(snapshot.contains("\"schema\": \"gmmu-metrics\""));
+}

@@ -66,7 +66,8 @@ fn run_scenario(
 /// memcached tenant, demand paging, walk delays, rejections, and
 /// cross-tenant shootdown storms — completing under both loops
 /// bit-identically (stats, per-tenant slice, and metrics snapshot) with
-/// no watchdog kill. A 2-tenant mix rides the same matrix, once more on
+/// no watchdog kill, its snapshot listing every tenant and hot pages past
+/// ASID 0. A 2-tenant mix rides the same matrix, once more on
 /// the naive blocking TLB with flush-on-switch: there a core runs ahead
 /// only through one tenant's bounces, since another tenant's request
 /// would flush the untagged TLB.
@@ -109,6 +110,21 @@ fn tenant_storms_bit_identical_across_engines() {
             assert!(t.finished_at <= skip.cycles);
         }
 
+        // The snapshot carries the per-tenant dimension: a `tenants`
+        // section with one row per ASID, and per-ASID hot-page keys.
+        let snap = snap_skip.as_deref().expect("metrics channel was on");
+        let (_, rest) = snap
+            .split_once("\"tenants\": [")
+            .expect("no tenants section");
+        let (tenants, rest) = rest.split_once(']').expect("unterminated tenants section");
+        let every: Vec<u64> = (0..n_tenants as u64).collect();
+        assert_eq!(asids(tenants), every, "{what}: tenants section");
+        let (_, hot) = rest.split_once("\"pages\": [").expect("no hot-page table");
+        assert!(
+            n_tenants < 4 || asids(hot).iter().any(|&a| a > 0),
+            "{what}: hot pages never left ASID 0"
+        );
+
         let (tick, snap_tick) = run_with(true);
         assert_same(&skip, &tick, &format!("{what} tick-every-cycle"));
         assert_eq!(
@@ -116,6 +132,19 @@ fn tenant_storms_bit_identical_across_engines() {
             "{what} tick-every-cycle: metrics snapshot diverged"
         );
     }
+}
+
+/// The ASIDs a metrics-snapshot section lists, in order.
+fn asids(section: &str) -> Vec<u64> {
+    section
+        .split("\"asid\": ")
+        .skip(1)
+        .map(|s| {
+            s[..s.find(|c: char| !c.is_ascii_digit()).unwrap()]
+                .parse()
+                .unwrap()
+        })
+        .collect()
 }
 
 /// `run_tenants` with a single job is the legacy single-tenant path:
@@ -228,52 +257,4 @@ fn per_tenant_watchdog_kills_deterministically() {
     assert!(!skip.completed, "a watchdog kill is not a completion");
     let tick = run_with(true);
     assert_same(&skip, &tick, "tick-every-cycle kill");
-}
-
-/// Satellite 1: the metrics snapshot of a multi-tenant run carries the
-/// per-tenant dimension — a `tenants` section with one row per ASID —
-/// and per-ASID hot-page keys.
-#[test]
-fn metrics_snapshot_has_per_tenant_dimensions() {
-    let cfg = mt_cfg(Some(FaultInjectConfig::smoke(0xfa57)));
-    let (stats, snapshot) = run_scenario(2, 7, &cfg, generous_policy());
-    assert!(stats.completed);
-    let snap = snapshot.expect("metrics channel was on");
-    assert!(
-        snap.contains("\"tenants\""),
-        "snapshot has no tenants section"
-    );
-    assert!(
-        snap.contains("\"asid\": 1"),
-        "snapshot never mentions ASID 1"
-    );
-}
-
-/// The 4-tenant mixed-fault snapshot `gmmu fig multitenant --metrics`
-/// writes lists every tenant in its `tenants` section, and its hot-page
-/// table reaches past ASID 0.
-#[test]
-fn multitenant_snapshot_lists_every_tenant() {
-    let snap = gmmu::figures::multitenant_metrics_snapshot(&ExperimentOpts::quick());
-    let asids = |section: &str| -> Vec<u64> {
-        section
-            .split("\"asid\": ")
-            .skip(1)
-            .map(|s| {
-                s[..s.find(|c: char| !c.is_ascii_digit()).unwrap()]
-                    .parse()
-                    .unwrap()
-            })
-            .collect()
-    };
-    let (_, rest) = snap
-        .split_once("\"tenants\": [")
-        .expect("no tenants section");
-    let (tenants, rest) = rest.split_once(']').expect("unterminated tenants section");
-    assert_eq!(asids(tenants), [0, 1, 2, 3]);
-    let (_, hot) = rest.split_once("\"pages\": [").expect("no hot-page table");
-    assert!(
-        asids(hot).iter().any(|&a| a > 0),
-        "hot pages never left ASID 0"
-    );
 }
