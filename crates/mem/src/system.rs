@@ -365,6 +365,32 @@ mod tests {
         assert!(warm.l2_hit, "walk fills must be visible to demand loads");
     }
 
+    /// A recorded deviation, not a requirement: a line's slice is
+    /// `line % channels` and its set in the slice is `line & (sets - 1)`,
+    /// so with a power-of-two channel count every line of a slice shares
+    /// its low `log2(channels)` bits and the slice reaches only
+    /// `sets / channels` of its sets. The harnesses' 2 channels (8 cores)
+    /// reach half of each slice; the paper machine's 8 channels (30
+    /// cores) reach 16 of 128 sets, 1/8 of the L2. Fixing the index
+    /// changes every figure, so it waits with the other model fixes.
+    #[test]
+    fn l2_slices_reach_only_sets_matching_their_channel_bits() {
+        for (channels, reached) in [(2, 64), (8, 16)] {
+            let mut m = MemorySystem::new(MemConfig {
+                channels,
+                ..MemConfig::default()
+            });
+            let slice = m.config().l2_slice;
+            // Four times the whole L2's capacity in distinct lines.
+            for line in 0..(4 * channels * slice.lines()) as u64 {
+                m.access(line, line, AccessKind::Load);
+            }
+            for s in &m.slices {
+                assert_eq!(s.occupancy(), reached * slice.ways, "{channels} channels");
+            }
+        }
+    }
+
     #[test]
     fn dram_requests_counted() {
         let mut m = mem();

@@ -248,6 +248,12 @@ impl IntervalRecorder {
         now >= self.next
     }
 
+    /// The next sample boundary: the interval closing there counts the
+    /// activity of the cycles before it.
+    pub fn next_boundary(&self) -> Cycle {
+        self.next
+    }
+
     /// Closes the interval ending at the pending boundary using the
     /// current counter snapshot. Call while [`IntervalRecorder::due`];
     /// when the clock jumps several boundaries at once, call repeatedly

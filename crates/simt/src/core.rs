@@ -69,6 +69,13 @@ impl CoreStats {
         }
         &mut v[i]
     }
+
+    /// Counts `n` live cycles that issued nothing, all held by `cause`.
+    fn add_idle(&mut self, cause: StallCause, n: u64) {
+        self.live_cycles.add(n);
+        self.idle_cycles.add(n);
+        self.stall_breakdown.add(cause, n);
+    }
 }
 
 /// A memory instruction in flight for one warp. It is coalesced once,
@@ -613,6 +620,15 @@ pub struct RunCtx<'a, 'b> {
     pub iters_base: &'a [usize],
 }
 
+impl RunCtx<'_, '_> {
+    /// The index in `iters` of thread `tid`'s counter for site `site`
+    /// of tenant `asid`'s kernel.
+    fn iter_slot(&self, asid: u16, tid: ThreadId, site: u16) -> usize {
+        let num_sites = self.kernels[asid as usize].program().num_sites().max(1);
+        self.iters_base[asid as usize] + tid as usize * num_sites + site as usize
+    }
+}
+
 /// The pieces of a core that the memory path needs; split out so the
 /// baseline and TBC executors can borrow them while iterating their own
 /// unit containers.
@@ -910,17 +926,15 @@ pub struct ShaderCore {
     /// Faulted `(asid, page)` pairs not yet reported to the GPU's fault
     /// handler.
     pub(crate) pending_faults: Vec<(u16, Vpn)>,
-    /// The ASID of the unit whose issue the MMU rejected on the last
-    /// tick, if it bounced (0 on a TBC core);
-    /// [`ShaderCore::bounce_ahead`] runs only after such a tick.
-    bounced: Option<u16>,
+    /// The last tick's issue: the issuing unit's ASID (0 on a TBC core)
+    /// and whether the MMU rejected its access; `None` when it issued
+    /// nothing. [`ShaderCore::run_ahead`] starts only after an issue,
+    /// and [`ShaderCore::next_event_at`] reads whether one happened.
+    last_issue: Option<(u16, bool)>,
     /// Baseline mode: the warps live at the last reap plus every warp of
     /// a block dispatched since. A slot can only have retired if one of
     /// these is no longer live.
     live_at_reap: u64,
-    /// Baseline mode: whether the last tick issued an instruction (see
-    /// [`ShaderCore::next_event_at`]).
-    issued: bool,
 }
 
 impl ShaderCore {
@@ -970,9 +984,8 @@ impl ShaderCore {
             fault: cfg.fault,
             fault_waiters: std::collections::HashMap::new(),
             pending_faults: Vec::new(),
-            bounced: None,
+            last_issue: None,
             live_at_reap: 0,
-            issued: false,
         }
     }
 
@@ -1214,7 +1227,7 @@ impl ShaderCore {
                 let (due, _, next_wake) = set.at(now);
                 if due == 0 {
                     next_wake
-                } else if self.issued {
+                } else if self.last_issue.is_some() {
                     // A due warp lost the one issue slot, or the issue
                     // may have opened the policy gate.
                     now + 1
@@ -1256,9 +1269,7 @@ impl ShaderCore {
     pub fn note_idle_skip(&mut self, now: Cycle, skipped: u64) {
         if self.has_live_units() {
             let cause = classify_stall(&self.exec, now);
-            self.path.stats.live_cycles.add(skipped);
-            self.path.stats.idle_cycles.add(skipped);
-            self.path.stats.stall_breakdown.add(cause, skipped);
+            self.path.stats.add_idle(cause, skipped);
         }
     }
 
@@ -1497,7 +1508,7 @@ impl ShaderCore {
             ExecMode::Baseline { warps, set } => {
                 set.advance(now);
                 let issue = baseline_issue(path, warps, set, &mut self.rr_ptr, now, mem, ctx, obs);
-                self.bounced = issue.and_then(|(asid, bounced)| bounced.then_some(asid));
+                self.last_issue = issue;
                 let issued = issue.map_or(0, |(asid, _)| 1u64 << (asid as u32 & 63));
                 (issued, set.live != 0)
             }
@@ -1512,18 +1523,15 @@ impl ShaderCore {
                     ctx.iters,
                     obs,
                 );
-                self.bounced = (bounced == Some(true)).then_some(0);
+                self.last_issue = bounced.map(|b| (0, b));
                 (u64::from(bounced.is_some()), t.has_work())
             }
         };
-        self.issued = issued != 0;
         if live {
-            path.stats.live_cycles.inc();
             if issued == 0 {
-                path.stats.idle_cycles.inc();
-                path.stats
-                    .stall_breakdown
-                    .add(classify_stall(&self.exec, now), 1);
+                path.stats.add_idle(classify_stall(&self.exec, now), 1);
+            } else {
+                path.stats.live_cycles.inc();
             }
         }
         self.reap_blocks(now, obs);
@@ -1532,30 +1540,46 @@ impl ShaderCore {
         issued
     }
 
-    /// Runs a bounce storm ahead: after a tick at `now` whose issue the
-    /// MMU rejected, commits the bounces that ticking each following
-    /// cycle would make and returns the last cycle committed (`now` when
-    /// none). The drive loop then counts the core as ticked, and issuing,
-    /// through that cycle.
+    /// Runs the core ahead after a tick at `now` that issued: commits in
+    /// place each following cycle whose tick would touch no shared
+    /// state, and returns the last cycle committed and the last that
+    /// issued (both `now` when none). The drive loop then counts the
+    /// core as ticked through the first and as issuing through the
+    /// second.
     ///
-    /// Cycle `c` is a bounce when the unit the tick would pick — the
-    /// first due warp in round-robin order, or TBC's `rr`-th due unit
-    /// in slot order — holds a pending access of the bounced unit's
-    /// ASID that [`Mmu::probe_reject`] rejects at `c`. It commits what
-    /// the issue step and the tick commit for one: a replay, a live
-    /// cycle, the reject count, the backoff timer, the unit's slot and
-    /// the round-robin pointer. The run stops before `limit` (the drive
-    /// loop's global timers), before the MMU's next fill or walk start
-    /// and before the next policy decay or CPM flush epoch. It does not
-    /// start while a queued block has a free slot or, on a TBC core,
-    /// while a dirty block would pop or compact: nothing else a tick
-    /// reacts to can change inside it.
-    pub fn bounce_ahead(&mut self, now: Cycle, limit: Cycle) -> Cycle {
-        let Some(asid) = self.bounced.take() else {
-            return now;
+    /// A baseline core commits each cycle whose tick would
+    /// - bounce: the warp it picks (the first due warp in round-robin
+    ///   order that the policy lets issue) holds a pending access that
+    ///   [`Mmu::probe_reject`] rejects — a replay, a live cycle, the
+    ///   reject count, the backoff timer;
+    /// - issue an ALU or branch instruction that leaves its warp live;
+    /// - issue nothing, in a gap up to the next sleeper's `ready_at`,
+    ///   charged to the stall cause classified at its first cycle as
+    ///   [`ShaderCore::note_idle_skip`] does.
+    ///
+    /// Every committed issue is one of the tenant that issued at `now`,
+    /// so the per-tenant progress clocks stay exact. It stops at the
+    /// first cycle whose tick would issue a memory instruction or a
+    /// replay the MMU accepts, or retire a warp (so reaping, dispatch
+    /// and block-retire events stay in regular ticks). A TBC core only
+    /// commits the bounces of a tick that bounced
+    /// (`TbcState::bounce_ahead`). Either run stops before `limit` (the
+    /// drive loop's global timers), before the MMU's next fill or walk
+    /// start and before the next policy decay or CPM flush epoch. It
+    /// does not start while a queued block has a free slot or, on a TBC
+    /// core, while a dirty block would pop or compact: nothing else a
+    /// tick reacts to can change inside it.
+    pub fn run_ahead(
+        &mut self,
+        now: Cycle,
+        limit: Cycle,
+        ctx: &mut RunCtx<'_, '_>,
+    ) -> (Cycle, Cycle) {
+        let Some((asid, bounced)) = self.last_issue else {
+            return (now, now);
         };
         if self.can_dispatch() {
-            return now;
+            return (now, now);
         }
         let path = &mut self.path;
         let end = [
@@ -1566,17 +1590,21 @@ impl ShaderCore {
         .into_iter()
         .flatten()
         .fold(limit, Cycle::min);
-        let last = match &mut self.exec {
+        let (last, issued) = match &mut self.exec {
             ExecMode::Baseline { warps, set } => {
-                baseline_bounce_ahead(path, warps, set, &mut self.rr_ptr, asid, now, end)
+                baseline_run_ahead(path, warps, set, &mut self.rr_ptr, asid, now, end, ctx)
             }
-            ExecMode::Tbc(t) => t.bounce_ahead(path, now, end),
+            ExecMode::Tbc(t) if bounced => {
+                let last = t.bounce_ahead(path, now, end);
+                (last, last)
+            }
+            ExecMode::Tbc(_) => (now, now),
         };
         // The set stands advanced to `last + 1`, the cycle the core
         // ticks next.
         #[cfg(debug_assertions)]
         self.check_warp_set(last + 1);
-        last
+        (last, issued)
     }
 }
 
@@ -1596,9 +1624,27 @@ fn classify_stall(exec: &ExecMode, now: Cycle) -> StallCause {
     }
 }
 
-/// Picks and executes one instruction from the baseline warps: the
-/// first due warp in round-robin order from `rr_ptr` that the locality
-/// policy lets issue. Returns the issuing warp's ASID and whether the
+/// The warp a baseline tick issues from: the first due warp in
+/// round-robin order from `rr_ptr` that the locality policy lets issue.
+/// CCWS-style throttling gates *memory* instructions: throttled warps
+/// may still run ALU/branch work, and a warp with a pending memory
+/// instruction replays regardless (it holds MSHRs).
+fn baseline_pick(
+    path: &mut MemPath,
+    warps: &[Warp],
+    due: u64,
+    rr_ptr: usize,
+    kernels: &[&dyn Kernel],
+) -> Option<usize> {
+    rr_order(due, rr_ptr).find(|&w| {
+        warps[w].state.pending.is_some()
+            || path.policy.issue_allowed(w as u16)
+            || !matches!(next_op(&warps[w], kernels).2, Op::Mem { .. })
+    })
+}
+
+/// Picks and executes one instruction from the baseline warps
+/// ([`baseline_pick`]). Returns the issuing warp's ASID and whether the
 /// MMU rejected its access.
 #[allow(clippy::too_many_arguments)]
 fn baseline_issue(
@@ -1611,38 +1657,20 @@ fn baseline_issue(
     ctx: &mut RunCtx<'_, '_>,
     obs: &mut Observer,
 ) -> Option<(u16, bool)> {
-    for w in rr_order(set.due, *rr_ptr) {
-        // CCWS-style throttling gates *memory* instructions: throttled
-        // warps may still run ALU/branch work, and a warp with a pending
-        // memory instruction replays regardless (it holds MSHRs).
-        if warps[w].state.pending.is_none() && !path.policy.issue_allowed(w as u16) {
-            let (pc, _) = warps[w]
-                .stack
-                .as_ref()
-                .and_then(|s| s.current())
-                .expect("due implies live");
-            if matches!(
-                ctx.kernels[warps[w].asid as usize].program().op(pc),
-                Op::Mem { .. }
-            ) {
-                continue;
-            }
-        }
-        let asid = warps[w].asid;
-        let bounced = exec_one(path, warps, w, now, mem, ctx, obs);
-        set.sync(w, warps[w].live_state(), now);
-        *rr_ptr = (w + 1) % warps.len();
-        return Some((asid, bounced));
-    }
-    None
+    let w = baseline_pick(path, warps, set.due, *rr_ptr, ctx.kernels)?;
+    let asid = warps[w].asid;
+    let bounced = exec_one(path, warps, w, now, mem, ctx, obs);
+    set.sync(w, warps[w].live_state(), now);
+    *rr_ptr = (w + 1) % warps.len();
+    Some((asid, bounced))
 }
 
-/// The baseline half of [`ShaderCore::bounce_ahead`]: commits each
-/// cycle before `end` whose first due warp in round-robin order holds a
-/// pending access of tenant `asid` that [`Mmu::probe_reject`] rejects,
-/// and returns the last cycle committed (`now` when none).
+/// The baseline half of [`ShaderCore::run_ahead`]: from `now + 1` up to
+/// `end`, commits each cycle that bounces, issues an ALU or branch
+/// instruction of tenant `asid` that leaves its warp live, or issues
+/// nothing. Returns the last cycle committed and the last that issued.
 #[allow(clippy::too_many_arguments)]
-fn baseline_bounce_ahead(
+fn baseline_run_ahead(
     path: &mut MemPath,
     warps: &mut [Warp],
     set: &mut WarpSet,
@@ -1650,31 +1678,128 @@ fn baseline_bounce_ahead(
     asid: u16,
     now: Cycle,
     end: Cycle,
-) -> Cycle {
+    ctx: &mut RunCtx<'_, '_>,
+) -> (Cycle, Cycle) {
+    if set.live == 0 {
+        return (now, now);
+    }
+    let mut issued = now;
     let mut c = now + 1;
     while c < end {
         set.advance(c);
-        let Some(w) = rr_order(set.due, *rr_ptr).next() else {
-            break;
+        let Some(w) = baseline_pick(path, warps, set.due, *rr_ptr, ctx.kernels) else {
+            // Nothing issues until a sleeper wakes, and nothing else a
+            // tick reacts to changes before `end`.
+            let to = set.next_wake.min(end);
+            path.stats.add_idle(set.classify(c), to - c);
+            c = to;
+            continue;
         };
         let warp = &mut warps[w];
-        let Some(pending) = warp.state.pending.as_ref().filter(|_| warp.asid == asid) else {
+        if warp.asid != asid {
             break;
-        };
-        let Some(retry_at) = path
-            .mmu
-            .probe_reject(c, w as u16, asid, &pending.refs.pages)
-        else {
-            break;
-        };
-        path.stats.replays.inc();
+        }
+        if let Some(pending) = &warp.state.pending {
+            let Some(retry_at) = path
+                .mmu
+                .probe_reject(c, w as u16, asid, &pending.refs.pages)
+            else {
+                break;
+            };
+            path.stats.replays.inc();
+            warp.state.arm(retry_at.max(c + 1), WaitKind::Reject);
+        } else {
+            let (pc, mask, op) = next_op(warp, ctx.kernels);
+            let taken = branch_outcome(warp, mask, op, ctx);
+            let stack = warp.stack.as_ref().expect("due implies live");
+            let retires = match op {
+                Op::Mem { .. } => break,
+                Op::Alu { .. } => stack.advance_finishes(pc + 1),
+                Op::Branch {
+                    taken_pc,
+                    reconv_pc,
+                    ..
+                } => stack.branch_finishes(taken, taken_pc, pc + 1, reconv_pc),
+            };
+            if retires {
+                break;
+            }
+            commit_compute(path, warp, pc, mask, op, taken, c, ctx);
+        }
         path.stats.live_cycles.inc();
-        warp.state.arm(retry_at.max(c + 1), WaitKind::Reject);
         set.sync(w, warp.live_state(), c);
         *rr_ptr = (w + 1) % warps.len();
+        issued = c;
         c += 1;
     }
-    c - 1
+    (c - 1, issued)
+}
+
+/// The pc, active mask and instruction a live baseline warp executes
+/// next.
+fn next_op(warp: &Warp, kernels: &[&dyn Kernel]) -> (u32, u32, Op) {
+    let (pc, mask) = warp
+        .stack
+        .as_ref()
+        .and_then(SimtStack::current)
+        .expect("due implies live");
+    (pc, mask, kernels[warp.asid as usize].program().op(pc))
+}
+
+/// The lanes of `mask` that take `op` when it is a branch of `warp`
+/// (0 for any other instruction), read at each lane's current iteration
+/// without advancing it.
+fn branch_outcome(warp: &Warp, mask: u32, op: Op, ctx: &RunCtx<'_, '_>) -> u32 {
+    let Op::Branch { site, .. } = op else {
+        return 0;
+    };
+    let kernel = ctx.kernels[warp.asid as usize];
+    Bits(mask as u64)
+        .filter(|&lane| {
+            let tid = warp.first_tid + lane as u32;
+            let iter = ctx.iters[ctx.iter_slot(warp.asid, tid, site)];
+            kernel.branch_taken(tid, site, iter)
+        })
+        .fold(0, |taken, lane| taken | 1 << lane)
+}
+
+/// Commits ALU or branch instruction `op` at `pc` of `warp` at `now`: a
+/// branch sends the lanes in `taken` to its target and advances each
+/// active lane's iteration counter for its site; either arms the
+/// pipeline timer and counts the instruction.
+#[allow(clippy::too_many_arguments)]
+fn commit_compute(
+    path: &mut MemPath,
+    warp: &mut Warp,
+    pc: u32,
+    mask: u32,
+    op: Op,
+    taken: u32,
+    now: Cycle,
+    ctx: &mut RunCtx<'_, '_>,
+) {
+    let stack = warp.stack.as_mut().expect("due implies live");
+    let latency = match op {
+        Op::Alu { cycles } => {
+            stack.advance(pc + 1);
+            cycles as Cycle
+        }
+        Op::Branch {
+            site,
+            taken_pc,
+            reconv_pc,
+        } => {
+            for lane in Bits(mask as u64) {
+                let slot = ctx.iter_slot(warp.asid, warp.first_tid + lane as u32, site);
+                ctx.iters[slot] += 1;
+            }
+            stack.branch(taken, taken_pc, pc + 1, reconv_pc);
+            path.timings.branch_latency
+        }
+        Op::Mem { .. } => unreachable!("a memory instruction is not committed here"),
+    };
+    warp.state.arm(now + latency, WaitKind::Pipeline);
+    path.count_instruction(warp.asid);
 }
 
 /// Executes the next instruction of baseline warp `w` against its
@@ -1689,63 +1814,35 @@ fn exec_one(
     ctx: &mut RunCtx<'_, '_>,
     obs: &mut Observer,
 ) -> bool {
-    let asid = warps[w].asid;
+    let warp = &mut warps[w];
+    let (pc, mask, op) = next_op(warp, ctx.kernels);
+    let Op::Mem { site, kind } = op else {
+        let taken = branch_outcome(warp, mask, op, ctx);
+        commit_compute(path, warp, pc, mask, op, taken, now, ctx);
+        return false;
+    };
+    let asid = warp.asid;
     let kernel = ctx.kernels[asid as usize];
     let space = ctx.spaces[asid as usize];
     let base = ctx.iters_base[asid as usize];
-    let iters = &mut *ctx.iters;
     let num_sites = kernel.program().num_sites().max(1);
-    let warp = &mut warps[w];
-    let stack = warp.stack.as_mut().expect("schedulable implies live");
-    let (pc, mask) = stack.current().expect("schedulable implies live");
-    match kernel.program().op(pc) {
-        Op::Alu { cycles } => {
-            warp.state.arm(now + cycles as u64, WaitKind::Pipeline);
-            stack.advance(pc + 1);
-            path.count_instruction(asid);
-            false
-        }
-        Op::Branch {
-            site,
-            taken_pc,
-            reconv_pc,
-        } => {
-            let mut taken = 0u32;
-            for lane in 0..32 {
-                if mask & (1 << lane) != 0 {
-                    let tid = warp.first_tid + lane;
-                    let slot = base + tid as usize * num_sites + site as usize;
-                    let iter = iters[slot];
-                    iters[slot] += 1;
-                    if kernel.branch_taken(tid, site, iter) {
-                        taken |= 1 << lane;
-                    }
-                }
-            }
-            stack.branch(taken, taken_pc, pc + 1, reconv_pc);
-            warp.state
-                .arm(now + path.timings.branch_latency, WaitKind::Pipeline);
-            path.count_instruction(asid);
-            false
-        }
-        Op::Mem { site, kind } => {
-            let first_tid = warp.first_tid;
-            let lanes = (0..32).filter(|lane| mask & (1 << lane) != 0).map(|lane| {
-                let tid = first_tid + lane;
-                let slot = base + tid as usize * num_sites + site as usize;
-                let iter = iters[slot];
-                iters[slot] += 1;
-                (kernel.mem_addr(tid, site, iter), w as u16)
-            });
-            let issue = warp
-                .state
-                .issue_mem(path, now, kind, lanes, w as u16, asid, mem, space, obs);
-            if let MemIssue::Done(_) = issue {
-                stack.advance(pc + 1);
-            }
-            matches!(issue, MemIssue::Retry(_))
-        }
+    let iters = &mut *ctx.iters;
+    let first_tid = warp.first_tid;
+    let lanes = Bits(mask as u64).map(|lane| {
+        let tid = first_tid + lane as u32;
+        let slot = base + tid as usize * num_sites + site as usize;
+        let iter = iters[slot];
+        iters[slot] += 1;
+        (kernel.mem_addr(tid, site, iter), w as u16)
+    });
+    let issue = warp
+        .state
+        .issue_mem(path, now, kind, lanes, w as u16, asid, mem, space, obs);
+    if let MemIssue::Done(_) = issue {
+        let stack = warp.stack.as_mut().expect("schedulable implies live");
+        stack.advance(pc + 1);
     }
+    matches!(issue, MemIssue::Retry(_))
 }
 
 #[cfg(test)]
@@ -1832,6 +1929,108 @@ mod tests {
             assert!(now < 1_000_000, "core never finished");
         }
         (core, now)
+    }
+
+    /// A compute kernel whose warps end on an ALU instruction: each lane
+    /// loops `tid % 3` extra times over an ALU op and a branch, so the
+    /// loop branch diverges, then runs one ALU op (the retiring one).
+    struct LoopKernel {
+        program: Program,
+    }
+
+    impl Kernel for LoopKernel {
+        fn name(&self) -> &str {
+            "loop-test"
+        }
+        fn program(&self) -> &Program {
+            &self.program
+        }
+        fn num_threads(&self) -> u32 {
+            256
+        }
+        fn block_threads(&self) -> u32 {
+            64
+        }
+        fn mem_addr(&self, _: ThreadId, site: u16, _: u32) -> VAddr {
+            unreachable!("loop-test has no memory site {site}")
+        }
+        fn branch_taken(&self, tid: ThreadId, _: u16, iter: u32) -> bool {
+            iter < tid % 3
+        }
+    }
+
+    /// Runs `LoopKernel` on one ideal core, ticking every cycle and, when
+    /// `ahead` is set, running the core ahead after each issue with a
+    /// limit a few cycles out. Checks that every run stops before its
+    /// limit and retires no warp, and returns the core and its finish
+    /// cycle.
+    fn run_loop_core(ahead: bool) -> (ShaderCore, Cycle) {
+        let kernel = LoopKernel {
+            program: Program::new(vec![
+                Op::Alu { cycles: 3 },
+                Op::Branch {
+                    site: 0,
+                    taken_pc: 0,
+                    reconv_pc: 2,
+                },
+                Op::Alu { cycles: 1 },
+            ]),
+        };
+        let space = AddressSpace::new(SpaceConfig::default());
+        let mut mem = MemorySystem::new(MemConfig::default());
+        let cfg = GpuConfig {
+            n_cores: 1,
+            warps_per_core: 8,
+            warps_per_block: 2,
+            ..GpuConfig::default()
+        };
+        let mut core = ShaderCore::new(0, &cfg);
+        for b in 0..4 {
+            core.push_block(b * 64, 64);
+        }
+        let mut iters = vec![0u32; 256];
+        let mut obs = Observer::off();
+        let (mut now, mut runs) = (0, 0);
+        while core.has_work() {
+            let issued = core.tick(now, &mut mem, &space, &kernel, &mut iters, &mut obs);
+            if ahead && issued {
+                let live = |core: &ShaderCore| match &core.exec {
+                    ExecMode::Baseline { set, .. } => set.live,
+                    ExecMode::Tbc(_) => unreachable!("baseline core"),
+                };
+                let before = live(&core);
+                let limit = now + 2 + now % 11;
+                let mut ctx = RunCtx {
+                    spaces: &[&space],
+                    kernels: &[&kernel],
+                    iters: &mut iters,
+                    iters_base: &[0],
+                };
+                let (last, issued_at) = core.run_ahead(now, limit, &mut ctx);
+                assert!(last < limit, "ran to {last} past limit {limit}");
+                assert!(issued_at <= last);
+                assert_eq!(live(&core), before, "a warp retired ahead of {last}");
+                runs += u64::from(last > now);
+                now = last;
+            }
+            now += 1;
+            assert!(now < 100_000, "core never finished");
+        }
+        assert!(!ahead || runs > 0, "the core never ran ahead");
+        (core, now)
+    }
+
+    #[test]
+    fn running_ahead_matches_ticking_and_stops_at_limits_and_retires() {
+        let (reference, t_ref) = run_loop_core(false);
+        let (ahead, t_ahead) = run_loop_core(true);
+        assert_eq!(t_ahead, t_ref);
+        let (a, r) = (ahead.stats(), reference.stats());
+        assert_eq!(a.instructions.get(), r.instructions.get());
+        assert_eq!(a.live_cycles.get(), r.live_cycles.get());
+        assert_eq!(a.idle_cycles.get(), r.idle_cycles.get());
+        assert_eq!(a.stall_breakdown, r.stall_breakdown);
+        assert_eq!(a.blocks_done.get(), 4);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use gmmu_mem::MemorySystem;
 use gmmu_sim::codec::{Codec, CodecError, Loader, Saver};
 use gmmu_sim::fault::{major_fault, FaultInjector};
 use gmmu_sim::metrics::{Metrics, MetricsRegistry};
-use gmmu_sim::observe::{CounterSnapshot, Observer};
+use gmmu_sim::observe::{CounterSnapshot, IntervalRecorder, Observer};
 use gmmu_sim::stats::{Histogram, Summary};
 use gmmu_sim::Cycle;
 use gmmu_vm::{AddressSpace, Vpn};
@@ -396,23 +396,30 @@ fn settle(core: &mut ShaderCore, credited: &mut Cycle, to: Cycle) {
 }
 
 /// The first cycle at which one of the drive loop's global timers could
-/// change what a core sees, so a bounce storm run ahead from `now`
-/// stops before it: the cycle cap, a queued fault-handler completion,
-/// under demand paging the earliest completion of a fault raised from
-/// `now` on, the next storm, and each tenant-watchdog deadline plus one
-/// (the watchdog fires after that cycle's ticks).
-fn bounce_limit(
+/// change what a core sees or what the loop records, so a core run
+/// ahead from `now` (where it issued) stops before it: the cycle cap, a
+/// queued fault-handler completion, under demand paging the earliest
+/// completion of a fault raised from `now` on, the next storm, the next
+/// interval-sample boundary, and each watchdog's earliest firing plus
+/// one (a watchdog fires after that cycle's ticks). The global watchdog
+/// fires no earlier than `now + watchdog`, since the core issued at
+/// `now`; a tenant's no earlier than its progress clock plus its window.
+fn run_ahead_limit(
     now: Cycle,
     max_cycles: Cycle,
     fault_q: &[((u16, Vpn), Cycle)],
     fault: &FaultConfig,
     storm: Option<Cycle>,
+    boundary: Option<Cycle>,
     tenant_deadlines: impl Iterator<Item = Cycle>,
 ) -> Cycle {
+    let watchdog = (fault.watchdog > 0).then(|| now + fault.watchdog + 1);
     let mut limit = fault_q
         .iter()
         .map(|&(_, at)| at)
         .chain(storm)
+        .chain(boundary)
+        .chain(watchdog)
         .chain(tenant_deadlines)
         .fold(max_cycles, Cycle::min);
     if fault.demand_paging {
@@ -668,12 +675,13 @@ impl Gpu {
         // boundary, or when the loop shoots it down or resolves one of
         // its faults (which wake it). Its skipped ticks would have been
         // quiet, and are credited to the same idle/stall counters when
-        // it next runs (`settle`). A core whose issue bounced off its
-        // MMU commits the following cycles' bounces in place
-        // (`ShaderCore::bounce_ahead`, up to the global timers' `limit`)
-        // and is woken, credited and counted as issuing through the last
-        // of them. Under `tick_every_cycle` nothing runs ahead and every
-        // wake is `now + 1`: the per-cycle referee.
+        // it next runs (`settle`). A core that issued commits the
+        // following cycles that touch no shared state in place
+        // (`ShaderCore::run_ahead`, up to the global timers' `limit`):
+        // it is woken and credited from the last of them, and counted as
+        // issuing through the last that issued. Under `tick_every_cycle`
+        // nothing runs ahead and every wake is `now + 1`: the per-cycle
+        // referee.
         let legacy = self.config.tick_every_cycle;
         let max_cycles = self.config.max_cycles;
         let fault_cfg = self.config.fault;
@@ -790,47 +798,54 @@ impl Gpu {
                 iters: &mut *iters,
                 iters_base,
             };
-            // `bounce_limit`, worked out at this cycle's first bounce.
+            // `run_ahead_limit`, worked out at this cycle's first issue.
             let mut limit = None;
             // Due cores tick in id order, so the shared memory system
-            // sees the per-cycle loop's access order.
+            // sees the per-cycle loop's access order. One pass over the
+            // cores also collects the faults they raise and their
+            // earliest wake.
             let mut live = false;
             let mut issued = 0u64;
-            // The last cycle any core issued through (bounce storms run
-            // ahead of `now`).
+            // The last cycle any core issued through (cores run ahead of
+            // `now`).
             let mut issued_through = now;
+            let mut next = Cycle::MAX;
+            fault_scratch.clear();
             for (i, core) in self.cores.iter_mut().enumerate() {
                 if wake[i] > now {
                     live |= wake[i] != Cycle::MAX;
+                    next = next.min(wake[i]);
                     continue;
                 }
                 settle(core, &mut credited[i], now);
                 let bits = core.tick_tenants(now, &mut self.mem, &mut ctx, obs);
-                let through = if legacy || bits == 0 {
-                    now
+                core.drain_faults(&mut fault_scratch);
+                let (through, issued_at) = if legacy || bits == 0 {
+                    (now, now)
                 } else {
                     let limit = *limit.get_or_insert_with(|| {
                         let storm = injector.as_ref().filter(|_| owned);
-                        bounce_limit(
+                        run_ahead_limit(
                             now,
                             max_cycles,
                             &fault_q,
                             &fault_cfg,
                             storm.and_then(|inj| inj.storm_at(next_storm)),
+                            obs.intervals.as_ref().map(IntervalRecorder::next_boundary),
                             (0..n_t)
                                 .filter(|&t| watch_tenants && finished_at[t] == UNFINISHED)
                                 .map(|t| progress_t[t] + policy.watchdog + 1),
                         )
                     });
-                    core.bounce_ahead(now, limit)
+                    core.run_ahead(now, limit, &mut ctx)
                 };
                 credited[i] = through + 1;
                 issued |= bits;
-                issued_through = issued_through.max(through);
+                issued_through = issued_through.max(issued_at);
                 if watch_tenants {
                     for (t, p) in progress_t.iter_mut().enumerate() {
                         if bits & (1u64 << (t as u32 & 63)) != 0 {
-                            *p = (*p).max(through);
+                            *p = (*p).max(issued_at);
                         }
                     }
                 }
@@ -840,16 +855,13 @@ impl Gpu {
                 } else {
                     core.next_event_at(now).unwrap_or(Cycle::MAX)
                 };
+                next = next.min(wake[i]);
             }
             spaces_pool = recycle_refs(spaces);
             // New page faults raised this cycle enter the handler queue
             // once each; minor/major classification is a pure function
             // of the seed and the ASID-salted page (for ASID 0 the salt
             // is the identity, preserving single-tenant schedules).
-            fault_scratch.clear();
-            for core in &mut self.cores {
-                core.drain_faults(&mut fault_scratch);
-            }
             for &(asid, vpn) in &fault_scratch {
                 if fault_q.iter().any(|&(k, _)| k == (asid, vpn)) {
                     continue;
@@ -887,7 +899,7 @@ impl Gpu {
             if !live {
                 break;
             }
-            // A bounce storm run ahead is issue progress through its end,
+            // A core run ahead is issue progress through its last issue,
             // so `last_progress` may lie beyond `now`.
             if issued != 0 {
                 last_progress = last_progress.max(issued_through);
@@ -940,7 +952,6 @@ impl Gpu {
             // timers the cores know nothing about; folding them in keeps
             // both loops on identical cycles. Every term lies beyond
             // `now`.
-            let mut next = wake.iter().copied().min().unwrap_or(Cycle::MAX);
             for &(_, at) in &fault_q {
                 next = next.min(at);
             }

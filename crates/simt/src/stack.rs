@@ -101,19 +101,13 @@ impl SimtStack {
     ///
     /// Panics if the warp is already done.
     pub fn branch(&mut self, taken: u32, taken_pc: u32, fall_pc: u32, reconv_pc: u32) {
+        if let Some(pc) = self.branch_target(taken, taken_pc, fall_pc, reconv_pc) {
+            self.advance(pc);
+            return;
+        }
         let top = self.entries.last_mut().expect("branch on finished warp");
         let t = taken & top.mask;
         let n = top.mask & !t;
-        if t == 0 {
-            top.pc = fall_pc;
-            self.maybe_pop();
-            return;
-        }
-        if n == 0 {
-            top.pc = taken_pc;
-            self.maybe_pop();
-            return;
-        }
         // Divergent: the current entry becomes the reconvergence entry.
         top.pc = reconv_pc;
         let rpc_redundant = top.pc == top.rpc && self.entries.len() > 1;
@@ -138,6 +132,44 @@ impl SimtStack {
             });
         }
         self.maybe_pop();
+    }
+
+    /// The pc the current entry moves to when a branch with outcome
+    /// `taken` pushes no child: every active lane goes the same way, or
+    /// both paths start at the reconvergence pc. `None` when it pushes
+    /// one.
+    fn branch_target(
+        &self,
+        taken: u32,
+        taken_pc: u32,
+        fall_pc: u32,
+        reconv_pc: u32,
+    ) -> Option<u32> {
+        let top = self.entries.last().expect("branch on finished warp");
+        let t = taken & top.mask;
+        if t == 0 {
+            Some(fall_pc)
+        } else if t == top.mask {
+            Some(taken_pc)
+        } else {
+            (fall_pc == reconv_pc && taken_pc == reconv_pc).then_some(reconv_pc)
+        }
+    }
+
+    /// Whether [`SimtStack::advance`] to `next_pc` would finish the
+    /// warp: the current entry reaches its reconvergence pc and every
+    /// entry below it already waits at its own.
+    pub fn advance_finishes(&self, next_pc: u32) -> bool {
+        self.entries
+            .split_last()
+            .is_some_and(|(top, rest)| next_pc == top.rpc && rest.iter().all(|e| e.pc == e.rpc))
+    }
+
+    /// Whether [`SimtStack::branch`] with these arguments would finish
+    /// the warp.
+    pub fn branch_finishes(&self, taken: u32, taken_pc: u32, fall_pc: u32, reconv_pc: u32) -> bool {
+        self.branch_target(taken, taken_pc, fall_pc, reconv_pc)
+            .is_some_and(|pc| self.advance_finishes(pc))
     }
 }
 
@@ -326,6 +358,43 @@ mod tests {
         assert_eq!(else_hits, 0b1010);
         assert_eq!(join, 0b1111);
         assert_eq!(then_hits & else_hits, 0);
+    }
+
+    #[test]
+    fn finish_predictions_match_the_outcome() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut finished_by = [0u32; 2];
+        for _ in 0..500 {
+            let mut s = SimtStack::new(0b1111, 8);
+            while let Some((pc, _)) = s.current() {
+                let r = rand();
+                let mut next = s.clone();
+                // Forward targets within the current entry's
+                // reconvergence pc, so every run ends.
+                let rpc = s.entries.last().unwrap().rpc;
+                if r % 3 == 0 || pc + 1 >= rpc {
+                    next.advance(pc + 1);
+                    assert_eq!(s.advance_finishes(pc + 1), next.is_done());
+                    finished_by[0] += u32::from(next.is_done());
+                } else {
+                    let taken = (r >> 8) as u32 & 0b1111;
+                    let taken_pc = pc + 1 + (r >> 16) as u32 % (rpc - pc);
+                    let reconv_pc = taken_pc + (r >> 24) as u32 % (rpc - taken_pc + 1);
+                    next.branch(taken, taken_pc, pc + 1, reconv_pc);
+                    let predicted = s.branch_finishes(taken, taken_pc, pc + 1, reconv_pc);
+                    assert_eq!(predicted, next.is_done(), "{s:?} -> {next:?}");
+                    finished_by[1] += u32::from(next.is_done());
+                }
+                s = next;
+            }
+        }
+        assert!(finished_by.iter().all(|&n| n > 0), "{finished_by:?}");
     }
 
     #[test]

@@ -377,7 +377,7 @@ impl TbcState {
     }
 
     /// Runs a bounce storm ahead after a tick at `now` whose issue the
-    /// MMU rejected (see `ShaderCore::bounce_ahead`): commits each cycle
+    /// MMU rejected (see `ShaderCore::run_ahead`): commits each cycle
     /// before `end` whose round-robin pick holds a pending access that
     /// [`gmmu_core::mmu::Mmu::probe_reject`] rejects, and returns the
     /// last cycle committed (`now` when none). A dirty block that would

@@ -35,7 +35,10 @@ pub struct MemcachedKernel {
     seed: u64,
     n_items: u64,
     n_buckets: u64,
-    zipf: Zipf,
+    /// The Zipf rank each warp's batch starts from, per request: entry
+    /// `warp * REQUESTS_PER_THREAD + r`. Drawn once at build time, so
+    /// the CDF table is not kept.
+    base_ranks: Vec<u64>,
     buckets: Region,
     items: Region,
     response_out: Region,
@@ -112,13 +115,18 @@ impl MemcachedKernel {
                 reconv_pc: 16,
             }, // 15: next request
         ]);
+        let zipf = Zipf::new(n_items as usize, ZIPF_THETA);
+        let base_ranks = (0..threads.div_ceil(32) as u64)
+            .flat_map(|warp| (0..REQUESTS_PER_THREAD as u64).map(move |r| mix2(warp, r)))
+            .map(|key| zipf.sample_at(seed ^ 0x9c, key) as u64)
+            .collect();
         Self {
             program,
             threads,
             seed,
             n_items,
             n_buckets,
-            zipf: Zipf::new(n_items as usize, ZIPF_THETA),
+            base_ranks,
             buckets,
             items,
             response_out,
@@ -130,8 +138,8 @@ impl MemcachedKernel {
     /// the hottest item and storage is rank-ordered, so hot ranks share
     /// pages).
     fn item(&self, tid: ThreadId, r: u32) -> u64 {
-        let warp = (tid / 32) as u64;
-        let base = self.zipf.sample_at(self.seed ^ 0x9c, mix2(warp, r as u64)) as u64;
+        debug_assert!(r < REQUESTS_PER_THREAD, "request {r} out of range");
+        let base = self.base_ranks[((tid / 32) * REQUESTS_PER_THREAD + r) as usize];
         (base + mix3(tid as u64, r as u64, self.seed) % 32) % self.n_items
     }
 
@@ -226,7 +234,9 @@ mod tests {
     #[test]
     fn requests_are_zipf_skewed() {
         let (_, k) = kernel();
-        let total = 4000u32;
+        // Every request of every thread (item ranks are drawn per warp
+        // at build time, for the kernel's own threads only).
+        let total = REQUESTS_PER_THREAD * k.num_threads();
         let hot = (0..total)
             .filter(|&i| k.item(i / REQUESTS_PER_THREAD, i % REQUESTS_PER_THREAD) < 132)
             .count();
@@ -258,12 +268,13 @@ mod tests {
     fn hot_items_share_pages() {
         let (_, k) = kernel();
         // The 16 hottest items span exactly one 4 KiB page (256 B each).
-        let pages: std::collections::HashSet<_> = (0..4000u32)
+        let pages: std::collections::HashSet<_> = (0..REQUESTS_PER_THREAD * k.num_threads())
             .map(|i| k.mem_addr(i / 3, 3, i % 3).vpn())
             .collect();
         let footprint_pages = k.n_items * ITEM_BYTES / 4096;
-        // Uniform sampling of 4000 requests over this many pages would
-        // touch ~60% of them; Zipf concentration touches far fewer.
+        // Uniform sampling of every thread's requests over this many
+        // pages would touch ~17% of them; Zipf concentration touches far
+        // fewer.
         assert!(
             (pages.len() as u64) < footprint_pages * 2 / 5,
             "no hot-page concentration: {} of {footprint_pages}",

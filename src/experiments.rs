@@ -653,6 +653,12 @@ impl Runner {
         if let Some(hit) = self.cache.get(&key) {
             return hit.clone();
         }
+        self.simulate(key, spec)
+    }
+
+    /// Simulates an uncached point whose memo key is `key`, serially,
+    /// observing it if it is the first fresh point, and memoizes it.
+    fn simulate(&mut self, key: String, spec: PointSpec) -> RunStats {
         self.ensure_workload(&spec);
         let observe = std::mem::take(&mut self.observe_pending);
         let (run, stats) = self.execute(&key, &spec, observe);
@@ -741,14 +747,20 @@ impl Runner {
     /// design point's simulation reads only its own `GpuConfig` and
     /// immutable workloads, or tenant workloads it builds itself.
     pub fn run_points_parallel(&mut self, specs: Vec<PointSpec>) {
+        // Each key is formatted once and kept once: the first spec of
+        // each uncached key stays, in spec order.
+        let mut todo: Vec<(String, PointSpec)> = specs
+            .into_iter()
+            .map(|spec| (spec.key(), spec))
+            .filter(|(key, _)| !self.cache.contains_key(key))
+            .collect();
         let mut seen = HashSet::new();
-        let mut todo: Vec<(String, PointSpec)> = Vec::new();
-        for spec in specs {
-            let key = spec.key();
-            if !self.cache.contains_key(&key) && seen.insert(key.clone()) {
-                todo.push((key, spec));
-            }
-        }
+        let first: Vec<bool> = todo
+            .iter()
+            .map(|(key, _)| seen.insert(key.as_str()))
+            .collect();
+        let mut first = first.into_iter();
+        todo.retain(|_| first.next() == Some(true));
         if todo.is_empty() {
             return;
         }
@@ -760,8 +772,8 @@ impl Runner {
             // writes must not interleave with workers) and first, so
             // `--trace` or `--capture-trace` on a sweep applies to
             // the sweep's first design point.
-            let (_, spec) = todo.remove(0);
-            self.point(spec);
+            let (key, spec) = todo.remove(0);
+            self.simulate(key, spec);
             if todo.is_empty() {
                 return;
             }
@@ -786,10 +798,10 @@ impl Runner {
         let mut done = done.into_inner().unwrap();
         done.sort_by_key(|&(i, _, _)| i); // spec order, not completion order
         self.runs += done.len();
-        for (i, run, stats) in done {
-            let (key, _) = &todo[i];
+        // Every point ran once, so `done[i]` is `todo[i]`'s.
+        for ((key, _), (_, run, stats)) in todo.into_iter().zip(done) {
             self.point_log.push(run);
-            self.cache.insert(key.clone(), stats);
+            self.cache.insert(key, stats);
         }
     }
 }

@@ -219,9 +219,14 @@ fn execution_engines_are_observably_equivalent() {
 /// before a core ever wakes on a fill past a decay epoch, so only there
 /// would a decay applied after the fill's score bump show. The
 /// no-policy mummergpu points carry the longest runs of MMU rejects a
-/// core runs ahead through (`ShaderCore::bounce_ahead`); the capped one
+/// core runs ahead through (`ShaderCore::run_ahead`); the capped one
 /// stops on cycle 40,119, inside a core's bounce storm, so both loops
-/// must also agree on a run the cap cuts short. The TBC points cover
+/// must also agree on a run the cap cuts short. Three ideal-MMU points
+/// cover windows of ALU and branch issues: memcached on the paper's
+/// 30-core, 8-channel machine, where windows cross idle gaps; bfs under
+/// CCWS, where decay epochs cut windows; and kmeans capped on cycle
+/// 5,363, whose core 3 runs ahead from 5,156 issuing through 5,362, so
+/// the cap cuts a window of ALU issues. The TBC points cover
 /// thread block compaction on the same machinery: bfs and memcached
 /// bounce storms on the blocking TLB (plain and TLB-aware compaction),
 /// streamcluster on the augmented MMU, where a TBC core most often
@@ -230,7 +235,7 @@ fn execution_engines_are_observably_equivalent() {
 #[test]
 fn sleeping_cores_match_the_per_cycle_referee() {
     type Configure = fn(&mut GpuConfig);
-    let matrix: [(Bench, Scale, &str, Configure); 12] = [
+    let matrix: [(Bench, Scale, &str, Configure); 15] = [
         (Bench::Memcached, Scale::Small, "ccws", |c| {
             c.policy = PolicyKind::Ccws
         }),
@@ -249,6 +254,19 @@ fn sleeping_cores_match_the_per_cycle_referee() {
         }),
         (Bench::Streamcluster, Scale::Small, "ideal", |c| {
             c.mmu = MmuModel::Ideal
+        }),
+        (Bench::Memcached, Scale::Small, "ideal 30 cores", |c| {
+            c.mmu = MmuModel::Ideal;
+            c.n_cores = 30;
+            c.mem.channels = 8;
+        }),
+        (Bench::Bfs, Scale::Tiny, "ideal ccws", |c| {
+            c.mmu = MmuModel::Ideal;
+            c.policy = PolicyKind::Ccws;
+        }),
+        (Bench::Kmeans, Scale::Tiny, "capped ideal", |c| {
+            c.mmu = MmuModel::Ideal;
+            c.max_cycles = 5_363;
         }),
         (Bench::Bfs, Scale::Small, "augmented", |c| {
             c.mmu = designs::augmented()

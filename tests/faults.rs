@@ -269,6 +269,28 @@ fn watchdog_fires_when_faults_cannot_resolve() {
     assert_eq!(skip.stall_breakdown, tick.stall_breakdown);
 }
 
+/// A global watchdog shorter than a DRAM round trip kills a healthy
+/// run on the ideal MMU at its first long all-core stall. A core that
+/// issued just before it runs ahead into that stall's idle gap, which
+/// must stop where the watchdog fires: both loops agree on every
+/// statistic of the killed run.
+#[test]
+fn short_watchdog_stops_both_loops_inside_an_idle_gap() {
+    let w = build(Bench::Kmeans, Scale::Tiny, 7);
+    let run_with = |legacy: bool| {
+        let mut cfg = ExperimentOpts::quick().gpu(MmuModel::Ideal);
+        cfg.fault.watchdog = 100;
+        cfg.tick_every_cycle = legacy;
+        Gpu::new(cfg).run(w.kernel.as_ref(), &w.space)
+    };
+    let skip = run_with(false);
+    assert!(skip.watchdog_fired, "watchdog never fired");
+    assert!(skip.stall_breakdown.get(StallCause::Dram) > 0);
+    let tick = run_with(true);
+    let diff = skip.diff(&tick);
+    assert!(diff.is_empty(), "loops disagree on {diff:?}");
+}
+
 /// Arming the fault model without any injection must be invisible: a
 /// `run_faulted` on a fully-mapped space is bit-identical to the plain
 /// historical `run`.
